@@ -223,7 +223,8 @@ impl WorkloadSpec {
     ///
     /// # Errors
     ///
-    /// [`GapError::Parse`] on an unknown name or malformed width.
+    /// [`GapError::Parse`] on an unknown name, a malformed width, or a
+    /// width the named generator cannot build (`mux/6`).
     pub fn parse(s: &str) -> Result<WorkloadSpec, GapError> {
         let bad = || GapError::Parse {
             what: format!("workload spec {s:?}"),
@@ -251,6 +252,10 @@ impl WorkloadSpec {
         }
         let width: usize = w.parse().map_err(|_| bad())?;
         if width == 0 || width > 64 {
+            return Err(bad());
+        }
+        // A mux tree is 2^k wide; anything else has no netlist.
+        if name == "mux" && (width < 2 || !width.is_power_of_two()) {
             return Err(bad());
         }
         Ok(match name {
@@ -1423,6 +1428,12 @@ mod tests {
         assert!(WorkloadSpec::parse("alu/0").is_err());
         assert!(WorkloadSpec::parse("alu/999").is_err());
         assert!(WorkloadSpec::parse("frobnicator/8").is_err());
+        // A mux tree is 2^k wide; `served` must refuse the rest at the
+        // door instead of meeting the generator's error on a worker.
+        for bad in ["mux/1", "mux/6", "mux/63"] {
+            assert!(WorkloadSpec::parse(bad).is_err(), "{bad}");
+        }
+        assert!(WorkloadSpec::parse("mux/2").is_ok());
     }
 
     #[test]

@@ -15,6 +15,7 @@
 
 use crate::error::{dangling, syntax, FrontendError};
 use crate::lower::{Design, Inst, LocalBit, Module, Port, PortDir};
+use crate::MAX_DEPTH;
 
 // ---------------------------------------------------------------------
 // S-expressions.
@@ -61,7 +62,7 @@ impl Sexp {
 fn lex_and_parse(text: &str) -> Result<Sexp, FrontendError> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let sexp = parse_sexp(bytes, &mut pos)?;
+    let sexp = parse_sexp(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(syntax(format!("trailing bytes at offset {pos}")));
@@ -75,11 +76,18 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_sexp(bytes: &[u8], pos: &mut usize) -> Result<Sexp, FrontendError> {
+/// Parses one form; `depth` is the number of lists it sits inside.
+fn parse_sexp(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Sexp, FrontendError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(syntax("unexpected end of EDIF input")),
         Some(b'(') => {
+            if depth == MAX_DEPTH {
+                return Err(syntax(format!(
+                    "lists nested deeper than {MAX_DEPTH} at offset {pos}",
+                    pos = *pos
+                )));
+            }
             *pos += 1;
             let mut items = Vec::new();
             loop {
@@ -90,7 +98,7 @@ fn parse_sexp(bytes: &[u8], pos: &mut usize) -> Result<Sexp, FrontendError> {
                         *pos += 1;
                         return Ok(Sexp::List(items));
                     }
-                    Some(_) => items.push(parse_sexp(bytes, pos)?),
+                    Some(_) => items.push(parse_sexp(bytes, pos, depth + 1)?),
                 }
             }
         }
@@ -584,6 +592,16 @@ mod tests {
     use asicgap_cells::{CellFunction, LibrarySpec};
     use asicgap_netlist::Simulator;
     use asicgap_tech::Technology;
+
+    #[test]
+    fn list_nesting_is_capped() {
+        let nested = |n: usize| format!("{}x{}", "(".repeat(n), ")".repeat(n));
+        lex_and_parse(&nested(MAX_DEPTH)).expect("the cap itself is allowed");
+        assert!(matches!(
+            lex_and_parse(&nested(MAX_DEPTH + 1)),
+            Err(FrontendError::Syntax { .. })
+        ));
+    }
 
     fn tiny_edif(nand: &str) -> String {
         // half = one NAND; top chains two halves into AND(a,b).

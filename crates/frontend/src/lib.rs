@@ -41,6 +41,12 @@ use asicgap_netlist::Netlist;
 pub use error::FrontendError;
 pub use lower::{lower, Design, Inst, LocalBit, LowerOptions, Module, Port, PortDir};
 
+/// Deepest nesting the frontend follows: JSON containers, EDIF forms,
+/// and module-inside-module hierarchy alike. Yosys JSON nests 8 levels
+/// and EDIF netlist views about a dozen; anything deeper is a typed
+/// error, so a hostile file cannot choose how deep the call stack goes.
+pub const MAX_DEPTH: usize = 64;
+
 /// The design interchange formats the frontend reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DesignFormat {

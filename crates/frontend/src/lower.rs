@@ -18,11 +18,16 @@
 //!   boundaries) and handed to the synthesis mapper, so generic logic
 //!   arrives technology-mapped like any generator output.
 
+use std::borrow::Cow;
+use std::collections::hash_map::{Entry, HashMap};
+use std::ops::Range;
+
 use asicgap_cells::{CellFunction, CellId, Library};
 use asicgap_netlist::{Netlist, NetlistError};
 use asicgap_synth::{expand_cell, map_aig_seq, Aig, Lit, MapOptions, SeqBinding};
 
 use crate::error::{dangling, FrontendError};
+use crate::MAX_DEPTH;
 
 // ---------------------------------------------------------------------
 // The parsed-design IR both frontends target.
@@ -101,10 +106,6 @@ impl Design {
     pub fn top_module(&self) -> &Module {
         &self.modules[self.top]
     }
-
-    fn module_index(&self, name: &str) -> Option<usize> {
-        self.modules.iter().position(|m| m.name == name)
-    }
 }
 
 /// Options steering cell binding during lowering.
@@ -128,45 +129,97 @@ enum FlatBit {
     One,
 }
 
-struct FlatInst {
-    name: String,
-    kind: String,
-    conns: Vec<(String, Vec<FlatBit>)>,
+/// A leaf instance of the flattened design. Its connections are a run
+/// of [`Flat::conns`]; see [`Flat::conns_of`].
+struct FlatInst<'a> {
+    name: Cow<'a, str>,
+    /// Index into [`Flat::kinds`].
+    kind: usize,
+    conns: Range<usize>,
 }
 
-struct Flat {
-    name: String,
-    nets: Vec<String>,
+/// The flattened design. Every name borrows from the [`Design`] unless
+/// flattening had to spell a new one (a hierarchical path, a bus bit),
+/// and connections live in two shared arenas instead of a `Vec` per
+/// pin: at SoC scale the per-instance allocations were the cost.
+struct Flat<'a> {
+    name: &'a str,
+    nets: Vec<Cow<'a, str>>,
     inputs: Vec<(String, u32)>,
     outputs: Vec<(String, u32)>,
-    insts: Vec<FlatInst>,
+    /// The distinct leaf cell kinds, in first-use order.
+    kinds: Vec<&'a str>,
+    insts: Vec<FlatInst<'a>>,
+    /// (pin name, its run of `bits`), instance after instance.
+    conns: Vec<(&'a str, Range<usize>)>,
+    bits: Vec<FlatBit>,
 }
 
-impl Flat {
-    fn add_net(&mut self, name: String) -> u32 {
+impl<'a> Flat<'a> {
+    fn add_net(&mut self, name: Cow<'a, str>) -> u32 {
         let id = u32::try_from(self.nets.len()).expect("flat net count fits in u32");
         self.nets.push(name);
         id
     }
-}
 
-/// Name of bit `k` of a `width`-bit port/bus.
-fn bit_name(base: &str, k: usize, width: usize) -> String {
-    if width == 1 {
-        base.to_string()
-    } else {
-        format!("{base}[{k}]")
+    /// `inst`'s connections as (pin name, bits LSB first), file order.
+    fn conns_of(&self, inst: &FlatInst<'a>) -> impl Iterator<Item = (&'a str, &[FlatBit])> {
+        self.conns[inst.conns.clone()]
+            .iter()
+            .map(|(pin, bits)| (*pin, &self.bits[bits.clone()]))
     }
 }
 
-fn flatten(design: &Design) -> Result<Flat, FrontendError> {
+/// Name of bit `k` of a `width`-bit port/bus.
+fn bit_name(base: &str, k: usize, width: usize) -> Cow<'_, str> {
+    if width == 1 {
+        Cow::Borrowed(base)
+    } else {
+        Cow::Owned(format!("{base}[{k}]"))
+    }
+}
+
+/// `name` as seen from the top: itself at the top level, behind its
+/// instance path below it.
+fn scoped<'a>(prefix: &str, name: &'a str) -> Cow<'a, str> {
+    if prefix.is_empty() {
+        Cow::Borrowed(name)
+    } else {
+        Cow::Owned(format!("{prefix}{name}"))
+    }
+}
+
+/// What an instance's `kind` names.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// Another module of the design, by index.
+    Module(usize),
+    /// A leaf cell, by index into [`Flat::kinds`].
+    Leaf(usize),
+}
+
+/// Flattening state that is not part of the result.
+struct Flattener<'a> {
+    design: &'a Design,
+    flat: Flat<'a>,
+    /// Every kind met so far. One lookup per instance replaces a scan
+    /// of the module list and, later, a library lookup per instance.
+    kind_of: HashMap<&'a str, Kind>,
+    /// Modules being expanded, outermost first.
+    stack: Vec<usize>,
+}
+
+fn flatten(design: &Design) -> Result<Flat<'_>, FrontendError> {
     let top = design.top_module();
     let mut flat = Flat {
-        name: top.name.clone(),
+        name: &top.name,
         nets: Vec::new(),
         inputs: Vec::new(),
         outputs: Vec::new(),
+        kinds: Vec::new(),
         insts: Vec::new(),
+        conns: Vec::new(),
+        bits: Vec::new(),
     };
 
     // Top ports become flat nets named after the port (with `[k]` for
@@ -182,145 +235,167 @@ fn flatten(design: &Design) -> Result<Flat, FrontendError> {
                     ),
                 });
             };
-            let id = match bind[n as usize] {
-                // A net can appear in one port only; sharing (an input
-                // fed straight through to an output) needs a buffer we
-                // do not insert.
-                Some(_) => {
-                    return Err(FrontendError::Unsupported {
-                        what: format!(
-                            "top-level port {} aliases another port bit in module {}",
-                            port.name, top.name
-                        ),
-                    })
-                }
-                None => {
-                    let id = flat.add_net(bit_name(&port.name, k, port.bits.len()));
-                    bind[n as usize] = Some(FlatBit::Net(id));
-                    id
-                }
-            };
+            // A net can appear in one port only; sharing (an input fed
+            // straight through to an output) needs a buffer we do not
+            // insert.
+            if bind[n as usize].is_some() {
+                return Err(FrontendError::Unsupported {
+                    what: format!(
+                        "top-level port {} aliases another port bit in module {}",
+                        port.name, top.name
+                    ),
+                });
+            }
+            let name = bit_name(&port.name, k, port.bits.len());
+            let id = flat.add_net(name.clone());
+            bind[n as usize] = Some(FlatBit::Net(id));
             match port.dir {
-                PortDir::Input => flat
-                    .inputs
-                    .push((bit_name(&port.name, k, port.bits.len()), id)),
-                PortDir::Output => flat
-                    .outputs
-                    .push((bit_name(&port.name, k, port.bits.len()), id)),
+                PortDir::Input => flat.inputs.push((name.into_owned(), id)),
+                PortDir::Output => flat.outputs.push((name.into_owned(), id)),
             }
         }
     }
 
-    let mut stack = vec![design.top];
-    instantiate(design, design.top, "", bind, &mut flat, &mut stack)?;
-    Ok(flat)
+    let mut kind_of = HashMap::new();
+    for (idx, module) in design.modules.iter().enumerate() {
+        // Of two modules with one name, the first is the one meant.
+        kind_of
+            .entry(module.name.as_str())
+            .or_insert(Kind::Module(idx));
+    }
+    let mut flattener = Flattener {
+        design,
+        flat,
+        kind_of,
+        stack: vec![design.top],
+    };
+    flattener.instantiate(design.top, "", bind)?;
+    Ok(flattener.flat)
 }
 
-/// Expands one module instance into `flat`. `bind` maps the module's
-/// local nets to already-allocated flat bits (port connections); local
-/// nets first touched inside get fresh flat nets named
-/// `{prefix}{local name}`.
-fn instantiate(
-    design: &Design,
-    midx: usize,
-    prefix: &str,
-    mut bind: Vec<Option<FlatBit>>,
-    flat: &mut Flat,
-    stack: &mut Vec<usize>,
-) -> Result<(), FrontendError> {
-    let module = &design.modules[midx];
-
-    // Borrow-friendly local-bit resolver.
+impl<'a> Flattener<'a> {
+    /// The flat bit behind local bit `bit` of the module being
+    /// expanded; a local net first touched here gets a fresh flat net
+    /// named `{prefix}{local name}`.
     fn resolve(
+        &mut self,
         bit: LocalBit,
         bind: &mut [Option<FlatBit>],
-        net_names: &[String],
+        net_names: &'a [String],
         prefix: &str,
-        flat: &mut Flat,
     ) -> FlatBit {
         match bit {
             LocalBit::Zero => FlatBit::Zero,
             LocalBit::One => FlatBit::One,
-            LocalBit::Net(n) => {
-                if let Some(b) = bind[n as usize] {
-                    b
-                } else {
-                    let id = flat.add_net(format!("{prefix}{}", net_names[n as usize]));
-                    bind[n as usize] = Some(FlatBit::Net(id));
-                    FlatBit::Net(id)
-                }
-            }
+            LocalBit::Net(n) => *bind[n as usize].get_or_insert_with(|| {
+                FlatBit::Net(self.flat.add_net(scoped(prefix, &net_names[n as usize])))
+            }),
         }
     }
 
-    for inst in &module.insts {
-        if let Some(child_idx) = design.module_index(&inst.kind) {
-            if stack.contains(&child_idx) {
-                return Err(FrontendError::Unsupported {
-                    what: format!("recursive instantiation of module {}", inst.kind),
-                });
-            }
-            let child = &design.modules[child_idx];
-            let mut child_bind: Vec<Option<FlatBit>> = vec![None; child.net_names.len()];
-            for (pname, bits) in &inst.conns {
-                let Some(port) = child.ports.iter().find(|p| &p.name == pname) else {
-                    return Err(dangling(format!(
-                        "instance {prefix}{} connects port {pname} absent from module {}",
-                        inst.name, child.name
-                    )));
-                };
-                if bits.len() != port.bits.len() {
-                    return Err(FrontendError::WidthMismatch {
-                        cell: child.name.clone(),
-                        pin: pname.clone(),
-                        expected: port.bits.len(),
-                        got: bits.len(),
+    /// Expands one module instance. `bind` maps the module's local nets
+    /// to already-allocated flat bits (port connections).
+    fn instantiate(
+        &mut self,
+        midx: usize,
+        prefix: &str,
+        mut bind: Vec<Option<FlatBit>>,
+    ) -> Result<(), FrontendError> {
+        let design = self.design;
+        let module = &design.modules[midx];
+        for inst in &module.insts {
+            let kind = match self.kind_of.entry(&inst.kind) {
+                Entry::Occupied(known) => *known.get(),
+                Entry::Vacant(new) => {
+                    self.flat.kinds.push(&inst.kind);
+                    *new.insert(Kind::Leaf(self.flat.kinds.len() - 1))
+                }
+            };
+            match kind {
+                Kind::Leaf(kind) => {
+                    let first_conn = self.flat.conns.len();
+                    for (pname, bits) in &inst.conns {
+                        let first_bit = self.flat.bits.len();
+                        for &b in bits {
+                            let b = self.resolve(b, &mut bind, &module.net_names, prefix);
+                            self.flat.bits.push(b);
+                        }
+                        self.flat
+                            .conns
+                            .push((pname, first_bit..self.flat.bits.len()));
+                    }
+                    self.flat.insts.push(FlatInst {
+                        name: scoped(prefix, &inst.name),
+                        kind,
+                        conns: first_conn..self.flat.conns.len(),
                     });
                 }
-                for (k, &outer) in bits.iter().enumerate() {
-                    let outer = resolve(outer, &mut bind, &module.net_names, prefix, flat);
-                    let LocalBit::Net(n) = port.bits[k] else {
+                Kind::Module(child_idx) => {
+                    if self.stack.contains(&child_idx) {
+                        return Err(FrontendError::Unsupported {
+                            what: format!("recursive instantiation of module {}", inst.kind),
+                        });
+                    }
+                    // Expansion recurses once per level; a chain of
+                    // one-instance modules must not get to pick how
+                    // deep the call stack goes.
+                    if self.stack.len() == MAX_DEPTH {
                         return Err(FrontendError::Unsupported {
                             what: format!(
-                                "constant bit in port {} of module {}",
-                                port.name, child.name
+                                "hierarchy deeper than {MAX_DEPTH} levels at instance {prefix}{}",
+                                inst.name
                             ),
                         });
-                    };
-                    match child_bind[n as usize] {
-                        Some(existing) if existing != outer => {
-                            return Err(FrontendError::Unsupported {
-                                what: format!(
-                                    "port bit aliasing through module {} (net {})",
-                                    child.name, child.net_names[n as usize]
-                                ),
-                            })
-                        }
-                        _ => child_bind[n as usize] = Some(outer),
                     }
+                    let child = &design.modules[child_idx];
+                    let mut child_bind: Vec<Option<FlatBit>> = vec![None; child.net_names.len()];
+                    for (pname, bits) in &inst.conns {
+                        let Some(port) = child.ports.iter().find(|p| &p.name == pname) else {
+                            return Err(dangling(format!(
+                                "instance {prefix}{} connects port {pname} absent from module {}",
+                                inst.name, child.name
+                            )));
+                        };
+                        if bits.len() != port.bits.len() {
+                            return Err(FrontendError::WidthMismatch {
+                                cell: child.name.clone(),
+                                pin: pname.clone(),
+                                expected: port.bits.len(),
+                                got: bits.len(),
+                            });
+                        }
+                        for (k, &outer) in bits.iter().enumerate() {
+                            let outer = self.resolve(outer, &mut bind, &module.net_names, prefix);
+                            let LocalBit::Net(n) = port.bits[k] else {
+                                return Err(FrontendError::Unsupported {
+                                    what: format!(
+                                        "constant bit in port {} of module {}",
+                                        port.name, child.name
+                                    ),
+                                });
+                            };
+                            match child_bind[n as usize] {
+                                Some(existing) if existing != outer => {
+                                    return Err(FrontendError::Unsupported {
+                                        what: format!(
+                                            "port bit aliasing through module {} (net {})",
+                                            child.name, child.net_names[n as usize]
+                                        ),
+                                    })
+                                }
+                                _ => child_bind[n as usize] = Some(outer),
+                            }
+                        }
+                    }
+                    let child_prefix = format!("{prefix}{}.", inst.name);
+                    self.stack.push(child_idx);
+                    self.instantiate(child_idx, &child_prefix, child_bind)?;
+                    self.stack.pop();
                 }
             }
-            let child_prefix = format!("{prefix}{}.", inst.name);
-            stack.push(child_idx);
-            instantiate(design, child_idx, &child_prefix, child_bind, flat, stack)?;
-            stack.pop();
-        } else {
-            let mut conns = Vec::with_capacity(inst.conns.len());
-            for (pname, bits) in &inst.conns {
-                let resolved: Vec<FlatBit> = bits
-                    .iter()
-                    .map(|&b| resolve(b, &mut bind, &module.net_names, prefix, flat))
-                    .collect();
-                conns.push((pname.clone(), resolved));
-            }
-            flat.insts.push(FlatInst {
-                name: format!("{prefix}{}", inst.name),
-                kind: inst.kind.clone(),
-                conns,
-            });
         }
+        Ok(())
     }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -408,43 +483,69 @@ fn resolve_by_function(kind: &str, lib: &Library) -> Option<CellId> {
     best.map(|(id, _)| id)
 }
 
+/// `pin` in lower case, for matching against the pin names the
+/// backends know — all of them ASCII and at most five bytes, so a pin
+/// too long for `buf` folds to a slice that matches none.
+fn fold_pin<'b>(pin: &str, buf: &'b mut [u8; 5]) -> &'b [u8] {
+    match buf.get_mut(..pin.len()) {
+        Some(folded) => {
+            folded.copy_from_slice(pin.as_bytes());
+            folded.make_ascii_lowercase();
+            folded
+        }
+        None => &[],
+    }
+}
+
+/// The widest cell [`split_cell_conns`] can wire: fan-in pins are
+/// spelled `a`..`d`.
+const MAX_FANIN: usize = 4;
+
 /// Split a bound-cell instance's connections into positional fan-in
-/// bits and the output bit. Accepted pin spellings (case-insensitive):
-/// `a`..`d` / `i0`..`i3` for fan-ins (`d` meaning the data input on
-/// sequential cells), `y` / `o` / `q` for the output; `clk`, `clock`,
-/// `ck`, `en`, and `g` are ignored (the flow models one global clock).
+/// bits (the first `f.num_inputs()` entries count) and the output bit.
+/// Accepted pin spellings (case-insensitive): `a`..`d` / `i0`..`i3` for
+/// fan-ins (`d` meaning the data input on sequential cells), `y` / `o` /
+/// `q` for the output; `clk`, `clock`, `ck`, `en`, and `g` are ignored
+/// (the flow models one global clock).
 fn split_cell_conns(
-    inst: &FlatInst,
+    flat: &Flat<'_>,
+    inst: &FlatInst<'_>,
     f: CellFunction,
-) -> Result<(Vec<FlatBit>, FlatBit), FrontendError> {
+) -> Result<([FlatBit; MAX_FANIN], FlatBit), FrontendError> {
+    let kind = flat.kinds[inst.kind];
     let arity = f.num_inputs();
-    let mut fanin: Vec<Option<FlatBit>> = vec![None; arity];
+    if arity > MAX_FANIN {
+        return Err(FrontendError::Unsupported {
+            what: format!("cell {kind} has more than {MAX_FANIN} inputs"),
+        });
+    }
+    let mut fanin: [Option<FlatBit>; MAX_FANIN] = [None; MAX_FANIN];
     let mut out: Option<FlatBit> = None;
-    for (pname, bits) in &inst.conns {
-        let p = pname.to_ascii_lowercase();
-        if matches!(p.as_str(), "clk" | "clock" | "ck" | "en" | "g") {
+    let mut buf = [0; 5];
+    for (pname, bits) in flat.conns_of(inst) {
+        let pin = fold_pin(pname, &mut buf);
+        if matches!(pin, b"clk" | b"clock" | b"ck" | b"en" | b"g") {
             continue;
         }
-        if bits.len() != 1 {
+        let &[bit] = bits else {
             return Err(FrontendError::WidthMismatch {
-                cell: inst.kind.clone(),
-                pin: pname.clone(),
+                cell: kind.to_string(),
+                pin: pname.to_string(),
                 expected: 1,
                 got: bits.len(),
             });
-        }
-        let bit = bits[0];
-        let slot: Option<usize> = match p.as_str() {
-            "a" | "i0" => Some(0),
-            "b" | "i1" => Some(1),
-            "c" | "i2" => Some(2),
-            "d" if f.is_sequential() => Some(0),
-            "d" | "i3" => Some(3),
-            "y" | "o" | "q" => None,
+        };
+        let slot: Option<usize> = match pin {
+            b"a" | b"i0" => Some(0),
+            b"b" | b"i1" => Some(1),
+            b"c" | b"i2" => Some(2),
+            b"d" if f.is_sequential() => Some(0),
+            b"d" | b"i3" => Some(3),
+            b"y" | b"o" | b"q" => None,
             _ => {
                 return Err(dangling(format!(
-                    "cell {} has no pin {pname} (instance {})",
-                    inst.kind, inst.name
+                    "cell {kind} has no pin {pname} (instance {})",
+                    inst.name
                 )))
             }
         };
@@ -452,8 +553,8 @@ fn split_cell_conns(
             Some(i) => {
                 if i >= arity {
                     return Err(dangling(format!(
-                        "pin {pname} exceeds the {arity} input(s) of cell {} (instance {})",
-                        inst.kind, inst.name
+                        "pin {pname} exceeds the {arity} input(s) of cell {kind} (instance {})",
+                        inst.name
                     )));
                 }
                 if fanin[i].replace(bit).is_some() {
@@ -471,27 +572,23 @@ fn split_cell_conns(
             }
         }
     }
-    let fanin: Vec<FlatBit> = fanin
-        .into_iter()
-        .enumerate()
-        .map(|(i, b)| {
-            b.ok_or_else(|| {
-                dangling(format!(
-                    "instance {} ({}) leaves input pin {} unconnected",
-                    inst.name,
-                    inst.kind,
-                    ["a", "b", "c", "d"][i]
-                ))
-            })
-        })
-        .collect::<Result<_, _>>()?;
+    let mut pins = [FlatBit::Zero; MAX_FANIN];
+    for (i, pin) in pins.iter_mut().enumerate().take(arity) {
+        *pin = fanin[i].ok_or_else(|| {
+            dangling(format!(
+                "instance {} ({kind}) leaves input pin {} unconnected",
+                inst.name,
+                ["a", "b", "c", "d"][i]
+            ))
+        })?;
+    }
     let out = out.ok_or_else(|| {
         dangling(format!(
-            "instance {} ({}) leaves its output unconnected",
-            inst.name, inst.kind
+            "instance {} ({kind}) leaves its output unconnected",
+            inst.name
         ))
     })?;
-    Ok((fanin, out))
+    Ok((pins, out))
 }
 
 /// A generic gate's connections, bit-blasted: all data pins share one
@@ -502,7 +599,12 @@ struct GenericConns {
     outs: Vec<FlatBit>,
 }
 
-fn split_generic_conns(inst: &FlatInst, g: Generic) -> Result<GenericConns, FrontendError> {
+fn split_generic_conns(
+    flat: &Flat<'_>,
+    inst: &FlatInst<'_>,
+    g: Generic,
+) -> Result<GenericConns, FrontendError> {
+    let kind = flat.kinds[inst.kind];
     let in_pins: &[&str] = match g {
         Generic::Not | Generic::Buf => &["a"],
         Generic::Dff => &["d"],
@@ -512,41 +614,42 @@ fn split_generic_conns(inst: &FlatInst, g: Generic) -> Result<GenericConns, Fron
     let mut ins: Vec<Option<Vec<FlatBit>>> = vec![None; in_pins.len()];
     let mut sel: Option<FlatBit> = None;
     let mut outs: Option<Vec<FlatBit>> = None;
-    for (pname, bits) in &inst.conns {
-        let p = pname.to_ascii_lowercase();
-        if matches!(p.as_str(), "clk" | "clock" | "en") {
+    let mut buf = [0; 5];
+    for (pname, bits) in flat.conns_of(inst) {
+        let pin = fold_pin(pname, &mut buf);
+        if matches!(pin, b"clk" | b"clock" | b"en") {
             continue;
         }
-        if p == "s" && g == Generic::Mux {
-            if bits.len() != 1 {
+        if g == Generic::Mux && pin == b"s" {
+            let &[bit] = bits else {
                 return Err(FrontendError::WidthMismatch {
-                    cell: inst.kind.clone(),
-                    pin: pname.clone(),
+                    cell: kind.to_string(),
+                    pin: pname.to_string(),
                     expected: 1,
                     got: bits.len(),
                 });
-            }
-            sel = Some(bits[0]);
+            };
+            sel = Some(bit);
             continue;
         }
-        if p == out_pin {
-            outs = Some(bits.clone());
+        if pin == out_pin.as_bytes() {
+            outs = Some(bits.to_vec());
             continue;
         }
-        match in_pins.iter().position(|&ip| ip == p) {
-            Some(i) => ins[i] = Some(bits.clone()),
+        match in_pins.iter().position(|ip| pin == ip.as_bytes()) {
+            Some(i) => ins[i] = Some(bits.to_vec()),
             None => {
                 return Err(dangling(format!(
-                    "generic {} has no pin {pname} (instance {})",
-                    inst.kind, inst.name
+                    "generic {kind} has no pin {pname} (instance {})",
+                    inst.name
                 )))
             }
         }
     }
     let outs = outs.ok_or_else(|| {
         dangling(format!(
-            "instance {} ({}) leaves pin {out_pin} unconnected",
-            inst.name, inst.kind
+            "instance {} ({kind}) leaves pin {out_pin} unconnected",
+            inst.name
         ))
     })?;
     let width = outs.len();
@@ -554,13 +657,13 @@ fn split_generic_conns(inst: &FlatInst, g: Generic) -> Result<GenericConns, Fron
     for (i, v) in ins.into_iter().enumerate() {
         let v = v.ok_or_else(|| {
             dangling(format!(
-                "instance {} ({}) leaves pin {} unconnected",
-                inst.name, inst.kind, in_pins[i]
+                "instance {} ({kind}) leaves pin {} unconnected",
+                inst.name, in_pins[i]
             ))
         })?;
         if v.len() != width {
             return Err(FrontendError::WidthMismatch {
-                cell: inst.kind.clone(),
+                cell: kind.to_string(),
                 pin: in_pins[i].to_string(),
                 expected: width,
                 got: v.len(),
@@ -599,25 +702,21 @@ pub fn lower(
 ) -> Result<Netlist, FrontendError> {
     let flat = flatten(design)?;
 
-    // Bind every instance kind up front: binding errors surface on both
-    // paths, and the bindings decide which path runs.
+    // Bind every kind in use up front, once each: binding errors
+    // surface on both paths, and the bindings decide which path runs.
     let bindings: Vec<Binding> = flat
-        .insts
+        .kinds
         .iter()
-        .map(|i| resolve_kind(&i.kind, lib, opts))
+        .map(|kind| resolve_kind(kind, lib, opts))
         .collect::<Result<_, _>>()?;
 
     let has_generic = bindings.iter().any(|b| matches!(b, Binding::Generic(_)));
-    let has_const = flat.insts.iter().any(|i| {
-        i.conns
-            .iter()
-            .any(|(_, bits)| bits.iter().any(|b| !matches!(b, FlatBit::Net(_))))
-    });
+    let has_const = flat.bits.iter().any(|b| !matches!(b, FlatBit::Net(_)));
 
     let mut netlist = if has_generic || has_const {
         lower_via_aig(&flat, &bindings, lib)?
     } else {
-        lower_direct(&flat, &bindings, lib)?
+        lower_direct(flat, &bindings, lib)?
     };
     netlist.pack();
     Ok(netlist)
@@ -627,35 +726,38 @@ pub fn lower(
 /// bit is a net. Instance names (and therefore register identities)
 /// are preserved one-for-one.
 fn lower_direct(
-    flat: &Flat,
+    mut flat: Flat<'_>,
     bindings: &[Binding],
     lib: &Library,
 ) -> Result<Netlist, FrontendError> {
-    let mut netlist = Netlist::new(&flat.name);
+    let mut netlist = Netlist::new(flat.name);
     // Hierarchical names repeat prefixes heavily; hash-consing the
     // symbol table is the point of the interner's dedup mode.
     netlist.enable_name_dedup();
 
     let nets: Vec<_> = flat.nets.iter().map(|name| netlist.add_net(name)).collect();
-    for (name, n) in &flat.inputs {
-        netlist.add_input(name.clone(), nets[*n as usize])?;
+    for (name, n) in std::mem::take(&mut flat.inputs) {
+        netlist.add_input(name, nets[n as usize])?;
     }
 
     let as_net = |bit: FlatBit| match bit {
         FlatBit::Net(n) => nets[n as usize],
         _ => unreachable!("direct path rejected constants"),
     };
-    for (inst, binding) in flat.insts.iter().zip(bindings) {
-        let Binding::Cell(cell) = binding else {
+    for inst in &flat.insts {
+        let Binding::Cell(cell) = bindings[inst.kind] else {
             unreachable!("direct path rejected generics");
         };
-        let f = lib.cell(*cell).function;
-        let (fanin, out) = split_cell_conns(inst, f)?;
-        let fanin: Vec<_> = fanin.into_iter().map(as_net).collect();
-        netlist.add_instance(&inst.name, lib, *cell, &fanin, as_net(out))?;
-    }
-    for (name, n) in &flat.outputs {
-        netlist.add_output(name.clone(), nets[*n as usize]);
+        let f = lib.cell(cell).function;
+        let (fanin, out) = split_cell_conns(&flat, inst, f)?;
+        let out = as_net(out);
+        // Entries past the arity are filler and never read.
+        let mut pins = [out; MAX_FANIN];
+        let arity = f.num_inputs();
+        for (pin, &bit) in pins.iter_mut().zip(&fanin[..arity]) {
+            *pin = as_net(bit);
+        }
+        netlist.add_instance(&inst.name, lib, cell, &pins[..arity], out)?;
     }
 
     // Everything consumed must be driven (PIs count as drivers).
@@ -669,10 +771,11 @@ fn lower_direct(
             }
         }
     }
-    for (name, n) in &flat.outputs {
-        if undriven(&netlist, nets[*n as usize]) {
-            return Err(FrontendError::UndrivenNet { net: name.clone() });
+    for (name, n) in flat.outputs {
+        if undriven(&netlist, nets[n as usize]) {
+            return Err(FrontendError::UndrivenNet { net: name });
         }
+        netlist.add_output(name, nets[n as usize]);
     }
     netlist.topo_order().map_err(FrontendError::Netlist)?;
     Ok(netlist)
@@ -681,7 +784,7 @@ fn lower_direct(
 /// AIG path: expand generics and bound cells alike into an AIG
 /// (flip-flops as pseudo-pin boundaries) and technology-map it.
 fn lower_via_aig(
-    flat: &Flat,
+    flat: &Flat<'_>,
     bindings: &[Binding],
     lib: &Library,
 ) -> Result<Netlist, FrontendError> {
@@ -706,11 +809,12 @@ fn lower_via_aig(
     }
     let mut seq_bits: Vec<SeqBit> = Vec::new();
     let mut comb: Vec<Comb> = Vec::new();
-    for (inst, binding) in flat.insts.iter().zip(bindings) {
-        match binding {
+    for inst in &flat.insts {
+        match &bindings[inst.kind] {
             Binding::Cell(cell) => {
                 let f = lib.cell(*cell).function;
-                let (fanin, out) = split_cell_conns(inst, f)?;
+                let (fanin, out) = split_cell_conns(flat, inst, f)?;
+                let fanin = fanin[..f.num_inputs()].to_vec();
                 if f.is_sequential() {
                     let FlatBit::Net(qn) = out else {
                         return Err(FrontendError::Unsupported {
@@ -729,7 +833,7 @@ fn lower_via_aig(
                 }
             }
             Binding::Generic(g) => {
-                let conns = split_generic_conns(inst, *g)?;
+                let conns = split_generic_conns(flat, inst, *g)?;
                 if *g == Generic::Dff {
                     let width = conns.outs.len();
                     for (k, &q) in conns.outs.iter().enumerate() {
@@ -772,7 +876,7 @@ fn lower_via_aig(
         if let FlatBit::Net(n) = bit {
             if !driven[n as usize] {
                 return Err(FrontendError::UndrivenNet {
-                    net: flat.nets[n as usize].clone(),
+                    net: flat.nets[n as usize].to_string(),
                 });
             }
         }
@@ -891,7 +995,7 @@ fn lower_via_aig(
                         .copied(),
                 })
                 .and_then(|b| match b {
-                    FlatBit::Net(n) => Some(flat.nets[n as usize].clone()),
+                    FlatBit::Net(n) => Some(flat.nets[n as usize].to_string()),
                     _ => None,
                 })
                 .unwrap_or_default();
@@ -922,7 +1026,7 @@ fn lower_via_aig(
         });
     }
 
-    map_aig_seq(&aig, lib, &MapOptions::default(), &seq, &flat.name).map_err(FrontendError::Synth)
+    map_aig_seq(&aig, lib, &MapOptions::default(), &seq, flat.name).map_err(FrontendError::Synth)
 }
 
 #[cfg(test)]

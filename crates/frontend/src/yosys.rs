@@ -1,9 +1,14 @@
 //! Yosys JSON (`write_json`) → [`Design`].
 //!
-//! The reader walks `modules → ports/cells/netnames → connections`,
-//! mapping each distinct bit number to a dense local net (first
-//! appearance order: ports, then cells, then netnames — file order, so
-//! parsing is deterministic). Constant bits `"0"`, `"1"`, `"x"` become
+//! The reader drives a [`json::Reader`](crate::json::Reader) over
+//! `modules → ports/cells/netnames → connections` and fills each
+//! [`Module`] as the bytes go by; no document tree is built. Each
+//! distinct bit number maps to a dense local net in first-appearance
+//! order over ports, then cells, then netnames — whatever order the
+//! file lists those three in (a section that arrives early is stepped
+//! over and revisited), so parsing is deterministic. Of a repeated key
+//! the first occurrence counts, as it did when lookups walked a tree.
+//! Constant bits `"0"`, `"1"`, `"x"` become
 //! [`LocalBit::Zero`]/[`LocalBit::One`] (`x` reads as zero: any defined
 //! value refines don't-care). Net names come from `netnames`
 //! (first-wins, `name[k]` for bus bits), with `_<bit>` as the fallback
@@ -12,10 +17,11 @@
 //! Top selection: the module whose `attributes.top` is truthy, else the
 //! only module, else the first module never instantiated by another.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::error::{syntax, FrontendError};
-use crate::json::{parse as parse_json, Json};
+use crate::json::Reader;
 use crate::lower::{Design, Inst, LocalBit, Module, Port, PortDir};
 
 /// Parses Yosys JSON text into a [`Design`].
@@ -25,24 +31,29 @@ use crate::lower::{Design, Inst, LocalBit, Module, Port, PortDir};
 /// [`FrontendError::Syntax`] for malformed JSON or a shape that is not
 /// a Yosys netlist; [`FrontendError::Unsupported`] for `inout` ports.
 pub fn parse(text: &str) -> Result<Design, FrontendError> {
-    let root = parse_json(text)?;
-    let modules_json = root
-        .get("modules")
-        .ok_or_else(|| syntax("missing \"modules\" object"))?;
-    if !matches!(modules_json, Json::Obj(_)) {
-        return Err(syntax("\"modules\" is not an object"));
-    }
+    let mut r = Reader::new(text);
     let mut modules = Vec::new();
     let mut marked_top = None;
-    for (idx, (name, mj)) in modules_json.members().iter().enumerate() {
-        let is_top = mj
-            .get("attributes")
-            .and_then(|a| a.get("top"))
-            .is_some_and(truthy);
-        if is_top && marked_top.is_none() {
-            marked_top = Some(idx);
+    let mut seen_modules = false;
+    r.object(|r, key| {
+        if key != "modules" || std::mem::replace(&mut seen_modules, true) {
+            return r.skip();
         }
-        modules.push(parse_module(name, mj)?);
+        if r.peek()? != b'{' {
+            return Err(syntax("\"modules\" is not an object"));
+        }
+        r.object(|r, name| {
+            let (module, is_top) = parse_module(r, name.into_owned())?;
+            if is_top && marked_top.is_none() {
+                marked_top = Some(modules.len());
+            }
+            modules.push(module);
+            Ok(())
+        })
+    })?;
+    r.finish()?;
+    if !seen_modules {
+        return Err(syntax("missing \"modules\" object"));
     }
     if modules.is_empty() {
         return Err(syntax("design has no modules"));
@@ -53,16 +64,6 @@ pub fn parse(text: &str) -> Result<Design, FrontendError> {
         None => pick_top(&modules)?,
     };
     Ok(Design { modules, top })
-}
-
-/// Yosys writes attribute values as numbers or binary-digit strings.
-fn truthy(v: &Json) -> bool {
-    match v {
-        Json::Bool(b) => *b,
-        Json::Num(n) => *n != 0,
-        Json::Str(s) => s.contains('1'),
-        _ => false,
-    }
 }
 
 /// Structural fallback when no module carries the `top` attribute.
@@ -80,120 +81,299 @@ fn pick_top(modules: &[Module]) -> Result<usize, FrontendError> {
         .ok_or_else(|| syntax("cannot determine top module (all modules are instantiated)"))
 }
 
+/// `true` once per flag: the first occurrence of a key is the one that
+/// counts.
+fn first(seen: &mut bool) -> bool {
+    !std::mem::replace(seen, true)
+}
+
+/// Bit number → local net, in first-appearance order.
+#[derive(Default)]
 struct NetTable {
-    names: Vec<String>,
-    named: Vec<bool>,
-    by_bit: HashMap<i64, u32>,
+    /// The name `netnames` gave each net, if it has named it yet.
+    names: Vec<Option<String>>,
+    /// The bit number behind each net.
+    bits: Vec<i64>,
+    /// `dense[bit]` is the net of `bit`, or [`NetTable::NONE`]. Yosys
+    /// numbers bits in the order it writes them, so the table a file
+    /// needs is as long as its net count; it grows only that fast.
+    dense: Vec<u32>,
+    /// Bit numbers the dense table would have had to jump for:
+    /// negative, or far beyond the nets seen so far.
+    sparse: HashMap<i64, u32>,
 }
 
 impl NetTable {
-    fn local(&mut self, bit: &Json) -> Result<LocalBit, FrontendError> {
-        match bit {
-            Json::Num(i) => Ok(LocalBit::Net(self.net_of(*i))),
-            Json::Str(s) => match s.as_str() {
+    const NONE: u32 = u32::MAX;
+    /// How far past `2 * nets seen` a bit number may land and still
+    /// extend the dense table.
+    const SLACK: usize = 64;
+
+    /// Reads one bit of a `bits` / connection array.
+    fn local(&mut self, r: &mut Reader<'_>) -> Result<LocalBit, FrontendError> {
+        match r.peek()? {
+            b'"' => match &*r.string()? {
                 "0" | "x" => Ok(LocalBit::Zero),
                 "1" => Ok(LocalBit::One),
                 other => Err(syntax(format!("unknown constant bit {other:?}"))),
             },
-            _ => Err(syntax("bit is neither a number nor a constant string")),
+            b'-' | b'0'..=b'9' => Ok(LocalBit::Net(self.net_of(r.int()?)?)),
+            _ => {
+                r.skip()?;
+                Err(syntax("bit is neither a number nor a constant string"))
+            }
         }
     }
 
-    fn net_of(&mut self, bit: i64) -> u32 {
-        *self.by_bit.entry(bit).or_insert_with(|| {
-            let id = u32::try_from(self.names.len()).expect("net count fits in u32");
-            self.names.push(format!("_{bit}"));
-            self.named.push(false);
-            id
-        })
+    fn net_of(&mut self, bit: i64) -> Result<u32, FrontendError> {
+        // A negative bit lands far out of the table's reach.
+        let slot = usize::try_from(bit).unwrap_or(usize::MAX);
+        if let Some(&id) = self.dense.get(slot) {
+            if id != Self::NONE {
+                return Ok(id);
+            }
+        }
+        if !self.sparse.is_empty() {
+            if let Some(&id) = self.sparse.get(&bit) {
+                return Ok(id);
+            }
+        }
+        let id = u32::try_from(self.names.len())
+            .ok()
+            .filter(|&id| id != Self::NONE)
+            .ok_or_else(|| syntax("module has more than 2^32 - 1 nets"))?;
+        self.names.push(None);
+        self.bits.push(bit);
+        if slot < self.dense.len() {
+            self.dense[slot] = id;
+        } else if slot <= 2 * self.names.len() + Self::SLACK {
+            self.dense.resize(slot + 1, Self::NONE);
+            self.dense[slot] = id;
+        } else {
+            self.sparse.insert(bit, id);
+        }
+        Ok(id)
+    }
+
+    /// The net names: what `netnames` gave, `_<bit>` for the rest.
+    fn into_names(self) -> Vec<String> {
+        self.names
+            .into_iter()
+            .zip(self.bits)
+            .map(|(name, bit)| name.unwrap_or_else(|| format!("_{bit}")))
+            .collect()
     }
 }
 
-fn parse_module(name: &str, mj: &Json) -> Result<Module, FrontendError> {
-    if !matches!(mj, Json::Obj(_)) {
+/// Reads a `bits` / connection value. Anything but an array reads as no
+/// bits, as the tree walk had it.
+fn parse_bits(r: &mut Reader<'_>, table: &mut NetTable) -> Result<Vec<LocalBit>, FrontendError> {
+    let mut bits = Vec::new();
+    if r.peek()? != b'[' {
+        r.skip()?;
+        return Ok(bits);
+    }
+    r.array(|r| {
+        bits.push(table.local(r)?);
+        Ok(())
+    })?;
+    Ok(bits)
+}
+
+/// Walks the members of an object value; any other value is stepped
+/// over and has none.
+fn members<'a>(
+    r: &mut Reader<'a>,
+    f: impl FnMut(&mut Reader<'a>, Cow<'a, str>) -> Result<(), FrontendError>,
+) -> Result<(), FrontendError> {
+    if r.peek()? == b'{' {
+        r.object(f)
+    } else {
+        r.skip()
+    }
+}
+
+/// Reads one module and whether its `attributes.top` is truthy.
+fn parse_module(r: &mut Reader<'_>, name: String) -> Result<(Module, bool), FrontendError> {
+    if r.peek()? != b'{' {
         return Err(syntax(format!("module {name:?} is not an object")));
     }
-    let mut table = NetTable {
-        names: Vec::new(),
-        named: Vec::new(),
-        by_bit: HashMap::new(),
-    };
-
+    let mut table = NetTable::default();
     let mut ports = Vec::new();
-    for (pname, pj) in mj.get("ports").map(Json::members).unwrap_or(&[]) {
-        let dir = match pj.get("direction").and_then(Json::as_str) {
-            Some("input") => PortDir::Input,
-            Some("output") => PortDir::Output,
-            Some("inout") => {
-                return Err(FrontendError::Unsupported {
-                    what: format!("inout port {pname} in module {name}"),
-                })
-            }
-            _ => {
-                return Err(syntax(format!(
-                    "port {pname} of module {name} has no direction"
-                )))
-            }
-        };
-        let bits_json = pj
-            .get("bits")
-            .ok_or_else(|| syntax(format!("port {pname} of module {name} has no bits")))?;
-        let bits = bits_json
-            .items()
-            .iter()
-            .map(|b| table.local(b))
-            .collect::<Result<Vec<_>, _>>()?;
-        ports.push(Port {
-            name: pname.clone(),
-            dir,
-            bits,
-        });
-    }
-
     let mut insts = Vec::new();
-    for (cname, cj) in mj.get("cells").map(Json::members).unwrap_or(&[]) {
-        let kind = cj
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| syntax(format!("cell {cname} of module {name} has no type")))?;
-        let mut conns = Vec::new();
-        for (pin, arr) in cj.get("connections").map(Json::members).unwrap_or(&[]) {
-            let bits = arr
-                .items()
-                .iter()
-                .map(|b| table.local(b))
-                .collect::<Result<Vec<_>, _>>()?;
-            conns.push((pin.clone(), bits));
-        }
-        insts.push(Inst {
-            name: cname.clone(),
-            kind: kind.to_string(),
-            conns,
-        });
-    }
-
-    for (nname, nj) in mj.get("netnames").map(Json::members).unwrap_or(&[]) {
-        let bits = nj.get("bits").map(Json::items).unwrap_or(&[]);
-        for (k, bit) in bits.iter().enumerate() {
-            if let Json::Num(i) = bit {
-                let id = table.net_of(*i) as usize;
-                if !table.named[id] {
-                    table.names[id] = if bits.len() == 1 {
-                        nname.clone()
-                    } else {
-                        format!("{nname}[{k}]")
-                    };
-                    table.named[id] = true;
+    let mut is_top = false;
+    let (mut seen_attrs, mut seen_ports, mut seen_cells, mut seen_netnames) =
+        (false, false, false, false);
+    // Offsets of sections that arrived before the ones numbered ahead
+    // of them.
+    let mut cells_later = None;
+    let mut netnames_later = None;
+    r.object(|r, key| match &*key {
+        "attributes" if first(&mut seen_attrs) => {
+            let mut seen_top = false;
+            members(r, |r, key| {
+                if key == "top" && first(&mut seen_top) {
+                    is_top = truthy(r)?;
+                    Ok(())
+                } else {
+                    r.skip()
                 }
+            })
+        }
+        "ports" if first(&mut seen_ports) => members(r, |r, pname| {
+            ports.push(parse_port(r, pname.into_owned(), &name, &mut table)?);
+            Ok(())
+        }),
+        "cells" if first(&mut seen_cells) => {
+            if seen_ports {
+                parse_cells(r, &name, &mut table, &mut insts)
+            } else {
+                cells_later = Some(r.offset());
+                r.skip()
             }
         }
+        "netnames" if first(&mut seen_netnames) => {
+            if seen_ports && seen_cells && cells_later.is_none() {
+                parse_netnames(r, &mut table)
+            } else {
+                netnames_later = Some(r.offset());
+                r.skip()
+            }
+        }
+        _ => r.skip(),
+    })?;
+    if let Some(at) = cells_later {
+        r.revisit(at, |r| parse_cells(r, &name, &mut table, &mut insts))?;
+    }
+    if let Some(at) = netnames_later {
+        r.revisit(at, |r| parse_netnames(r, &mut table))?;
     }
 
-    Ok(Module {
-        name: name.to_string(),
+    let module = Module {
+        name,
         ports,
         insts,
-        net_names: table.names,
+        net_names: table.into_names(),
+    };
+    Ok((module, is_top))
+}
+
+/// Yosys writes attribute values as numbers or binary-digit strings.
+fn truthy(r: &mut Reader<'_>) -> Result<bool, FrontendError> {
+    match r.peek()? {
+        b't' | b'f' => r.boolean(),
+        b'-' | b'0'..=b'9' => Ok(r.int()? != 0),
+        b'"' => Ok(r.string()?.contains('1')),
+        _ => r.skip().map(|()| false),
+    }
+}
+
+fn parse_port(
+    r: &mut Reader<'_>,
+    pname: String,
+    module: &str,
+    table: &mut NetTable,
+) -> Result<Port, FrontendError> {
+    let mut dir = None;
+    let mut bits = None;
+    let mut seen_dir = false;
+    members(r, |r, key| match &*key {
+        "direction" if first(&mut seen_dir) && r.peek()? == b'"' => {
+            dir = Some(r.string()?);
+            Ok(())
+        }
+        "bits" if bits.is_none() => {
+            bits = Some(parse_bits(r, table)?);
+            Ok(())
+        }
+        _ => r.skip(),
+    })?;
+    let dir = match dir.as_deref() {
+        Some("input") => PortDir::Input,
+        Some("output") => PortDir::Output,
+        Some("inout") => {
+            return Err(FrontendError::Unsupported {
+                what: format!("inout port {pname} in module {module}"),
+            })
+        }
+        _ => {
+            return Err(syntax(format!(
+                "port {pname} of module {module} has no direction"
+            )))
+        }
+    };
+    let bits =
+        bits.ok_or_else(|| syntax(format!("port {pname} of module {module} has no bits")))?;
+    Ok(Port {
+        name: pname,
+        dir,
+        bits,
+    })
+}
+
+fn parse_cells(
+    r: &mut Reader<'_>,
+    module: &str,
+    table: &mut NetTable,
+    insts: &mut Vec<Inst>,
+) -> Result<(), FrontendError> {
+    members(r, |r, cname| {
+        let mut kind = None;
+        let mut conns = Vec::new();
+        let (mut seen_type, mut seen_conns) = (false, false);
+        members(r, |r, key| match &*key {
+            "type" if first(&mut seen_type) && r.peek()? == b'"' => {
+                kind = Some(r.string()?.into_owned());
+                Ok(())
+            }
+            "connections" if first(&mut seen_conns) => members(r, |r, pin| {
+                conns.push((pin.into_owned(), parse_bits(r, table)?));
+                Ok(())
+            }),
+            _ => r.skip(),
+        })?;
+        let kind =
+            kind.ok_or_else(|| syntax(format!("cell {cname} of module {module} has no type")))?;
+        insts.push(Inst {
+            name: cname.into_owned(),
+            kind,
+            conns,
+        });
+        Ok(())
+    })
+}
+
+fn parse_netnames(r: &mut Reader<'_>, table: &mut NetTable) -> Result<(), FrontendError> {
+    // One netname's bits, `None` for a constant: a bus bit's name needs
+    // the bus width, which is known only at the closing bracket.
+    let mut bits: Vec<Option<i64>> = Vec::new();
+    members(r, |r, nname| {
+        let mut seen_bits = false;
+        members(r, |r, key| {
+            if key != "bits" || !first(&mut seen_bits) || r.peek()? != b'[' {
+                return r.skip();
+            }
+            bits.clear();
+            r.array(|r| {
+                bits.push(match r.peek()? {
+                    b'-' | b'0'..=b'9' => Some(r.int()?),
+                    _ => r.skip().map(|()| None)?,
+                });
+                Ok(())
+            })?;
+            for (k, bit) in bits.iter().enumerate() {
+                let Some(bit) = *bit else { continue };
+                let id = table.net_of(bit)? as usize;
+                if table.names[id].is_none() {
+                    table.names[id] = Some(if bits.len() == 1 {
+                        String::from(&*nname)
+                    } else {
+                        format!("{nname}[{k}]")
+                    });
+                }
+            }
+            Ok(())
+        })
     })
 }
 

@@ -12,13 +12,16 @@ use crate::netlist::Netlist;
 ///
 /// # Errors
 ///
-/// Propagates [`NetlistError`] if the library lacks required primitives.
-///
-/// # Panics
-///
-/// Panics if `n` is not a power of two or `n < 2`.
+/// [`NetlistError::Invalid`] if `n` is not a power of two or `n < 2`
+/// (the size arrives from request text, so it is an answer, not a
+/// panic); otherwise propagates [`NetlistError`] if the library lacks
+/// required primitives.
 pub fn mux_tree(lib: &Library, n: usize) -> Result<Netlist, NetlistError> {
-    assert!(n >= 2 && n.is_power_of_two(), "mux tree size must be 2^k");
+    if n < 2 || !n.is_power_of_two() {
+        return Err(NetlistError::Invalid {
+            summary: format!("mux tree size must be a power of two >= 2, got {n}"),
+        });
+    }
     let k = n.trailing_zeros() as usize;
     let mut b = NetlistBuilder::new(format!("mux{n}"), lib);
     let mut level: Vec<NetId> = (0..n).map(|i| b.input(format!("d{i}"))).collect();
@@ -94,6 +97,18 @@ mod tests {
             inputs.extend(to_bits(sel, 3));
             let out = sim.run_comb(&inputs);
             assert!(out[0], "selected input {sel} is high");
+        }
+    }
+
+    #[test]
+    fn mux_tree_refuses_sizes_that_are_not_a_power_of_two() {
+        let tech = Technology::cmos025_asic();
+        let lib = LibrarySpec::rich().build(&tech);
+        for n in [0, 1, 3, 6, 12] {
+            assert!(
+                matches!(mux_tree(&lib, n), Err(NetlistError::Invalid { .. })),
+                "mux{n}"
+            );
         }
     }
 

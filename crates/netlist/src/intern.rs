@@ -14,7 +14,6 @@
 //! turns on hash-consing — an identical spelling returns the existing
 //! [`Symbol`] instead of growing the arena.
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// An interned name: an index into the owning netlist's name table.
@@ -47,18 +46,75 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The dedup index: an open-addressing table over the name table's
+/// own symbols, one entry per distinct spelling. A slot holds the
+/// spelling's folded FNV-1a hash and its symbol plus one (zero marks a
+/// free slot), so a probe settles most mismatches without touching the
+/// bytes, growth re-seats entries without re-hashing them, and an entry
+/// costs eight bytes and no allocation of its own — at SoC scale a
+/// `HashMap` of per-hash `Vec`s was most of what lowering an imported
+/// design cost.
+#[derive(Debug, Clone)]
+struct SeenIndex {
+    /// `(hash, symbol + 1)`; the length is a power of two and at most
+    /// half the slots are taken.
+    slots: Vec<(u32, u32)>,
+    len: usize,
+}
+
+impl SeenIndex {
+    fn hash(name: &str) -> u32 {
+        let h = fnv1a(name.as_bytes());
+        (h ^ (h >> 32)) as u32
+    }
+
+    /// Looks `name` up: the symbol that carries it, or the free slot a
+    /// new entry for it belongs in.
+    fn probe(&self, names: &NameTable, name: &str, hash: u32) -> Result<Symbol, usize> {
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        loop {
+            let (tag, entry) = self.slots[at];
+            if entry == 0 {
+                return Err(at);
+            }
+            let sym = Symbol(entry - 1);
+            if tag == hash && names.resolve(sym) == name {
+                return Ok(sym);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Seats `sym` in the free slot `at` that [`SeenIndex::probe`]
+    /// returned for `hash`.
+    fn insert(&mut self, at: usize, hash: u32, sym: Symbol) {
+        self.slots[at] = (hash, sym.0 + 1);
+        self.len += 1;
+        if self.len * 2 > self.slots.len() {
+            let mask = self.slots.len() * 2 - 1;
+            let old = std::mem::replace(&mut self.slots, vec![(0, 0); mask + 1]);
+            for (tag, entry) in old.into_iter().filter(|&(_, entry)| entry != 0) {
+                let mut at = tag as usize & mask;
+                while self.slots[at].1 != 0 {
+                    at = (at + 1) & mask;
+                }
+                self.slots[at] = (tag, entry);
+            }
+        }
+    }
+}
+
 /// The arena itself: `bytes` holds every name back to back, `ends[i]`
 /// is the exclusive end of symbol `i` (its start is `ends[i-1]`, or 0).
 ///
-/// With dedup enabled, `seen` maps a spelling's FNV-1a hash to the
-/// symbols carrying it (a `Vec` because 64-bit collisions, while
-/// vanishingly rare, must not alias two different names); new strings
-/// still append at the end, so the offset encoding is unchanged.
+/// With dedup enabled, `seen` indexes the spellings stored so far; new
+/// strings still append at the end, so the offset encoding is unchanged.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct NameTable {
     bytes: Vec<u8>,
     ends: Vec<u32>,
-    seen: Option<HashMap<u64, Vec<Symbol>>>,
+    seen: Option<SeenIndex>,
 }
 
 impl NameTable {
@@ -68,43 +124,53 @@ impl NameTable {
     /// nothing. With [`NameTable::enable_dedup`] on, a repeated spelling
     /// returns the symbol that already carries it.
     pub(crate) fn intern(&mut self, name: &str) -> Symbol {
-        let hash = match &self.seen {
+        let free = match &self.seen {
             Some(seen) => {
-                let hash = fnv1a(name.as_bytes());
-                if let Some(syms) = seen.get(&hash) {
-                    if let Some(&sym) = syms.iter().find(|&&s| self.resolve(s) == name) {
-                        return sym;
-                    }
+                let hash = SeenIndex::hash(name);
+                match seen.probe(self, name, hash) {
+                    Ok(sym) => return sym,
+                    Err(at) => Some((at, hash)),
                 }
-                Some(hash)
             }
             None => None,
         };
-        let sym = u32::try_from(self.ends.len()).expect("name table holds < 2^32 names");
+        // One short of the full `u32` range: the index stores symbols
+        // plus one.
+        let sym = u32::try_from(self.ends.len())
+            .ok()
+            .filter(|&sym| sym < u32::MAX)
+            .expect("name table holds < 2^32 - 1 names");
         self.bytes.extend_from_slice(name.as_bytes());
         let end = u32::try_from(self.bytes.len()).expect("name table holds < 4 GiB of names");
         self.ends.push(end);
         let sym = Symbol(sym);
-        if let (Some(hash), Some(seen)) = (hash, self.seen.as_mut()) {
-            seen.entry(hash).or_default().push(sym);
+        if let (Some((at, hash)), Some(seen)) = (free, &mut self.seen) {
+            seen.insert(at, hash, sym);
         }
         sym
     }
 
     /// Switches to hash-consing mode: from now on, interning a spelling
     /// already in the table returns its existing [`Symbol`]. Existing
-    /// entries are indexed too, so enabling late still dedups against
-    /// everything stored so far. The index is dropped again by
+    /// entries are indexed too (a spelling stored twice under its first
+    /// symbol), so enabling late still dedups against everything stored
+    /// so far. The index is dropped again by
     /// [`NameTable::shrink_to_fit`] (the end of the build phase).
     pub(crate) fn enable_dedup(&mut self) {
         if self.seen.is_some() {
             return;
         }
-        let mut seen: HashMap<u64, Vec<Symbol>> = HashMap::new();
+        let mut seen = SeenIndex {
+            slots: vec![(0, 0); 1024],
+            len: 0,
+        };
         for i in 0..self.ends.len() {
             let sym = Symbol(u32::try_from(i).expect("indexed while building"));
-            let hash = fnv1a(self.resolve(sym).as_bytes());
-            seen.entry(hash).or_default().push(sym);
+            let name = self.resolve(sym);
+            let hash = SeenIndex::hash(name);
+            if let Err(at) = seen.probe(self, name, hash) {
+                seen.insert(at, hash, sym);
+            }
         }
         self.seen = Some(seen);
     }
@@ -182,6 +248,23 @@ mod tests {
         let c = t.intern("core.alu.u19");
         assert_eq!(t.resolve(c), "core.alu.u19");
         assert_eq!(t.ends.len(), 3);
+    }
+
+    #[test]
+    fn dedup_survives_index_growth_and_prefers_the_first_copy() {
+        let mut t = NameTable::default();
+        let first = t.intern("twice");
+        let second = t.intern("twice"); // stored before dedup: a true copy
+        assert_ne!(first, second);
+        t.enable_dedup();
+        // Enough distinct names to double the index several times.
+        let syms: Vec<Symbol> = (0..5000).map(|i| t.intern(&format!("n{i}"))).collect();
+        assert_eq!(t.ends.len(), 5002);
+        for (i, &sym) in syms.iter().enumerate() {
+            assert_eq!(t.intern(&format!("n{i}")), sym, "n{i} after growth");
+        }
+        assert_eq!(t.intern("twice"), first);
+        assert_eq!(t.ends.len(), 5002, "hits append nothing");
     }
 
     #[test]

@@ -321,6 +321,49 @@ fn close_deadline_cancels_at_iteration_boundary_without_leaking_slots() {
 }
 
 #[test]
+fn unbuildable_and_panicking_workloads_are_answered_with_error() {
+    // One worker: if either request took it down, the run after them
+    // would never be answered.
+    let (addr, server) = start_server(1, 4);
+    let mut client = connect(addr);
+    let run = |client: &mut Client, workload| {
+        client.run_retry(
+            RunRequest {
+                workload,
+                ..small(7)
+            },
+            100,
+        )
+    };
+
+    // `mux/6` has no netlist: refused where the request is decoded.
+    match run(&mut client, WorkloadSpec::MuxTree { inputs: 6 }) {
+        Err(ClientError::Server(message)) => {
+            assert!(message.contains("mux/6"), "got {message:?}")
+        }
+        other => panic!("expected ERROR, got {other:?}"),
+    }
+
+    // `mult/1` decodes, then panics inside the generator on the worker.
+    match run(&mut client, WorkloadSpec::ArrayMultiplier { width: 1 }) {
+        Err(ClientError::Server(message)) => {
+            assert!(message.contains("flow panicked"), "got {message:?}")
+        }
+        other => panic!("expected ERROR, got {other:?}"),
+    }
+
+    let req = small(7);
+    let (source, text) = client
+        .run_retry(req.clone(), 100)
+        .expect("the worker survived");
+    assert_eq!(source, Source::Computed);
+    assert_eq!(text, local_text(&req));
+    assert_eq!(client.stats().expect("stats").errors, 1);
+    client.shutdown().expect("shutdown");
+    server.join().expect("server drains");
+}
+
+#[test]
 fn protocol_violations_answered_or_dropped_not_panicked() {
     let (addr, server) = start_server(1, 4);
 
