@@ -180,3 +180,310 @@ fn corrupt_artifacts_degrade_to_misses() {
         monolith(&scenario, &w, VerifyLevel::Off).canonical_text()
     );
 }
+
+// ---------------------------------------------------------------------------
+// The storeless reference: digests recorded once, asserted as literals.
+// ---------------------------------------------------------------------------
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+use std::time::Duration;
+
+use asicgap::{
+    content_hash, run_scenario_observed, run_scenario_staged_observed, run_scenarios_verified,
+    FlowObserver, FlowStage, GapError,
+};
+
+fn matrix_workloads() -> [WorkloadSpec; 4] {
+    [
+        WorkloadSpec::Alu { width: 8 },
+        WorkloadSpec::KoggeStoneAdder { width: 16 },
+        WorkloadSpec::ArrayMultiplier { width: 6 },
+        WorkloadSpec::MuxTree { inputs: 16 },
+    ]
+}
+
+fn presets() -> [DesignScenario; 3] {
+    [
+        DesignScenario::typical_asic(),
+        DesignScenario::best_practice_asic(),
+        DesignScenario::custom(),
+    ]
+}
+
+const WIRE_MODELS: [WireModel; 2] = [WireModel::Hpwl, WireModel::Routed];
+const VERIFY_LEVELS: [VerifyLevel; 3] = [VerifyLevel::Off, VerifyLevel::Sim, VerifyLevel::Full];
+
+/// One `content_hash` over the concatenated canonical text of the
+/// storeless flow on `factor_grid()` + the three presets, per
+/// workload × wire model × verify level. Recorded once from the flow
+/// body that `staged_cold_and_resumed_match_monolith_byte_for_byte`
+/// proved byte-identical to the checkpointed chain; any edit to the one
+/// flow body that moves a bit of any outcome moves a digest here.
+#[test]
+fn storeless_outcome_digest_matrix() {
+    // [workload][wire model][verify]; Off and Sim agree because the Sim
+    // tier only observes.
+    const WANT: [[[u64; 3]; 2]; 4] = [
+        [
+            [0x20f902d8991a0ecf, 0x20f902d8991a0ecf, 0xb1dd234db4d7afd2],
+            [0x2f6125c02eb28d99, 0x2f6125c02eb28d99, 0xf9e6d0ad68dc95c6],
+        ],
+        [
+            [0xca4f767f953027e5, 0xca4f767f953027e5, 0x754f8306fe1864f4],
+            [0x9869ef8d3f3b9783, 0x9869ef8d3f3b9783, 0x751915e2f99bde32],
+        ],
+        [
+            [0xe450a3967df08c35, 0xe450a3967df08c35, 0xc4504aec45c98090],
+            [0x2edc77dd7bd231ef, 0x2edc77dd7bd231ef, 0x2e3061f509ee4a46],
+        ],
+        [
+            [0x9199376e1d38900d, 0x9199376e1d38900d, 0x9e0a93ee25bf5e56],
+            [0x6a94b8f15dc824f8, 0x6a94b8f15dc824f8, 0x79072d2dfbe00395],
+        ],
+    ];
+    let mut scenarios = DesignScenario::factor_grid();
+    scenarios.extend(presets());
+    let mut got = [[[0u64; 3]; 2]; 4];
+    for (w, workload) in matrix_workloads().iter().enumerate() {
+        for (m, &model) in WIRE_MODELS.iter().enumerate() {
+            let wired: Vec<DesignScenario> = scenarios
+                .iter()
+                .map(|s| s.clone().with_wire_model(model))
+                .collect();
+            for (v, &verify) in VERIFY_LEVELS.iter().enumerate() {
+                let text: String =
+                    run_scenarios_verified(&wired, |lib| workload.build(lib), verify)
+                        .expect("matrix cell runs")
+                        .iter()
+                        .map(|o| o.canonical_text())
+                        .collect();
+                got[w][m][v] = content_hash(&text);
+            }
+        }
+    }
+    assert_eq!(got, WANT, "outcome digests moved; got {got:#018x?}");
+}
+
+/// The closure counterpart: every preset × wire model × workload closed
+/// at 1.1× its own open-loop frequency, trace bytes included.
+#[test]
+fn storeless_closure_digest_matrix() {
+    // [workload][wire model].
+    const WANT: [[u64; 2]; 4] = [
+        [0xca80bb82b735fab3, 0xd96ec72045490d05],
+        [0xc9929dda7f36a282, 0xe6c1edb879f282e0],
+        [0xfa877f3df1665a9c, 0xe6734e866039a246],
+        [0xc8a499e616439d2a, 0xbbc52c117983b0ad],
+    ];
+    let mut got = [[0u64; 2]; 4];
+    for (w, workload) in matrix_workloads().iter().enumerate() {
+        for (m, &model) in WIRE_MODELS.iter().enumerate() {
+            let mut text = String::new();
+            for preset in presets() {
+                let scenario = preset.with_wire_model(model);
+                let open = monolith(&scenario, workload, VerifyLevel::Off);
+                let target = ClosureTarget::at(open.min_period.frequency().value() * 1.1);
+                let closed = scenario
+                    .close_timing(|lib| workload.build(lib), VerifyLevel::Off, &target)
+                    .expect("closure runs");
+                text.push_str(&closed.canonical_text());
+            }
+            got[w][m] = content_hash(&text);
+        }
+    }
+    assert_eq!(got, WANT, "closure digests moved; got {got:#018x?}");
+}
+
+/// Records every observer callback in order — `stage_done` as the
+/// stage's label, `poll_cancel` as `?` — and cancels at the
+/// `cancel_at`-th poll.
+struct Recorder {
+    events: Mutex<Vec<&'static str>>,
+    polls: AtomicUsize,
+    cancel_at: usize,
+}
+
+impl Recorder {
+    fn cancelling_at(cancel_at: usize) -> Recorder {
+        Recorder {
+            events: Mutex::new(Vec::new()),
+            polls: AtomicUsize::new(0),
+            cancel_at,
+        }
+    }
+
+    fn log(&self) -> String {
+        self.events.lock().expect("recorder lock").join(" ")
+    }
+}
+
+impl FlowObserver for Recorder {
+    fn stage_done(&self, stage: FlowStage, _elapsed: Duration) {
+        self.events
+            .lock()
+            .expect("recorder lock")
+            .push(stage.label());
+    }
+
+    fn poll_cancel(&self) -> bool {
+        self.events.lock().expect("recorder lock").push("?");
+        self.polls.fetch_add(1, Ordering::SeqCst) == self.cancel_at
+    }
+}
+
+/// The two executions every observer contract is held to: no store, and
+/// a fresh (cold) store.
+fn observe(
+    scenario: &DesignScenario,
+    workload: &WorkloadSpec,
+    verify: VerifyLevel,
+    stored: bool,
+    rec: &Recorder,
+) -> Result<asicgap::ScenarioOutcome, GapError> {
+    if stored {
+        run_scenario_staged_observed(
+            scenario,
+            &workload.canonical(),
+            |lib| workload.build(lib),
+            verify,
+            &MemStore::new(),
+            rec,
+        )
+        .map(|(out, _)| out)
+    } else {
+        run_scenario_observed(scenario, |lib| workload.build(lib), verify, rec)
+    }
+}
+
+/// The callback sequence of one uncancelled run, as recorded from the
+/// flow at the commit that still had a separate monolith: stage labels
+/// in report order, `?` for each cancellation poll.
+fn pinned_sequence(pipelined: bool, routed: bool, verified: bool) -> String {
+    let mut s = String::from("synth ?");
+    if pipelined {
+        s.push_str(" pipeline ?");
+        if verified {
+            s.push_str(" equiv ?");
+        }
+    }
+    s.push_str(" sta sizing ? place ? ");
+    s.push_str(if routed { "route" } else { "place" });
+    s.push_str(" ? sizing ? sta");
+    if verified {
+        s.push_str(" ? equiv");
+    }
+    s
+}
+
+/// The exact callback sequence a `FlowObserver` sees, per preset ×
+/// wire model × verify level. The benchmark's span coverage and
+/// `served`'s stage histograms are built from this stream, so it is
+/// pinned, and the stored-cold path must emit the same one.
+#[test]
+fn observer_sequence_is_pinned_and_store_independent() {
+    assert_eq!(
+        pinned_sequence(true, true, true),
+        "synth ? pipeline ? equiv ? sta sizing ? place ? route ? sizing ? sta ? equiv"
+    );
+    assert_eq!(
+        pinned_sequence(false, false, false),
+        "synth ? sta sizing ? place ? place ? sizing ? sta"
+    );
+    let w = alu8();
+    for preset in presets() {
+        for model in WIRE_MODELS {
+            let scenario = preset.clone().with_wire_model(model);
+            for verify in VERIFY_LEVELS {
+                let want = pinned_sequence(
+                    scenario.pipeline_stages >= 2,
+                    model == WireModel::Routed,
+                    verify != VerifyLevel::Off,
+                );
+                let what = format!("{} {model:?} {verify:?}", scenario.name);
+                let rec = Recorder::cancelling_at(usize::MAX);
+                let plain = observe(&scenario, &w, verify, false, &rec).expect("storeless");
+                assert_eq!(rec.log(), want, "storeless sequence moved for {what}");
+                let rec = Recorder::cancelling_at(usize::MAX);
+                let stored = observe(&scenario, &w, verify, true, &rec).expect("stored");
+                assert_eq!(rec.log(), want, "stored-cold sequence moved for {what}");
+                assert_eq!(plain.canonical_text(), stored.canonical_text());
+            }
+        }
+    }
+}
+
+/// Cancelling at the k-th poll, for every k the flow offers, stops the
+/// run with `Cancelled { after }` naming the stage reported just before
+/// that poll, having emitted exactly the first k polls' worth of the
+/// full sequence — with and without a store. On the stored path the
+/// abandoned run's completed checkpoints must already be in the store:
+/// the retry resumes from them and lands on the uncancelled bytes.
+#[test]
+fn cancellation_at_every_boundary_on_both_paths() {
+    let w = alu8();
+    let scenario = DesignScenario::best_practice_asic().with_wire_model(WireModel::Routed);
+    let verify = VerifyLevel::Full;
+    let full = Recorder::cancelling_at(usize::MAX);
+    let want = observe(&scenario, &w, verify, false, &full).expect("uncancelled");
+    let full = full.log();
+    let polls = full.matches('?').count();
+    assert_eq!(polls, 8, "boundaries in the verified routed flow: {full}");
+
+    // Checkpoints a retry finds after a cancel at poll k (s/p/l/r =
+    // synth/pipeline/place/route hit, - = recomputed).
+    const RESUMED: [&str; 8] = [
+        "s---", "s---", "sp--", "sp--", "spl-", "spl-", "spl-", "splr",
+    ];
+    let mut resumed = Vec::new();
+    for k in 0..polls {
+        // The log up to and including the k-th `?`.
+        let end = full
+            .match_indices('?')
+            .nth(k)
+            .map(|(i, _)| i + 1)
+            .expect("k < polls");
+        let prefix = &full[..end];
+        let after = prefix
+            .split(' ')
+            .rev()
+            .find(|e| *e != "?")
+            .expect("a stage precedes every poll");
+        for stored in [false, true] {
+            let rec = Recorder::cancelling_at(k);
+            let err = observe(&scenario, &w, verify, stored, &rec).expect_err("cancelled");
+            match err {
+                GapError::Cancelled { after: got } => assert_eq!(
+                    got.label(),
+                    after,
+                    "poll {k} (stored={stored}) named the wrong stage"
+                ),
+                other => panic!("poll {k} (stored={stored}): {other:?}"),
+            }
+            assert_eq!(rec.log(), prefix, "poll {k} (stored={stored})");
+        }
+
+        let store = MemStore::new();
+        let rec = Recorder::cancelling_at(k);
+        run_scenario_staged_observed(
+            &scenario,
+            &w.canonical(),
+            |lib| w.build(lib),
+            verify,
+            &store,
+            &rec,
+        )
+        .expect_err("cancelled");
+        let (retry, reuse) = run_scenario_staged(&scenario, &w, verify, &store).expect("retry");
+        assert_eq!(retry.canonical_text(), want.canonical_text(), "poll {k}");
+        resumed.push(
+            reuse
+                .entries()
+                .iter()
+                .zip(["s", "p", "l", "r"])
+                .map(|((_, hit), tag)| if *hit == Some(true) { tag } else { "-" })
+                .collect::<String>(),
+        );
+    }
+    assert_eq!(resumed, RESUMED, "resume points moved; got {resumed:#?}");
+}
