@@ -15,7 +15,7 @@ use std::fmt;
 
 use asicgap_cells::{CellFunction, CellId, Library};
 use asicgap_equiv::{check_equiv, EquivEffort, EquivError, EquivResult, VerifyLevel};
-use asicgap_netlist::{depth_histogram, InstId, NetId, Netlist, NetlistError, Sink};
+use asicgap_netlist::{depth_histogram, InstId, NetDriver, NetId, Netlist, NetlistError, Sink};
 use asicgap_pipeline::{pipeline_netlist_with, verify_pipeline};
 use asicgap_place::Placement;
 use asicgap_route::{routed_parasitics, RouterOptions, RoutingResult};
@@ -50,6 +50,20 @@ pub struct RouteContext {
     pub options: RouterOptions,
     /// Whether extraction models repeatered long wires.
     pub repeaters: bool,
+}
+
+impl RouteContext {
+    /// `true` when `net` can be rerouted: it was routed, and every cell
+    /// on it has a slot in the placement. A buffer committed by the loop
+    /// has none, so the net it taps drops out of the wiring moves while
+    /// every other net keeps them.
+    fn can_reroute(&self, netlist: &Netlist, net: NetId) -> bool {
+        let placed = |inst: InstId| inst.index() < self.placement.cells.len();
+        let n = netlist.net(net);
+        self.routing.net(net).is_some()
+            && !matches!(n.driver(), Some(NetDriver::Instance(d)) if !placed(d))
+            && n.sinks().iter().all(|s| placed(s.inst))
+    }
 }
 
 /// Everything that can go wrong inside the loop.
@@ -256,9 +270,9 @@ pub fn close_on<'a>(
 
     let mut base_effort = IncrementalStats::default();
     let mut verify_effort = EquivEffort::default();
-    // Structural edits (buffer/rewrite/retime) invalidate the stored
-    // routes; wiring moves are only offered while routes still describe
-    // the netlist they were built for.
+    // A rewrite or retime renumbers the netlist, so the stored routes no
+    // longer describe it and wiring moves stop. A buffer is local: only
+    // the net it taps loses them (`RouteContext::can_reroute`).
     let mut routes_stale = false;
 
     let start_wns = graph.wns();
@@ -441,7 +455,7 @@ fn try_local_moves<'a>(
                 if !routes_stale {
                     for &inst in &path[tail_start..] {
                         let net = netlist.instance(inst).out();
-                        if ctx.routing.net(net).is_some() {
+                        if ctx.can_reroute(netlist, net) {
                             push(&mut cands, Candidate::Reroute { net });
                         }
                     }

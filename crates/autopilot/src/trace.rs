@@ -18,19 +18,9 @@ use asicgap_tech::Ps;
 
 use crate::target::{MoveKind, Verdict};
 
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
 /// Hashes a byte string with FNV-1a 64 (the repo-wide fingerprint hash).
 pub fn fnv64(data: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    asicgap_tech::fnv1a(data)
 }
 
 /// Structural fingerprint of a netlist: FNV-1a 64 over the design name,
@@ -416,13 +406,5 @@ mod tests {
         assert!(ConvergenceTrace::parse_canonical(&noisy).is_none());
         // Header mismatch → None.
         assert!(ConvergenceTrace::parse_canonical(&text.replace("trace/v1", "trace/v2")).is_none());
-    }
-
-    #[test]
-    fn fnv64_matches_reference_vector() {
-        // FNV-1a 64 of the empty string is the offset basis.
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        // And of "a" — classic published vector.
-        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

@@ -11,11 +11,16 @@
 //!
 //! The format is line-based: a `outcome/v1` header, one `field value`
 //! line per field, `end`. Optional sub-records (`verify`, `route`)
-//! collapse to `-` when absent.
+//! collapse to `-` when absent. The line and record codecs below are
+//! the ones the stage artifacts in `stage.rs` are written with too: a
+//! versioned header, one field per line in fixed order, strict
+//! re-parse.
 
 use std::fmt;
+use std::fmt::Write;
+use std::str::Lines;
 
-use asicgap_equiv::EquivEffort;
+use asicgap_equiv::{EquivEffort, VerifyLevel};
 use asicgap_route::RouteSummary;
 use asicgap_sta::IncrementalStats;
 use asicgap_tech::{Mhz, Ps};
@@ -24,13 +29,148 @@ use crate::error::GapError;
 use crate::flow::ScenarioOutcome;
 
 /// Shorthand for the parse-error constructor.
-fn bad(what: impl Into<String>) -> GapError {
+pub(crate) fn bad(what: impl Into<String>) -> GapError {
     GapError::Parse { what: what.into() }
 }
 
-fn parse_num<T: std::str::FromStr>(field: &str, s: &str) -> Result<T, GapError> {
-    s.parse()
-        .map_err(|_| bad(format!("outcome field {field}: {s:?}")))
+pub(crate) fn parse_num<T: std::str::FromStr>(field: &str, s: &str) -> Result<T, GapError> {
+    s.parse().map_err(|_| bad(format!("field {field}: {s:?}")))
+}
+
+/// The spelling of a verify level inside canonical keys.
+pub(crate) fn verify_label(verify: VerifyLevel) -> &'static str {
+    match verify {
+        VerifyLevel::Off => "off",
+        VerifyLevel::Sim => "sim",
+        VerifyLevel::Full => "full",
+    }
+}
+
+pub(crate) fn write_effort(w: &mut String, e: &Option<EquivEffort>) {
+    match e {
+        None => writeln!(w, "verify -"),
+        Some(e) => writeln!(
+            w,
+            "verify {} {} {} {} {} {} {} {}",
+            e.cones,
+            e.structural,
+            e.sat_cones,
+            e.vars,
+            e.clauses,
+            e.conflicts,
+            e.decisions,
+            e.propagations
+        ),
+    }
+    .expect("write to String");
+}
+
+pub(crate) fn parse_effort(s: &str) -> Result<Option<EquivEffort>, GapError> {
+    if s == "-" {
+        return Ok(None);
+    }
+    let v: Vec<&str> = s.split(' ').collect();
+    if v.len() != 8 {
+        return Err(bad(format!("verify record {s:?}")));
+    }
+    Ok(Some(EquivEffort {
+        cones: parse_num("verify.cones", v[0])?,
+        structural: parse_num("verify.structural", v[1])?,
+        sat_cones: parse_num("verify.sat_cones", v[2])?,
+        vars: parse_num("verify.vars", v[3])?,
+        clauses: parse_num("verify.clauses", v[4])?,
+        conflicts: parse_num("verify.conflicts", v[5])?,
+        decisions: parse_num("verify.decisions", v[6])?,
+        propagations: parse_num("verify.propagations", v[7])?,
+    }))
+}
+
+pub(crate) fn write_stats(w: &mut String, field: &str, s: IncrementalStats) {
+    writeln!(
+        w,
+        "{field} {} {} {}",
+        s.full_propagations, s.incremental_updates, s.pins_touched
+    )
+    .expect("write to String");
+}
+
+pub(crate) fn parse_stats(field: &str, s: &str) -> Result<IncrementalStats, GapError> {
+    let t: Vec<&str> = s.split(' ').collect();
+    if t.len() != 3 {
+        return Err(bad(format!("{field} record {s:?}")));
+    }
+    Ok(IncrementalStats {
+        full_propagations: parse_num("stats.full", t[0])?,
+        incremental_updates: parse_num("stats.incremental", t[1])?,
+        pins_touched: parse_num("stats.pins", t[2])?,
+    })
+}
+
+pub(crate) fn write_route(w: &mut String, r: &Option<RouteSummary>) {
+    match r {
+        None => writeln!(w, "route -"),
+        Some(r) => writeln!(
+            w,
+            "route {} {} {:?} {:?} {}",
+            r.iterations, r.overflow, r.routed_um, r.hpwl_um, r.vias
+        ),
+    }
+    .expect("write to String");
+}
+
+pub(crate) fn parse_route(s: &str) -> Result<Option<RouteSummary>, GapError> {
+    if s == "-" {
+        return Ok(None);
+    }
+    let r: Vec<&str> = s.split(' ').collect();
+    if r.len() != 5 {
+        return Err(bad(format!("route record {s:?}")));
+    }
+    Ok(Some(RouteSummary {
+        iterations: parse_num("route.iterations", r[0])?,
+        overflow: parse_num("route.overflow", r[1])?,
+        routed_um: parse_num("route.routed_um", r[2])?,
+        hpwl_um: parse_num("route.hpwl_um", r[3])?,
+        vias: parse_num("route.vias", r[4])?,
+    }))
+}
+
+/// Reads the next line and returns the value after `field ` — fields
+/// come in one fixed order, so anything else is damage.
+pub(crate) fn field_value<'a>(
+    lines: &mut Lines<'a>,
+    field: &'static str,
+) -> Result<&'a str, GapError> {
+    let line = lines
+        .next()
+        .ok_or_else(|| bad(format!("text: missing field {field}")))?;
+    line.strip_prefix(field)
+        .and_then(|rest| rest.strip_prefix(' '))
+        .ok_or_else(|| bad(format!("text: expected field {field:?}, got {line:?}")))
+}
+
+/// [`field_value`] parsed as a number.
+pub(crate) fn num_field<T: std::str::FromStr>(
+    lines: &mut Lines<'_>,
+    field: &'static str,
+) -> Result<T, GapError> {
+    parse_num(field, field_value(lines, field)?)
+}
+
+/// Reads the next line and requires it to be exactly `want` (a
+/// versioned header, or `end`).
+pub(crate) fn expect_line(lines: &mut Lines<'_>, want: &'static str) -> Result<(), GapError> {
+    match lines.next() {
+        Some(line) if line == want => Ok(()),
+        other => Err(bad(format!("text: expected {want:?}, got {other:?}"))),
+    }
+}
+
+pub(crate) fn no_trailing(mut lines: Lines<'_>, what: &'static str) -> Result<(), GapError> {
+    if lines.next().is_some() {
+        return Err(bad(format!("{what}: trailing data")));
+    }
+    Ok(())
 }
 
 impl ScenarioOutcome {
@@ -38,7 +178,6 @@ impl ScenarioOutcome {
     /// outcomes produce identical bytes; [`ScenarioOutcome::parse_canonical`]
     /// inverts it exactly.
     pub fn canonical_text(&self) -> String {
-        use std::fmt::Write;
         let mut s = String::with_capacity(512);
         let w = &mut s;
         writeln!(w, "outcome/v1").expect("write to String");
@@ -50,39 +189,9 @@ impl ScenarioOutcome {
         writeln!(w, "registers {}", self.registers).expect("write to String");
         writeln!(w, "area_um2 {:?}", self.area_um2).expect("write to String");
         writeln!(w, "power_proxy {:?}", self.power_proxy).expect("write to String");
-        writeln!(
-            w,
-            "timing {} {} {}",
-            self.timing_effort.full_propagations,
-            self.timing_effort.incremental_updates,
-            self.timing_effort.pins_touched
-        )
-        .expect("write to String");
-        match &self.verify_effort {
-            None => writeln!(w, "verify -").expect("write to String"),
-            Some(e) => writeln!(
-                w,
-                "verify {} {} {} {} {} {} {} {}",
-                e.cones,
-                e.structural,
-                e.sat_cones,
-                e.vars,
-                e.clauses,
-                e.conflicts,
-                e.decisions,
-                e.propagations
-            )
-            .expect("write to String"),
-        }
-        match &self.route {
-            None => writeln!(w, "route -").expect("write to String"),
-            Some(r) => writeln!(
-                w,
-                "route {} {} {:?} {:?} {}",
-                r.iterations, r.overflow, r.routed_um, r.hpwl_um, r.vias
-            )
-            .expect("write to String"),
-        }
+        write_stats(w, "timing", self.timing_effort);
+        write_effort(w, &self.verify_effort);
+        write_route(w, &self.route);
         writeln!(w, "end").expect("write to String");
         s
     }
@@ -94,95 +203,23 @@ impl ScenarioOutcome {
     /// [`GapError::Parse`] on any missing, reordered, or malformed line.
     pub fn parse_canonical(text: &str) -> Result<ScenarioOutcome, GapError> {
         let mut lines = text.lines();
-        let mut next = |field: &'static str| -> Result<String, GapError> {
-            let line = lines
-                .next()
-                .ok_or_else(|| bad(format!("outcome: missing line {field}")))?;
-            if field == "outcome/v1" || field == "end" {
-                if line != field {
-                    return Err(bad(format!("outcome: expected {field:?}, got {line:?}")));
-                }
-                return Ok(String::new());
-            }
-            line.strip_prefix(field)
-                .and_then(|rest| rest.strip_prefix(' '))
-                .map(str::to_string)
-                .ok_or_else(|| bad(format!("outcome: expected field {field:?}, got {line:?}")))
+        expect_line(&mut lines, "outcome/v1")?;
+        let outcome = ScenarioOutcome {
+            scenario: field_value(&mut lines, "scenario")?.to_string(),
+            min_period: Ps::new(num_field(&mut lines, "min_period_ps")?),
+            fo4_per_cycle: num_field(&mut lines, "fo4_per_cycle")?,
+            shipped: Mhz::new(num_field(&mut lines, "shipped_mhz")?),
+            gates: num_field(&mut lines, "gates")?,
+            registers: num_field(&mut lines, "registers")?,
+            area_um2: num_field(&mut lines, "area_um2")?,
+            power_proxy: num_field(&mut lines, "power_proxy")?,
+            timing_effort: parse_stats("timing", field_value(&mut lines, "timing")?)?,
+            verify_effort: parse_effort(field_value(&mut lines, "verify")?)?,
+            route: parse_route(field_value(&mut lines, "route")?)?,
         };
-        next("outcome/v1")?;
-        let scenario = next("scenario")?;
-        let min_period = Ps::new(parse_num("min_period_ps", &next("min_period_ps")?)?);
-        let fo4_per_cycle = parse_num("fo4_per_cycle", &next("fo4_per_cycle")?)?;
-        let shipped = Mhz::new(parse_num("shipped_mhz", &next("shipped_mhz")?)?);
-        let gates = parse_num("gates", &next("gates")?)?;
-        let registers = parse_num("registers", &next("registers")?)?;
-        let area_um2 = parse_num("area_um2", &next("area_um2")?)?;
-        let power_proxy = parse_num("power_proxy", &next("power_proxy")?)?;
-
-        let timing = next("timing")?;
-        let t: Vec<&str> = timing.split(' ').collect();
-        if t.len() != 3 {
-            return Err(bad(format!("outcome timing record {timing:?}")));
-        }
-        let timing_effort = IncrementalStats {
-            full_propagations: parse_num("timing.full", t[0])?,
-            incremental_updates: parse_num("timing.incremental", t[1])?,
-            pins_touched: parse_num("timing.pins", t[2])?,
-        };
-
-        let verify = next("verify")?;
-        let verify_effort = if verify == "-" {
-            None
-        } else {
-            let v: Vec<&str> = verify.split(' ').collect();
-            if v.len() != 8 {
-                return Err(bad(format!("outcome verify record {verify:?}")));
-            }
-            Some(EquivEffort {
-                cones: parse_num("verify.cones", v[0])?,
-                structural: parse_num("verify.structural", v[1])?,
-                sat_cones: parse_num("verify.sat_cones", v[2])?,
-                vars: parse_num("verify.vars", v[3])?,
-                clauses: parse_num("verify.clauses", v[4])?,
-                conflicts: parse_num("verify.conflicts", v[5])?,
-                decisions: parse_num("verify.decisions", v[6])?,
-                propagations: parse_num("verify.propagations", v[7])?,
-            })
-        };
-
-        let route = next("route")?;
-        let route = if route == "-" {
-            None
-        } else {
-            let r: Vec<&str> = route.split(' ').collect();
-            if r.len() != 5 {
-                return Err(bad(format!("outcome route record {route:?}")));
-            }
-            Some(RouteSummary {
-                iterations: parse_num("route.iterations", r[0])?,
-                overflow: parse_num("route.overflow", r[1])?,
-                routed_um: parse_num("route.routed_um", r[2])?,
-                hpwl_um: parse_num("route.hpwl_um", r[3])?,
-                vias: parse_num("route.vias", r[4])?,
-            })
-        };
-        next("end")?;
-        if lines.next().is_some() {
-            return Err(bad("outcome: trailing data after end".to_string()));
-        }
-        Ok(ScenarioOutcome {
-            scenario,
-            min_period,
-            fo4_per_cycle,
-            shipped,
-            gates,
-            registers,
-            area_um2,
-            power_proxy,
-            timing_effort,
-            verify_effort,
-            route,
-        })
+        expect_line(&mut lines, "end")?;
+        no_trailing(lines, "outcome")?;
+        Ok(outcome)
     }
 }
 

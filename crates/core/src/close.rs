@@ -4,34 +4,32 @@
 //! methodology go?" — one pass, one number. [`DesignScenario::close_timing`]
 //! asks the converse question the paper's practitioners actually face:
 //! "*will* this methodology make a given clock, and what sequence of
-//! fixes gets it there?" It reuses the scenario flow's exact prep
-//! (rewrite → pipeline → sizing → floorplan → optional routing →
-//! post-layout resize, same seeds, same arithmetic) to warm up the
-//! shared incremental timer, then hands the graph to the
-//! `asicgap-autopilot` fix loop and folds the result back through the
-//! scenario's skew/domino arithmetic.
+//! fixes gets it there?" Both run the one flow body in `stage.rs`: the
+//! closure driver takes the same stages (rewrite → pipeline → sizing →
+//! floorplan → wires → post-layout resize, same seeds, same arithmetic)
+//! up to the warm shared timer, hands the graph to the
+//! `asicgap-autopilot` fix loop, and folds the result back through the
+//! scenario's skew/domino arithmetic, which lives here.
 
-use asicgap_autopilot::{close_on, AutopilotError, ClosureTarget, ConvergenceTrace, RouteContext};
+use asicgap_autopilot::{AutopilotError, ClosureTarget, ConvergenceTrace};
 use asicgap_cells::Library;
 use asicgap_equiv::VerifyLevel;
 use asicgap_exec::Pool;
 use asicgap_netlist::Netlist;
-use asicgap_pipeline::pipeline_netlist_with;
-use asicgap_place::{annotate, AnnealOptions, Floorplan, FloorplanStrategy};
-use asicgap_route::{annotate_routed, route, RouterOptions};
-use asicgap_sizing::{snap_to_library, tilos_size, TilosOptions};
-use asicgap_sta::{ClockSpec, TimingGraph};
-use asicgap_synth::{select_drives_on, DriveOptions, PassPipeline};
 use asicgap_tech::{Mhz, Ps};
 
 use crate::error::GapError;
 use crate::flow::{
-    canonical_key, domino_speed_ratio, sequencing_overhead, DesignScenario, FloorplanQuality,
-    LogicStyle, SizingQuality, WireModel, WorkloadSpec,
+    canonical_key, domino_speed_ratio, sequencing_overhead, DesignScenario, LogicStyle,
+    WorkloadSpec,
 };
+use crate::stage::{close_flow, Checkpoints};
 
-/// Fraction of the critical path the domino style converts (matches
-/// `run_scenario`'s §7 model).
+/// Fraction of the critical path the domino style converts: only the
+/// critical cones convert (the paper's §9 caveat — "when such elements
+/// are integrated into an entire path … their individual significance
+/// is naturally reduced"). With the library's ~1.7 cell ratio and 70%
+/// coverage the §7 factor lands at the paper's own ×1.5.
 const DOMINO_COVERAGE: f64 = 0.7;
 
 /// What a closure run produces: the open-loop baseline, the closed-loop
@@ -104,8 +102,11 @@ impl std::fmt::Display for ClosureOutcome {
 }
 
 /// Scenario-level period from a graph-level (pre-skew) period: §7 domino
-/// credit on the combinational portion, then the §4.1 skew fold —
-/// exactly `run_scenario`'s arithmetic.
+/// on the critical path speeds the combinational portion by the
+/// library's measured domino/static cell ratio, attenuated by
+/// [`DOMINO_COVERAGE`]; then the §4.1 fractional skew is folded in. The
+/// one place this arithmetic is written — `RUN`'s outcome and both ends
+/// of a `CLOSE` go through it.
 pub(crate) fn fold_period(scenario: &DesignScenario, lib: &Library, graph_period: Ps) -> Ps {
     let mut p = graph_period;
     if scenario.logic_style == LogicStyle::DominoCriticalPath {
@@ -149,9 +150,9 @@ impl DesignScenario {
     /// loop's verdict, every committed move, and its proof (under
     /// [`VerifyLevel::Full`]) land in [`ClosureOutcome::trace`].
     ///
-    /// Deterministic: the prep is `run_scenario`'s exact sequence (same
-    /// seeds), the loop is sequential, so the outcome — trace bytes
-    /// included — is identical at any `ASICGAP_THREADS`.
+    /// Deterministic: the prep is the stages `run_scenario` runs (same
+    /// code, same seeds), the loop is sequential, so the outcome — trace
+    /// bytes included — is identical at any `ASICGAP_THREADS`.
     ///
     /// # Errors
     ///
@@ -182,110 +183,8 @@ impl DesignScenario {
         target: &ClosureTarget,
         cancel: &dyn Fn() -> bool,
     ) -> Result<ClosureOutcome, GapError> {
-        if self.pipeline_stages == 0 {
-            return Err(GapError::Scenario {
-                what: "pipeline_stages must be >= 1".to_string(),
-            });
-        }
-        let lib = self.library.build(&self.technology);
-        let mut netlist = workload(&lib)?;
-
-        // Prep mirrors run_scenario step for step; its transform proofs
-        // are the open-loop flow's concern (see run_scenario_verified),
-        // the loop below proves its own moves.
-        if !self.rewrite.is_empty() {
-            PassPipeline::new(self.rewrite.clone()).run(&mut netlist, &lib)?;
-        }
-        if self.pipeline_stages >= 2 {
-            let report =
-                TimingGraph::new(netlist.clone(), &lib, ClockSpec::unconstrained(), None).report();
-            let piped = pipeline_netlist_with(&netlist, &lib, self.pipeline_stages, &report)?;
-            netlist = piped.netlist;
-        }
-
-        let mut graph = TimingGraph::new(netlist, &lib, ClockSpec::unconstrained(), None);
-        match self.sizing {
-            SizingQuality::AsMapped => {}
-            SizingQuality::DriveSelected => select_drives_on(&mut graph, &DriveOptions::default()),
-            SizingQuality::Continuous => {
-                let sized = tilos_size(graph.netlist(), &lib, &TilosOptions::default());
-                let snap = snap_to_library(graph.netlist(), &lib, &sized.sizes);
-                let ids: Vec<_> = graph.netlist().iter_instances().map(|(id, _)| id).collect();
-                for (id, &s) in ids.iter().zip(&snap.sizes) {
-                    let cell = lib.closest_drive(graph.netlist().instance(*id).cell(), s);
-                    graph.resize_cell(*id, cell);
-                }
-            }
-        }
-
-        let strategy = match self.floorplan {
-            FloorplanQuality::Careful => FloorplanStrategy::Localized,
-            FloorplanQuality::Spread { modules } => FloorplanStrategy::Spread {
-                modules,
-                die_side_um: 10_000.0,
-            },
-        };
-        let fp = Floorplan::build(
-            graph.netlist(),
-            &lib,
-            strategy,
-            &AnnealOptions::quick(self.seed),
-        );
-        let routing = match self.wire_model {
-            WireModel::Hpwl => None,
-            WireModel::Routed => Some(route(
-                graph.netlist(),
-                &fp.placement,
-                &RouterOptions::seeded(self.seed),
-            )),
-        };
-        let par = match &routing {
-            None => annotate(graph.netlist(), &lib, &fp.placement, true),
-            Some(r) => annotate_routed(graph.netlist(), &lib, r, true),
-        };
-        graph.set_parasitics(par);
-        if self.sizing != SizingQuality::AsMapped {
-            select_drives_on(
-                &mut graph,
-                &DriveOptions {
-                    parasitics: None,
-                    target_gain: 4.0,
-                    passes: 2,
-                },
-            );
-        }
-        let par = match &routing {
-            None => annotate(graph.netlist(), &lib, &fp.placement, true),
-            Some(r) => annotate_routed(graph.netlist(), &lib, r, true),
-        };
-        graph.set_parasitics(par);
-
-        let open_min_period = fold_period(self, &lib, graph.min_period());
-
-        // The loop works in graph terms: unfold the scenario target
-        // through the skew/domino arithmetic.
-        let graph_target = unfold_period(self, &lib, target.period());
-        let loop_target = ClosureTarget {
-            frequency: graph_target.frequency(),
-            ..target.clone()
-        };
-        let mut route_ctx = routing.map(|routing| RouteContext {
-            placement: fp.placement.clone(),
-            routing,
-            options: RouterOptions::seeded(self.seed),
-            repeaters: true,
-        });
-        let trace = close_on(&mut graph, route_ctx.as_mut(), &loop_target, verify, cancel)
-            .map_err(map_autopilot_err)?;
-
-        let closed_min_period = fold_period(self, &lib, graph.min_period());
-        Ok(ClosureOutcome {
-            scenario: self.name.clone(),
-            target: target.frequency,
-            open_min_period,
-            closed_min_period,
-            trace,
-        })
+        close_flow(self, workload, verify, target, cancel, Checkpoints::NONE)
+            .map(|(outcome, _)| outcome)
     }
 }
 
@@ -337,4 +236,43 @@ where
         })
         .into_iter()
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `unfold_period` is what turns a scenario-level target into the
+    /// graph-level one the fix loop chases, so it must invert
+    /// `fold_period` to within the rounding the golden tables absorb (a
+    /// few ULPs — they compare printed values) — for the static presets,
+    /// where only the skew folds, and for the domino one, where the
+    /// combinational portion is rescaled around the sequencing overhead.
+    #[test]
+    fn unfold_inverts_fold_for_static_and_domino_presets() {
+        let presets = [
+            DesignScenario::typical_asic(),
+            DesignScenario::best_practice_asic(),
+            DesignScenario::custom(),
+        ];
+        assert_eq!(presets[2].logic_style, LogicStyle::DominoCriticalPath);
+        for scenario in presets {
+            let lib = scenario.library.build(&scenario.technology);
+            let seq = sequencing_overhead(&lib).value();
+            // Graph periods from just above the sequencing overhead (below
+            // it the domino fold clamps and is not invertible) to far
+            // beyond any workload's.
+            for k in 0..200 {
+                let p = Ps::new(seq + 1.0 + 97.3 * f64::from(k));
+                let folded = fold_period(&scenario, &lib, p);
+                let back = unfold_period(&scenario, &lib, folded).value();
+                let ulps = ((back - p.value()) / (p.value() * f64::EPSILON)).abs();
+                assert!(
+                    ulps <= 4.0,
+                    "{}: {p:?} came back as {back} ({ulps} ulps)",
+                    scenario.name
+                );
+            }
+        }
+    }
 }

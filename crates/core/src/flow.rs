@@ -5,21 +5,19 @@
 //! assumed, it falls out of running the tools with different settings.
 
 use asicgap_cells::{CellFunction, Library, LibrarySpec, LogicFamily};
-use asicgap_equiv::{check_equiv, random_sim_equiv, EquivEffort, EquivResult, VerifyLevel};
+use asicgap_equiv::{EquivEffort, VerifyLevel};
 use asicgap_exec::Pool;
 use asicgap_netlist::{Netlist, Simulator};
-use asicgap_pipeline::{pipeline_netlist_with, verify_pipeline};
-use asicgap_place::{annotate, AnnealOptions, Floorplan, FloorplanStrategy};
-use asicgap_process::{BinningPolicy, ChipPopulation, VariationComponents};
-use asicgap_route::{annotate_routed, route, RouteSummary, RouterOptions};
-use asicgap_sizing::{snap_to_library, tilos_size, TilosOptions};
-use asicgap_sta::{ClockSpec, IncrementalStats, TimingGraph};
-use asicgap_synth::{select_drives_on, DriveOptions, PassKind, PassPipeline, SynthError};
+use asicgap_route::RouteSummary;
+use asicgap_sta::IncrementalStats;
+use asicgap_synth::{PassKind, PassPipeline};
 use asicgap_tech::{Ff, Mhz, Ps, Technology};
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use crate::canon::verify_label;
 use crate::error::GapError;
+use crate::stage::{run_flow, Checkpoints};
 
 /// The coarse stages of an end-to-end scenario flow, in execution
 /// order. [`FlowObserver::stage_done`] reports wall time per stage and
@@ -347,14 +345,9 @@ pub fn canonical_key(
 ) -> String {
     use std::fmt::Write;
     let mut k = String::with_capacity(512);
-    let verify = match verify {
-        VerifyLevel::Off => "off",
-        VerifyLevel::Sim => "sim",
-        VerifyLevel::Full => "full",
-    };
     writeln!(k, "asicgap-flow/v1").expect("write to String");
     writeln!(k, "workload {}", workload.canonical()).expect("write to String");
-    writeln!(k, "verify {verify}").expect("write to String");
+    writeln!(k, "verify {}", verify_label(verify)).expect("write to String");
     writeln!(k, "technology {:?}", scenario.technology).expect("write to String");
     writeln!(k, "library {:?}", scenario.library).expect("write to String");
     writeln!(k, "pipeline_stages {}", scenario.pipeline_stages).expect("write to String");
@@ -378,12 +371,7 @@ pub fn canonical_key(
 /// [`canonical_key`] (the serving layer stores the full key alongside
 /// the hash, so a collision degrades to a miss, never a wrong answer).
 pub fn content_hash(data: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    asicgap_tech::fnv1a(data.as_bytes())
 }
 
 /// How the flow sizes gates.
@@ -750,266 +738,7 @@ pub fn run_scenario_observed(
     verify: VerifyLevel,
     obs: &dyn FlowObserver,
 ) -> Result<ScenarioOutcome, GapError> {
-    if scenario.pipeline_stages == 0 {
-        return Err(GapError::Scenario {
-            what: "pipeline_stages must be >= 1".to_string(),
-        });
-    }
-    let stage_clock = Instant::now();
-    let lib = scenario.library.build(&scenario.technology);
-    let mut netlist = workload(&lib)?;
-    let mut verify_effort = (verify == VerifyLevel::Full).then(EquivEffort::default);
-
-    // §4 (microarchitecture/logic depth): depth-recovery passes on the
-    // mapped workload, each boundary proven at the scenario's verify
-    // level before the result is allowed downstream.
-    if !scenario.rewrite.is_empty() {
-        let pipeline = PassPipeline::new(scenario.rewrite.clone()).with_verify(verify);
-        let deltas = pipeline.run(&mut netlist, &lib).map_err(|e| match e {
-            SynthError::Inequivalent { stage, output } => GapError::Inequivalent { stage, output },
-            other => GapError::from(other),
-        })?;
-        if let Some(e) = verify_effort.as_mut() {
-            for proof in deltas.iter().filter_map(|d| d.proof.as_ref()) {
-                e.merge(&proof.effort);
-            }
-        }
-    }
-    obs.stage_done(FlowStage::Synth, stage_clock.elapsed());
-    abort_if_cancelled(obs, FlowStage::Synth)?;
-
-    // §4: pipelining. The flat netlist's timing drives the cut placement;
-    // the pipelined result then seeds the flow's one shared timer.
-    let mut registers = 0;
-    if scenario.pipeline_stages >= 2 {
-        let stage_clock = Instant::now();
-        let report =
-            TimingGraph::new(netlist.clone(), &lib, ClockSpec::unconstrained(), None).report();
-        let piped = pipeline_netlist_with(&netlist, &lib, scenario.pipeline_stages, &report)?;
-        obs.stage_done(FlowStage::Pipeline, stage_clock.elapsed());
-        abort_if_cancelled(obs, FlowStage::Pipeline)?;
-        let stage_clock = Instant::now();
-        match verify {
-            VerifyLevel::Off => {}
-            VerifyLevel::Sim => {
-                verify_pipeline_by_sim(&netlist, &piped.netlist, piped.stages, &lib)?;
-            }
-            VerifyLevel::Full => {
-                let report = verify_pipeline(&netlist, &piped.netlist, &lib)?;
-                match report.result {
-                    EquivResult::Equivalent => {
-                        if let Some(e) = verify_effort.as_mut() {
-                            e.merge(&report.effort);
-                        }
-                    }
-                    EquivResult::Inequivalent(cex) => {
-                        return Err(GapError::Inequivalent {
-                            stage: "pipeline".to_string(),
-                            output: cex.output,
-                        });
-                    }
-                }
-            }
-        }
-        if verify != VerifyLevel::Off {
-            obs.stage_done(FlowStage::Equiv, stage_clock.elapsed());
-            abort_if_cancelled(obs, FlowStage::Equiv)?;
-        }
-        registers = piped.registers_inserted;
-        netlist = piped.netlist;
-    }
-    // The netlist as it enters the sizing/placement loop: golden side of
-    // the final check.
-    let pre_sizing = (verify != VerifyLevel::Off).then(|| netlist.clone());
-
-    // One timer for the rest of the flow: every optimization below
-    // mutates this graph and pays only for the cones it touches.
-    let stage_clock = Instant::now();
-    let mut graph = TimingGraph::new(netlist, &lib, ClockSpec::unconstrained(), None);
-    obs.stage_done(FlowStage::Sta, stage_clock.elapsed());
-
-    // §6: sizing.
-    let stage_clock = Instant::now();
-    match scenario.sizing {
-        SizingQuality::AsMapped => {}
-        SizingQuality::DriveSelected => select_drives_on(&mut graph, &DriveOptions::default()),
-        SizingQuality::Continuous => {
-            let sized = tilos_size(graph.netlist(), &lib, &TilosOptions::default());
-            let snap = snap_to_library(graph.netlist(), &lib, &sized.sizes);
-            let ids: Vec<_> = graph.netlist().iter_instances().map(|(id, _)| id).collect();
-            for (id, &s) in ids.iter().zip(&snap.sizes) {
-                let cell = lib.closest_drive(graph.netlist().instance(*id).cell(), s);
-                graph.resize_cell(*id, cell);
-            }
-        }
-    }
-    obs.stage_done(FlowStage::Sizing, stage_clock.elapsed());
-    abort_if_cancelled(obs, FlowStage::Sizing)?;
-
-    // §5: floorplanning and wires.
-    let strategy = match scenario.floorplan {
-        FloorplanQuality::Careful => FloorplanStrategy::Localized,
-        FloorplanQuality::Spread { modules } => FloorplanStrategy::Spread {
-            modules,
-            die_side_um: 10_000.0,
-        },
-    };
-    let stage_clock = Instant::now();
-    let fp = Floorplan::build(
-        graph.netlist(),
-        &lib,
-        strategy,
-        &AnnealOptions::quick(scenario.seed),
-    );
-    obs.stage_done(FlowStage::Place, stage_clock.elapsed());
-    abort_if_cancelled(obs, FlowStage::Place)?;
-    // The routed model routes once, after placement; resizing below only
-    // swaps drive strengths (positions and connectivity are untouched),
-    // so the routes stay valid and both extractions read the same trees.
-    let stage_clock = Instant::now();
-    let routing = match scenario.wire_model {
-        WireModel::Hpwl => None,
-        WireModel::Routed => Some(route(
-            graph.netlist(),
-            &fp.placement,
-            &RouterOptions::seeded(scenario.seed),
-        )),
-    };
-    let par = match &routing {
-        None => annotate(graph.netlist(), &lib, &fp.placement, true),
-        Some(r) => annotate_routed(graph.netlist(), &lib, r, true),
-    };
-    graph.set_parasitics(par);
-    // Extraction rides with the wire model that produced it: the HPWL
-    // annotate is placement work, the routed one is routing work.
-    let extract_stage = if routing.is_some() {
-        FlowStage::Route
-    } else {
-        FlowStage::Place
-    };
-    obs.stage_done(extract_stage, stage_clock.elapsed());
-    abort_if_cancelled(obs, extract_stage)?;
-
-    // Post-layout resize (§6.2): re-select drives against the annotated
-    // wire loads, then re-extract (sink caps changed).
-    let stage_clock = Instant::now();
-    if scenario.sizing != SizingQuality::AsMapped {
-        select_drives_on(
-            &mut graph,
-            &DriveOptions {
-                parasitics: None,
-                target_gain: 4.0,
-                passes: 2,
-            },
-        );
-    }
-    let par = match &routing {
-        None => annotate(graph.netlist(), &lib, &fp.placement, true),
-        Some(r) => annotate_routed(graph.netlist(), &lib, r, true),
-    };
-    graph.set_parasitics(par);
-    let route_summary = routing
-        .as_ref()
-        .map(|r| r.summary(graph.netlist(), &fp.placement));
-    obs.stage_done(FlowStage::Sizing, stage_clock.elapsed());
-    abort_if_cancelled(obs, FlowStage::Sizing)?;
-
-    // Timing without skew, then fold the fractional skew in.
-    let stage_clock = Instant::now();
-    let report = graph.report();
-    obs.stage_done(FlowStage::Sta, stage_clock.elapsed());
-    let timing_effort = report.stats;
-    let (netlist, _) = graph.into_parts();
-
-    // The sizing/buffering loop must not have changed any logic function.
-    if let Some(golden) = pre_sizing {
-        abort_if_cancelled(obs, FlowStage::Sta)?;
-        let stage_clock = Instant::now();
-        match verify {
-            VerifyLevel::Off => unreachable!("golden kept only when verifying"),
-            VerifyLevel::Sim => {
-                if !random_sim_equiv(&golden, &lib, &netlist, &lib, 64, scenario.seed) {
-                    return Err(GapError::Inequivalent {
-                        stage: "sizing".to_string(),
-                        output: "<random simulation>".to_string(),
-                    });
-                }
-            }
-            VerifyLevel::Full => {
-                let report = check_equiv(&golden, &lib, &netlist, &lib)?;
-                match report.result {
-                    EquivResult::Equivalent => {
-                        if let Some(e) = verify_effort.as_mut() {
-                            e.merge(&report.effort);
-                        }
-                    }
-                    EquivResult::Inequivalent(cex) => {
-                        return Err(GapError::Inequivalent {
-                            stage: "sizing".to_string(),
-                            output: cex.output,
-                        });
-                    }
-                }
-            }
-        }
-        obs.stage_done(FlowStage::Equiv, stage_clock.elapsed());
-    }
-    let mut period_no_skew = report.min_period;
-
-    // §7: domino on the critical path — speed the combinational portion
-    // by the measured domino/static cell ratio, attenuated by coverage:
-    // only the critical cones convert (the paper's §9 caveat — "when such
-    // elements are integrated into an entire path … their individual
-    // significance is naturally reduced"). With the library's ~1.7 cell
-    // ratio and 70% coverage this lands at the paper's own ×1.5.
-    if scenario.logic_style == LogicStyle::DominoCriticalPath {
-        const DOMINO_COVERAGE: f64 = 0.7;
-        let ratio = 1.0 + DOMINO_COVERAGE * (domino_speed_ratio(&lib) - 1.0);
-        let seq_overhead = sequencing_overhead(&lib);
-        let comb = (period_no_skew - seq_overhead).max(Ps::ZERO);
-        period_no_skew = comb / ratio + seq_overhead;
-    }
-
-    let min_period = period_no_skew / (1.0 - scenario.skew_fraction);
-    let nominal = min_period.frequency();
-
-    // §8: what actually ships.
-    let access_factor = match scenario.access {
-        ProcessAccess::AsicWorstCase => BinningPolicy::corner_quote(),
-        ProcessAccess::CustomBinned => {
-            ChipPopulation::sample(&VariationComponents::new_process(), 20_000, scenario.seed)
-                .quantile(0.75)
-        }
-    };
-    let shipped = Mhz::new(nominal.value() * access_factor);
-
-    // §9 caveat: the area and power views. Domino critical paths switch
-    // every cycle regardless of data; fold the family power factor in for
-    // the fraction of logic the style converts (the critical cone, ~25%).
-    let area_um2 = netlist.total_area_um2(&lib);
-    let mut switched: f64 = netlist
-        .iter_instances()
-        .map(|(_, i)| lib.cell(i.cell()).power_proxy())
-        .sum();
-    if scenario.logic_style == LogicStyle::DominoCriticalPath {
-        use asicgap_cells::LogicFamily;
-        switched *= 0.75 + 0.25 * LogicFamily::Domino.power_factor();
-    }
-    let power_proxy = switched * shipped.value() / 1000.0;
-
-    Ok(ScenarioOutcome {
-        scenario: scenario.name.clone(),
-        fo4_per_cycle: scenario.technology.delay_in_fo4(min_period),
-        min_period,
-        shipped,
-        gates: netlist.instance_count(),
-        registers,
-        area_um2,
-        power_proxy,
-        timing_effort,
-        verify_effort,
-        route: route_summary,
-    })
+    run_flow(scenario, workload, verify, obs, Checkpoints::NONE).map(|(outcome, _)| outcome)
 }
 
 /// The [`VerifyLevel::Sim`] tier for the pipeline stage: the piped

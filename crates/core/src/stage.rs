@@ -1,11 +1,25 @@
-//! Stage-granular checkpointing of the scenario flow.
+//! The scenario flow, written once, with optional stage checkpoints.
 //!
-//! [`run_scenario`](crate::run_scenario) is a monolith: one call, one
-//! outcome. The serving tier wants something finer — a request that
-//! differs from a cached one only in its wire model should reuse the
-//! synthesized, pipelined, sized, and placed design and recompute only
-//! the routing tail. This module splits the flow at four checkpoint
-//! boundaries and gives each a canonical, versioned artifact text:
+//! The paper's argument is one fixed sequence — §4 logic depth and
+//! pipelining, §6 sizing, §5 floorplan and wires, §7 domino, §8 process
+//! access — and this module is the only place it is spelled out. Each
+//! stage is one method on [`Flow`]; the two drivers, [`run_flow`]
+//! (`RUN`: one pass, one [`ScenarioOutcome`]) and [`close_flow`]
+//! (`CLOSE`: the same prep, then the autopilot fix loop), string them
+//! together. Every public entry point — `run_scenario*`,
+//! `close_timing*`, `run_scenario_staged*`, `close_timing_staged*` — is
+//! a thin wrapper over one of the two.
+//!
+//! Checkpointing is wrapped around the stages, not written into them.
+//! A caller that brings an [`ArtifactStore`] gets each of four stage
+//! boundaries looked up before it is computed and written back after;
+//! a caller that brings none runs the same stage bodies and pays
+//! nothing for the machinery — no key is built, no artifact encoded,
+//! nothing hashed, no netlist cloned ([`Checkpoints::stage`] is the one
+//! place that looks at whether a store is present). The serving tier
+//! wants the checkpoints: a request that differs from a cached one only
+//! in its wire model reuses the synthesized, pipelined, sized, and
+//! placed design and recomputes only the routing tail.
 //!
 //! | checkpoint | artifact | key inputs (beyond upstream) |
 //! |---|---|---|
@@ -15,24 +29,25 @@
 //! | `route`    | final netlist + report numbers + timer delta | wire model, sizing, seed |
 //!
 //! Keys chain by **artifact content**: a stage's key hashes its
-//! upstream artifact's text hash plus its own knobs, so a staged run
-//! naturally resumes from the deepest cached prefix, and two different
-//! upstream paths that converge on byte-identical artifacts share all
-//! downstream work. The remaining knobs (skew, logic style, process
-//! access, the display name) act only on the final arithmetic and are
-//! deliberately *not* in any stage key.
+//! upstream artifact's text hash plus its own knobs, so a checkpointed
+//! run naturally resumes from the deepest cached prefix, and two
+//! different upstream paths that converge on byte-identical artifacts
+//! share all downstream work. The remaining knobs (skew, logic style,
+//! process access, the display name) act only on the final arithmetic
+//! and are deliberately *not* in any stage key.
 //!
-//! Byte-identity is part of the contract, timer counters included. The
-//! one subtlety is [`ScenarioOutcome::timing_effort`]: the monolith's
-//! shared timer accrues across the place/route boundary, so the place
-//! artifact records the counter checkpoint and the route artifact
-//! records the *delta* its stage added. The delta is state-independent
-//! because the route stage's first graph operation
+//! Byte-identity is part of the contract, timer counters included:
+//! storeless ≡ stored-cold ≡ resumed (`tests/staged.rs`). The one
+//! subtlety is [`ScenarioOutcome::timing_effort`]: the flow's shared
+//! timer accrues across the place/route boundary, so the place stage
+//! records the counter checkpoint and the route stage records the
+//! *delta* it added, and every run — resumed or not — reports
+//! `checkpoint + delta`. The delta is state-independent because the
+//! route stage's first graph operation
 //! ([`TimingGraph::set_parasitics`]) runs a full propagation that
 //! discards any pending invalidations without flushing them — a fresh
 //! graph over the same sized netlist does byte-identical work from
-//! there on. A resumed run reports `checkpoint + delta`, exactly what
-//! the monolith reports.
+//! there on.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -40,17 +55,23 @@ use std::time::Instant;
 
 use asicgap_autopilot::{close_on, ClosureTarget, RouteContext};
 use asicgap_cells::{Library, LogicFamily};
-use asicgap_equiv::{check_equiv, random_sim_equiv, EquivEffort, EquivResult, VerifyLevel};
+use asicgap_equiv::{
+    check_equiv, random_sim_equiv, EquivEffort, EquivReport, EquivResult, VerifyLevel,
+};
 use asicgap_netlist::{canon, Netlist};
 use asicgap_pipeline::{pipeline_netlist_with, verify_pipeline};
 use asicgap_place::{annotate, AnnealOptions, Floorplan, FloorplanStrategy, Placement};
 use asicgap_process::{BinningPolicy, ChipPopulation, VariationComponents};
-use asicgap_route::{annotate_routed, route, RouteSummary, RouterOptions};
+use asicgap_route::{annotate_routed, route, RouteSummary, RouterOptions, RoutingResult};
 use asicgap_sizing::{snap_to_library, tilos_size, TilosOptions};
 use asicgap_sta::{ClockSpec, IncrementalStats, TimingGraph};
 use asicgap_synth::{select_drives_on, DriveOptions, PassPipeline, SynthError};
 use asicgap_tech::{Mhz, Ps};
 
+use crate::canon::{
+    bad, expect_line, field_value, no_trailing, num_field, parse_effort, parse_num, parse_route,
+    parse_stats, verify_label, write_effort, write_route, write_stats,
+};
 use crate::close::{fold_period, map_autopilot_err, unfold_period, ClosureOutcome};
 use crate::error::GapError;
 use crate::flow::{
@@ -59,7 +80,7 @@ use crate::flow::{
     WireModel, WorkloadSpec,
 };
 
-/// A content-addressed store of stage artifacts: the staged executors'
+/// A content-addressed store of stage artifacts: a checkpointed flow's
 /// only dependency on the outside world. `asicgap-serve` backs it with
 /// a persistent segment store; tests use [`MemStore`].
 ///
@@ -159,150 +180,6 @@ impl StageReuse {
     }
 }
 
-/// Shorthand for the parse-error constructor.
-fn bad(what: impl Into<String>) -> GapError {
-    GapError::Parse { what: what.into() }
-}
-
-fn parse_num<T: std::str::FromStr>(field: &str, s: &str) -> Result<T, GapError> {
-    s.parse()
-        .map_err(|_| bad(format!("stage artifact field {field}: {s:?}")))
-}
-
-fn verify_label(verify: VerifyLevel) -> &'static str {
-    match verify {
-        VerifyLevel::Off => "off",
-        VerifyLevel::Sim => "sim",
-        VerifyLevel::Full => "full",
-    }
-}
-
-fn write_effort(w: &mut String, e: &Option<EquivEffort>) {
-    use std::fmt::Write;
-    match e {
-        None => writeln!(w, "verify -"),
-        Some(e) => writeln!(
-            w,
-            "verify {} {} {} {} {} {} {} {}",
-            e.cones,
-            e.structural,
-            e.sat_cones,
-            e.vars,
-            e.clauses,
-            e.conflicts,
-            e.decisions,
-            e.propagations
-        ),
-    }
-    .expect("write to String");
-}
-
-fn parse_effort(s: &str) -> Result<Option<EquivEffort>, GapError> {
-    if s == "-" {
-        return Ok(None);
-    }
-    let v: Vec<&str> = s.split(' ').collect();
-    if v.len() != 8 {
-        return Err(bad(format!("stage artifact verify record {s:?}")));
-    }
-    Ok(Some(EquivEffort {
-        cones: parse_num("verify.cones", v[0])?,
-        structural: parse_num("verify.structural", v[1])?,
-        sat_cones: parse_num("verify.sat_cones", v[2])?,
-        vars: parse_num("verify.vars", v[3])?,
-        clauses: parse_num("verify.clauses", v[4])?,
-        conflicts: parse_num("verify.conflicts", v[5])?,
-        decisions: parse_num("verify.decisions", v[6])?,
-        propagations: parse_num("verify.propagations", v[7])?,
-    }))
-}
-
-fn write_stats(w: &mut String, field: &str, s: IncrementalStats) {
-    use std::fmt::Write;
-    writeln!(
-        w,
-        "{field} {} {} {}",
-        s.full_propagations, s.incremental_updates, s.pins_touched
-    )
-    .expect("write to String");
-}
-
-fn parse_stats(field: &str, s: &str) -> Result<IncrementalStats, GapError> {
-    let t: Vec<&str> = s.split(' ').collect();
-    if t.len() != 3 {
-        return Err(bad(format!("stage artifact {field} record {s:?}")));
-    }
-    Ok(IncrementalStats {
-        full_propagations: parse_num("stats.full", t[0])?,
-        incremental_updates: parse_num("stats.incremental", t[1])?,
-        pins_touched: parse_num("stats.pins", t[2])?,
-    })
-}
-
-fn write_route(w: &mut String, r: &Option<RouteSummary>) {
-    use std::fmt::Write;
-    match r {
-        None => writeln!(w, "route -"),
-        Some(r) => writeln!(
-            w,
-            "route {} {} {:?} {:?} {}",
-            r.iterations, r.overflow, r.routed_um, r.hpwl_um, r.vias
-        ),
-    }
-    .expect("write to String");
-}
-
-fn parse_route(s: &str) -> Result<Option<RouteSummary>, GapError> {
-    if s == "-" {
-        return Ok(None);
-    }
-    let r: Vec<&str> = s.split(' ').collect();
-    if r.len() != 5 {
-        return Err(bad(format!("stage artifact route record {s:?}")));
-    }
-    Ok(Some(RouteSummary {
-        iterations: parse_num("route.iterations", r[0])?,
-        overflow: parse_num("route.overflow", r[1])?,
-        routed_um: parse_num("route.routed_um", r[2])?,
-        hpwl_um: parse_num("route.hpwl_um", r[3])?,
-        vias: parse_num("route.vias", r[4])?,
-    }))
-}
-
-/// Reads the next line and returns the value after `field ` — the same
-/// strict fixed-order discipline as the outcome canon parser.
-fn field_value<'a>(
-    lines: &mut std::str::Lines<'a>,
-    field: &'static str,
-) -> Result<&'a str, GapError> {
-    let line = lines
-        .next()
-        .ok_or_else(|| bad(format!("stage artifact: missing field {field}")))?;
-    line.strip_prefix(field)
-        .and_then(|rest| rest.strip_prefix(' '))
-        .ok_or_else(|| {
-            bad(format!(
-                "stage artifact: expected field {field:?}, got {line:?}"
-            ))
-        })
-}
-
-fn expect_header(lines: &mut std::str::Lines<'_>, header: &'static str) -> Result<(), GapError> {
-    match lines.next() {
-        Some(line) if line == header => Ok(()),
-        other => Err(bad(format!(
-            "stage artifact: expected header {header:?}, got {other:?}"
-        ))),
-    }
-}
-
-fn no_trailing(mut lines: std::str::Lines<'_>, what: &'static str) -> Result<(), GapError> {
-    if lines.next().is_some() {
-        return Err(bad(format!("{what}: trailing data in head")));
-    }
-    Ok(())
-}
-
 /// Splits an artifact text at its `netlist` marker: the head fields
 /// before it, and the embedded `netlist/v1` text (which self-terminates)
 /// after it, with the artifact's own trailing `end` line stripped.
@@ -342,7 +219,7 @@ fn parse_points(
     lines: &mut std::str::Lines<'_>,
     label: &'static str,
 ) -> Result<Vec<(f64, f64)>, GapError> {
-    let n: usize = parse_num(label, field_value(lines, label)?)?;
+    let n: usize = num_field(lines, label)?;
     let mut pts = Vec::with_capacity(n);
     for _ in 0..n {
         let line = lines
@@ -404,7 +281,7 @@ impl SynthArtifact {
     pub fn parse(text: &str, lib: &Library) -> Result<SynthArtifact, GapError> {
         let (head, net) = split_netlist_tail(text, "stage-synth")?;
         let mut lines = head.lines();
-        expect_header(&mut lines, "stage-synth/v1")?;
+        expect_line(&mut lines, "stage-synth/v1")?;
         let verify_effort = parse_effort(field_value(&mut lines, "verify")?)?;
         no_trailing(lines, "stage-synth")?;
         Ok(SynthArtifact {
@@ -451,8 +328,8 @@ impl PipelineArtifact {
     pub fn parse(text: &str, lib: &Library) -> Result<PipelineArtifact, GapError> {
         let (head, net) = split_netlist_tail(text, "stage-pipeline")?;
         let mut lines = head.lines();
-        expect_header(&mut lines, "stage-pipeline/v1")?;
-        let registers = parse_num("registers", field_value(&mut lines, "registers")?)?;
+        expect_line(&mut lines, "stage-pipeline/v1")?;
+        let registers = num_field(&mut lines, "registers")?;
         let verify_effort = parse_effort(field_value(&mut lines, "verify")?)?;
         no_trailing(lines, "stage-pipeline")?;
         Ok(PipelineArtifact {
@@ -461,6 +338,24 @@ impl PipelineArtifact {
             verify_effort,
         })
     }
+}
+
+/// The `stage-place/v1` text from borrowed parts, so the place stage can
+/// checkpoint the netlist its live timer still owns.
+fn encode_place(
+    netlist: &Netlist,
+    placement: &Placement,
+    stats: IncrementalStats,
+    lib: &Library,
+) -> String {
+    let mut s = String::with_capacity(8192);
+    s.push_str("stage-place/v1\n");
+    write_stats(&mut s, "stats", stats);
+    write_placement(&mut s, placement);
+    s.push_str("netlist\n");
+    s.push_str(&canon::encode(netlist, lib));
+    s.push_str("end\n");
+    s
 }
 
 /// The `place` checkpoint: the sized netlist, the annealed placement,
@@ -480,14 +375,7 @@ impl PlaceArtifact {
     /// Canonical text (`stage-place/v1`), byte-stable — placement
     /// coordinates use shortest-round-trip `f64` formatting.
     pub fn encode(&self, lib: &Library) -> String {
-        let mut s = String::with_capacity(8192);
-        s.push_str("stage-place/v1\n");
-        write_stats(&mut s, "stats", self.stats);
-        write_placement(&mut s, &self.placement);
-        s.push_str("netlist\n");
-        s.push_str(&canon::encode(&self.netlist, lib));
-        s.push_str("end\n");
-        s
+        encode_place(&self.netlist, &self.placement, self.stats, lib)
     }
 
     /// Strict inverse of [`PlaceArtifact::encode`].
@@ -498,7 +386,7 @@ impl PlaceArtifact {
     pub fn parse(text: &str, lib: &Library) -> Result<PlaceArtifact, GapError> {
         let (head, net) = split_netlist_tail(text, "stage-place")?;
         let mut lines = head.lines();
-        expect_header(&mut lines, "stage-place/v1")?;
+        expect_line(&mut lines, "stage-place/v1")?;
         let stats = parse_stats("stats", field_value(&mut lines, "stats")?)?;
         let placement = parse_placement(&mut lines)?;
         no_trailing(lines, "stage-place")?;
@@ -549,11 +437,8 @@ impl RouteArtifact {
     pub fn parse(text: &str, lib: &Library) -> Result<RouteArtifact, GapError> {
         let (head, net) = split_netlist_tail(text, "stage-route")?;
         let mut lines = head.lines();
-        expect_header(&mut lines, "stage-route/v1")?;
-        let min_period = Ps::new(parse_num(
-            "min_period_ps",
-            field_value(&mut lines, "min_period_ps")?,
-        )?);
+        expect_line(&mut lines, "stage-route/v1")?;
+        let min_period = Ps::new(num_field(&mut lines, "min_period_ps")?);
         let delta = parse_stats("delta", field_value(&mut lines, "delta")?)?;
         let route = parse_route(field_value(&mut lines, "route")?)?;
         no_trailing(lines, "stage-route")?;
@@ -631,236 +516,633 @@ fn route_key(upstream: u64, scenario: &DesignScenario) -> String {
     k
 }
 
-/// Everything the staged run shares between its `RUN` and `CLOSE`
-/// tails: the pipeline artifact (golden + registers), the place
-/// artifact (and its content hash, the route key's upstream), the live
-/// timer when the place stage was computed in-process, and the reuse
-/// record so far. Borrows the caller's library build.
-struct Prefix<'l> {
-    pipeline: PipelineArtifact,
-    place: PlaceArtifact,
-    place_hash: u64,
-    live: Option<TimingGraph<'l>>,
-    reuse: StageReuse,
+/// The one place the flow meets an [`ArtifactStore`]. Presence of a
+/// store is the only thing it looks at: with none, a stage is exactly
+/// its compute.
+pub(crate) struct Checkpoints<'s> {
+    /// Where artifacts are kept, if anywhere.
+    pub(crate) store: Option<&'s dyn ArtifactStore>,
+    /// The workload's [`WorkloadSpec::canonical`] spelling, which
+    /// anchors the synth key; never read without a store.
+    pub(crate) workload: &'s str,
 }
 
-/// Runs (or resumes) the synth → pipeline → place prefix.
-fn run_prefix<'l, W>(
+impl Checkpoints<'_> {
+    /// No store: every stage is computed and nothing else happens.
+    pub(crate) const NONE: Checkpoints<'static> = Checkpoints {
+        store: None,
+        workload: "",
+    };
+
+    /// One stage boundary: look the stage up under `key()`, else
+    /// `compute` it and write it back. Returns the product, the content
+    /// hash of its artifact text (the next key's `upstream`; 0 without
+    /// a store, where no key is ever built), and whether the store was
+    /// consulted / hit. A stored text that fails `parse` is a miss.
+    fn stage<P>(
+        &self,
+        lib: &Library,
+        key: impl FnOnce() -> String,
+        (parse, encode): Codec<P>,
+        compute: impl FnOnce() -> Result<P, GapError>,
+    ) -> Result<(P, u64, Option<bool>), GapError> {
+        let Some(store) = self.store else {
+            return Ok((compute()?, 0, None));
+        };
+        let key = key();
+        if let Some(text) = store.get(&key) {
+            if let Ok(product) = parse(&text, lib) {
+                return Ok((product, content_hash(&text), Some(true)));
+            }
+        }
+        let product = compute()?;
+        let text = encode(&product, lib);
+        store.put(&key, &text);
+        Ok((product, content_hash(&text), Some(false)))
+    }
+
+    /// The chain hash of a boundary that is passed through rather than
+    /// stored (there is no compute to save), so downstream keys still
+    /// see its content.
+    fn passthrough(&self, text: impl FnOnce() -> String) -> u64 {
+        self.store.map_or(0, |_| content_hash(&text()))
+    }
+}
+
+/// A stage product's strict text form: `parse` inverts `encode`.
+type Codec<P> = (
+    fn(&str, &Library) -> Result<P, GapError>,
+    fn(&P, &Library) -> String,
+);
+
+/// The flow's shared timer between the place and route stages: live
+/// when the place stage ran in this process, a sized netlist still to
+/// be loaded when it came out of the store (a route hit then never
+/// builds a timing graph at all).
+// One per flow run and moved once: boxing the graph would buy nothing.
+#[allow(clippy::large_enum_variant)]
+enum Timer<'l> {
+    Warm(TimingGraph<'l>),
+    Cold(Netlist),
+}
+
+impl<'l> Timer<'l> {
+    fn netlist(&self) -> &Netlist {
+        match self {
+            Timer::Warm(graph) => graph.netlist(),
+            Timer::Cold(netlist) => netlist,
+        }
+    }
+
+    fn into_graph(self, lib: &'l Library) -> TimingGraph<'l> {
+        match self {
+            Timer::Warm(graph) => graph,
+            Timer::Cold(netlist) => {
+                TimingGraph::new(netlist, lib, ClockSpec::unconstrained(), None)
+            }
+        }
+    }
+}
+
+/// What the place stage hands downstream — a [`PlaceArtifact`] whose
+/// netlist may still be inside the live timer.
+struct Placed<'l> {
+    timer: Timer<'l>,
+    placement: Placement,
+    stats: IncrementalStats,
+}
+
+impl Placed<'_> {
+    fn parse<'l>(text: &str, lib: &Library) -> Result<Placed<'l>, GapError> {
+        let art = PlaceArtifact::parse(text, lib)?;
+        Ok(Placed {
+            timer: Timer::Cold(art.netlist),
+            placement: art.placement,
+            stats: art.stats,
+        })
+    }
+
+    fn encode(&self, lib: &Library) -> String {
+        encode_place(self.timer.netlist(), &self.placement, self.stats, lib)
+    }
+}
+
+/// Everything `RUN` and `CLOSE` share: the design sized and placed,
+/// plus what the pipeline boundary leaves for the end of the flow.
+struct Prefix<'l> {
+    /// The netlist as it entered sizing, kept only when the final check
+    /// will need it.
+    golden: Option<Netlist>,
+    registers: usize,
+    verify_effort: Option<EquivEffort>,
+    placed: Placed<'l>,
+    place_hash: u64,
+}
+
+/// Merges a proven-equivalent report's effort; a counterexample becomes
+/// [`GapError::Inequivalent`] at `stage`.
+fn discharge(
+    report: EquivReport,
+    stage: &str,
+    effort: &mut Option<EquivEffort>,
+) -> Result<(), GapError> {
+    match report.result {
+        EquivResult::Equivalent => {
+            if let Some(e) = effort.as_mut() {
+                e.merge(&report.effort);
+            }
+            Ok(())
+        }
+        EquivResult::Inequivalent(cex) => Err(GapError::Inequivalent {
+            stage: stage.to_string(),
+            output: cex.output,
+        }),
+    }
+}
+
+/// One scenario's stage bodies. Each method is a plain function of the
+/// scenario, its library, and the stage's inputs; it reports its own
+/// wall time to `obs` and polls it at the boundaries inside the stage.
+/// None of them knows whether a store exists.
+struct Flow<'a> {
+    scenario: &'a DesignScenario,
+    lib: &'a Library,
+    verify: VerifyLevel,
+    obs: &'a dyn FlowObserver,
+}
+
+impl<'a> Flow<'a> {
+    /// §4 (microarchitecture/logic depth): the workload, then the
+    /// scenario's depth-recovery passes, each boundary proven at the
+    /// verify level before the result is allowed downstream.
+    fn synth<W>(&self, workload: W) -> Result<SynthArtifact, GapError>
+    where
+        W: FnOnce(&Library) -> Result<Netlist, asicgap_netlist::NetlistError>,
+    {
+        let mut netlist = workload(self.lib)?;
+        let mut verify_effort = (self.verify == VerifyLevel::Full).then(EquivEffort::default);
+        if !self.scenario.rewrite.is_empty() {
+            let passes = PassPipeline::new(self.scenario.rewrite.clone()).with_verify(self.verify);
+            let deltas = passes.run(&mut netlist, self.lib).map_err(|e| match e {
+                SynthError::Inequivalent { stage, output } => {
+                    GapError::Inequivalent { stage, output }
+                }
+                other => GapError::from(other),
+            })?;
+            if let Some(e) = verify_effort.as_mut() {
+                for proof in deltas.iter().filter_map(|d| d.proof.as_ref()) {
+                    e.merge(&proof.effort);
+                }
+            }
+        }
+        Ok(SynthArtifact {
+            netlist,
+            verify_effort,
+        })
+    }
+
+    /// §4: pipelining. The flat netlist's timing drives the cut
+    /// placement; the registered netlist is then checked against the
+    /// flat one (registers transparent) before it seeds the shared
+    /// timer. The caller polls the last boundary reported here.
+    fn pipeline(&self, synth: SynthArtifact) -> Result<PipelineArtifact, GapError> {
+        let SynthArtifact {
+            netlist,
+            mut verify_effort,
+        } = synth;
+        let lib = self.lib;
+        let clock = Instant::now();
+        let report =
+            TimingGraph::new(netlist.clone(), lib, ClockSpec::unconstrained(), None).report();
+        let piped = pipeline_netlist_with(&netlist, lib, self.scenario.pipeline_stages, &report)?;
+        self.obs.stage_done(FlowStage::Pipeline, clock.elapsed());
+        if self.verify != VerifyLevel::Off {
+            abort_if_cancelled(self.obs, FlowStage::Pipeline)?;
+            let clock = Instant::now();
+            if self.verify == VerifyLevel::Sim {
+                verify_pipeline_by_sim(&netlist, &piped.netlist, piped.stages, lib)?;
+            } else {
+                let report = verify_pipeline(&netlist, &piped.netlist, lib)?;
+                discharge(report, "pipeline", &mut verify_effort)?;
+            }
+            self.obs.stage_done(FlowStage::Equiv, clock.elapsed());
+        }
+        Ok(PipelineArtifact {
+            netlist: piped.netlist,
+            registers: piped.registers_inserted,
+            verify_effort,
+        })
+    }
+
+    /// §6 sizing and §5 floorplanning, on the one timer the rest of the
+    /// flow shares: every optimization from here on mutates this graph
+    /// and pays only for the cones it touches.
+    fn place(&self, netlist: Netlist) -> Result<Placed<'a>, GapError> {
+        let (scenario, lib) = (self.scenario, self.lib);
+        let clock = Instant::now();
+        let mut graph = TimingGraph::new(netlist, lib, ClockSpec::unconstrained(), None);
+        self.obs.stage_done(FlowStage::Sta, clock.elapsed());
+
+        let clock = Instant::now();
+        match scenario.sizing {
+            SizingQuality::AsMapped => {}
+            SizingQuality::DriveSelected => select_drives_on(&mut graph, &DriveOptions::default()),
+            SizingQuality::Continuous => {
+                let sized = tilos_size(graph.netlist(), lib, &TilosOptions::default());
+                let snap = snap_to_library(graph.netlist(), lib, &sized.sizes);
+                let ids: Vec<_> = graph.netlist().iter_instances().map(|(id, _)| id).collect();
+                for (id, &s) in ids.iter().zip(&snap.sizes) {
+                    let cell = lib.closest_drive(graph.netlist().instance(*id).cell(), s);
+                    graph.resize_cell(*id, cell);
+                }
+            }
+        }
+        self.obs.stage_done(FlowStage::Sizing, clock.elapsed());
+        abort_if_cancelled(self.obs, FlowStage::Sizing)?;
+
+        let strategy = match scenario.floorplan {
+            FloorplanQuality::Careful => FloorplanStrategy::Localized,
+            FloorplanQuality::Spread { modules } => FloorplanStrategy::Spread {
+                modules,
+                die_side_um: 10_000.0,
+            },
+        };
+        let clock = Instant::now();
+        let fp = Floorplan::build(
+            graph.netlist(),
+            lib,
+            strategy,
+            &AnnealOptions::quick(scenario.seed),
+        );
+        self.obs.stage_done(FlowStage::Place, clock.elapsed());
+        // Floorplanning never touches the timer, so the counters here
+        // equal the post-sizing checkpoint.
+        Ok(Placed {
+            stats: graph.stats(),
+            timer: Timer::Warm(graph),
+            placement: fp.placement,
+        })
+    }
+
+    /// §5 wires and the §6.2 post-layout resize, shared by `RUN` and
+    /// `CLOSE`: price the wires, re-select drives against the annotated
+    /// loads, re-extract (sink caps changed). The routed model routes
+    /// once; resizing only swaps drive strengths (positions and
+    /// connectivity are untouched), so the routes stay valid and both
+    /// extractions read the same trees — which are returned for the
+    /// caller's summary or reroute moves.
+    fn wires(
+        &self,
+        graph: &mut TimingGraph<'_>,
+        placement: &Placement,
+    ) -> Result<Option<RoutingResult>, GapError> {
+        let (scenario, lib) = (self.scenario, self.lib);
+        let clock = Instant::now();
+        let routing = match scenario.wire_model {
+            WireModel::Hpwl => None,
+            WireModel::Routed => Some(route(
+                graph.netlist(),
+                placement,
+                &RouterOptions::seeded(scenario.seed),
+            )),
+        };
+        let extract = |graph: &TimingGraph<'_>| match &routing {
+            None => annotate(graph.netlist(), lib, placement, true),
+            Some(r) => annotate_routed(graph.netlist(), lib, r, true),
+        };
+        let par = extract(graph);
+        graph.set_parasitics(par);
+        // Extraction rides with the wire model that produced it: the
+        // HPWL annotate is placement work, the routed one is routing.
+        let billed = extract_stage(scenario);
+        self.obs.stage_done(billed, clock.elapsed());
+        abort_if_cancelled(self.obs, billed)?;
+
+        let clock = Instant::now();
+        if scenario.sizing != SizingQuality::AsMapped {
+            select_drives_on(
+                graph,
+                &DriveOptions {
+                    parasitics: None,
+                    target_gain: 4.0,
+                    passes: 2,
+                },
+            );
+        }
+        let par = extract(graph);
+        graph.set_parasitics(par);
+        self.obs.stage_done(FlowStage::Sizing, clock.elapsed());
+        abort_if_cancelled(self.obs, FlowStage::Sizing)?;
+        Ok(routing)
+    }
+
+    /// `RUN`'s route stage: wires, then the final timing report. The
+    /// artifact carries everything the closing arithmetic needs from
+    /// the timer.
+    fn route_stage(
+        &self,
+        timer: Timer<'a>,
+        placement: &Placement,
+    ) -> Result<RouteArtifact, GapError> {
+        let mut graph = timer.into_graph(self.lib);
+        let stats_before = graph.stats();
+        let routing = self.wires(&mut graph, placement)?;
+        let route = routing
+            .as_ref()
+            .map(|r| r.summary(graph.netlist(), placement));
+        let clock = Instant::now();
+        let report = graph.report();
+        self.obs.stage_done(FlowStage::Sta, clock.elapsed());
+        let (netlist, _) = graph.into_parts();
+        Ok(RouteArtifact {
+            netlist,
+            min_period: report.min_period,
+            delta: stats_delta(report.stats, stats_before),
+            route,
+        })
+    }
+
+    /// The sizing loop must not have changed any logic function: the
+    /// final netlist against the one that entered the shared timer
+    /// (registers cut; sizing only swaps drive strengths, so a SAT cone
+    /// or counterexample here means a sizing pass rewired logic).
+    fn final_check(
+        &self,
+        golden: &Netlist,
+        netlist: &Netlist,
+        verify_effort: &mut Option<EquivEffort>,
+    ) -> Result<(), GapError> {
+        let lib = self.lib;
+        abort_if_cancelled(self.obs, FlowStage::Sta)?;
+        let clock = Instant::now();
+        if self.verify == VerifyLevel::Sim {
+            if !random_sim_equiv(golden, lib, netlist, lib, 64, self.scenario.seed) {
+                return Err(GapError::Inequivalent {
+                    stage: "sizing".to_string(),
+                    output: "<random simulation>".to_string(),
+                });
+            }
+        } else {
+            discharge(
+                check_equiv(golden, lib, netlist, lib)?,
+                "sizing",
+                verify_effort,
+            )?;
+        }
+        self.obs.stage_done(FlowStage::Equiv, clock.elapsed());
+        Ok(())
+    }
+
+    /// The closing arithmetic: §7 domino and §4.1 skew folded into the
+    /// period, §8 what actually ships, and the §9 caveat's area and
+    /// power views.
+    fn outcome(
+        &self,
+        registers: usize,
+        route: RouteArtifact,
+        timing_effort: IncrementalStats,
+        verify_effort: Option<EquivEffort>,
+    ) -> ScenarioOutcome {
+        let (scenario, lib) = (self.scenario, self.lib);
+        let min_period = fold_period(scenario, lib, route.min_period);
+        let access_factor = match scenario.access {
+            ProcessAccess::AsicWorstCase => BinningPolicy::corner_quote(),
+            ProcessAccess::CustomBinned => {
+                ChipPopulation::sample(&VariationComponents::new_process(), 20_000, scenario.seed)
+                    .quantile(0.75)
+            }
+        };
+        let shipped = Mhz::new(min_period.frequency().value() * access_factor);
+        // Domino critical paths switch every cycle regardless of data;
+        // fold the family power factor in for the fraction of logic the
+        // style converts (the critical cone, ~25%).
+        let mut switched: f64 = route
+            .netlist
+            .iter_instances()
+            .map(|(_, i)| lib.cell(i.cell()).power_proxy())
+            .sum();
+        if scenario.logic_style == LogicStyle::DominoCriticalPath {
+            switched *= 0.75 + 0.25 * LogicFamily::Domino.power_factor();
+        }
+        ScenarioOutcome {
+            scenario: scenario.name.clone(),
+            fo4_per_cycle: scenario.technology.delay_in_fo4(min_period),
+            min_period,
+            shipped,
+            gates: route.netlist.instance_count(),
+            registers,
+            area_um2: route.netlist.total_area_um2(lib),
+            power_proxy: switched * shipped.value() / 1000.0,
+            timing_effort,
+            verify_effort,
+            route: route.route,
+        }
+    }
+
+    /// Runs (or resumes) synth → pipeline → place. `synth_clock` was
+    /// started before the library was built, which the synth stage's
+    /// wall time covers. On a hit a stage reports only its lookup.
+    fn prefix<W>(
+        &self,
+        checkpoints: &Checkpoints<'_>,
+        workload: W,
+        synth_clock: Instant,
+        reuse: &mut StageReuse,
+    ) -> Result<Prefix<'a>, GapError>
+    where
+        W: FnOnce(&Library) -> Result<Netlist, asicgap_netlist::NetlistError>,
+    {
+        let (scenario, lib, verify, obs) = (self.scenario, self.lib, self.verify, self.obs);
+        if scenario.pipeline_stages == 0 {
+            return Err(GapError::Scenario {
+                what: "pipeline_stages must be >= 1".to_string(),
+            });
+        }
+
+        let (synth, synth_hash, hit) = checkpoints.stage(
+            lib,
+            || synth_key(scenario, checkpoints.workload, verify),
+            (SynthArtifact::parse, SynthArtifact::encode),
+            || self.synth(workload),
+        )?;
+        reuse.synth = hit;
+        obs.stage_done(FlowStage::Synth, synth_clock.elapsed());
+        abort_if_cancelled(obs, FlowStage::Synth)?;
+
+        let (pipeline, pipeline_hash) = if scenario.pipeline_stages < 2 {
+            let art = PipelineArtifact {
+                netlist: synth.netlist,
+                registers: 0,
+                verify_effort: synth.verify_effort,
+            };
+            let hash = checkpoints.passthrough(|| art.encode(lib));
+            (art, hash)
+        } else {
+            let clock = Instant::now();
+            let (art, hash, hit) = checkpoints.stage(
+                lib,
+                || pipeline_key(synth_hash, scenario, verify),
+                (PipelineArtifact::parse, PipelineArtifact::encode),
+                || self.pipeline(synth),
+            )?;
+            reuse.pipeline = hit;
+            // The boundary `pipeline` reported last and left unpolled.
+            let mut last = FlowStage::Pipeline;
+            if hit == Some(true) {
+                obs.stage_done(last, clock.elapsed());
+            } else if verify != VerifyLevel::Off {
+                last = FlowStage::Equiv;
+            }
+            abort_if_cancelled(obs, last)?;
+            (art, hash)
+        };
+
+        // The netlist as it enters the sizing/placement loop is the
+        // golden side of the final check: copied only when that check
+        // will run, otherwise handed to the timer as is.
+        let keep_golden = verify != VerifyLevel::Off;
+        let mut entering = Some(pipeline.netlist);
+        let clock = Instant::now();
+        let (placed, place_hash, hit) = checkpoints.stage(
+            lib,
+            || place_key(pipeline_hash, scenario),
+            (Placed::parse, Placed::encode),
+            || {
+                let netlist = if keep_golden {
+                    entering.clone()
+                } else {
+                    entering.take()
+                };
+                self.place(netlist.expect("taken only here"))
+            },
+        )?;
+        reuse.place = hit;
+        if hit == Some(true) {
+            obs.stage_done(FlowStage::Place, clock.elapsed());
+        }
+        abort_if_cancelled(obs, FlowStage::Place)?;
+        Ok(Prefix {
+            golden: entering.filter(|_| keep_golden),
+            registers: pipeline.registers,
+            verify_effort: pipeline.verify_effort,
+            placed,
+            place_hash,
+        })
+    }
+}
+
+/// The stage that extraction is billed to under `scenario`'s wire model.
+fn extract_stage(scenario: &DesignScenario) -> FlowStage {
+    match scenario.wire_model {
+        WireModel::Hpwl => FlowStage::Place,
+        WireModel::Routed => FlowStage::Route,
+    }
+}
+
+/// The `RUN` driver behind every `run_scenario*` entry point: the
+/// prefix, the route stage, the final check, the closing arithmetic.
+pub(crate) fn run_flow<W>(
     scenario: &DesignScenario,
-    lib: &'l Library,
-    workload_canonical: &str,
     workload: W,
     verify: VerifyLevel,
-    store: &dyn ArtifactStore,
     obs: &dyn FlowObserver,
-) -> Result<Prefix<'l>, GapError>
+    checkpoints: Checkpoints<'_>,
+) -> Result<(ScenarioOutcome, StageReuse), GapError>
 where
     W: FnOnce(&Library) -> Result<Netlist, asicgap_netlist::NetlistError>,
 {
-    if scenario.pipeline_stages == 0 {
-        return Err(GapError::Scenario {
-            what: "pipeline_stages must be >= 1".to_string(),
-        });
-    }
+    let synth_clock = Instant::now();
+    let lib = scenario.library.build(&scenario.technology);
+    let flow = Flow {
+        scenario,
+        lib: &lib,
+        verify,
+        obs,
+    };
     let mut reuse = StageReuse::default();
+    let prefix = flow.prefix(&checkpoints, workload, synth_clock, &mut reuse)?;
+    let placed = prefix.placed;
 
-    // --- synth: workload generation + depth-recovery passes. ---
-    let skey = synth_key(scenario, workload_canonical, verify);
-    let stage_clock = Instant::now();
-    let cached = store
-        .get(&skey)
-        .and_then(|t| SynthArtifact::parse(&t, lib).ok().map(|a| (t, a)));
-    let (synth_text, synth) = match cached {
-        Some((text, art)) => {
-            reuse.synth = Some(true);
-            (text, art)
-        }
-        None => {
-            reuse.synth = Some(false);
-            let mut netlist = workload(lib)?;
-            let mut verify_effort = (verify == VerifyLevel::Full).then(EquivEffort::default);
-            if !scenario.rewrite.is_empty() {
-                let pipeline = PassPipeline::new(scenario.rewrite.clone()).with_verify(verify);
-                let deltas = pipeline.run(&mut netlist, lib).map_err(|e| match e {
-                    SynthError::Inequivalent { stage, output } => {
-                        GapError::Inequivalent { stage, output }
-                    }
-                    other => GapError::from(other),
-                })?;
-                if let Some(e) = verify_effort.as_mut() {
-                    for proof in deltas.iter().filter_map(|d| d.proof.as_ref()) {
-                        e.merge(&proof.effort);
-                    }
-                }
-            }
-            let art = SynthArtifact {
-                netlist,
-                verify_effort,
-            };
-            let text = art.encode(lib);
-            store.put(&skey, &text);
-            (text, art)
-        }
+    let clock = Instant::now();
+    let (route, _, hit) = checkpoints.stage(
+        &lib,
+        || route_key(prefix.place_hash, scenario),
+        (RouteArtifact::parse, RouteArtifact::encode),
+        || flow.route_stage(placed.timer, &placed.placement),
+    )?;
+    reuse.route = hit;
+    if hit == Some(true) {
+        obs.stage_done(extract_stage(scenario), clock.elapsed());
+        abort_if_cancelled(obs, extract_stage(scenario))?;
+    }
+
+    // Never checkpointed here: the serving tier caches whole outcomes
+    // by canonical key.
+    let mut verify_effort = prefix.verify_effort;
+    if let Some(golden) = &prefix.golden {
+        flow.final_check(golden, &route.netlist, &mut verify_effort)?;
+    }
+    let timing_effort = stats_sum(placed.stats, route.delta);
+    let outcome = flow.outcome(prefix.registers, route, timing_effort, verify_effort);
+    Ok((outcome, reuse))
+}
+
+/// The `CLOSE` driver behind every `close_timing*` entry point: the
+/// same prefix and wires as `RUN` (keyed at [`VerifyLevel::Off`] —
+/// closure prep never verifies, its transform proofs are the open-loop
+/// flow's concern — so it shares artifacts with unverified `RUN`s),
+/// then the autopilot fix loop on the warm timer, proving its own moves
+/// at `verify`. The route checkpoint is never consulted: the loop needs
+/// the live routes.
+pub(crate) fn close_flow<W>(
+    scenario: &DesignScenario,
+    workload: W,
+    verify: VerifyLevel,
+    target: &ClosureTarget,
+    cancel: &dyn Fn() -> bool,
+    checkpoints: Checkpoints<'_>,
+) -> Result<(ClosureOutcome, StageReuse), GapError>
+where
+    W: FnOnce(&Library) -> Result<Netlist, asicgap_netlist::NetlistError>,
+{
+    let synth_clock = Instant::now();
+    let lib = scenario.library.build(&scenario.technology);
+    let prep = Flow {
+        scenario,
+        lib: &lib,
+        verify: VerifyLevel::Off,
+        obs: &NoObserver,
     };
-    obs.stage_done(FlowStage::Synth, stage_clock.elapsed());
-    abort_if_cancelled(obs, FlowStage::Synth)?;
-    let synth_hash = content_hash(&synth_text);
+    let mut reuse = StageReuse::default();
+    let placed = prep
+        .prefix(&checkpoints, workload, synth_clock, &mut reuse)?
+        .placed;
+    let mut graph = placed.timer.into_graph(&lib);
+    let routing = prep.wires(&mut graph, &placed.placement)?;
+    let open_min_period = fold_period(scenario, &lib, graph.min_period());
 
-    // --- pipeline: register insertion + boundary proof. Unpipelined
-    // scenarios pass the synth artifact through (not stored: there is
-    // no compute to save), so the chain hash still advances. ---
-    let (pipeline_text, pipeline) = if scenario.pipeline_stages < 2 {
-        let art = PipelineArtifact {
-            netlist: synth.netlist,
-            registers: 0,
-            verify_effort: synth.verify_effort,
-        };
-        let text = art.encode(lib);
-        (text, art)
-    } else {
-        let pkey = pipeline_key(synth_hash, scenario, verify);
-        let stage_clock = Instant::now();
-        let cached = store
-            .get(&pkey)
-            .and_then(|t| PipelineArtifact::parse(&t, lib).ok().map(|a| (t, a)));
-        match cached {
-            Some((text, art)) => {
-                reuse.pipeline = Some(true);
-                obs.stage_done(FlowStage::Pipeline, stage_clock.elapsed());
-                abort_if_cancelled(obs, FlowStage::Pipeline)?;
-                (text, art)
-            }
-            None => {
-                reuse.pipeline = Some(false);
-                let SynthArtifact {
-                    netlist,
-                    mut verify_effort,
-                } = synth;
-                let report =
-                    TimingGraph::new(netlist.clone(), lib, ClockSpec::unconstrained(), None)
-                        .report();
-                let piped =
-                    pipeline_netlist_with(&netlist, lib, scenario.pipeline_stages, &report)?;
-                obs.stage_done(FlowStage::Pipeline, stage_clock.elapsed());
-                abort_if_cancelled(obs, FlowStage::Pipeline)?;
-                let stage_clock = Instant::now();
-                match verify {
-                    VerifyLevel::Off => {}
-                    VerifyLevel::Sim => {
-                        verify_pipeline_by_sim(&netlist, &piped.netlist, piped.stages, lib)?;
-                    }
-                    VerifyLevel::Full => {
-                        let report = verify_pipeline(&netlist, &piped.netlist, lib)?;
-                        match report.result {
-                            EquivResult::Equivalent => {
-                                if let Some(e) = verify_effort.as_mut() {
-                                    e.merge(&report.effort);
-                                }
-                            }
-                            EquivResult::Inequivalent(cex) => {
-                                return Err(GapError::Inequivalent {
-                                    stage: "pipeline".to_string(),
-                                    output: cex.output,
-                                });
-                            }
-                        }
-                    }
-                }
-                let art = PipelineArtifact {
-                    netlist: piped.netlist,
-                    registers: piped.registers_inserted,
-                    verify_effort,
-                };
-                let text = art.encode(lib);
-                store.put(&pkey, &text);
-                if verify != VerifyLevel::Off {
-                    obs.stage_done(FlowStage::Equiv, stage_clock.elapsed());
-                    abort_if_cancelled(obs, FlowStage::Equiv)?;
-                }
-                (text, art)
-            }
-        }
+    // The loop works in graph terms: unfold the scenario target through
+    // the skew/domino arithmetic.
+    let loop_target = ClosureTarget {
+        frequency: unfold_period(scenario, &lib, target.period()).frequency(),
+        ..target.clone()
     };
-    let pipeline_hash = content_hash(&pipeline_text);
-
-    // --- place: shared timer build + sizing + floorplan. ---
-    let plkey = place_key(pipeline_hash, scenario);
-    let stage_clock = Instant::now();
-    let cached = store
-        .get(&plkey)
-        .and_then(|t| PlaceArtifact::parse(&t, lib).ok().map(|a| (t, a)));
-    let (place_text, place, live) = match cached {
-        Some((text, art)) => {
-            reuse.place = Some(true);
-            obs.stage_done(FlowStage::Place, stage_clock.elapsed());
-            abort_if_cancelled(obs, FlowStage::Place)?;
-            (text, art, None)
-        }
-        None => {
-            reuse.place = Some(false);
-            let mut graph = TimingGraph::new(
-                pipeline.netlist.clone(),
-                lib,
-                ClockSpec::unconstrained(),
-                None,
-            );
-            obs.stage_done(FlowStage::Sta, stage_clock.elapsed());
-
-            let stage_clock = Instant::now();
-            match scenario.sizing {
-                SizingQuality::AsMapped => {}
-                SizingQuality::DriveSelected => {
-                    select_drives_on(&mut graph, &DriveOptions::default())
-                }
-                SizingQuality::Continuous => {
-                    let sized = tilos_size(graph.netlist(), lib, &TilosOptions::default());
-                    let snap = snap_to_library(graph.netlist(), lib, &sized.sizes);
-                    let ids: Vec<_> = graph.netlist().iter_instances().map(|(id, _)| id).collect();
-                    for (id, &s) in ids.iter().zip(&snap.sizes) {
-                        let cell = lib.closest_drive(graph.netlist().instance(*id).cell(), s);
-                        graph.resize_cell(*id, cell);
-                    }
-                }
-            }
-            obs.stage_done(FlowStage::Sizing, stage_clock.elapsed());
-            abort_if_cancelled(obs, FlowStage::Sizing)?;
-
-            let strategy = match scenario.floorplan {
-                FloorplanQuality::Careful => FloorplanStrategy::Localized,
-                FloorplanQuality::Spread { modules } => FloorplanStrategy::Spread {
-                    modules,
-                    die_side_um: 10_000.0,
-                },
-            };
-            let stage_clock = Instant::now();
-            let fp = Floorplan::build(
-                graph.netlist(),
-                lib,
-                strategy,
-                &AnnealOptions::quick(scenario.seed),
-            );
-            obs.stage_done(FlowStage::Place, stage_clock.elapsed());
-            // Floorplanning never touches the timer, so the counters
-            // here equal the post-sizing checkpoint.
-            let art = PlaceArtifact {
-                netlist: graph.netlist().clone(),
-                placement: fp.placement,
-                stats: graph.stats(),
-            };
-            let text = art.encode(lib);
-            store.put(&plkey, &text);
-            abort_if_cancelled(obs, FlowStage::Place)?;
-            (text, art, Some(graph))
-        }
+    let mut route_ctx = routing.map(|routing| RouteContext {
+        placement: placed.placement,
+        routing,
+        options: RouterOptions::seeded(scenario.seed),
+        repeaters: true,
+    });
+    let trace = close_on(&mut graph, route_ctx.as_mut(), &loop_target, verify, cancel)
+        .map_err(map_autopilot_err)?;
+    let outcome = ClosureOutcome {
+        scenario: scenario.name.clone(),
+        target: target.frequency,
+        open_min_period,
+        closed_min_period: fold_period(scenario, &lib, graph.min_period()),
+        trace,
     };
-    let place_hash = content_hash(&place_text);
-    Ok(Prefix {
-        pipeline,
-        place,
-        place_hash,
-        live,
-        reuse,
-    })
+    Ok((outcome, reuse))
 }
 
 /// [`run_scenario_staged_observed`] for a nameable workload, with no
@@ -885,14 +1167,13 @@ pub fn run_scenario_staged(
     )
 }
 
-/// The staged counterpart of
-/// [`run_scenario_observed`](crate::run_scenario_observed): identical
-/// outcome bytes (the determinism contract extends through the store),
-/// but each checkpoint is first looked up in `store` and recomputed
-/// stages are written back, so a warm store resumes from the deepest
-/// cached prefix. `workload_canonical` must be the workload's
-/// [`WorkloadSpec::canonical`] spelling (it anchors the synth key);
-/// `workload` is only invoked on a synth miss.
+/// [`run_scenario_observed`](crate::run_scenario_observed) with
+/// checkpointing: identical outcome bytes (the determinism contract
+/// extends through the store), but each checkpoint is first looked up
+/// in `store` and recomputed stages are written back, so a warm store
+/// resumes from the deepest cached prefix. `workload_canonical` must be
+/// the workload's [`WorkloadSpec::canonical`] spelling (it anchors the
+/// synth key); `workload` is only invoked on a synth miss.
 ///
 /// # Errors
 ///
@@ -909,191 +1190,11 @@ pub fn run_scenario_staged_observed<W>(
 where
     W: FnOnce(&Library) -> Result<Netlist, asicgap_netlist::NetlistError>,
 {
-    let lib = scenario.library.build(&scenario.technology);
-    let mut prefix = run_prefix(
-        scenario,
-        &lib,
-        workload_canonical,
-        workload,
-        verify,
-        store,
-        obs,
-    )?;
-    let extract_stage = if scenario.wire_model == WireModel::Routed {
-        FlowStage::Route
-    } else {
-        FlowStage::Place
+    let checkpoints = Checkpoints {
+        store: Some(store),
+        workload: workload_canonical,
     };
-
-    // --- route: wires, post-layout resize, final report. ---
-    let rkey = route_key(prefix.place_hash, scenario);
-    let stage_clock = Instant::now();
-    let cached = store
-        .get(&rkey)
-        .and_then(|t| RouteArtifact::parse(&t, &lib).ok());
-    let route_art = match cached {
-        Some(art) => {
-            prefix.reuse.route = Some(true);
-            obs.stage_done(extract_stage, stage_clock.elapsed());
-            abort_if_cancelled(obs, extract_stage)?;
-            art
-        }
-        None => {
-            prefix.reuse.route = Some(false);
-            // Resume point: a fresh timer over the sized netlist does
-            // byte-identical downstream work to the live one, because
-            // set_parasitics (the first operation either way) discards
-            // pending invalidations unflushed.
-            let (mut graph, stats_before) = match prefix.live.take() {
-                Some(graph) => {
-                    let s = graph.stats();
-                    (graph, s)
-                }
-                None => {
-                    let graph = TimingGraph::new(
-                        prefix.place.netlist.clone(),
-                        &lib,
-                        ClockSpec::unconstrained(),
-                        None,
-                    );
-                    let s = graph.stats();
-                    (graph, s)
-                }
-            };
-            let routing = match scenario.wire_model {
-                WireModel::Hpwl => None,
-                WireModel::Routed => Some(route(
-                    graph.netlist(),
-                    &prefix.place.placement,
-                    &RouterOptions::seeded(scenario.seed),
-                )),
-            };
-            let par = match &routing {
-                None => annotate(graph.netlist(), &lib, &prefix.place.placement, true),
-                Some(r) => annotate_routed(graph.netlist(), &lib, r, true),
-            };
-            graph.set_parasitics(par);
-            obs.stage_done(extract_stage, stage_clock.elapsed());
-            abort_if_cancelled(obs, extract_stage)?;
-
-            let stage_clock = Instant::now();
-            if scenario.sizing != SizingQuality::AsMapped {
-                select_drives_on(
-                    &mut graph,
-                    &DriveOptions {
-                        parasitics: None,
-                        target_gain: 4.0,
-                        passes: 2,
-                    },
-                );
-            }
-            let par = match &routing {
-                None => annotate(graph.netlist(), &lib, &prefix.place.placement, true),
-                Some(r) => annotate_routed(graph.netlist(), &lib, r, true),
-            };
-            graph.set_parasitics(par);
-            let route_summary = routing
-                .as_ref()
-                .map(|r| r.summary(graph.netlist(), &prefix.place.placement));
-            obs.stage_done(FlowStage::Sizing, stage_clock.elapsed());
-            abort_if_cancelled(obs, FlowStage::Sizing)?;
-
-            let stage_clock = Instant::now();
-            let report = graph.report();
-            obs.stage_done(FlowStage::Sta, stage_clock.elapsed());
-            let (netlist, _) = graph.into_parts();
-            let art = RouteArtifact {
-                netlist,
-                min_period: report.min_period,
-                delta: stats_delta(report.stats, stats_before),
-                route: route_summary,
-            };
-            store.put(&rkey, &art.encode(&lib));
-            art
-        }
-    };
-
-    // --- final: equivalence check + closing arithmetic (never cached
-    // here — the serving tier caches whole outcomes by canonical key).
-    let timing_effort = stats_sum(prefix.place.stats, route_art.delta);
-    let mut verify_effort = prefix.pipeline.verify_effort;
-    if verify != VerifyLevel::Off {
-        abort_if_cancelled(obs, FlowStage::Sta)?;
-        let stage_clock = Instant::now();
-        match verify {
-            VerifyLevel::Off => unreachable!("guarded above"),
-            VerifyLevel::Sim => {
-                if !random_sim_equiv(
-                    &prefix.pipeline.netlist,
-                    &lib,
-                    &route_art.netlist,
-                    &lib,
-                    64,
-                    scenario.seed,
-                ) {
-                    return Err(GapError::Inequivalent {
-                        stage: "sizing".to_string(),
-                        output: "<random simulation>".to_string(),
-                    });
-                }
-            }
-            VerifyLevel::Full => {
-                let report = check_equiv(&prefix.pipeline.netlist, &lib, &route_art.netlist, &lib)?;
-                match report.result {
-                    EquivResult::Equivalent => {
-                        if let Some(e) = verify_effort.as_mut() {
-                            e.merge(&report.effort);
-                        }
-                    }
-                    EquivResult::Inequivalent(cex) => {
-                        return Err(GapError::Inequivalent {
-                            stage: "sizing".to_string(),
-                            output: cex.output,
-                        });
-                    }
-                }
-            }
-        }
-        obs.stage_done(FlowStage::Equiv, stage_clock.elapsed());
-    }
-
-    let min_period = fold_period(scenario, &lib, route_art.min_period);
-    let nominal = min_period.frequency();
-    let access_factor = match scenario.access {
-        ProcessAccess::AsicWorstCase => BinningPolicy::corner_quote(),
-        ProcessAccess::CustomBinned => {
-            ChipPopulation::sample(&VariationComponents::new_process(), 20_000, scenario.seed)
-                .quantile(0.75)
-        }
-    };
-    let shipped = Mhz::new(nominal.value() * access_factor);
-    let area_um2 = route_art.netlist.total_area_um2(&lib);
-    let mut switched: f64 = route_art
-        .netlist
-        .iter_instances()
-        .map(|(_, i)| lib.cell(i.cell()).power_proxy())
-        .sum();
-    if scenario.logic_style == LogicStyle::DominoCriticalPath {
-        switched *= 0.75 + 0.25 * LogicFamily::Domino.power_factor();
-    }
-    let power_proxy = switched * shipped.value() / 1000.0;
-
-    Ok((
-        ScenarioOutcome {
-            scenario: scenario.name.clone(),
-            fo4_per_cycle: scenario.technology.delay_in_fo4(min_period),
-            min_period,
-            shipped,
-            gates: route_art.netlist.instance_count(),
-            registers: prefix.pipeline.registers,
-            area_um2,
-            power_proxy,
-            timing_effort,
-            verify_effort,
-            route: route_art.route,
-        },
-        prefix.reuse,
-    ))
+    run_flow(scenario, workload, verify, obs, checkpoints)
 }
 
 /// [`close_timing_staged_cancellable`] for a nameable workload with no
@@ -1120,14 +1221,11 @@ pub fn close_timing_staged(
     )
 }
 
-/// The staged counterpart of
-/// [`DesignScenario::close_timing_cancellable`]: the closure prep
-/// resumes from the store's synth/pipeline/place artifacts (keyed at
-/// [`VerifyLevel::Off`] — closure prep never verifies, so it shares
-/// artifacts with unverified `RUN`s), then reroutes and drives the fix
-/// loop live. Trace bytes are identical to the monolith's at any cache
-/// state. `verify` arms the *loop's* move proofs, exactly as in
-/// `close_timing`.
+/// [`DesignScenario::close_timing_cancellable`] with checkpointing: the
+/// closure prep resumes from the store's synth/pipeline/place artifacts,
+/// then prices the wires and drives the fix loop live. Trace bytes are
+/// identical at any cache state. `verify` arms the *loop's* move proofs,
+/// exactly as in `close_timing`.
 ///
 /// # Errors
 ///
@@ -1144,79 +1242,11 @@ pub fn close_timing_staged_cancellable<W>(
 where
     W: FnOnce(&Library) -> Result<Netlist, asicgap_netlist::NetlistError>,
 {
-    let lib = scenario.library.build(&scenario.technology);
-    let mut prefix = run_prefix(
-        scenario,
-        &lib,
-        workload_canonical,
-        workload,
-        VerifyLevel::Off,
-        store,
-        &NoObserver,
-    )?;
-    let mut graph = match prefix.live.take() {
-        Some(graph) => graph,
-        None => TimingGraph::new(
-            prefix.place.netlist.clone(),
-            &lib,
-            ClockSpec::unconstrained(),
-            None,
-        ),
+    let checkpoints = Checkpoints {
+        store: Some(store),
+        workload: workload_canonical,
     };
-    let routing = match scenario.wire_model {
-        WireModel::Hpwl => None,
-        WireModel::Routed => Some(route(
-            graph.netlist(),
-            &prefix.place.placement,
-            &RouterOptions::seeded(scenario.seed),
-        )),
-    };
-    let par = match &routing {
-        None => annotate(graph.netlist(), &lib, &prefix.place.placement, true),
-        Some(r) => annotate_routed(graph.netlist(), &lib, r, true),
-    };
-    graph.set_parasitics(par);
-    if scenario.sizing != SizingQuality::AsMapped {
-        select_drives_on(
-            &mut graph,
-            &DriveOptions {
-                parasitics: None,
-                target_gain: 4.0,
-                passes: 2,
-            },
-        );
-    }
-    let par = match &routing {
-        None => annotate(graph.netlist(), &lib, &prefix.place.placement, true),
-        Some(r) => annotate_routed(graph.netlist(), &lib, r, true),
-    };
-    graph.set_parasitics(par);
-
-    let open_min_period = fold_period(scenario, &lib, graph.min_period());
-    let graph_target = unfold_period(scenario, &lib, target.period());
-    let loop_target = ClosureTarget {
-        frequency: graph_target.frequency(),
-        ..target.clone()
-    };
-    let mut route_ctx = routing.map(|routing| RouteContext {
-        placement: prefix.place.placement.clone(),
-        routing,
-        options: RouterOptions::seeded(scenario.seed),
-        repeaters: true,
-    });
-    let trace = close_on(&mut graph, route_ctx.as_mut(), &loop_target, verify, cancel)
-        .map_err(map_autopilot_err)?;
-    let closed_min_period = fold_period(scenario, &lib, graph.min_period());
-    Ok((
-        ClosureOutcome {
-            scenario: scenario.name.clone(),
-            target: target.frequency,
-            open_min_period,
-            closed_min_period,
-            trace,
-        },
-        prefix.reuse,
-    ))
+    close_flow(scenario, workload, verify, target, cancel, checkpoints)
 }
 
 #[cfg(test)]

@@ -24,6 +24,7 @@
 use std::fmt::Write as _;
 
 use asicgap_cells::Library;
+use asicgap_tech::fnv1a;
 
 use crate::error::NetlistError;
 use crate::ids::{InstId, NetId};
@@ -32,17 +33,6 @@ use crate::netlist::{
     pack_driver, InstRecord, NetDriver, Netlist, Sink, SinkSlot, DRIVER_NONE, FLAG_OUTPUT,
     INLINE_FANIN,
 };
-
-/// FNV-1a 64 over a byte string — the same constants every other
-/// content hash in the workspace uses.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// Percent-escapes a name so it is a single whitespace-free token.
 fn esc(name: &str) -> String {

@@ -16,6 +16,8 @@
 
 use std::fmt;
 
+use asicgap_tech::fnv1a;
+
 /// An interned name: an index into the owning netlist's name table.
 ///
 /// Symbols are only meaningful against the [`Netlist`](crate::Netlist)
@@ -35,15 +37,6 @@ impl fmt::Display for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "sym#{}", self.0)
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// The dedup index: an open-addressing table over the name table's

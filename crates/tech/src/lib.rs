@@ -41,6 +41,7 @@
 mod corner;
 mod error;
 mod fo4;
+mod hash;
 pub mod rng;
 mod technology;
 mod units;
@@ -48,6 +49,7 @@ mod units;
 pub use corner::{OperatingConditions, ProcessCorner};
 pub use error::TechError;
 pub use fo4::Fo4;
+pub use hash::fnv1a;
 pub use rng::{Rng64, SplitMix64};
 pub use technology::{Technology, WireLayer, WireParams};
 pub use units::{Ff, Mhz, Mm2, Ps, Um, Volt, Watt};

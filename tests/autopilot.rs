@@ -145,6 +145,37 @@ fn routed_closure_is_deterministic() {
     assert_eq!(reparsed.canonical_text(), outcome.trace.canonical_text());
 }
 
+/// A committed fanout buffer has no placement slot, so the net it taps
+/// can no longer be rerouted: the loop must stop offering that net, not
+/// index the placement out of bounds. `cla/18` routed at the default
+/// seed, closed at 1.05x its own fmax, is the first of six panicking
+/// points of the 8..=40 x 12-seed sweep; it commits buffers and keeps
+/// rerouting around them.
+#[test]
+fn reroute_skips_nets_tapped_by_a_committed_buffer() {
+    let scenario = DesignScenario::typical_asic().with_wire_model(WireModel::Routed);
+    let workload = WorkloadSpec::CarryLookaheadAdder { width: 18 };
+    let open = asicgap::run_scenario(&scenario, |lib| workload.build(lib)).expect("open loop");
+    let target = ClosureTarget::at(open.min_period.frequency().value() * 1.05);
+    let outcome = scenario
+        .close_timing(|lib| workload.build(lib), VerifyLevel::Off, &target)
+        .expect("closure returns a verdict");
+    let kinds: Vec<&str> = outcome
+        .trace
+        .iterations
+        .iter()
+        .map(|it| it.mv.kind.name())
+        .collect();
+    let first_buffer = kinds
+        .iter()
+        .position(|k| *k == "buffer")
+        .expect("the reproducer commits a buffer");
+    assert!(
+        kinds[first_buffer..].len() > 1,
+        "the loop kept going after the buffer: {kinds:?}"
+    );
+}
+
 /// Replaying a trace's move list against the starting netlist reproduces
 /// the committed netlist exactly — fingerprint-equal — even after a
 /// round trip through the canonical text form.
