@@ -535,38 +535,49 @@ impl Checkpoints<'_> {
     };
 
     /// One stage boundary: look the stage up under `key()`, else
-    /// `compute` it and write it back. Returns the product, the content
-    /// hash of its artifact text (the next key's `upstream`; 0 without
-    /// a store, where no key is ever built), and whether the store was
-    /// consulted / hit. A stored text that fails `parse` is a miss.
+    /// `compute` it and write it back. Returns the product, its
+    /// artifact text (what the next stage's key chains on; `None`
+    /// without a store, where no key is ever built), and whether the
+    /// store was consulted / hit. A stored text that fails `parse` is a
+    /// miss.
     fn stage<P>(
         &self,
         lib: &Library,
         key: impl FnOnce() -> String,
         (parse, encode): Codec<P>,
         compute: impl FnOnce() -> Result<P, GapError>,
-    ) -> Result<(P, u64, Option<bool>), GapError> {
+    ) -> Result<(P, Option<String>, Option<bool>), GapError> {
         let Some(store) = self.store else {
-            return Ok((compute()?, 0, None));
+            return Ok((compute()?, None, None));
         };
         let key = key();
         if let Some(text) = store.get(&key) {
             if let Ok(product) = parse(&text, lib) {
-                return Ok((product, content_hash(&text), Some(true)));
+                return Ok((product, Some(text), Some(true)));
             }
         }
         let product = compute()?;
         let text = encode(&product, lib);
         store.put(&key, &text);
-        Ok((product, content_hash(&text), Some(false)))
+        Ok((product, Some(text), Some(false)))
     }
 
-    /// The chain hash of a boundary that is passed through rather than
-    /// stored (there is no compute to save), so downstream keys still
-    /// see its content.
-    fn passthrough(&self, text: impl FnOnce() -> String) -> u64 {
-        self.store.map_or(0, |_| content_hash(&text()))
+    /// The artifact text of a boundary that is passed through rather
+    /// than stored (there is no compute to save), so downstream keys
+    /// still chain on its content.
+    fn passthrough(&self, text: impl FnOnce() -> String) -> Option<String> {
+        self.store.map(|_| text())
     }
+}
+
+/// The `upstream` of a stage key: the content hash of the artifact text
+/// the stage before it produced. Keys are only built against a store,
+/// and then every upstream stage kept its text.
+fn upstream(text: &Option<String>) -> u64 {
+    content_hash(
+        text.as_deref()
+            .expect("a checkpointed stage keeps its text"),
+    )
 }
 
 /// A stage product's strict text form: `parse` inverts `encode`.
@@ -636,7 +647,8 @@ struct Prefix<'l> {
     registers: usize,
     verify_effort: Option<EquivEffort>,
     placed: Placed<'l>,
-    place_hash: u64,
+    /// The place artifact's text, when a store kept it.
+    place_text: Option<String>,
 }
 
 /// Merges a proven-equivalent report's effort; a counterexample becomes
@@ -959,7 +971,7 @@ impl<'a> Flow<'a> {
             });
         }
 
-        let (synth, synth_hash, hit) = checkpoints.stage(
+        let (synth, synth_text, hit) = checkpoints.stage(
             lib,
             || synth_key(scenario, checkpoints.workload, verify),
             (SynthArtifact::parse, SynthArtifact::encode),
@@ -969,19 +981,19 @@ impl<'a> Flow<'a> {
         obs.stage_done(FlowStage::Synth, synth_clock.elapsed());
         abort_if_cancelled(obs, FlowStage::Synth)?;
 
-        let (pipeline, pipeline_hash) = if scenario.pipeline_stages < 2 {
+        let (pipeline, pipeline_text) = if scenario.pipeline_stages < 2 {
             let art = PipelineArtifact {
                 netlist: synth.netlist,
                 registers: 0,
                 verify_effort: synth.verify_effort,
             };
-            let hash = checkpoints.passthrough(|| art.encode(lib));
-            (art, hash)
+            let text = checkpoints.passthrough(|| art.encode(lib));
+            (art, text)
         } else {
             let clock = Instant::now();
-            let (art, hash, hit) = checkpoints.stage(
+            let (art, text, hit) = checkpoints.stage(
                 lib,
-                || pipeline_key(synth_hash, scenario, verify),
+                || pipeline_key(upstream(&synth_text), scenario, verify),
                 (PipelineArtifact::parse, PipelineArtifact::encode),
                 || self.pipeline(synth),
             )?;
@@ -994,7 +1006,7 @@ impl<'a> Flow<'a> {
                 last = FlowStage::Equiv;
             }
             abort_if_cancelled(obs, last)?;
-            (art, hash)
+            (art, text)
         };
 
         // The netlist as it enters the sizing/placement loop is the
@@ -1003,9 +1015,9 @@ impl<'a> Flow<'a> {
         let keep_golden = verify != VerifyLevel::Off;
         let mut entering = Some(pipeline.netlist);
         let clock = Instant::now();
-        let (placed, place_hash, hit) = checkpoints.stage(
+        let (placed, place_text, hit) = checkpoints.stage(
             lib,
-            || place_key(pipeline_hash, scenario),
+            || place_key(upstream(&pipeline_text), scenario),
             (Placed::parse, Placed::encode),
             || {
                 let netlist = if keep_golden {
@@ -1026,7 +1038,7 @@ impl<'a> Flow<'a> {
             registers: pipeline.registers,
             verify_effort: pipeline.verify_effort,
             placed,
-            place_hash,
+            place_text,
         })
     }
 }
@@ -1066,7 +1078,7 @@ where
     let clock = Instant::now();
     let (route, _, hit) = checkpoints.stage(
         &lib,
-        || route_key(prefix.place_hash, scenario),
+        || route_key(upstream(&prefix.place_text), scenario),
         (RouteArtifact::parse, RouteArtifact::encode),
         || flow.route_stage(placed.timer, &placed.placement),
     )?;

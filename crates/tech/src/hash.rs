@@ -5,6 +5,7 @@
 /// netlist digests, trace fingerprints, the name interner. Everything
 /// keyed by it stores the full key beside the hash, so a collision
 /// costs a miss, never a wrong answer.
+#[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
