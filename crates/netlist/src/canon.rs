@@ -3,7 +3,7 @@
 //! The stage-granular flow cache checkpoints netlists between flow
 //! stages, and the PR 2 determinism contract means a resumed stage must
 //! see a netlist **bit-for-bit equivalent** in every observable respect
-//! to the one the monolithic flow would have carried across the same
+//! to the one an uninterrupted flow would have carried across the same
 //! boundary: instance order, net order, fan-in pin order, *per-net sink
 //! order* (downstream work counts depend on it), names, and the
 //! input/output declaration lists.

@@ -1,6 +1,7 @@
-//! Stage-granular cache correctness: staged-cold, staged-resumed, and
-//! monolithic runs must all produce byte-identical canonical outcome
-//! text — the determinism contract extends through the artifact store.
+//! Stage-granular cache correctness: storeless, stored-cold, and resumed
+//! runs of the one flow body must all produce byte-identical canonical
+//! outcome text — the determinism contract extends through the artifact
+//! store — and the storeless bytes themselves are pinned as digests.
 
 use asicgap::{
     close_timing_staged, run_scenario_staged, ArtifactStore, ClosureTarget, DesignScenario,
@@ -11,16 +12,16 @@ fn alu8() -> WorkloadSpec {
     WorkloadSpec::Alu { width: 8 }
 }
 
-fn monolith(
+fn storeless(
     scenario: &DesignScenario,
     workload: &WorkloadSpec,
     verify: VerifyLevel,
 ) -> asicgap::ScenarioOutcome {
-    asicgap::run_scenario_verified(scenario, |lib| workload.build(lib), verify).expect("monolith")
+    asicgap::run_scenario_verified(scenario, |lib| workload.build(lib), verify).expect("storeless")
 }
 
 #[test]
-fn staged_cold_and_resumed_match_monolith_byte_for_byte() {
+fn storeless_stored_cold_and_resumed_match_byte_for_byte() {
     // Spans the interesting axes: unpipelined/pipelined, HPWL/routed,
     // drive-selected/continuous sizing, every verify tier, domino+binned.
     let cases = [
@@ -34,11 +35,11 @@ fn staged_cold_and_resumed_match_monolith_byte_for_byte() {
     ];
     let w = alu8();
     for (scenario, verify) in cases {
-        let want = monolith(&scenario, &w, verify);
+        let want = storeless(&scenario, &w, verify);
         let store = MemStore::new();
 
         let (cold, reuse) = run_scenario_staged(&scenario, &w, verify, &store).expect("cold");
-        assert_eq!(cold, want, "cold staged != monolith for {}", scenario.name);
+        assert_eq!(cold, want, "stored-cold != storeless for {}", scenario.name);
         assert_eq!(cold.canonical_text(), want.canonical_text());
         assert_eq!(reuse.hits(), 0, "cold run found hits in an empty store");
         assert!(reuse.lookups() >= 3);
@@ -83,7 +84,7 @@ fn wire_model_change_reuses_prefix_and_stays_byte_identical() {
     assert_eq!(out.canonical_text(), cold.canonical_text());
     assert_eq!(
         out.canonical_text(),
-        monolith(&routed, &w, VerifyLevel::Off).canonical_text()
+        storeless(&routed, &w, VerifyLevel::Off).canonical_text()
     );
 }
 
@@ -123,16 +124,16 @@ fn final_only_knobs_hit_every_checkpoint() {
 }
 
 #[test]
-fn close_staged_matches_monolith_and_reuses_run_artifacts() {
+fn close_staged_matches_storeless_and_reuses_run_artifacts() {
     let w = alu8();
     let scenario = DesignScenario::typical_asic();
     let target = ClosureTarget::at(170.0);
 
     let want = scenario
         .close_timing(|lib| w.build(lib), VerifyLevel::Off, &target)
-        .expect("monolith close");
+        .expect("storeless close");
 
-    // Cold staged close == monolith close, byte for byte.
+    // Stored-cold close == storeless close, byte for byte.
     let store = MemStore::new();
     let (cold, reuse) =
         close_timing_staged(&scenario, &w, VerifyLevel::Off, &target, &store).expect("cold close");
@@ -157,7 +158,7 @@ fn close_staged_matches_monolith_and_reuses_run_artifacts() {
 #[test]
 fn corrupt_artifacts_degrade_to_misses() {
     // A store that answers every get with garbage: the staged run must
-    // recompute everything and still land on the monolith's bytes.
+    // recompute everything and still land on the storeless bytes.
     struct Garbage(MemStore);
     impl ArtifactStore for Garbage {
         fn get(&self, key: &str) -> Option<String> {
@@ -177,7 +178,7 @@ fn corrupt_artifacts_degrade_to_misses() {
     assert_eq!(reuse.hits(), 0, "garbage must never parse as a hit");
     assert_eq!(
         out.canonical_text(),
-        monolith(&scenario, &w, VerifyLevel::Off).canonical_text()
+        storeless(&scenario, &w, VerifyLevel::Off).canonical_text()
     );
 }
 
@@ -216,10 +217,11 @@ const VERIFY_LEVELS: [VerifyLevel; 3] = [VerifyLevel::Off, VerifyLevel::Sim, Ver
 
 /// One `content_hash` over the concatenated canonical text of the
 /// storeless flow on `factor_grid()` + the three presets, per
-/// workload × wire model × verify level. Recorded once from the flow
-/// body that `staged_cold_and_resumed_match_monolith_byte_for_byte`
-/// proved byte-identical to the checkpointed chain; any edit to the one
-/// flow body that moves a bit of any outcome moves a digest here.
+/// workload × wire model × verify level. Recorded once, from the
+/// separate uncheckpointed body the flow used to have (which this file
+/// held byte-identical to the checkpointed chain), before it was
+/// deleted; any edit to the one flow body that moves a bit of any
+/// outcome moves a digest here.
 #[test]
 fn storeless_outcome_digest_matrix() {
     // [workload][wire model][verify]; Off and Sim agree because the Sim
@@ -282,7 +284,7 @@ fn storeless_closure_digest_matrix() {
             let mut text = String::new();
             for preset in presets() {
                 let scenario = preset.with_wire_model(model);
-                let open = monolith(&scenario, workload, VerifyLevel::Off);
+                let open = storeless(&scenario, workload, VerifyLevel::Off);
                 let target = ClosureTarget::at(open.min_period.frequency().value() * 1.1);
                 let closed = scenario
                     .close_timing(|lib| workload.build(lib), VerifyLevel::Off, &target)
