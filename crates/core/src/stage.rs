@@ -919,10 +919,12 @@ impl<'a> Flow<'a> {
         let min_period = fold_period(scenario, lib, route.min_period);
         let access_factor = match scenario.access {
             ProcessAccess::AsicWorstCase => BinningPolicy::corner_quote(),
-            ProcessAccess::CustomBinned => {
-                ChipPopulation::sample(&VariationComponents::new_process(), 20_000, scenario.seed)
-                    .quantile(0.75)
-            }
+            ProcessAccess::CustomBinned => ChipPopulation::sampled_quantile(
+                &VariationComponents::new_process(),
+                20_000,
+                scenario.seed,
+                0.75,
+            ),
         };
         let shipped = Mhz::new(min_period.frequency().value() * access_factor);
         // Domino critical paths switch every cycle regardless of data;

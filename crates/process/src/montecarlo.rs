@@ -5,8 +5,9 @@
 //! population seed by lot index ([`asicgap_exec::split_seed`]) and the
 //! lots are generated concurrently on the workspace pool. Because every
 //! lot's draws depend only on `(seed, lot index)` and lots are
-//! concatenated in index order before the final sort, the population is
-//! bit-for-bit identical at any `ASICGAP_THREADS` setting.
+//! concatenated in index order before the final sort (or, for a single
+//! [`ChipPopulation::sampled_quantile`], the selection), the population
+//! is bit-for-bit identical at any `ASICGAP_THREADS` setting.
 
 use asicgap_exec::{split_seed, Pool};
 use asicgap_tech::Rng64;
@@ -37,7 +38,26 @@ impl ChipPopulation {
     ///
     /// Panics if `n == 0`.
     pub fn sample(components: &VariationComponents, n: usize, seed: u64) -> ChipPopulation {
-        Self::sample_lots(n, seed, components, |rng, lot_wafer| {
+        Self::sorted(Self::draw(components, n, seed))
+    }
+
+    /// `sample(components, n, seed).quantile(q)` to the bit, without the
+    /// population: the same chips are drawn in the same lot order and the
+    /// one order statistic is selected under the same comparison, so only
+    /// the full sort is skipped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or `q` is outside `[0, 1]`.
+    pub fn sampled_quantile(components: &VariationComponents, n: usize, seed: u64, q: f64) -> f64 {
+        let mut speeds = Self::draw(components, n, seed);
+        let idx = quantile_index(speeds.len(), q);
+        *speeds.select_nth_unstable_by(idx, by_speed).1
+    }
+
+    /// `n` chips of the default within-die model, in lot order (unsorted).
+    fn draw(components: &VariationComponents, n: usize, seed: u64) -> Vec<f64> {
+        Self::draw_lots(n, seed, components, |rng, lot_wafer| {
             let die = gauss(rng) * components.die_sigma;
             // Within-die: the worst of several path draws only slows
             // the chip.
@@ -60,23 +80,23 @@ impl ChipPopulation {
         n: usize,
         seed: u64,
     ) -> ChipPopulation {
-        Self::sample_lots(n, seed, components, |rng, lot_wafer| {
+        Self::sorted(Self::draw_lots(n, seed, components, |rng, lot_wafer| {
             let die = gauss(rng) * components.die_sigma;
             let wid = within_die.sample(rng);
             (lot_wafer + die).exp() * wid
-        })
+        }))
     }
 
-    /// The shared lot-parallel sampling skeleton. `die_speed` draws one
-    /// die given the summed lot+wafer offset; it must use only the
-    /// passed RNG, so each lot's stream is a pure function of its split
-    /// seed and the population is schedule-independent.
-    fn sample_lots(
+    /// The shared lot-parallel drawing skeleton: `n` speeds in lot order.
+    /// `die_speed` draws one die given the summed lot+wafer offset; it
+    /// must use only the passed RNG, so each lot's stream is a pure
+    /// function of its split seed and the draw is schedule-independent.
+    fn draw_lots(
         n: usize,
         seed: u64,
         components: &VariationComponents,
         die_speed: impl Fn(&mut Rng64, f64) -> f64 + Sync,
-    ) -> ChipPopulation {
+    ) -> Vec<f64> {
         assert!(n > 0, "population must be non-empty");
         let lots = n.div_ceil(DIES_PER_LOT);
         let per_lot = Pool::from_env().run(lots, |lot_index| {
@@ -92,10 +112,14 @@ impl ChipPopulation {
             lot_speeds
         });
         // Ordered reduction: lots concatenate in index order before the
-        // truncate-and-sort, so the population never depends on which
-        // worker finished first.
-        let mut speeds: Vec<f64> = per_lot.into_iter().flatten().take(n).collect();
-        speeds.sort_by(|a, b| a.partial_cmp(b).expect("speeds are finite"));
+        // truncation, so the draw never depends on which worker finished
+        // first.
+        per_lot.into_iter().flatten().take(n).collect()
+    }
+
+    /// The population of drawn `speeds`: sorted ascending.
+    fn sorted(mut speeds: Vec<f64>) -> ChipPopulation {
+        speeds.sort_by(by_speed);
         ChipPopulation { speeds }
     }
 
@@ -115,9 +139,7 @@ impl ChipPopulation {
     ///
     /// Panics if `q` is outside `[0, 1]`.
     pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile {q} out of [0, 1]");
-        let idx = ((self.speeds.len() - 1) as f64 * q).round() as usize;
-        self.speeds[idx]
+        self.speeds[quantile_index(self.speeds.len(), q)]
     }
 
     /// Median speed.
@@ -146,6 +168,17 @@ impl ChipPopulation {
     }
 }
 
+/// The one order on chip speeds (all finite), slowest first.
+fn by_speed(a: &f64, b: &f64) -> std::cmp::Ordering {
+    a.partial_cmp(b).expect("speeds are finite")
+}
+
+/// Index of the `q`-quantile among `len` ascending speeds.
+fn quantile_index(len: usize, q: f64) -> usize {
+    assert!((0.0..=1.0).contains(&q), "quantile {q} out of [0, 1]");
+    ((len - 1) as f64 * q).round() as usize
+}
+
 /// Box-Muller standard normal.
 fn gauss(rng: &mut Rng64) -> f64 {
     rng.gauss()
@@ -164,6 +197,35 @@ mod tests {
         let a = ChipPopulation::sample(&VariationComponents::new_process(), 1000, 42);
         let b = ChipPopulation::sample(&VariationComponents::new_process(), 1000, 42);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn sampled_quantile_is_the_population_quantile_to_the_bit() {
+        // A multiple of the 5000-die lot, not a multiple, and under one lot.
+        for n in [10_000, 20_000, 12_345, 777, 1] {
+            for seed in [0, 6, 42, 0xdead_beef] {
+                for components in [
+                    VariationComponents::new_process(),
+                    VariationComponents::mature_process(),
+                ] {
+                    let population = ChipPopulation::sample(&components, n, seed);
+                    for q in [0.0, 0.25, 0.5, 0.75, 1.0] {
+                        let sampled = ChipPopulation::sampled_quantile(&components, n, seed, q);
+                        assert_eq!(
+                            sampled.to_bits(),
+                            population.quantile(q).to_bits(),
+                            "n {n} seed {seed} q {q}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of [0, 1]")]
+    fn sampled_quantile_rejects_q_outside_unit_interval() {
+        ChipPopulation::sampled_quantile(&VariationComponents::new_process(), 100, 1, 1.5);
     }
 
     #[test]
