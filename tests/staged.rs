@@ -334,27 +334,26 @@ impl FlowObserver for Recorder {
     }
 }
 
-/// The two executions every observer contract is held to: no store, and
-/// a fresh (cold) store.
+/// One observed execution: against `store` when there is one (cold or
+/// warm is the caller's business), storeless otherwise.
 fn observe(
     scenario: &DesignScenario,
     workload: &WorkloadSpec,
     verify: VerifyLevel,
-    stored: bool,
+    store: Option<&dyn ArtifactStore>,
     rec: &Recorder,
 ) -> Result<asicgap::ScenarioOutcome, GapError> {
-    if stored {
-        run_scenario_staged_observed(
+    match store {
+        Some(store) => run_scenario_staged_observed(
             scenario,
             &workload.canonical(),
             |lib| workload.build(lib),
             verify,
-            &MemStore::new(),
+            store,
             rec,
         )
-        .map(|(out, _)| out)
-    } else {
-        run_scenario_observed(scenario, |lib| workload.build(lib), verify, rec)
+        .map(|(out, _)| out),
+        None => run_scenario_observed(scenario, |lib| workload.build(lib), verify, rec),
     }
 }
 
@@ -378,10 +377,28 @@ fn pinned_sequence(pipelined: bool, routed: bool, verified: bool) -> String {
     s
 }
 
+/// The callback sequence of a fully resumed run: each checkpoint
+/// reports its lookup under its own stage and is followed by that
+/// stage's poll; the final check (never checkpointed) still runs.
+fn pinned_resumed_sequence(pipelined: bool, routed: bool, verified: bool) -> String {
+    let mut s = String::from("synth ?");
+    if pipelined {
+        s.push_str(" pipeline ?");
+    }
+    s.push_str(" place ? ");
+    s.push_str(if routed { "route" } else { "place" });
+    s.push_str(" ?");
+    if verified {
+        s.push_str(" ? equiv");
+    }
+    s
+}
+
 /// The exact callback sequence a `FlowObserver` sees, per preset ×
 /// wire model × verify level. The benchmark's span coverage and
 /// `served`'s stage histograms are built from this stream, so it is
-/// pinned, and the stored-cold path must emit the same one.
+/// pinned; the stored-cold path must emit the same one, and the resumed
+/// path its own pinned one.
 #[test]
 fn observer_sequence_is_pinned_and_store_independent() {
     assert_eq!(
@@ -392,24 +409,38 @@ fn observer_sequence_is_pinned_and_store_independent() {
         pinned_sequence(false, false, false),
         "synth ? sta sizing ? place ? place ? sizing ? sta"
     );
+    assert_eq!(
+        pinned_resumed_sequence(true, true, true),
+        "synth ? pipeline ? place ? route ? ? equiv"
+    );
     let w = alu8();
     for preset in presets() {
         for model in WIRE_MODELS {
             let scenario = preset.clone().with_wire_model(model);
             for verify in VERIFY_LEVELS {
-                let want = pinned_sequence(
+                let shape = (
                     scenario.pipeline_stages >= 2,
                     model == WireModel::Routed,
                     verify != VerifyLevel::Off,
                 );
+                let want = pinned_sequence(shape.0, shape.1, shape.2);
                 let what = format!("{} {model:?} {verify:?}", scenario.name);
                 let rec = Recorder::cancelling_at(usize::MAX);
-                let plain = observe(&scenario, &w, verify, false, &rec).expect("storeless");
+                let plain = observe(&scenario, &w, verify, None, &rec).expect("storeless");
                 assert_eq!(rec.log(), want, "storeless sequence moved for {what}");
+                let store = MemStore::new();
                 let rec = Recorder::cancelling_at(usize::MAX);
-                let stored = observe(&scenario, &w, verify, true, &rec).expect("stored");
+                let stored = observe(&scenario, &w, verify, Some(&store), &rec).expect("stored");
                 assert_eq!(rec.log(), want, "stored-cold sequence moved for {what}");
                 assert_eq!(plain.canonical_text(), stored.canonical_text());
+                let rec = Recorder::cancelling_at(usize::MAX);
+                let resumed = observe(&scenario, &w, verify, Some(&store), &rec).expect("resumed");
+                assert_eq!(
+                    rec.log(),
+                    pinned_resumed_sequence(shape.0, shape.1, shape.2),
+                    "resumed sequence moved for {what}"
+                );
+                assert_eq!(plain.canonical_text(), resumed.canonical_text());
             }
         }
     }
@@ -427,7 +458,7 @@ fn cancellation_at_every_boundary_on_both_paths() {
     let scenario = DesignScenario::best_practice_asic().with_wire_model(WireModel::Routed);
     let verify = VerifyLevel::Full;
     let full = Recorder::cancelling_at(usize::MAX);
-    let want = observe(&scenario, &w, verify, false, &full).expect("uncancelled");
+    let want = observe(&scenario, &w, verify, None, &full).expect("uncancelled");
     let full = full.log();
     let polls = full.matches('?').count();
     assert_eq!(polls, 8, "boundaries in the verified routed flow: {full}");
@@ -453,7 +484,9 @@ fn cancellation_at_every_boundary_on_both_paths() {
             .expect("a stage precedes every poll");
         for stored in [false, true] {
             let rec = Recorder::cancelling_at(k);
-            let err = observe(&scenario, &w, verify, stored, &rec).expect_err("cancelled");
+            let fresh = MemStore::new();
+            let store = stored.then_some(&fresh as &dyn ArtifactStore);
+            let err = observe(&scenario, &w, verify, store, &rec).expect_err("cancelled");
             match err {
                 GapError::Cancelled { after: got } => assert_eq!(
                     got.label(),
@@ -488,4 +521,294 @@ fn cancellation_at_every_boundary_on_both_paths() {
         );
     }
     assert_eq!(resumed, RESUMED, "resume points moved; got {resumed:#?}");
+}
+
+// ---------------------------------------------------------------------------
+// What a second request reuses of a first, and what a damaged store costs.
+// ---------------------------------------------------------------------------
+
+/// `StageReuse` as four characters: the stage's letter for a hit, `-`
+/// for a miss, `.` for a checkpoint that was never consulted.
+fn reuse_code(reuse: &StageReuse) -> String {
+    reuse
+        .entries()
+        .iter()
+        .zip(["s", "p", "l", "r"])
+        .map(|((_, state), tag)| match state {
+            Some(true) => tag,
+            Some(false) => "-",
+            None => ".",
+        })
+        .collect()
+}
+
+/// The stage a store key belongs to (0 = synth … 3 = route), read off
+/// the key's header line.
+fn key_stage(key: &str) -> usize {
+    let label = key
+        .lines()
+        .next()
+        .and_then(|header| header.split(' ').nth(1))
+        .expect("stage keys open with `<scheme> <stage>`");
+    ["synth", "pipeline", "place", "route"]
+        .iter()
+        .position(|s| *s == label)
+        .expect("a checkpointed stage")
+}
+
+/// A warm store seen through damage: per stage, its artifact can be
+/// gone, or come back torn in half.
+struct Damaged<'s> {
+    inner: &'s MemStore,
+    evicted: [bool; 4],
+    torn: [bool; 4],
+}
+
+impl ArtifactStore for Damaged<'_> {
+    fn get(&self, key: &str) -> Option<String> {
+        let stage = key_stage(key);
+        if self.evicted[stage] {
+            return None;
+        }
+        let text = self.inner.get(key)?;
+        Some(if self.torn[stage] {
+            text[..text.len() / 2].to_string()
+        } else {
+            text
+        })
+    }
+
+    fn put(&self, _key: &str, _value: &str) {}
+}
+
+/// (change, [unpipelined preset, pipelined preset]) → the second run's
+/// reuse code and observer log. `CLOSE` prep reports to no observer.
+type ReuseRow = (&'static str, [(&'static str, &'static str); 2]);
+
+/// The second request of each pair, run against the store the first one
+/// filled, for the typical (unpipelined) and best-practice (5-stage)
+/// presets. Recorded on the content-chained key scheme; a later scheme
+/// may turn a `-` into a letter, never the reverse, and must leave the
+/// `equiv` callbacks — the checks actually run — where they are.
+const REUSE_MATRIX: [ReuseRow; 9] = [
+    (
+        "same",
+        [
+            ("s.lr", "synth ? place ? place ?"),
+            ("splr", "synth ? pipeline ? place ? place ?"),
+        ],
+    ),
+    (
+        "wire flip",
+        [
+            ("s.l-", "synth ? place ? route ? sizing ? sta"),
+            ("spl-", "synth ? pipeline ? place ? route ? sizing ? sta"),
+        ],
+    ),
+    (
+        "seed flip",
+        [
+            ("s.--", "synth ? sta sizing ? place ? place ? sizing ? sta"),
+            (
+                "sp--",
+                "synth ? pipeline ? sta sizing ? place ? place ? sizing ? sta",
+            ),
+        ],
+    ),
+    (
+        "sizing flip",
+        [
+            ("s.--", "synth ? sta sizing ? place ? place ? sizing ? sta"),
+            (
+                "sp--",
+                "synth ? pipeline ? sta sizing ? place ? place ? sizing ? sta",
+            ),
+        ],
+    ),
+    (
+        "final-only knobs",
+        [
+            ("s.lr", "synth ? place ? place ?"),
+            ("splr", "synth ? pipeline ? place ? place ?"),
+        ],
+    ),
+    ("run then close", [("s.l.", ""), ("spl.", "")]),
+    // The synth key names the verify level, so the proof-carrying
+    // artifacts miss; an unverified netlist's bytes are the same, so
+    // whatever chains on content alone still hits.
+    (
+        "verify off then sim",
+        [
+            ("-.lr", "synth ? place ? place ? ? equiv"),
+            ("--lr", "synth ? pipeline ? equiv ? place ? place ? ? equiv"),
+        ],
+    ),
+    (
+        "verify off then full",
+        [
+            ("-.-r", "synth ? sta sizing ? place ? place ? ? equiv"),
+            (
+                "---r",
+                "synth ? pipeline ? equiv ? sta sizing ? place ? place ? ? equiv",
+            ),
+        ],
+    ),
+    (
+        "verify full then off",
+        [
+            ("-.-r", "synth ? sta sizing ? place ? place ?"),
+            ("---r", "synth ? pipeline ? sta sizing ? place ? place ?"),
+        ],
+    ),
+];
+
+#[test]
+fn second_request_reuse_matrix() {
+    let w = alu8();
+    let mut got = Vec::new();
+    for (change, _) in REUSE_MATRIX {
+        let mut row = Vec::new();
+        for preset in [
+            DesignScenario::typical_asic(),
+            DesignScenario::best_practice_asic(),
+        ] {
+            let mut second = preset.clone();
+            let (mut v1, mut v2) = (VerifyLevel::Off, VerifyLevel::Off);
+            match change {
+                "same" | "run then close" => {}
+                "wire flip" => second.wire_model = WireModel::Routed,
+                "seed flip" => second.seed = 7,
+                "sizing flip" => second.sizing = asicgap::SizingQuality::Continuous,
+                "final-only knobs" => {
+                    second.skew_fraction = 0.05;
+                    second.access = asicgap::ProcessAccess::CustomBinned;
+                }
+                "verify off then sim" => v2 = VerifyLevel::Sim,
+                "verify off then full" => v2 = VerifyLevel::Full,
+                "verify full then off" => v1 = VerifyLevel::Full,
+                other => panic!("unknown change {other}"),
+            }
+            let store = MemStore::new();
+            run_scenario_staged(&preset, &w, v1, &store).expect("first request");
+            let what = format!("{change} / {}", preset.name);
+            if change == "run then close" {
+                let open = storeless(&second, &w, VerifyLevel::Off);
+                let target = ClosureTarget::at(open.min_period.frequency().value() * 1.05);
+                let want = second
+                    .close_timing(|lib| w.build(lib), VerifyLevel::Off, &target)
+                    .expect("storeless close");
+                let (closed, reuse) =
+                    close_timing_staged(&second, &w, VerifyLevel::Off, &target, &store)
+                        .expect("close on the run's store");
+                assert_eq!(closed.canonical_text(), want.canonical_text(), "{what}");
+                row.push((reuse_code(&reuse), String::new()));
+                continue;
+            }
+            let rec = Recorder::cancelling_at(usize::MAX);
+            let (out, reuse) = run_scenario_staged_observed(
+                &second,
+                &w.canonical(),
+                |lib| w.build(lib),
+                v2,
+                &store,
+                &rec,
+            )
+            .expect("second request");
+            assert_eq!(
+                out.canonical_text(),
+                storeless(&second, &w, v2).canonical_text(),
+                "{what}"
+            );
+            row.push((reuse_code(&reuse), rec.log()));
+        }
+        got.push((change, row));
+    }
+    let want: Vec<(&str, Vec<(String, String)>)> = REUSE_MATRIX
+        .iter()
+        .map(|(change, row)| {
+            let row = row.iter().map(|(r, l)| (r.to_string(), l.to_string()));
+            (*change, row.collect())
+        })
+        .collect();
+    assert_eq!(got, want, "reuse matrix moved; got {got:#?}");
+}
+
+/// Every subset of a warm store's four artifacts evicted: the run
+/// resumes from whatever is left and lands on the storeless bytes. The
+/// reuse codes (index = eviction mask, bit k = stage k gone) are pinned
+/// for the pipelined preset.
+#[test]
+fn every_partial_store_resumes_to_the_storeless_bytes() {
+    const WANT: [&str; 16] = [
+        "splr", "-plr", "s-lr", "--lr", "sp-r", "-p-r", "s--r", "---r", "spl-", "-pl-", "s-l-",
+        "--l-", "sp--", "-p--", "s---", "----",
+    ];
+    let w = alu8();
+    let mut got = Vec::new();
+    for (scenario, verify) in [
+        (DesignScenario::best_practice_asic(), VerifyLevel::Off),
+        (DesignScenario::typical_asic(), VerifyLevel::Off),
+        (
+            DesignScenario::best_practice_asic().with_wire_model(WireModel::Routed),
+            VerifyLevel::Full,
+        ),
+    ] {
+        let want = storeless(&scenario, &w, verify).canonical_text();
+        let warm = MemStore::new();
+        run_scenario_staged(&scenario, &w, verify, &warm).expect("warming run");
+        for mask in 0..16usize {
+            let store = Damaged {
+                inner: &warm,
+                evicted: [0, 1, 2, 3].map(|k| mask >> k & 1 == 1),
+                torn: [false; 4],
+            };
+            let (out, reuse) =
+                run_scenario_staged(&scenario, &w, verify, &store).expect("partial resume");
+            assert_eq!(
+                out.canonical_text(),
+                want,
+                "{} {verify:?} mask {mask:04b}",
+                scenario.name
+            );
+            if got.len() < 16 {
+                got.push(reuse_code(&reuse));
+            }
+        }
+    }
+    assert_eq!(got, WANT, "partial-store reuse moved; got {got:#?}");
+}
+
+/// One artifact torn at a time. With the rest of the store intact no
+/// other stage is recomputed; with everything downstream gone as well,
+/// the run resumes from just above the damage. Bytes never move.
+#[test]
+fn a_torn_artifact_costs_only_its_own_stage() {
+    let w = alu8();
+    let scenario = DesignScenario::best_practice_asic();
+    let want = storeless(&scenario, &w, VerifyLevel::Off).canonical_text();
+    let warm = MemStore::new();
+    run_scenario_staged(&scenario, &w, VerifyLevel::Off, &warm).expect("warming run");
+    for stage in 0..4 {
+        let mut torn = [false; 4];
+        torn[stage] = true;
+        for downstream_gone in [false, true] {
+            let store = Damaged {
+                inner: &warm,
+                evicted: [0, 1, 2, 3].map(|k| downstream_gone && k > stage),
+                torn,
+            };
+            let (out, reuse) = run_scenario_staged(&scenario, &w, VerifyLevel::Off, &store)
+                .expect("run over a torn artifact");
+            assert_eq!(out.canonical_text(), want, "stage {stage} torn");
+            for (k, (label, state)) in reuse.entries().iter().enumerate() {
+                let lost = k == stage || (downstream_gone && k > stage);
+                if !lost {
+                    assert_eq!(*state, Some(true), "{label} with stage {stage} torn");
+                } else if downstream_gone || k == 3 {
+                    // Nothing downstream can vouch for it.
+                    assert_eq!(*state, Some(false), "{label} with stage {stage} torn");
+                }
+            }
+        }
+    }
 }
