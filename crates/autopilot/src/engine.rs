@@ -153,20 +153,6 @@ impl Candidate {
     }
 }
 
-fn add_stats(acc: &mut IncrementalStats, s: IncrementalStats) {
-    acc.full_propagations += s.full_propagations;
-    acc.incremental_updates += s.incremental_updates;
-    acc.pins_touched += s.pins_touched;
-}
-
-fn sub_stats(a: IncrementalStats, b: IncrementalStats) -> IncrementalStats {
-    IncrementalStats {
-        full_propagations: a.full_propagations - b.full_propagations,
-        incremental_updates: a.incremental_updates - b.incremental_updates,
-        pins_touched: a.pins_touched - b.pins_touched,
-    }
-}
-
 /// Total switching-power proxy of the netlist (see `LibCell::power_proxy`).
 fn power_total(netlist: &Netlist, lib: &Library) -> f64 {
     netlist
@@ -351,8 +337,7 @@ pub fn close_on<'a>(
     let final_wns = graph.wns();
     let final_area_um2 = graph.netlist().total_area_um2(lib);
     let netlist_hash = netlist_fingerprint(graph.netlist(), lib);
-    let mut effort = base_effort;
-    add_stats(&mut effort, graph.stats());
+    let effort = base_effort + graph.stats();
     Ok(ConvergenceTrace {
         target_mhz: target.frequency.value(),
         period: target.period(),
@@ -477,7 +462,7 @@ fn try_local_moves<'a>(
                     .insert_buffer(*net, *cell, moved)
                     .ok()
                     .map(|_| probe.min_period());
-                add_stats(base_effort, sub_stats(probe.stats(), before));
+                *base_effort += probe.stats() - before;
                 p
             }
             Candidate::Reroute { net } => {
@@ -661,7 +646,7 @@ fn try_escalations<'a>(
             let p = cand.min_period();
             if p < current && new_area <= target.max_area_um2 && new_power <= target.max_power {
                 let old = std::mem::replace(graph, cand);
-                add_stats(base_effort, old.stats());
+                *base_effort += old.stats();
                 *routes_stale = true;
                 let proof =
                     (verify == VerifyLevel::Full && proofs == deltas.len()).then_some(StageProof {
@@ -675,7 +660,7 @@ fn try_escalations<'a>(
                     proof,
                 }));
             }
-            add_stats(base_effort, cand.stats());
+            *base_effort += cand.stats();
         }
     }
 
@@ -711,7 +696,7 @@ fn try_escalations<'a>(
         let p = cand.min_period();
         if p < current && new_area <= target.max_area_um2 && new_power <= target.max_power {
             let old = std::mem::replace(graph, cand);
-            add_stats(base_effort, old.stats());
+            *base_effort += old.stats();
             *routes_stale = true;
             return Ok(Some(MoveRecord {
                 kind: MoveKind::Retime,
@@ -720,7 +705,7 @@ fn try_escalations<'a>(
                 proof,
             }));
         }
-        add_stats(base_effort, cand.stats());
+        *base_effort += cand.stats();
     }
 
     Ok(None)

@@ -21,6 +21,7 @@ use std::fmt::Write;
 use std::str::Lines;
 
 use asicgap_equiv::{EquivEffort, VerifyLevel};
+use asicgap_place::Placement;
 use asicgap_route::RouteSummary;
 use asicgap_sta::IncrementalStats;
 use asicgap_tech::{Mhz, Ps};
@@ -133,6 +134,93 @@ pub(crate) fn parse_route(s: &str) -> Result<Option<RouteSummary>, GapError> {
         hpwl_um: parse_num("route.hpwl_um", r[3])?,
         vias: parse_num("route.vias", r[4])?,
     }))
+}
+
+/// One coordinate pair per line, each `f64` as the 16 lower-case hex
+/// digits of [`f64::to_bits`].
+const POINT_LINE: usize = 16 + 1 + 16 + 1;
+
+fn put_bits(w: &mut Vec<u8>, v: f64, end: u8) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bits = v.to_bits();
+    let mut digits = [end; 17];
+    for (k, d) in digits[..16].iter_mut().enumerate() {
+        *d = HEX[(bits >> (60 - 4 * k)) as usize & 15];
+    }
+    w.extend_from_slice(&digits);
+}
+
+fn parse_bits(field: &str, s: &str) -> Result<f64, GapError> {
+    let mut bits = 0u64;
+    let digit = |b: u8| match b {
+        b'0'..=b'9' => Some(b - b'0'),
+        b'a'..=b'f' => Some(b - b'a' + 10),
+        _ => None,
+    };
+    for b in s.bytes() {
+        bits = bits << 4 | u64::from(digit(b).ok_or_else(|| bad(format!("field {field}: {s:?}")))?);
+    }
+    if s.len() != 16 {
+        return Err(bad(format!("field {field}: {s:?}")));
+    }
+    Ok(f64::from_bits(bits))
+}
+
+/// Appends `p` as a `placement W H` line and three counted point lists.
+pub(crate) fn write_placement(w: &mut Vec<u8>, p: &Placement) {
+    let points = p.cells.len() + p.inputs.len() + p.outputs.len();
+    w.reserve(POINT_LINE * (points + 1) + 64);
+    w.extend_from_slice(b"placement ");
+    put_bits(w, p.width_um, b' ');
+    put_bits(w, p.height_um, b'\n');
+    for (label, pts) in [
+        ("cells", &p.cells),
+        ("inputs", &p.inputs),
+        ("outputs", &p.outputs),
+    ] {
+        w.extend_from_slice(format!("{label} {}\n", pts.len()).as_bytes());
+        for &(x, y) in pts {
+            put_bits(w, x, b' ');
+            put_bits(w, y, b'\n');
+        }
+    }
+}
+
+fn parse_point(field: &str, line: &str) -> Result<(f64, f64), GapError> {
+    let (x, y) = line
+        .split_once(' ')
+        .ok_or_else(|| bad(format!("{field} record {line:?}")))?;
+    Ok((parse_bits(field, x)?, parse_bits(field, y)?))
+}
+
+/// Inverse of [`write_placement`]. `budget` is the size of the text the
+/// lines come from: a list cannot claim more points than that many bytes
+/// could spell, so nothing is reserved on a count's say-so.
+pub(crate) fn parse_placement(lines: &mut Lines<'_>, budget: usize) -> Result<Placement, GapError> {
+    let (width_um, height_um) = parse_point("placement", field_value(lines, "placement")?)?;
+    let mut points = |label: &'static str| -> Result<Vec<(f64, f64)>, GapError> {
+        let n: usize = num_field(lines, label)?;
+        if n > budget / POINT_LINE {
+            return Err(bad(format!(
+                "{label}: {n} points claimed in a {budget}-byte text"
+            )));
+        }
+        let mut pts = Vec::with_capacity(n);
+        for _ in 0..n {
+            let line = lines
+                .next()
+                .ok_or_else(|| bad(format!("truncated {label} list")))?;
+            pts.push(parse_point(label, line)?);
+        }
+        Ok(pts)
+    };
+    Ok(Placement {
+        width_um,
+        height_um,
+        cells: points("cells")?,
+        inputs: points("inputs")?,
+        outputs: points("outputs")?,
+    })
 }
 
 /// Reads the next line and returns the value after `field ` — fields

@@ -21,20 +21,37 @@
 //! in its wire model reuses the synthesized, pipelined, sized, and
 //! placed design and recomputes only the routing tail.
 //!
-//! | checkpoint | artifact | key inputs (beyond upstream) |
+//! | checkpoint | artifact | key: upstream key plus |
 //! |---|---|---|
-//! | `synth`    | rewritten netlist + proof effort | workload, verify, technology, library, rewrite |
-//! | `pipeline` | registered netlist (the final-check golden) | `pipeline_stages`, verify |
-//! | `place`    | sized netlist + placement + timer checkpoint | sizing, floorplan, seed |
-//! | `route`    | final netlist + report numbers + timer delta | wire model, sizing, seed |
+//! | `synth`    | rewritten netlist + proof effort | workload, technology, library, rewrite, verify |
+//! | `pipeline` | registered netlist (the final-check golden) + registers | `pipeline_stages` |
+//! | `place`    | sized netlist + placement + timer checkpoint + registers | sizing, floorplan, seed |
+//! | `route`    | final netlist + report numbers + timer delta + both of the above scalars | wire model |
 //!
-//! Keys chain by **artifact content**: a stage's key hashes its
-//! upstream artifact's text hash plus its own knobs, so a checkpointed
-//! run naturally resumes from the deepest cached prefix, and two
-//! different upstream paths that converge on byte-identical artifacts
-//! share all downstream work. The remaining knobs (skew, logic style,
-//! process access, the display name) act only on the final arithmetic
-//! and are deliberately *not* in any stage key.
+//! Keys chain on upstream **keys**, not on upstream artifact content, so
+//! every key is a function of the request alone — known before any store
+//! traffic — and artifacts are self-sufficient to resume from: each
+//! carries the few scalars the closing arithmetic takes from the stages
+//! above it. The stages are nested accordingly, deepest first: `route`
+//! is looked up, and only its miss looks up `place`, whose miss looks up
+//! `pipeline`, then `synth`. A run resumes from the deepest artifact it
+//! finds with one `get` and one decode; nothing upstream of a hit is
+//! fetched, no artifact text is ever hashed, and each text is dropped as
+//! soon as it is `put`. [`StageReuse`] reports every stage at or upstream
+//! of the deepest hit as reused.
+//!
+//! A netlist does not depend on how hard it was checked, a proof does:
+//! the `synth` and `pipeline` keys name the verify level, while `place`
+//! chains on the *unverified* spelling of the pipeline key. So a netlist
+//! written by an unverified run can stand in for a netlist, never for a
+//! proof: a `Sim`/`Full` run fetches or recomputes the golden side under
+//! its own level, with every check that implies, before it looks at
+//! `route`, and the final check always runs. What this scheme gives up
+//! against content chaining: two *different* knob paths that happen to
+//! converge on byte-identical artifacts no longer share downstream work.
+//! The remaining knobs (skew, logic style, process access, the display
+//! name) act only on the final arithmetic and are deliberately *not* in
+//! any stage key.
 //!
 //! Byte-identity is part of the contract, timer counters included:
 //! storeless ≡ stored-cold ≡ resumed (`tests/staged.rs`). The one
@@ -69,8 +86,9 @@ use asicgap_synth::{select_drives_on, DriveOptions, PassPipeline, SynthError};
 use asicgap_tech::{Mhz, Ps};
 
 use crate::canon::{
-    bad, expect_line, field_value, no_trailing, num_field, parse_effort, parse_num, parse_route,
-    parse_stats, verify_label, write_effort, write_route, write_stats,
+    bad, expect_line, field_value, no_trailing, num_field, parse_effort, parse_placement,
+    parse_route, parse_stats, verify_label, write_effort, write_placement, write_route,
+    write_stats,
 };
 use crate::close::{fold_period, map_autopilot_err, unfold_period, ClosureOutcome};
 use crate::error::GapError;
@@ -80,8 +98,8 @@ use crate::flow::{
     WireModel, WorkloadSpec,
 };
 
-/// A content-addressed store of stage artifacts: a checkpointed flow's
-/// only dependency on the outside world. `asicgap-serve` backs it with
+/// A store of stage artifacts under their stage keys: a checkpointed
+/// flow's only dependency on the outside world. `asicgap-serve` backs it with
 /// a persistent segment store; tests use [`MemStore`].
 ///
 /// Keys are full canonical key texts; implementations index by
@@ -138,10 +156,12 @@ impl ArtifactStore for MemStore {
     }
 }
 
-/// Which checkpoints of a staged run were served from the store.
-/// `None` means the checkpoint was never consulted (e.g. `pipeline`
-/// for an unpipelined scenario, `route` for a closure run, which stops
-/// reusing at the place checkpoint).
+/// Which checkpoints of a staged run were served from the store. A run
+/// resumes from the deepest artifact it finds and never looks at the
+/// ones above it, so every stage at or upstream of the deepest hit
+/// reports `Some(true)`. `None` means the checkpoint is not part of the
+/// run (`pipeline` for an unpipelined scenario, `route` for a closure
+/// run, which stops reusing at the place checkpoint).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageReuse {
     /// The `synth` checkpoint (workload + rewrite passes).
@@ -178,6 +198,23 @@ impl StageReuse {
     pub fn lookups(&self) -> usize {
         self.entries().iter().filter(|(_, s)| s.is_some()).count()
     }
+
+    /// Marks as reused every stage upstream of the deepest hit that the
+    /// run therefore never looked at.
+    fn settle(&mut self, pipelined: bool) {
+        let mut resumed = false;
+        for (stage, in_run) in [
+            (&mut self.route, true),
+            (&mut self.place, true),
+            (&mut self.pipeline, pipelined),
+            (&mut self.synth, true),
+        ] {
+            if stage.is_none() && resumed && in_run {
+                *stage = Some(true);
+            }
+            resumed |= *stage == Some(true);
+        }
+    }
 }
 
 /// Splits an artifact text at its `netlist` marker: the head fields
@@ -200,51 +237,14 @@ fn decode_netlist(net: &str, lib: &Library, what: &'static str) -> Result<Netlis
     canon::decode(net, lib).map_err(|e| bad(format!("{what} netlist: {e}")))
 }
 
-fn write_placement(w: &mut String, p: &Placement) {
-    use std::fmt::Write;
-    writeln!(w, "placement {:?} {:?}", p.width_um, p.height_um).expect("write to String");
-    for (label, pts) in [
-        ("cells", &p.cells),
-        ("inputs", &p.inputs),
-        ("outputs", &p.outputs),
-    ] {
-        writeln!(w, "{label} {}", pts.len()).expect("write to String");
-        for &(x, y) in pts.iter() {
-            writeln!(w, "{x:?} {y:?}").expect("write to String");
-        }
-    }
-}
-
-fn parse_points(
-    lines: &mut std::str::Lines<'_>,
-    label: &'static str,
-) -> Result<Vec<(f64, f64)>, GapError> {
-    let n: usize = num_field(lines, label)?;
-    let mut pts = Vec::with_capacity(n);
-    for _ in 0..n {
-        let line = lines
-            .next()
-            .ok_or_else(|| bad(format!("stage-place: truncated {label} list")))?;
-        let (x, y) = line
-            .split_once(' ')
-            .ok_or_else(|| bad(format!("stage-place {label} point {line:?}")))?;
-        pts.push((parse_num("point.x", x)?, parse_num("point.y", y)?));
-    }
-    Ok(pts)
-}
-
-fn parse_placement(lines: &mut std::str::Lines<'_>) -> Result<Placement, GapError> {
-    let dims = field_value(lines, "placement")?;
-    let (w, h) = dims
-        .split_once(' ')
-        .ok_or_else(|| bad(format!("stage-place placement record {dims:?}")))?;
-    Ok(Placement {
-        width_um: parse_num("placement.width", w)?,
-        height_um: parse_num("placement.height", h)?,
-        cells: parse_points(lines, "cells")?,
-        inputs: parse_points(lines, "inputs")?,
-        outputs: parse_points(lines, "outputs")?,
-    })
+/// Finishes an artifact text: `head` (header and fields), the embedded
+/// netlist written in place, the closing `end`.
+fn with_netlist(head: impl Into<Vec<u8>>, netlist: &Netlist, lib: &Library) -> String {
+    let mut w = head.into();
+    w.extend_from_slice(b"netlist\n");
+    canon::encode_into(netlist, lib, &mut w);
+    w.extend_from_slice(b"end\n");
+    String::from_utf8(w).expect("fields are ASCII and netlist text is UTF-8")
 }
 
 /// The `synth` checkpoint: the workload netlist after the scenario's
@@ -263,13 +263,9 @@ impl SynthArtifact {
     /// embedded netlist. Byte-stable; [`SynthArtifact::parse`] inverts
     /// it exactly.
     pub fn encode(&self, lib: &Library) -> String {
-        let mut s = String::with_capacity(4096);
-        s.push_str("stage-synth/v1\n");
+        let mut s = String::from("stage-synth/v1\n");
         write_effort(&mut s, &self.verify_effort);
-        s.push_str("netlist\n");
-        s.push_str(&canon::encode(&self.netlist, lib));
-        s.push_str("end\n");
-        s
+        with_netlist(s, &self.netlist, lib)
     }
 
     /// Parses the canonical text back, strictly.
@@ -309,15 +305,9 @@ pub struct PipelineArtifact {
 impl PipelineArtifact {
     /// Canonical text (`stage-pipeline/v1`), byte-stable.
     pub fn encode(&self, lib: &Library) -> String {
-        use std::fmt::Write;
-        let mut s = String::with_capacity(4096);
-        s.push_str("stage-pipeline/v1\n");
-        writeln!(s, "registers {}", self.registers).expect("write to String");
+        let mut s = format!("stage-pipeline/v1\nregisters {}\n", self.registers);
         write_effort(&mut s, &self.verify_effort);
-        s.push_str("netlist\n");
-        s.push_str(&canon::encode(&self.netlist, lib));
-        s.push_str("end\n");
-        s
+        with_netlist(s, &self.netlist, lib)
     }
 
     /// Strict inverse of [`PipelineArtifact::encode`].
@@ -340,22 +330,21 @@ impl PipelineArtifact {
     }
 }
 
-/// The `stage-place/v1` text from borrowed parts, so the place stage can
-/// checkpoint the netlist its live timer still owns.
+/// The `stage-place/v2` text from borrowed parts, so the place stage can
+/// checkpoint the netlist its live timer still owns. `head` is what the
+/// caller wants in front of it.
 fn encode_place(
+    mut head: String,
     netlist: &Netlist,
     placement: &Placement,
     stats: IncrementalStats,
     lib: &Library,
 ) -> String {
-    let mut s = String::with_capacity(8192);
-    s.push_str("stage-place/v1\n");
-    write_stats(&mut s, "stats", stats);
-    write_placement(&mut s, placement);
-    s.push_str("netlist\n");
-    s.push_str(&canon::encode(netlist, lib));
-    s.push_str("end\n");
-    s
+    head.push_str("stage-place/v2\n");
+    write_stats(&mut head, "stats", stats);
+    let mut w = head.into_bytes();
+    write_placement(&mut w, placement);
+    with_netlist(w, netlist, lib)
 }
 
 /// The `place` checkpoint: the sized netlist, the annealed placement,
@@ -372,10 +361,17 @@ pub struct PlaceArtifact {
 }
 
 impl PlaceArtifact {
-    /// Canonical text (`stage-place/v1`), byte-stable — placement
-    /// coordinates use shortest-round-trip `f64` formatting.
+    /// Canonical text (`stage-place/v2`), byte-stable — placement
+    /// coordinates travel as the hex digits of their bits, exact for
+    /// every `f64`.
     pub fn encode(&self, lib: &Library) -> String {
-        encode_place(&self.netlist, &self.placement, self.stats, lib)
+        encode_place(
+            String::new(),
+            &self.netlist,
+            &self.placement,
+            self.stats,
+            lib,
+        )
     }
 
     /// Strict inverse of [`PlaceArtifact::encode`].
@@ -386,9 +382,9 @@ impl PlaceArtifact {
     pub fn parse(text: &str, lib: &Library) -> Result<PlaceArtifact, GapError> {
         let (head, net) = split_netlist_tail(text, "stage-place")?;
         let mut lines = head.lines();
-        expect_line(&mut lines, "stage-place/v1")?;
+        expect_line(&mut lines, "stage-place/v2")?;
         let stats = parse_stats("stats", field_value(&mut lines, "stats")?)?;
-        let placement = parse_placement(&mut lines)?;
+        let placement = parse_placement(&mut lines, head.len())?;
         no_trailing(lines, "stage-place")?;
         Ok(PlaceArtifact {
             netlist: decode_netlist(net, lib, "stage-place")?,
@@ -399,9 +395,11 @@ impl PlaceArtifact {
 }
 
 /// The `route` checkpoint: the final netlist (post-layout resize
-/// applied) and everything the closing arithmetic needs from the timer —
-/// the report's minimum period, the stage's counter *delta*, and the
-/// router summary. A hit here means no timing graph is built at all.
+/// applied) and everything the closing arithmetic needs — from the timer
+/// the report's minimum period, the stage's counter *delta* and the
+/// router summary, from upstream the register count and the place
+/// stage's counter checkpoint. A hit here means nothing else is fetched
+/// and no timing graph is built at all.
 #[derive(Debug, Clone)]
 pub struct RouteArtifact {
     /// The final netlist (area/power/gates are measured on this).
@@ -412,21 +410,24 @@ pub struct RouteArtifact {
     pub delta: IncrementalStats,
     /// Router numbers under [`WireModel::Routed`]; `None` under HPWL.
     pub route: Option<RouteSummary>,
+    /// Registers inserted by pipelining, handed down from that stage.
+    pub registers: usize,
+    /// Timer counters at the place checkpoint, which `delta` adds onto.
+    pub place_stats: IncrementalStats,
 }
 
 impl RouteArtifact {
-    /// Canonical text (`stage-route/v1`), byte-stable.
+    /// Canonical text (`stage-route/v2`), byte-stable.
     pub fn encode(&self, lib: &Library) -> String {
-        use std::fmt::Write;
-        let mut s = String::with_capacity(4096);
-        s.push_str("stage-route/v1\n");
-        writeln!(s, "min_period_ps {:?}", self.min_period.value()).expect("write to String");
+        let mut s = format!(
+            "stage-route/v2\nmin_period_ps {:?}\nregisters {}\n",
+            self.min_period.value(),
+            self.registers
+        );
+        write_stats(&mut s, "placed", self.place_stats);
         write_stats(&mut s, "delta", self.delta);
         write_route(&mut s, &self.route);
-        s.push_str("netlist\n");
-        s.push_str(&canon::encode(&self.netlist, lib));
-        s.push_str("end\n");
-        s
+        with_netlist(s, &self.netlist, lib)
     }
 
     /// Strict inverse of [`RouteArtifact::encode`].
@@ -437,8 +438,10 @@ impl RouteArtifact {
     pub fn parse(text: &str, lib: &Library) -> Result<RouteArtifact, GapError> {
         let (head, net) = split_netlist_tail(text, "stage-route")?;
         let mut lines = head.lines();
-        expect_line(&mut lines, "stage-route/v1")?;
+        expect_line(&mut lines, "stage-route/v2")?;
         let min_period = Ps::new(num_field(&mut lines, "min_period_ps")?);
+        let registers = num_field(&mut lines, "registers")?;
+        let place_stats = parse_stats("placed", field_value(&mut lines, "placed")?)?;
         let delta = parse_stats("delta", field_value(&mut lines, "delta")?)?;
         let route = parse_route(field_value(&mut lines, "route")?)?;
         no_trailing(lines, "stage-route")?;
@@ -447,73 +450,64 @@ impl RouteArtifact {
             min_period,
             delta,
             route,
+            registers,
+            place_stats,
         })
     }
 }
 
-fn stats_delta(after: IncrementalStats, before: IncrementalStats) -> IncrementalStats {
-    IncrementalStats {
-        full_propagations: after.full_propagations - before.full_propagations,
-        incremental_updates: after.incremental_updates - before.incremental_updates,
-        pins_touched: after.pins_touched - before.pins_touched,
-    }
-}
-
-fn stats_sum(a: IncrementalStats, b: IncrementalStats) -> IncrementalStats {
-    IncrementalStats {
-        full_propagations: a.full_propagations + b.full_propagations,
-        incremental_updates: a.incremental_updates + b.incremental_updates,
-        pins_touched: a.pins_touched + b.pins_touched,
-    }
+/// A stage key: the `asicgap-stage/v2 <stage>` header over the upstream
+/// key's fields and the knobs the stage itself adds.
+fn chain(stage: &str, upstream: &str, knobs: std::fmt::Arguments<'_>) -> String {
+    let fields = upstream.split_once('\n').map_or("", |(_, fields)| fields);
+    format!("asicgap-stage/v2 {stage}\n{fields}{knobs}")
 }
 
 fn synth_key(scenario: &DesignScenario, workload_canonical: &str, verify: VerifyLevel) -> String {
-    use std::fmt::Write;
-    let mut k = String::with_capacity(256);
-    writeln!(k, "asicgap-stage/v1 synth").expect("write to String");
-    writeln!(k, "workload {workload_canonical}").expect("write to String");
-    writeln!(k, "verify {}", verify_label(verify)).expect("write to String");
-    writeln!(k, "technology {:?}", scenario.technology).expect("write to String");
-    writeln!(k, "library {:?}", scenario.library).expect("write to String");
-    writeln!(
-        k,
-        "rewrite {}",
-        PassPipeline::new(scenario.rewrite.clone()).key()
+    chain(
+        "synth",
+        "",
+        format_args!(
+            "workload {workload_canonical}\ntechnology {:?}\nlibrary {:?}\nrewrite {}\nverify {}\n",
+            scenario.technology,
+            scenario.library,
+            PassPipeline::new(scenario.rewrite.clone()).key(),
+            verify_label(verify)
+        ),
     )
-    .expect("write to String");
-    k
 }
 
-fn pipeline_key(upstream: u64, scenario: &DesignScenario, verify: VerifyLevel) -> String {
-    use std::fmt::Write;
-    let mut k = String::with_capacity(128);
-    writeln!(k, "asicgap-stage/v1 pipeline").expect("write to String");
-    writeln!(k, "upstream {upstream:016x}").expect("write to String");
-    writeln!(k, "pipeline_stages {}", scenario.pipeline_stages).expect("write to String");
-    writeln!(k, "verify {}", verify_label(verify)).expect("write to String");
-    k
+fn pipeline_key(
+    scenario: &DesignScenario,
+    workload_canonical: &str,
+    verify: VerifyLevel,
+) -> String {
+    chain(
+        "pipeline",
+        &synth_key(scenario, workload_canonical, verify),
+        format_args!("pipeline_stages {}\n", scenario.pipeline_stages),
+    )
 }
 
-fn place_key(upstream: u64, scenario: &DesignScenario) -> String {
-    use std::fmt::Write;
-    let mut k = String::with_capacity(128);
-    writeln!(k, "asicgap-stage/v1 place").expect("write to String");
-    writeln!(k, "upstream {upstream:016x}").expect("write to String");
-    writeln!(k, "sizing {:?}", scenario.sizing).expect("write to String");
-    writeln!(k, "floorplan {:?}", scenario.floorplan).expect("write to String");
-    writeln!(k, "seed {}", scenario.seed).expect("write to String");
-    k
+/// Chains on the *unverified* pipeline key: what is placed is a netlist,
+/// and a netlist is the same however hard it was checked.
+fn place_key(scenario: &DesignScenario, workload_canonical: &str) -> String {
+    chain(
+        "place",
+        &pipeline_key(scenario, workload_canonical, VerifyLevel::Off),
+        format_args!(
+            "sizing {:?}\nfloorplan {:?}\nseed {}\n",
+            scenario.sizing, scenario.floorplan, scenario.seed
+        ),
+    )
 }
 
-fn route_key(upstream: u64, scenario: &DesignScenario) -> String {
-    use std::fmt::Write;
-    let mut k = String::with_capacity(128);
-    writeln!(k, "asicgap-stage/v1 route").expect("write to String");
-    writeln!(k, "upstream {upstream:016x}").expect("write to String");
-    writeln!(k, "wire_model {:?}", scenario.wire_model).expect("write to String");
-    writeln!(k, "sizing {:?}", scenario.sizing).expect("write to String");
-    writeln!(k, "seed {}", scenario.seed).expect("write to String");
-    k
+fn route_key(scenario: &DesignScenario, workload_canonical: &str) -> String {
+    chain(
+        "route",
+        &place_key(scenario, workload_canonical),
+        format_args!("wire_model {:?}\n", scenario.wire_model),
+    )
 }
 
 /// The one place the flow meets an [`ArtifactStore`]. Presence of a
@@ -523,7 +517,7 @@ pub(crate) struct Checkpoints<'s> {
     /// Where artifacts are kept, if anywhere.
     pub(crate) store: Option<&'s dyn ArtifactStore>,
     /// The workload's [`WorkloadSpec::canonical`] spelling, which
-    /// anchors the synth key; never read without a store.
+    /// anchors every key; never read without a store.
     pub(crate) workload: &'s str,
 }
 
@@ -535,49 +529,30 @@ impl Checkpoints<'_> {
     };
 
     /// One stage boundary: look the stage up under `key()`, else
-    /// `compute` it and write it back. Returns the product, its
-    /// artifact text (what the next stage's key chains on; `None`
-    /// without a store, where no key is ever built), and whether the
-    /// store was consulted / hit. A stored text that fails `parse` is a
-    /// miss.
+    /// `compute` it and write it back. `compute` is where the upstream
+    /// stages nest, so they are only ever reached on a miss. Returns the
+    /// product and whether the store was consulted / hit; artifact texts
+    /// live no longer than the `get` or `put` they are for. A stored
+    /// text that fails `parse` is a miss.
     fn stage<P>(
         &self,
         lib: &Library,
-        key: impl FnOnce() -> String,
+        key: impl FnOnce(&str) -> String,
         (parse, encode): Codec<P>,
         compute: impl FnOnce() -> Result<P, GapError>,
-    ) -> Result<(P, Option<String>, Option<bool>), GapError> {
+    ) -> Result<(P, Option<bool>), GapError> {
         let Some(store) = self.store else {
-            return Ok((compute()?, None, None));
+            return Ok((compute()?, None));
         };
-        let key = key();
-        if let Some(text) = store.get(&key) {
-            if let Ok(product) = parse(&text, lib) {
-                return Ok((product, Some(text), Some(true)));
-            }
+        let key = key(self.workload);
+        let stored = store.get(&key).and_then(|text| parse(&text, lib).ok());
+        if let Some(product) = stored {
+            return Ok((product, Some(true)));
         }
         let product = compute()?;
-        let text = encode(&product, lib);
-        store.put(&key, &text);
-        Ok((product, Some(text), Some(false)))
+        store.put(&key, &encode(&product, lib));
+        Ok((product, Some(false)))
     }
-
-    /// The artifact text of a boundary that is passed through rather
-    /// than stored (there is no compute to save), so downstream keys
-    /// still chain on its content.
-    fn passthrough(&self, text: impl FnOnce() -> String) -> Option<String> {
-        self.store.map(|_| text())
-    }
-}
-
-/// The `upstream` of a stage key: the content hash of the artifact text
-/// the stage before it produced. Keys are only built against a store,
-/// and then every upstream stage kept its text.
-fn upstream(text: &Option<String>) -> u64 {
-    content_hash(
-        text.as_deref()
-            .expect("a checkpointed stage keeps its text"),
-    )
 }
 
 /// A stage product's strict text form: `parse` inverts `encode`.
@@ -616,39 +591,48 @@ impl<'l> Timer<'l> {
 }
 
 /// What the place stage hands downstream — a [`PlaceArtifact`] whose
-/// netlist may still be inside the live timer.
+/// netlist may still be inside the live timer, and the register count
+/// from the pipeline stage above it. Its text is a `registers` line in
+/// front of the artifact's.
 struct Placed<'l> {
     timer: Timer<'l>,
     placement: Placement,
     stats: IncrementalStats,
+    registers: usize,
 }
 
 impl Placed<'_> {
     fn parse<'l>(text: &str, lib: &Library) -> Result<Placed<'l>, GapError> {
-        let art = PlaceArtifact::parse(text, lib)?;
+        let (registers, artifact) = text
+            .split_once('\n')
+            .ok_or_else(|| bad("place checkpoint: missing registers line"))?;
+        let registers = num_field(&mut registers.lines(), "registers")?;
+        let art = PlaceArtifact::parse(artifact, lib)?;
         Ok(Placed {
             timer: Timer::Cold(art.netlist),
             placement: art.placement,
             stats: art.stats,
+            registers,
         })
     }
 
     fn encode(&self, lib: &Library) -> String {
-        encode_place(self.timer.netlist(), &self.placement, self.stats, lib)
+        encode_place(
+            format!("registers {}\n", self.registers),
+            self.timer.netlist(),
+            &self.placement,
+            self.stats,
+            lib,
+        )
     }
 }
 
-/// Everything `RUN` and `CLOSE` share: the design sized and placed,
-/// plus what the pipeline boundary leaves for the end of the flow.
-struct Prefix<'l> {
-    /// The netlist as it entered sizing, kept only when the final check
-    /// will need it.
-    golden: Option<Netlist>,
-    registers: usize,
-    verify_effort: Option<EquivEffort>,
-    placed: Placed<'l>,
-    /// The place artifact's text, when a store kept it.
-    place_text: Option<String>,
+/// Where the place stage gets the netlist it sizes, should it have to
+/// run: from the golden side a verified run already holds, or from the
+/// stages above it, which only then are looked up or run.
+enum Entering<'g, W> {
+    Golden(&'g PipelineArtifact),
+    Workload(W),
 }
 
 /// Merges a proven-equivalent report's effort; a counterexample becomes
@@ -749,7 +733,7 @@ impl<'a> Flow<'a> {
     /// §6 sizing and §5 floorplanning, on the one timer the rest of the
     /// flow shares: every optimization from here on mutates this graph
     /// and pays only for the cones it touches.
-    fn place(&self, netlist: Netlist) -> Result<Placed<'a>, GapError> {
+    fn place(&self, netlist: Netlist, registers: usize) -> Result<Placed<'a>, GapError> {
         let (scenario, lib) = (self.scenario, self.lib);
         let clock = Instant::now();
         let mut graph = TimingGraph::new(netlist, lib, ClockSpec::unconstrained(), None);
@@ -793,6 +777,7 @@ impl<'a> Flow<'a> {
             stats: graph.stats(),
             timer: Timer::Warm(graph),
             placement: fp.placement,
+            registers,
         })
     }
 
@@ -851,12 +836,9 @@ impl<'a> Flow<'a> {
     /// `RUN`'s route stage: wires, then the final timing report. The
     /// artifact carries everything the closing arithmetic needs from
     /// the timer.
-    fn route_stage(
-        &self,
-        timer: Timer<'a>,
-        placement: &Placement,
-    ) -> Result<RouteArtifact, GapError> {
-        let mut graph = timer.into_graph(self.lib);
+    fn route_stage(&self, placed: Placed<'a>) -> Result<RouteArtifact, GapError> {
+        let placement = &placed.placement;
+        let mut graph = placed.timer.into_graph(self.lib);
         let stats_before = graph.stats();
         let routing = self.wires(&mut graph, placement)?;
         let route = routing
@@ -869,8 +851,10 @@ impl<'a> Flow<'a> {
         Ok(RouteArtifact {
             netlist,
             min_period: report.min_period,
-            delta: stats_delta(report.stats, stats_before),
+            delta: report.stats - stats_before,
             route,
+            registers: placed.registers,
+            place_stats: placed.stats,
         })
     }
 
@@ -908,13 +892,7 @@ impl<'a> Flow<'a> {
     /// The closing arithmetic: §7 domino and §4.1 skew folded into the
     /// period, §8 what actually ships, and the §9 caveat's area and
     /// power views.
-    fn outcome(
-        &self,
-        registers: usize,
-        route: RouteArtifact,
-        timing_effort: IncrementalStats,
-        verify_effort: Option<EquivEffort>,
-    ) -> ScenarioOutcome {
+    fn outcome(&self, route: RouteArtifact, verify_effort: Option<EquivEffort>) -> ScenarioOutcome {
         let (scenario, lib) = (self.scenario, self.lib);
         let min_period = fold_period(scenario, lib, route.min_period);
         let access_factor = match scenario.access {
@@ -944,104 +922,107 @@ impl<'a> Flow<'a> {
             min_period,
             shipped,
             gates: route.netlist.instance_count(),
-            registers,
+            registers: route.registers,
             area_um2: route.netlist.total_area_um2(lib),
             power_proxy: switched * shipped.value() / 1000.0,
-            timing_effort,
+            timing_effort: route.place_stats + route.delta,
             verify_effort,
             route: route.route,
         }
     }
 
-    /// Runs (or resumes) synth → pipeline → place. `synth_clock` was
-    /// started before the library was built, which the synth stage's
-    /// wall time covers. On a hit a stage reports only its lookup.
-    fn prefix<W>(
+    /// Runs (or resumes) synth → pipeline: the netlist as it enters the
+    /// sizing/placement loop, which is also the golden side of the final
+    /// check. `synth_clock` was started before the library was built,
+    /// which the synth stage's wall time covers. On a hit a stage
+    /// reports only its lookup.
+    fn front<W>(
         &self,
         checkpoints: &Checkpoints<'_>,
         workload: W,
         synth_clock: Instant,
         reuse: &mut StageReuse,
-    ) -> Result<Prefix<'a>, GapError>
+    ) -> Result<PipelineArtifact, GapError>
     where
         W: FnOnce(&Library) -> Result<Netlist, asicgap_netlist::NetlistError>,
     {
         let (scenario, lib, verify, obs) = (self.scenario, self.lib, self.verify, self.obs);
-        if scenario.pipeline_stages == 0 {
+        let synth = |reuse: &mut StageReuse| {
+            let (synth, hit) = checkpoints.stage(
+                lib,
+                |w| synth_key(scenario, w, verify),
+                (SynthArtifact::parse, SynthArtifact::encode),
+                || self.synth(workload),
+            )?;
+            reuse.synth = hit;
+            obs.stage_done(FlowStage::Synth, synth_clock.elapsed());
+            abort_if_cancelled(obs, FlowStage::Synth)?;
+            Ok::<_, GapError>(synth)
+        };
+        if scenario.pipeline_stages < 2 {
+            let synth = synth(reuse)?;
+            return Ok(PipelineArtifact {
+                netlist: synth.netlist,
+                registers: 0,
+                verify_effort: synth.verify_effort,
+            });
+        }
+        let clock = Instant::now();
+        let (art, hit) = checkpoints.stage(
+            lib,
+            |w| pipeline_key(scenario, w, verify),
+            (PipelineArtifact::parse, PipelineArtifact::encode),
+            || self.pipeline(synth(reuse)?),
+        )?;
+        reuse.pipeline = hit;
+        // The boundary `pipeline` reported last and left unpolled.
+        let mut last = FlowStage::Pipeline;
+        if hit == Some(true) {
+            obs.stage_done(last, clock.elapsed());
+        } else if verify != VerifyLevel::Off {
+            last = FlowStage::Equiv;
+        }
+        abort_if_cancelled(obs, last)?;
+        Ok(art)
+    }
+
+    /// Runs (or resumes) the place stage, everything `RUN` and `CLOSE`
+    /// share. Only a miss reaches for what is `entering`.
+    fn placed<W>(
+        &self,
+        checkpoints: &Checkpoints<'_>,
+        entering: Entering<'_, W>,
+        synth_clock: Instant,
+        reuse: &mut StageReuse,
+    ) -> Result<Placed<'a>, GapError>
+    where
+        W: FnOnce(&Library) -> Result<Netlist, asicgap_netlist::NetlistError>,
+    {
+        if self.scenario.pipeline_stages == 0 {
             return Err(GapError::Scenario {
                 what: "pipeline_stages must be >= 1".to_string(),
             });
         }
-
-        let (synth, synth_text, hit) = checkpoints.stage(
-            lib,
-            || synth_key(scenario, checkpoints.workload, verify),
-            (SynthArtifact::parse, SynthArtifact::encode),
-            || self.synth(workload),
-        )?;
-        reuse.synth = hit;
-        obs.stage_done(FlowStage::Synth, synth_clock.elapsed());
-        abort_if_cancelled(obs, FlowStage::Synth)?;
-
-        let (pipeline, pipeline_text) = if scenario.pipeline_stages < 2 {
-            let art = PipelineArtifact {
-                netlist: synth.netlist,
-                registers: 0,
-                verify_effort: synth.verify_effort,
-            };
-            let text = checkpoints.passthrough(|| art.encode(lib));
-            (art, text)
-        } else {
-            let clock = Instant::now();
-            let (art, text, hit) = checkpoints.stage(
-                lib,
-                || pipeline_key(upstream(&synth_text), scenario, verify),
-                (PipelineArtifact::parse, PipelineArtifact::encode),
-                || self.pipeline(synth),
-            )?;
-            reuse.pipeline = hit;
-            // The boundary `pipeline` reported last and left unpolled.
-            let mut last = FlowStage::Pipeline;
-            if hit == Some(true) {
-                obs.stage_done(last, clock.elapsed());
-            } else if verify != VerifyLevel::Off {
-                last = FlowStage::Equiv;
-            }
-            abort_if_cancelled(obs, last)?;
-            (art, text)
-        };
-
-        // The netlist as it enters the sizing/placement loop is the
-        // golden side of the final check: copied only when that check
-        // will run, otherwise handed to the timer as is.
-        let keep_golden = verify != VerifyLevel::Off;
-        let mut entering = Some(pipeline.netlist);
         let clock = Instant::now();
-        let (placed, place_text, hit) = checkpoints.stage(
-            lib,
-            || place_key(upstream(&pipeline_text), scenario),
+        let (placed, hit) = checkpoints.stage(
+            self.lib,
+            |w| place_key(self.scenario, w),
             (Placed::parse, Placed::encode),
-            || {
-                let netlist = if keep_golden {
-                    entering.clone()
-                } else {
-                    entering.take()
-                };
-                self.place(netlist.expect("taken only here"))
+            || match entering {
+                // The final check keeps the golden: size a copy.
+                Entering::Golden(golden) => self.place(golden.netlist.clone(), golden.registers),
+                Entering::Workload(workload) => {
+                    let front = self.front(checkpoints, workload, synth_clock, reuse)?;
+                    self.place(front.netlist, front.registers)
+                }
             },
         )?;
         reuse.place = hit;
         if hit == Some(true) {
-            obs.stage_done(FlowStage::Place, clock.elapsed());
+            self.obs.stage_done(FlowStage::Place, clock.elapsed());
         }
-        abort_if_cancelled(obs, FlowStage::Place)?;
-        Ok(Prefix {
-            golden: entering.filter(|_| keep_golden),
-            registers: pipeline.registers,
-            verify_effort: pipeline.verify_effort,
-            placed,
-            place_text,
-        })
+        abort_if_cancelled(self.obs, FlowStage::Place)?;
+        Ok(placed)
     }
 }
 
@@ -1074,31 +1055,43 @@ where
         obs,
     };
     let mut reuse = StageReuse::default();
-    let prefix = flow.prefix(&checkpoints, workload, synth_clock, &mut reuse)?;
-    let placed = prefix.placed;
+    // A verified run holds the golden side, fetched or recomputed under
+    // its own verify level, before it looks at anything downstream; an
+    // unverified one reaches upstream only from a miss.
+    let golden;
+    let entering = if verify == VerifyLevel::Off {
+        Entering::Workload(workload)
+    } else {
+        golden = flow.front(&checkpoints, workload, synth_clock, &mut reuse)?;
+        Entering::Golden(&golden)
+    };
+    let golden = match entering {
+        Entering::Golden(golden) => Some(golden),
+        Entering::Workload(_) => None,
+    };
 
     let clock = Instant::now();
-    let (route, _, hit) = checkpoints.stage(
+    let (route, hit) = checkpoints.stage(
         &lib,
-        || route_key(upstream(&prefix.place_text), scenario),
+        |w| route_key(scenario, w),
         (RouteArtifact::parse, RouteArtifact::encode),
-        || flow.route_stage(placed.timer, &placed.placement),
+        || flow.route_stage(flow.placed(&checkpoints, entering, synth_clock, &mut reuse)?),
     )?;
     reuse.route = hit;
     if hit == Some(true) {
         obs.stage_done(extract_stage(scenario), clock.elapsed());
         abort_if_cancelled(obs, extract_stage(scenario))?;
     }
+    reuse.settle(scenario.pipeline_stages >= 2);
 
     // Never checkpointed here: the serving tier caches whole outcomes
     // by canonical key.
-    let mut verify_effort = prefix.verify_effort;
-    if let Some(golden) = &prefix.golden {
-        flow.final_check(golden, &route.netlist, &mut verify_effort)?;
+    let mut verify_effort = None;
+    if let Some(golden) = golden {
+        verify_effort = golden.verify_effort;
+        flow.final_check(&golden.netlist, &route.netlist, &mut verify_effort)?;
     }
-    let timing_effort = stats_sum(placed.stats, route.delta);
-    let outcome = flow.outcome(prefix.registers, route, timing_effort, verify_effort);
-    Ok((outcome, reuse))
+    Ok((flow.outcome(route, verify_effort), reuse))
 }
 
 /// The `CLOSE` driver behind every `close_timing*` entry point: the
@@ -1128,9 +1121,9 @@ where
         obs: &NoObserver,
     };
     let mut reuse = StageReuse::default();
-    let placed = prep
-        .prefix(&checkpoints, workload, synth_clock, &mut reuse)?
-        .placed;
+    let entering = Entering::Workload(workload);
+    let placed = prep.placed(&checkpoints, entering, synth_clock, &mut reuse)?;
+    reuse.settle(scenario.pipeline_stages >= 2);
     let mut graph = placed.timer.into_graph(&lib);
     let routing = prep.wires(&mut graph, &placed.placement)?;
     let open_min_period = fold_period(scenario, &lib, graph.min_period());
@@ -1308,25 +1301,85 @@ mod tests {
         let routed = a.clone().with_wire_model(WireModel::Routed);
         let mut reseeded = a.clone();
         reseeded.seed = 99;
+        let mut deeper = a.clone();
+        deeper.pipeline_stages = 5;
+        let (off, full) = (VerifyLevel::Off, VerifyLevel::Full);
 
-        // Synth key: workload, verify, and rewrite all separate identities.
-        let base = synth_key(&a, w, VerifyLevel::Off);
-        assert_ne!(base, synth_key(&a, "alu/16", VerifyLevel::Off));
-        assert_ne!(base, synth_key(&a, w, VerifyLevel::Full));
-        assert_eq!(base, synth_key(&routed, w, VerifyLevel::Off));
+        // Synth key: workload, verify, and rewrite all separate identities;
+        // nothing downstream of synthesis does.
+        let base = synth_key(&a, w, off);
+        assert_ne!(base, synth_key(&a, "alu/16", off));
+        assert_ne!(base, synth_key(&a, w, full));
+        assert_eq!(base, synth_key(&routed, w, off));
+        assert_eq!(base, synth_key(&reseeded, w, off));
+        assert_eq!(base, synth_key(&deeper, w, off));
 
-        // Downstream keys fold the upstream hash: changing it changes
-        // every derived key.
-        assert_ne!(
-            pipeline_key(1, &a, VerifyLevel::Off),
-            pipeline_key(2, &a, VerifyLevel::Off)
-        );
-        assert_ne!(place_key(1, &a), place_key(2, &a));
-        assert_ne!(place_key(1, &a), place_key(1, &reseeded));
+        // Each key is its stage's header over the upstream key's fields
+        // plus its own knobs: whatever separates two upstream keys
+        // separates every key derived from them.
+        let fields = |key: &str| key.split_once('\n').expect("header line").1.to_string();
+        assert!(pipeline_key(&a, w, full).starts_with("asicgap-stage/v2 pipeline\n"));
+        assert!(fields(&pipeline_key(&a, w, full)).starts_with(&fields(&synth_key(&a, w, full))));
+        assert_ne!(pipeline_key(&a, w, off), pipeline_key(&a, w, full));
+        assert_ne!(pipeline_key(&a, w, off), pipeline_key(&deeper, w, off));
+        assert_ne!(place_key(&a, w), place_key(&a, "alu/16"));
+        assert_ne!(place_key(&a, w), place_key(&deeper, w));
+        assert_ne!(place_key(&a, w), place_key(&reseeded, w));
+        assert!(fields(&route_key(&a, w)).starts_with(&fields(&place_key(&a, w))));
+
+        // A placed netlist is the same netlist at any verify level: the
+        // place key chains on the unverified pipeline key.
+        assert!(fields(&place_key(&a, w)).starts_with(&fields(&pipeline_key(&a, w, off))));
         // The wire model only enters at the route key: place keys agree,
         // route keys do not.
-        assert_eq!(place_key(7, &a), place_key(7, &routed));
-        assert_ne!(route_key(7, &a), route_key(7, &routed));
+        assert_eq!(place_key(&a, w), place_key(&routed, w));
+        assert_ne!(route_key(&a, w), route_key(&routed, w));
+        assert_ne!(route_key(&a, w), route_key(&reseeded, w));
+    }
+
+    #[test]
+    fn reuse_settles_upstream_of_the_deepest_hit() {
+        let code = |r: StageReuse| r.entries().map(|(_, s)| s);
+        let settled = |mut r: StageReuse, pipelined| {
+            r.settle(pipelined);
+            code(r)
+        };
+        let route_hit = StageReuse {
+            route: Some(true),
+            ..StageReuse::default()
+        };
+        assert_eq!(settled(route_hit, true), [Some(true); 4]);
+        assert_eq!(
+            settled(route_hit, false),
+            [Some(true), None, Some(true), Some(true)]
+        );
+        // A miss that was looked at stays a miss; a closure run's `route`
+        // stays out of the run.
+        let verified = StageReuse {
+            synth: Some(false),
+            pipeline: Some(false),
+            place: None,
+            route: Some(true),
+        };
+        assert_eq!(
+            settled(verified, true),
+            [Some(false), Some(false), Some(true), Some(true)]
+        );
+        let closing = StageReuse {
+            place: Some(true),
+            ..StageReuse::default()
+        };
+        assert_eq!(
+            settled(closing, true),
+            [Some(true), Some(true), Some(true), None]
+        );
+        let cold = StageReuse {
+            synth: Some(false),
+            pipeline: None,
+            place: Some(false),
+            route: Some(false),
+        };
+        assert_eq!(settled(cold, false), code(cold));
     }
 
     #[test]
@@ -1365,7 +1418,11 @@ mod tests {
             height_um: 1.0 / 3.0,
             cells: vec![(0.5, 1.5), (2.25, f64::MIN_POSITIVE)],
             inputs: vec![(0.0, 9.75)],
-            outputs: vec![(7.125, 8.0), (1e-300, 2.0), (3.0, 4.0)],
+            // Coordinates travel as their bits, so the values decimal
+            // formats stumble on survive too: the sign of zero, a
+            // subnormal, an infinity. Non-finite values are preserved,
+            // not rejected — the codec does not judge a placement.
+            outputs: vec![(7.125, -0.0), (5e-324, 2.0), (f64::INFINITY, 4.0)],
         };
         let stats = IncrementalStats {
             full_propagations: 1,
@@ -1380,8 +1437,51 @@ mod tests {
         let text = art.encode(&lib);
         let back = PlaceArtifact::parse(&text, &lib).expect("parses");
         assert_eq!(back.placement, placement);
+        let bits = |p: &Placement| -> Vec<(u64, u64)> {
+            let all = p.cells.iter().chain(&p.inputs).chain(&p.outputs);
+            all.map(|(x, y)| (x.to_bits(), y.to_bits())).collect()
+        };
+        assert_eq!(
+            bits(&back.placement),
+            bits(&placement),
+            "-0.0 == 0.0: compare bits"
+        );
+        assert!(
+            text.contains("\n401c800000000000 8000000000000000\n"),
+            "{text}"
+        );
         assert_eq!(back.stats, stats);
         assert_eq!(back.encode(&lib), text);
+        // NaN has no equal, its bits do.
+        let mut nan = art.clone();
+        nan.placement.cells[0].0 = f64::from_bits(0x7ff8_0000_dead_beef);
+        let back = PlaceArtifact::parse(&nan.encode(&lib), &lib).expect("parses");
+        assert_eq!(back.placement.cells[0].0.to_bits(), 0x7ff8_0000_dead_beef);
+        // Exactly sixteen lower-case digits, nothing `from_str_radix` would
+        // also take.
+        for broken in [
+            "401C800000000000",
+            "+01c800000000000",
+            "401c80000000000",
+            "0401c800000000000",
+        ] {
+            let text = text.replacen("401c800000000000", broken, 1);
+            assert!(PlaceArtifact::parse(&text, &lib).is_err(), "took {broken}");
+        }
+
+        // What the flow stores is the artifact behind a registers line.
+        let placed = Placed {
+            timer: Timer::Cold(netlist.clone()),
+            placement: placement.clone(),
+            stats,
+            registers: 64,
+        };
+        let stored = placed.encode(&lib);
+        assert_eq!(stored, format!("registers 64\n{text}"));
+        let back = Placed::parse(&stored, &lib).expect("parses");
+        assert_eq!((back.registers, back.stats), (64, stats));
+        assert_eq!(back.encode(&lib), stored);
+        assert!(Placed::parse(&text, &lib).is_err(), "no registers line");
 
         for route in [
             None,
@@ -1398,14 +1498,45 @@ mod tests {
                 min_period: Ps::new(7370.123456789),
                 delta: stats,
                 route,
+                registers: 64,
+                place_stats: stats + stats,
             };
             let text = art.encode(&lib);
             let back = RouteArtifact::parse(&text, &lib).expect("parses");
             assert_eq!(back.min_period, Ps::new(7370.123456789));
             assert_eq!(back.delta, stats);
+            assert_eq!((back.registers, back.place_stats), (64, stats + stats));
             assert_eq!(back.route, route);
             assert_eq!(back.encode(&lib), text);
         }
+    }
+
+    /// A point count the text cannot back is refused before anything is
+    /// reserved for it, and so is a netlist count inside an artifact.
+    #[test]
+    fn claimed_counts_are_held_to_the_bytes_that_follow() {
+        let lib = lib();
+        let huge = "4000000000000";
+        let head = "stage-place/v2\nstats 0 0 0\nplacement 0000000000000000 0000000000000000\n";
+        let tail =
+            "\nnetlist\nnetlist/v1\ndesign x\nnets 0\ninsts 0\ninputs 0\noutputs 0\nend\nend\n";
+        for text in [
+            format!("{head}cells {huge}{tail}"),
+            format!("{head}cells 0\ninputs {huge}{tail}"),
+            format!("{head}cells 0\ninputs 0\noutputs {huge}{tail}"),
+            format!(
+                "{head}cells 0\ninputs 0\noutputs 0\nnetlist\nnetlist/v1\ndesign x\nnets {huge}\nend\n"
+            ),
+        ] {
+            match PlaceArtifact::parse(&text, &lib) {
+                Err(GapError::Parse { what }) => {
+                    assert!(what.contains("claimed") || what.contains("count"), "{what}");
+                }
+                other => panic!("{text:?} parsed to {other:?}"),
+            }
+        }
+        let honest = format!("{head}cells 0\ninputs 0\noutputs 0{tail}");
+        assert!(PlaceArtifact::parse(&honest, &lib).is_ok());
     }
 
     #[test]

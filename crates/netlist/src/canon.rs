@@ -20,50 +20,125 @@
 //! Cells are serialized by **library name** and re-resolved against the
 //! library the decoder is given, so an artifact is only meaningful
 //! against the deterministically rebuilt library of its own scenario.
+//!
+//! A checkpoint should cost about what a copy costs, so both directions
+//! are one pass over bytes with no allocation per record: [`encode`]
+//! writes decimals and escapes by hand into one pre-sized buffer,
+//! [`decode`] walks a byte cursor, interns names straight from the text
+//! and fills the arena columns in place. No reservation is sized by a
+//! count the text merely claims: a count is checked against the bytes
+//! that are left (a record is at least two) before anything is reserved.
+//!
+//! `canon/oracle.rs` (test-only) keeps the `fmt`/`str::parse`
+//! implementation this one replaced as the reference: [`encode`] is
+//! byte-equal to it on every name that is ASCII, and [`decode`] accepts
+//! a subset of what it accepted, with the same observable result. The
+//! one byte difference is a repair: the reference wrote a name's bytes
+//! `>= 0x80` one `char` each — as mojibake its own decoder could not
+//! undo — where this encoder copies them. The texts the reference took
+//! and this decoder refuses — none of which [`encode`] ever writes — are:
+//!
+//! - a `+` before a decimal or inside a `%` escape (`str::parse` and
+//!   `from_str_radix` take one);
+//! - `\r\n` line ends (`str::lines` drops the `\r`);
+//! - a last line without its `\n`;
+//! - a raw space, control byte or DEL inside a name (the encoder writes
+//!   every byte `<= 0x20` and `0x7f` as `%xx`);
+//! - an id past `u32` where the reference saturated it (and only then
+//!   failed its cross-check, or tripped a debug assertion).
 
-use std::fmt::Write as _;
-
-use asicgap_cells::Library;
+use asicgap_cells::{CellId, LibCell, Library};
 use asicgap_tech::fnv1a;
 
 use crate::error::NetlistError;
 use crate::ids::{InstId, NetId};
 use crate::intern::NameTable;
 use crate::netlist::{
-    pack_driver, InstRecord, NetDriver, Netlist, Sink, SinkSlot, DRIVER_NONE, FLAG_OUTPUT,
-    INLINE_FANIN,
+    pack_driver, InstRecord, NetDriver, Netlist, Sink, SinkSlot, DRIVER_NONE, DRIVER_PI_BIT,
+    FLAG_OUTPUT, INLINE_FANIN,
 };
 
-/// Percent-escapes a name so it is a single whitespace-free token.
-fn esc(name: &str) -> String {
-    let mut out = String::with_capacity(name.len());
-    for &b in name.as_bytes() {
-        if b <= 0x20 || b == b'%' || b == 0x7f {
-            let _ = write!(out, "%{b:02x}");
-        } else {
-            out.push(b as char);
-        }
-    }
-    out
+#[cfg(test)]
+mod oracle;
+
+/// `true` for the bytes a name may carry as they are; the rest travel
+/// as `%xx`.
+const fn is_plain(b: u8) -> bool {
+    b > 0x20 && b != b'%' && b != 0x7f
 }
 
-/// Inverse of [`esc`].
-fn unesc(token: &str) -> Option<String> {
-    let mut out = Vec::with_capacity(token.len());
-    let bytes = token.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            let hex = bytes.get(i + 1..i + 3)?;
-            let hex = std::str::from_utf8(hex).ok()?;
-            out.push(u8::from_str_radix(hex, 16).ok()?);
-            i += 3;
+/// [`is_plain`] as a table, for the two loops that ask it of every byte
+/// of every name.
+const PLAIN: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = is_plain(b as u8);
+        b += 1;
+    }
+    table
+};
+
+/// Appends `name`, percent-escaped so it is a single whitespace-free
+/// token. All-plain names (every generated one) are one `memcpy`.
+fn put_name(w: &mut Vec<u8>, name: &[u8]) {
+    if name.iter().all(|&b| PLAIN[usize::from(b)]) {
+        w.extend_from_slice(name);
+        return;
+    }
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    for &b in name {
+        if PLAIN[usize::from(b)] {
+            w.push(b);
         } else {
-            out.push(bytes[i]);
-            i += 1;
+            w.extend_from_slice(&[b'%', HEX[usize::from(b >> 4)], HEX[usize::from(b & 15)]]);
         }
     }
-    String::from_utf8(out).ok()
+}
+
+/// Appends `v` in decimal.
+fn put_dec(w: &mut Vec<u8>, mut v: usize) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    w.extend_from_slice(&buf[at..]);
+}
+
+/// Appends `ids` comma-separated, or `-` for none.
+fn put_list(w: &mut Vec<u8>, ids: impl Iterator<Item = (usize, Option<u32>)>) {
+    let start = w.len();
+    for (id, pin) in ids {
+        put_dec(w, id);
+        if let Some(pin) = pin {
+            w.push(b':');
+            put_dec(w, pin as usize);
+        }
+        w.push(b',');
+    }
+    if w.len() == start {
+        w.push(b'-');
+    } else {
+        w.pop();
+    }
+}
+
+fn put_ports(w: &mut Vec<u8>, label: &[u8], ports: &[(String, NetId)]) {
+    w.extend_from_slice(label);
+    put_dec(w, ports.len());
+    w.push(b'\n');
+    for (name, net) in ports {
+        put_name(w, name.as_bytes());
+        w.push(b' ');
+        put_dec(w, net.index());
+        w.push(b'\n');
+    }
 }
 
 /// Serializes `netlist` to its canonical `netlist/v1` text. The text
@@ -71,56 +146,56 @@ fn unesc(token: &str) -> Option<String> {
 /// [`decode`] followed by `encode` reproduces it byte for byte. `lib`
 /// spells the cell names (a netlist stores only `CellId`s).
 pub fn encode(netlist: &Netlist, lib: &Library) -> String {
-    let mut w = String::new();
-    let _ = writeln!(w, "netlist/v1");
-    let _ = writeln!(w, "design {}", esc(&netlist.name));
-    let _ = writeln!(w, "nets {}", netlist.net_count());
-    for (_, net) in netlist.iter_nets() {
-        let mut sinks = String::new();
-        for s in net.sinks() {
-            if !sinks.is_empty() {
-                sinks.push(',');
-            }
-            let _ = write!(sinks, "{}:{}", s.inst.index(), s.pin);
-        }
-        if sinks.is_empty() {
-            sinks.push('-');
-        }
-        let _ = writeln!(w, "{} {}", esc(net.name()), sinks);
+    let mut w = Vec::new();
+    encode_into(netlist, lib, &mut w);
+    String::from_utf8(w).expect("names are UTF-8 and escaping only rewrites ASCII bytes")
+}
+
+/// [`encode`], appended to `w` — for a text that embeds a netlist and
+/// would otherwise copy it in. What is appended is UTF-8.
+pub fn encode_into(netlist: &Netlist, lib: &Library, w: &mut Vec<u8>) {
+    // Names once, a sink as `inst:pin,`, an instance as ` cell out a,b`:
+    // generous for every generated design, and only a hint.
+    w.reserve(
+        netlist.names.byte_len()
+            + 14 * netlist.pool.len()
+            + 40 * netlist.insts.len()
+            + 4 * netlist.net_name.len()
+            + 32 * (netlist.inputs.len() + netlist.outputs.len())
+            + netlist.name.len()
+            + 64,
+    );
+    w.extend_from_slice(b"netlist/v1\ndesign ");
+    put_name(w, netlist.name.as_bytes());
+    w.extend_from_slice(b"\nnets ");
+    put_dec(w, netlist.net_name.len());
+    w.push(b'\n');
+    for (&name, slot) in netlist.net_name.iter().zip(&netlist.slots) {
+        put_name(w, netlist.names.bytes_of(name));
+        w.push(b' ');
+        let sinks = &netlist.pool[slot.start as usize..(slot.start + slot.len) as usize];
+        put_list(w, sinks.iter().map(|s| (s.inst.index(), Some(s.pin))));
+        w.push(b'\n');
     }
-    let _ = writeln!(w, "insts {}", netlist.instance_count());
-    for (_, inst) in netlist.iter_instances() {
-        let mut fanin = String::new();
-        for &n in inst.fanin() {
-            if !fanin.is_empty() {
-                fanin.push(',');
-            }
-            let _ = write!(fanin, "{}", n.index());
-        }
-        if fanin.is_empty() {
-            fanin.push('-');
-        }
+    w.extend_from_slice(b"insts ");
+    put_dec(w, netlist.insts.len());
+    w.push(b'\n');
+    for (i, inst) in netlist.insts.iter().enumerate() {
+        put_name(w, netlist.names.bytes_of(inst.name));
+        w.push(b' ');
         // Cell by library name: artifacts are only decoded against the
         // deterministically rebuilt library of their own scenario.
-        let _ = writeln!(
-            w,
-            "{} {} {} {}",
-            esc(inst.name()),
-            esc(&lib.cell(inst.cell()).name),
-            inst.out().index(),
-            fanin
-        );
+        put_name(w, lib.cell(inst.cell).name.as_bytes());
+        w.push(b' ');
+        put_dec(w, inst.out.index());
+        w.push(b' ');
+        let fanin = netlist.fanin(InstId(i as u32));
+        put_list(w, fanin.iter().map(|n| (n.index(), None)));
+        w.push(b'\n');
     }
-    let _ = writeln!(w, "inputs {}", netlist.inputs().len());
-    for (name, net) in netlist.inputs() {
-        let _ = writeln!(w, "{} {}", esc(name), net.index());
-    }
-    let _ = writeln!(w, "outputs {}", netlist.outputs().len());
-    for (name, net) in netlist.outputs() {
-        let _ = writeln!(w, "{} {}", esc(name), net.index());
-    }
-    let _ = writeln!(w, "end");
-    w
+    put_ports(w, b"inputs ", &netlist.inputs);
+    put_ports(w, b"outputs ", &netlist.outputs);
+    w.extend_from_slice(b"end\n");
 }
 
 /// FNV-1a 64 of [`encode`] — a structural digest two netlists share iff
@@ -135,6 +210,165 @@ fn bad(what: impl Into<String>) -> NetlistError {
     }
 }
 
+/// A read position in a `netlist/v1` text. Every reader either consumes
+/// exactly what it names or the decode fails.
+struct Cursor<'t> {
+    text: &'t str,
+    at: usize,
+    /// Where an escaped name is decoded; plain ones are borrowed.
+    scratch: Vec<u8>,
+}
+
+/// A name as the text spells it, and whether it carries a `%` escape.
+type Token<'t> = (&'t str, bool);
+
+impl<'t> Cursor<'t> {
+    fn left(&self) -> usize {
+        self.text.len() - self.at
+    }
+
+    /// Consumes `lit` if the text continues with it.
+    fn eat(&mut self, lit: &[u8]) -> bool {
+        let hit = self.text.as_bytes()[self.at..].starts_with(lit);
+        if hit {
+            self.at += lit.len();
+        }
+        hit
+    }
+
+    /// Consumes and returns the next byte.
+    fn byte(&mut self) -> Option<u8> {
+        let b = *self.text.as_bytes().get(self.at)?;
+        self.at += 1;
+        Some(b)
+    }
+
+    /// A decimal: digits only, at least one.
+    fn digits(&mut self) -> Option<usize> {
+        let bytes = self.text.as_bytes();
+        let start = self.at;
+        let mut v = 0usize;
+        while let Some(d) = bytes.get(self.at).map(|b| b.wrapping_sub(b'0')) {
+            if d > 9 {
+                break;
+            }
+            v = v.checked_mul(10)?.checked_add(usize::from(d))?;
+            self.at += 1;
+        }
+        (self.at > start).then_some(v)
+    }
+
+    /// [`Cursor::digits`] as a `u32`.
+    fn id(&mut self) -> Option<u32> {
+        self.digits().and_then(|v| u32::try_from(v).ok())
+    }
+
+    /// A net id below `n_nets`, followed by `end`.
+    fn net(&mut self, n_nets: usize, end: u8) -> Option<NetId> {
+        let id = self.id().filter(|&id| (id as usize) < n_nets)?;
+        self.eat(&[end]).then_some(NetId(id))
+    }
+
+    /// A `label count` line. The count is held to the bytes that are
+    /// left — every record is at least two — so nothing downstream can
+    /// reserve more than the text could fill.
+    fn count(&mut self, label: &'static str) -> Result<usize, NetlistError> {
+        let n = (self.eat(label.as_bytes()) && self.eat(b" "))
+            .then(|| self.digits().filter(|_| self.eat(b"\n")))
+            .flatten()
+            .ok_or_else(|| bad(format!("missing {label} count")))?;
+        if n > self.left() / 2 {
+            return Err(bad(format!(
+                "{label} count {n} is more than {} bytes can hold",
+                self.left()
+            )));
+        }
+        Ok(n)
+    }
+
+    /// A name token and the `end` byte after it.
+    fn token(&mut self, end: u8) -> Option<Token<'t>> {
+        let bytes = self.text.as_bytes();
+        let start = self.at;
+        let mut escaped = false;
+        loop {
+            let b = *bytes.get(self.at)?;
+            if !PLAIN[usize::from(b)] {
+                if b == end {
+                    break;
+                }
+                if b != b'%' {
+                    return None;
+                }
+                escaped = true;
+            }
+            self.at += 1;
+        }
+        // Cut at ASCII bytes, so on character boundaries.
+        let token = self.text.get(start..self.at)?;
+        self.at += 1;
+        Some((token, escaped))
+    }
+
+    /// The name spelled by the token that runs up to `end`.
+    fn name(&mut self, end: u8) -> Option<&str> {
+        let token = self.token(end)?;
+        spelled(token, &mut self.scratch)
+    }
+}
+
+/// The name a token spells: the token itself unless it carries escapes,
+/// which are decoded into `scratch`.
+fn spelled<'a>((token, escaped): Token<'a>, scratch: &'a mut Vec<u8>) -> Option<&'a str> {
+    if !escaped {
+        return Some(token);
+    }
+    scratch.clear();
+    let mut bytes = token.bytes();
+    while let Some(b) = bytes.next() {
+        if b == b'%' {
+            let mut hex = || bytes.next().and_then(|b| char::from(b).to_digit(16));
+            let (hi, lo) = (hex()?, hex()?);
+            scratch.push((hi * 16 + lo) as u8);
+        } else {
+            scratch.push(b);
+        }
+    }
+    std::str::from_utf8(scratch).ok()
+}
+
+/// Cell names bound so far, by the token they were spelled with: a
+/// design uses a few dozen cells a hundred thousand times over, so the
+/// library's by-name map is asked about once per cell, not per instance.
+struct CellMemo<'t, 'l> {
+    lib: &'l Library,
+    slots: [Option<(&'t str, CellId, &'l LibCell)>; 64],
+}
+
+impl<'t, 'l> CellMemo<'t, 'l> {
+    fn bind(
+        &mut self,
+        token: Token<'t>,
+        scratch: &mut Vec<u8>,
+    ) -> Result<(CellId, &'l LibCell), NetlistError> {
+        let slot = fnv1a(token.0.as_bytes()) as usize % self.slots.len();
+        if let Some((seen, id, cell)) = self.slots[slot] {
+            if seen == token.0 {
+                return Ok((id, cell));
+            }
+        }
+        let name = spelled(token, scratch).ok_or_else(|| bad("bad cell name"))?;
+        let (id, cell) = self
+            .lib
+            .cell_by_name(name)
+            .ok_or_else(|| NetlistError::MissingCell {
+                what: name.to_string(),
+            })?;
+        self.slots[slot] = Some((token.0, id, cell));
+        Ok((id, cell))
+    }
+}
+
 /// Parses a `netlist/v1` text back into a [`Netlist`], resolving cells
 /// by name in `lib` and rebuilding the arena exact-fit. Performs a full
 /// structural cross-check (sink lists vs fan-in lists, single drivers,
@@ -145,89 +379,107 @@ fn bad(what: impl Into<String>) -> NetlistError {
 /// [`NetlistError::Invalid`] on any structural deviation;
 /// [`NetlistError::MissingCell`] when `lib` lacks a referenced cell.
 pub fn decode(text: &str, lib: &Library) -> Result<Netlist, NetlistError> {
-    let mut lines = text.lines();
-    if lines.next() != Some("netlist/v1") {
+    let mut cur = Cursor {
+        text,
+        at: 0,
+        scratch: Vec::new(),
+    };
+    if !cur.eat(b"netlist/v1\n") {
         return Err(bad("missing netlist/v1 header"));
     }
-    let design = lines
-        .next()
-        .and_then(|l| l.strip_prefix("design "))
-        .and_then(unesc)
+    let design = (cur.eat(b"design "))
+        .then(|| cur.name(b'\n').map(str::to_string))
+        .flatten()
         .ok_or_else(|| bad("missing design line"))?;
-    let count = |line: Option<&str>, name: &str| -> Result<usize, NetlistError> {
-        line.and_then(|l| l.strip_prefix(name))
-            .and_then(|r| r.strip_prefix(' '))
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| bad(format!("missing {name} count")))
-    };
 
-    let n_nets = count(lines.next(), "nets")?;
+    // Nets: names interned in net order, sinks appended straight into
+    // the pool in their serialized order (the observable property
+    // everything downstream keys on).
+    let n_nets = cur.count("nets")?;
+    if n_nets >= DRIVER_PI_BIT as usize {
+        return Err(bad("net count exceeds the id space"));
+    }
     let mut names = NameTable::default();
+    names.reserve(n_nets, cur.left() / 8);
     let mut net_name = Vec::with_capacity(n_nets);
-    let mut sink_lists: Vec<Vec<Sink>> = Vec::with_capacity(n_nets);
+    let mut slots = Vec::with_capacity(n_nets);
+    let mut pool: Vec<Sink> = Vec::with_capacity(2 * n_nets);
     for i in 0..n_nets {
-        let line = lines.next().ok_or_else(|| bad("truncated nets"))?;
-        let (name, sinks) = line
-            .split_once(' ')
+        let name = cur
+            .name(b' ')
             .ok_or_else(|| bad(format!("malformed net line {i}")))?;
-        let name = unesc(name).ok_or_else(|| bad(format!("bad net name {i}")))?;
-        net_name.push(names.intern(&name));
-        let mut list = Vec::new();
-        if sinks != "-" {
-            for pair in sinks.split(',') {
-                let (inst, pin) = pair
-                    .split_once(':')
-                    .ok_or_else(|| bad(format!("bad sink {pair:?} on net {i}")))?;
-                let inst: usize = inst.parse().map_err(|_| bad("bad sink inst"))?;
-                let pin: u32 = pin.parse().map_err(|_| bad("bad sink pin"))?;
-                list.push(Sink {
-                    inst: InstId::from_index(inst),
+        net_name.push(names.intern(name));
+        let start = pool.len();
+        if !cur.eat(b"-\n") {
+            loop {
+                // Which instances exist is not known yet: sinks are held
+                // against the fan-in lists once those are read.
+                let inst = cur.id().filter(|_| cur.eat(b":"));
+                let (Some(inst), Some(pin)) = (inst, cur.id()) else {
+                    return Err(bad(format!("bad sink on net {i}")));
+                };
+                pool.push(Sink {
+                    inst: InstId(inst),
                     pin,
                 });
+                match cur.byte() {
+                    Some(b',') => {}
+                    Some(b'\n') => break,
+                    _ => return Err(bad(format!("bad sink list on net {i}"))),
+                }
             }
         }
-        sink_lists.push(list);
+        let (start, len) = u32::try_from(start)
+            .ok()
+            .zip(u32::try_from(pool.len() - start).ok())
+            .ok_or_else(|| bad("sink pool too large"))?;
+        slots.push(SinkSlot {
+            start,
+            len,
+            cap: len,
+        });
     }
 
-    let n_insts = count(lines.next(), "insts")?;
+    let n_insts = cur.count("insts")?;
+    names.reserve(n_insts, 0);
     let mut net_driver = vec![DRIVER_NONE; n_nets];
     let mut net_flags = vec![0u8; n_nets];
     let mut insts: Vec<InstRecord> = Vec::with_capacity(n_insts);
     let mut inst_seq = Vec::with_capacity(n_insts);
     let mut fanin_overflow: Vec<NetId> = Vec::new();
+    let mut fanin: Vec<NetId> = Vec::new();
+    // Sinks each net should have, counted off the fan-in lists.
+    let mut expected = vec![0u32; n_nets];
+    let mut cells = CellMemo {
+        lib,
+        slots: [None; 64],
+    };
     for i in 0..n_insts {
-        let line = lines.next().ok_or_else(|| bad("truncated insts"))?;
-        let mut f = line.split(' ');
-        let name = f
-            .next()
-            .and_then(unesc)
+        let name = cur
+            .name(b' ')
+            .map(|name| names.intern(name))
             .ok_or_else(|| bad(format!("bad inst name {i}")))?;
-        let cell_name = f
-            .next()
-            .and_then(unesc)
+        let cell = cur
+            .token(b' ')
             .ok_or_else(|| bad(format!("bad cell name {i}")))?;
-        let out: usize = f
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| bad(format!("bad inst out {i}")))?;
-        let fanin_tok = f.next().ok_or_else(|| bad(format!("bad inst fanin {i}")))?;
-        if f.next().is_some() {
-            return Err(bad(format!("trailing data on inst {i}")));
-        }
-        if out >= n_nets {
-            return Err(bad(format!("inst {i} out net {out} out of range")));
-        }
-        let (cell, libcell) = lib
-            .cell_by_name(&cell_name)
-            .ok_or(NetlistError::MissingCell { what: cell_name })?;
-        let mut fanin: Vec<NetId> = Vec::new();
-        if fanin_tok != "-" {
-            for tok in fanin_tok.split(',') {
-                let n: usize = tok.parse().map_err(|_| bad("bad fanin net"))?;
-                if n >= n_nets {
-                    return Err(bad(format!("inst {i} fanin net {n} out of range")));
+        let (cell, libcell) = cells.bind(cell, &mut cur.scratch)?;
+        let out = cur
+            .net(n_nets, b' ')
+            .ok_or_else(|| bad(format!("inst {i} out net missing or out of range")))?;
+        fanin.clear();
+        if !cur.eat(b"-\n") {
+            loop {
+                let net = cur
+                    .id()
+                    .filter(|&n| (n as usize) < n_nets)
+                    .ok_or_else(|| bad(format!("inst {i} fanin net missing or out of range")))?;
+                fanin.push(NetId(net));
+                expected[net as usize] += 1;
+                match cur.byte() {
+                    Some(b',') => {}
+                    Some(b'\n') => break,
+                    _ => return Err(bad(format!("bad fanin list on inst {i}"))),
                 }
-                fanin.push(NetId::from_index(n));
             }
         }
         if fanin.len() != libcell.function.num_inputs() {
@@ -236,10 +488,10 @@ pub fn decode(text: &str, lib: &Library) -> Result<Netlist, NetlistError> {
                 fanin.len()
             )));
         }
-        if net_driver[out] != DRIVER_NONE {
-            return Err(bad(format!("net {out} has two drivers")));
+        if net_driver[out.index()] != DRIVER_NONE {
+            return Err(bad(format!("net {} has two drivers", out.index())));
         }
-        net_driver[out] = pack_driver(NetDriver::Instance(InstId::from_index(i)));
+        net_driver[out.index()] = pack_driver(NetDriver::Instance(InstId::from_index(i)));
         let mut inline = [NetId(u32::MAX); INLINE_FANIN];
         let nfanin = u8::try_from(fanin.len()).map_err(|_| bad("fanin too wide"))?;
         if fanin.len() <= INLINE_FANIN {
@@ -247,12 +499,12 @@ pub fn decode(text: &str, lib: &Library) -> Result<Netlist, NetlistError> {
         } else {
             let start = u32::try_from(fanin_overflow.len()).map_err(|_| bad("overflow"))?;
             fanin_overflow.extend_from_slice(&fanin);
-            inline[0] = NetId::from_index(start as usize);
+            inline[0] = NetId(start);
         }
         insts.push(InstRecord {
-            name: names.intern(&name),
+            name,
             cell,
-            out: NetId::from_index(out),
+            out,
             fanin: inline,
             function: libcell.function,
             nfanin,
@@ -260,64 +512,45 @@ pub fn decode(text: &str, lib: &Library) -> Result<Netlist, NetlistError> {
         inst_seq.push(u8::from(libcell.function.is_sequential()));
     }
 
-    let n_inputs = count(lines.next(), "inputs")?;
-    let mut inputs = Vec::with_capacity(n_inputs);
-    for i in 0..n_inputs {
-        let line = lines.next().ok_or_else(|| bad("truncated inputs"))?;
-        let (name, net) = line
-            .split_once(' ')
-            .ok_or_else(|| bad(format!("malformed input line {i}")))?;
-        let name = unesc(name).ok_or_else(|| bad("bad input name"))?;
-        let net: usize = net.parse().map_err(|_| bad("bad input net"))?;
-        if net >= n_nets {
-            return Err(bad(format!("input {i} net {net} out of range")));
+    let mut ports = |label: &'static str,
+                     each: &mut dyn FnMut(usize, NetId) -> Result<(), NetlistError>|
+     -> Result<Vec<(String, NetId)>, NetlistError> {
+        let n = cur.count(label)?;
+        let mut ports = Vec::with_capacity(n);
+        for i in 0..n {
+            let name = cur
+                .name(b' ')
+                .map(str::to_string)
+                .ok_or_else(|| bad(format!("bad {label} name {i}")))?;
+            let net = cur
+                .net(n_nets, b'\n')
+                .ok_or_else(|| bad(format!("{label} {i} net missing or out of range")))?;
+            each(i, net)?;
+            ports.push((name, net));
         }
-        if net_driver[net] != DRIVER_NONE {
-            return Err(bad(format!("input net {net} has two drivers")));
+        Ok(ports)
+    };
+    let inputs = ports("inputs", &mut |i, net| {
+        if net_driver[net.index()] != DRIVER_NONE {
+            return Err(bad(format!("input net {} has two drivers", net.index())));
         }
-        net_driver[net] = pack_driver(NetDriver::PrimaryInput(i));
-        inputs.push((name, NetId::from_index(net)));
-    }
-
-    let n_outputs = count(lines.next(), "outputs")?;
-    let mut outputs = Vec::with_capacity(n_outputs);
-    for i in 0..n_outputs {
-        let line = lines.next().ok_or_else(|| bad("truncated outputs"))?;
-        let (name, net) = line
-            .split_once(' ')
-            .ok_or_else(|| bad(format!("malformed output line {i}")))?;
-        let name = unesc(name).ok_or_else(|| bad("bad output name"))?;
-        let net: usize = net.parse().map_err(|_| bad("bad output net"))?;
-        if net >= n_nets {
-            return Err(bad(format!("output {i} net {net} out of range")));
-        }
-        net_flags[net] |= FLAG_OUTPUT;
-        outputs.push((name, NetId::from_index(net)));
-    }
-
-    if lines.next() != Some("end") {
+        net_driver[net.index()] = pack_driver(NetDriver::PrimaryInput(i));
+        Ok(())
+    })?;
+    let outputs = ports("outputs", &mut |_, net| {
+        net_flags[net.index()] |= FLAG_OUTPUT;
+        Ok(())
+    })?;
+    if !cur.eat(b"end\n") {
         return Err(bad("missing end"));
     }
-    if lines.next().is_some() {
+    if cur.left() != 0 {
         return Err(bad("trailing data"));
     }
 
-    // Exact-fit sink pool in net order, preserving each net's serialized
-    // sink order (the observable property everything downstream keys on).
-    let live: usize = sink_lists.iter().map(Vec::len).sum();
-    let mut pool = Vec::with_capacity(live);
-    let mut slots = Vec::with_capacity(n_nets);
-    for list in &sink_lists {
-        let start = u32::try_from(pool.len()).map_err(|_| bad("sink pool too large"))?;
-        let len = u32::try_from(list.len()).map_err(|_| bad("sink run too large"))?;
-        pool.extend_from_slice(list);
-        slots.push(SinkSlot {
-            start,
-            len,
-            cap: len,
-        });
-    }
-
+    names.shrink_to_fit();
+    pool.shrink_to_fit();
+    let live = pool.len();
     let netlist = Netlist {
         name: design,
         names,
@@ -334,36 +567,25 @@ pub fn decode(text: &str, lib: &Library) -> Result<Netlist, NetlistError> {
         inputs,
         outputs,
     };
-
     // Structural cross-check: every serialized sink must name a real
     // fan-in connection, and per-net counts must match a from-scratch
     // rebuild — together that is exact multiset equality, so a torn or
     // hand-edited artifact cannot decode into an inconsistent arena.
-    let mut expected = vec![0usize; n_nets];
-    for (id, inst) in netlist.iter_instances() {
-        for (pin, &net) in inst.fanin().iter().enumerate() {
-            let _ = (id, pin);
-            expected[net.index()] += 1;
-        }
-    }
-    for (id, net) in netlist.iter_nets() {
-        if net.sinks().len() != expected[id.index()] {
+    for (net, (slot, &expected)) in netlist.slots.iter().zip(&expected).enumerate() {
+        if slot.len != expected {
             return Err(bad(format!(
-                "net {} sink count {} != fan-in rebuild {}",
-                id.index(),
-                net.sinks().len(),
-                expected[id.index()]
+                "net {net} sink count {} != fan-in rebuild {expected}",
+                slot.len
             )));
         }
-        for s in net.sinks() {
-            if s.inst.index() >= netlist.instance_count()
-                || netlist.instance(s.inst).fanin().get(s.pin as usize) != Some(&id)
+        for s in netlist.sinks(NetId(net as u32)) {
+            if s.inst.index() >= n_insts
+                || netlist.fanin(s.inst).get(s.pin as usize) != Some(&NetId(net as u32))
             {
                 return Err(bad(format!(
-                    "sink {}:{} of net {} disagrees with fan-in list",
+                    "sink {}:{} of net {net} disagrees with fan-in list",
                     s.inst.index(),
-                    s.pin,
-                    id.index()
+                    s.pin
                 )));
             }
         }
@@ -378,13 +600,13 @@ mod tests {
     use asicgap_cells::{CellFunction, LibrarySpec};
     use asicgap_tech::Technology;
 
-    fn lib() -> Library {
+    pub(super) fn lib() -> Library {
         LibrarySpec::rich().build(&Technology::cmos025_asic())
     }
 
     /// Checks every observable property of `b` against `a`, including
     /// per-net sink order.
-    fn assert_observably_equal(a: &Netlist, b: &Netlist) {
+    pub(super) fn assert_observably_equal(a: &Netlist, b: &Netlist) {
         assert_eq!(a.name, b.name);
         assert_eq!(a.net_count(), b.net_count());
         assert_eq!(a.instance_count(), b.instance_count());
@@ -519,5 +741,35 @@ mod tests {
         let tampered = good.replacen(&first_sinkful, &dropped, 1);
         let _ = sinks;
         assert!(decode(&tampered, &lib).is_err(), "dropped sinks accepted");
+    }
+
+    /// A count the text cannot back is refused before anything is
+    /// reserved for it: these 40-byte texts used to ask the allocator
+    /// for terabytes.
+    #[test]
+    fn claimed_counts_are_held_to_the_bytes_that_follow() {
+        let lib = lib();
+        let huge = "4000000000000";
+        for text in [
+            format!("netlist/v1\ndesign x\nnets {huge}\n"),
+            format!("netlist/v1\ndesign x\nnets 0\ninsts {huge}\n"),
+            format!("netlist/v1\ndesign x\nnets 0\ninsts 0\ninputs {huge}\n"),
+            format!("netlist/v1\ndesign x\nnets 0\ninsts 0\ninputs 0\noutputs {huge}\n"),
+            // In range for a `usize` on any target, still a lie.
+            "netlist/v1\ndesign x\nnets 9\na -\n".to_string(),
+        ] {
+            match decode(&text, &lib) {
+                Err(NetlistError::Invalid { summary }) => {
+                    assert!(summary.contains("count"), "{summary}");
+                }
+                other => panic!("{text:?} decoded to {other:?}"),
+            }
+        }
+        // The smallest honest records still fit the bound.
+        let empty =
+            "netlist/v1\ndesign x\nnets 2\n -\n -\ninsts 0\ninputs 1\n 0\noutputs 1\n 1\nend\n";
+        let n = decode(empty, &lib).expect("two-byte-per-record text decodes");
+        assert_eq!(n.net_count(), 2);
+        assert_eq!(encode(&n, &lib), empty);
     }
 }

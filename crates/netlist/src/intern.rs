@@ -143,6 +143,12 @@ impl NameTable {
         sym
     }
 
+    /// Room for `names` more names spelling `bytes` more bytes.
+    pub(crate) fn reserve(&mut self, names: usize, bytes: usize) {
+        self.ends.reserve(names);
+        self.bytes.reserve(bytes);
+    }
+
     /// Switches to hash-consing mode: from now on, interning a spelling
     /// already in the table returns its existing [`Symbol`]. Existing
     /// entries are indexed too (a spelling stored twice under its first
@@ -174,10 +180,27 @@ impl NameTable {
     ///
     /// Panics if `sym` came from a different table.
     pub(crate) fn resolve(&self, sym: Symbol) -> &str {
+        std::str::from_utf8(self.bytes_of(sym)).expect("interned names are valid UTF-8")
+    }
+
+    /// The bytes of `sym`'s spelling — [`NameTable::resolve`] for a
+    /// caller that copies them on and has no use for the `str` check.
+    pub(crate) fn bytes_of(&self, sym: Symbol) -> &[u8] {
         let i = sym.index();
         let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        let end = self.ends[i] as usize;
-        std::str::from_utf8(&self.bytes[start..end]).expect("interned names are valid UTF-8")
+        &self.bytes[start..self.ends[i] as usize]
+    }
+
+    /// Total bytes of every spelling held.
+    pub(crate) fn byte_len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// The arena as stored: every spelling back to back, and where each
+    /// ends.
+    #[cfg(test)]
+    pub(crate) fn raw(&self) -> (&[u8], &[u32]) {
+        (&self.bytes, &self.ends)
     }
 
     /// Releases spare capacity after the build phase settles. Also drops

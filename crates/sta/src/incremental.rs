@@ -57,6 +57,50 @@ pub struct IncrementalStats {
     pub pins_touched: usize,
 }
 
+/// Counter-wise sum: effort accrued by two timers, or by one over two
+/// spans.
+impl std::ops::Add for IncrementalStats {
+    type Output = IncrementalStats;
+
+    fn add(self, rhs: IncrementalStats) -> IncrementalStats {
+        IncrementalStats {
+            full_propagations: self.full_propagations + rhs.full_propagations,
+            incremental_updates: self.incremental_updates + rhs.incremental_updates,
+            pins_touched: self.pins_touched + rhs.pins_touched,
+        }
+    }
+}
+
+impl std::ops::AddAssign for IncrementalStats {
+    fn add_assign(&mut self, rhs: IncrementalStats) {
+        *self = *self + rhs;
+    }
+}
+
+/// Counter-wise difference: what a timer did between an earlier reading
+/// (`rhs`) and a later one.
+///
+/// # Panics
+///
+/// Panics if any counter of `rhs` exceeds `self`'s — the readings were
+/// not taken in that order, or not from the same timer.
+impl std::ops::Sub for IncrementalStats {
+    type Output = IncrementalStats;
+
+    fn sub(self, rhs: IncrementalStats) -> IncrementalStats {
+        let sub = |later: usize, earlier: usize| {
+            later
+                .checked_sub(earlier)
+                .expect("timer counters only grow: subtract the earlier reading from the later")
+        };
+        IncrementalStats {
+            full_propagations: sub(self.full_propagations, rhs.full_propagations),
+            incremental_updates: sub(self.incremental_updates, rhs.incremental_updates),
+            pins_touched: sub(self.pins_touched, rhs.pins_touched),
+        }
+    }
+}
+
 /// Saved pre-overwrite state of one net, for trial rollback.
 /// `worst_driver`/`worst_pred` are absent on purpose: recorded
 /// evaluations never write them (worst-path queries are only made on
@@ -515,6 +559,32 @@ mod tests {
     use asicgap_cells::{CellFunction, LibrarySpec};
     use asicgap_netlist::NetlistBuilder;
     use asicgap_tech::Technology;
+
+    #[test]
+    fn stats_add_and_subtract_counter_wise() {
+        let stats = |f, i, p| IncrementalStats {
+            full_propagations: f,
+            incremental_updates: i,
+            pins_touched: p,
+        };
+        let (earlier, later) = (stats(1, 4, 900), stats(3, 4, 2500));
+        assert_eq!(later - earlier, stats(2, 0, 1600));
+        assert_eq!(earlier + (later - earlier), later);
+        let mut acc = IncrementalStats::default();
+        acc += earlier;
+        acc += later;
+        assert_eq!(acc, stats(4, 8, 3400));
+    }
+
+    #[test]
+    #[should_panic(expected = "timer counters only grow")]
+    fn stats_subtraction_is_checked() {
+        let earlier = IncrementalStats {
+            pins_touched: 5,
+            ..IncrementalStats::default()
+        };
+        let _ = IncrementalStats::default() - earlier;
+    }
 
     struct UnitModel;
     impl DelayModel for UnitModel {

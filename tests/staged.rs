@@ -377,17 +377,18 @@ fn pinned_sequence(pipelined: bool, routed: bool, verified: bool) -> String {
     s
 }
 
-/// The callback sequence of a fully resumed run: each checkpoint
-/// reports its lookup under its own stage and is followed by that
-/// stage's poll; the final check (never checkpointed) still runs.
+/// The callback sequence of a fully resumed run: the route checkpoint
+/// reports its lookup under the stage extraction is billed to, followed
+/// by that stage's poll, and nothing upstream of it is looked at. A
+/// verified run first fetches the golden side — the deepest of
+/// `pipeline` and `synth` — and ends with the final check, which is
+/// never checkpointed.
 fn pinned_resumed_sequence(pipelined: bool, routed: bool, verified: bool) -> String {
-    let mut s = String::from("synth ?");
-    if pipelined {
-        s.push_str(" pipeline ?");
+    let mut s = String::new();
+    if verified {
+        s.push_str(if pipelined { "pipeline ? " } else { "synth ? " });
     }
-    s.push_str(" place ? ");
-    s.push_str(if routed { "route" } else { "place" });
-    s.push_str(" ?");
+    s.push_str(if routed { "route ?" } else { "place ?" });
     if verified {
         s.push_str(" ? equiv");
     }
@@ -411,8 +412,9 @@ fn observer_sequence_is_pinned_and_store_independent() {
     );
     assert_eq!(
         pinned_resumed_sequence(true, true, true),
-        "synth ? pipeline ? place ? route ? ? equiv"
+        "pipeline ? route ? ? equiv"
     );
+    assert_eq!(pinned_resumed_sequence(false, false, false), "place ?");
     let w = alu8();
     for preset in presets() {
         for model in WIRE_MODELS {
@@ -587,22 +589,19 @@ type ReuseRow = (&'static str, [(&'static str, &'static str); 2]);
 
 /// The second request of each pair, run against the store the first one
 /// filled, for the typical (unpipelined) and best-practice (5-stage)
-/// presets. Recorded on the content-chained key scheme; a later scheme
-/// may turn a `-` into a letter, never the reverse, and must leave the
-/// `equiv` callbacks — the checks actually run — where they are.
+/// presets. Against the content-chained keys this table was first
+/// recorded on, a `-` has turned into a letter in three rows (a placed
+/// netlist is now found whatever verify level wrote it) and never the
+/// reverse, the logs have lost the lookups of stages upstream of the
+/// deepest hit, and the `equiv` callbacks — the checks actually run —
+/// are where they were.
 const REUSE_MATRIX: [ReuseRow; 9] = [
-    (
-        "same",
-        [
-            ("s.lr", "synth ? place ? place ?"),
-            ("splr", "synth ? pipeline ? place ? place ?"),
-        ],
-    ),
+    ("same", [("s.lr", "place ?"), ("splr", "place ?")]),
     (
         "wire flip",
         [
-            ("s.l-", "synth ? place ? route ? sizing ? sta"),
-            ("spl-", "synth ? pipeline ? place ? route ? sizing ? sta"),
+            ("s.l-", "place ? route ? sizing ? sta"),
+            ("spl-", "place ? route ? sizing ? sta"),
         ],
     ),
     (
@@ -611,7 +610,7 @@ const REUSE_MATRIX: [ReuseRow; 9] = [
             ("s.--", "synth ? sta sizing ? place ? place ? sizing ? sta"),
             (
                 "sp--",
-                "synth ? pipeline ? sta sizing ? place ? place ? sizing ? sta",
+                "pipeline ? sta sizing ? place ? place ? sizing ? sta",
             ),
         ],
     ),
@@ -621,44 +620,37 @@ const REUSE_MATRIX: [ReuseRow; 9] = [
             ("s.--", "synth ? sta sizing ? place ? place ? sizing ? sta"),
             (
                 "sp--",
-                "synth ? pipeline ? sta sizing ? place ? place ? sizing ? sta",
+                "pipeline ? sta sizing ? place ? place ? sizing ? sta",
             ),
         ],
     ),
     (
         "final-only knobs",
-        [
-            ("s.lr", "synth ? place ? place ?"),
-            ("splr", "synth ? pipeline ? place ? place ?"),
-        ],
+        [("s.lr", "place ?"), ("splr", "place ?")],
     ),
     ("run then close", [("s.l.", ""), ("spl.", "")]),
-    // The synth key names the verify level, so the proof-carrying
-    // artifacts miss; an unverified netlist's bytes are the same, so
-    // whatever chains on content alone still hits.
+    // The synth and pipeline keys name the verify level, so the golden
+    // side is recomputed with its checks; what was placed and routed is
+    // a netlist, found under keys that do not.
     (
         "verify off then sim",
         [
-            ("-.lr", "synth ? place ? place ? ? equiv"),
-            ("--lr", "synth ? pipeline ? equiv ? place ? place ? ? equiv"),
+            ("-.lr", "synth ? place ? ? equiv"),
+            ("--lr", "synth ? pipeline ? equiv ? place ? ? equiv"),
         ],
     ),
     (
         "verify off then full",
         [
-            ("-.-r", "synth ? sta sizing ? place ? place ? ? equiv"),
-            (
-                "---r",
-                "synth ? pipeline ? equiv ? sta sizing ? place ? place ? ? equiv",
-            ),
+            ("-.lr", "synth ? place ? ? equiv"),
+            ("--lr", "synth ? pipeline ? equiv ? place ? ? equiv"),
         ],
     ),
+    // An unverified run needs no proof: it resumes from the verified
+    // run's route artifact.
     (
         "verify full then off",
-        [
-            ("-.-r", "synth ? sta sizing ? place ? place ?"),
-            ("---r", "synth ? pipeline ? sta sizing ? place ? place ?"),
-        ],
+        [("s.lr", "place ?"), ("splr", "place ?")],
     ),
 ];
 
@@ -734,14 +726,15 @@ fn second_request_reuse_matrix() {
 }
 
 /// Every subset of a warm store's four artifacts evicted: the run
-/// resumes from whatever is left and lands on the storeless bytes. The
-/// reuse codes (index = eviction mask, bit k = stage k gone) are pinned
-/// for the pipelined preset.
+/// resumes from the deepest artifact left — whatever is gone above it,
+/// "route present, place gone" included — and lands on the storeless
+/// bytes. The reuse codes (index = eviction mask, bit k = stage k gone)
+/// are pinned for the pipelined preset.
 #[test]
 fn every_partial_store_resumes_to_the_storeless_bytes() {
     const WANT: [&str; 16] = [
-        "splr", "-plr", "s-lr", "--lr", "sp-r", "-p-r", "s--r", "---r", "spl-", "-pl-", "s-l-",
-        "--l-", "sp--", "-p--", "s---", "----",
+        "splr", "splr", "splr", "splr", "splr", "splr", "splr", "splr", "spl-", "spl-", "spl-",
+        "spl-", "sp--", "sp--", "s---", "----",
     ];
     let w = alu8();
     let mut got = Vec::new();
