@@ -151,19 +151,14 @@ fn put_bits(w: &mut Vec<u8>, v: f64, end: u8) {
 }
 
 fn parse_bits(field: &str, s: &str) -> Result<f64, GapError> {
-    let mut bits = 0u64;
-    let digit = |b: u8| match b {
-        b'0'..=b'9' => Some(b - b'0'),
-        b'a'..=b'f' => Some(b - b'a' + 10),
-        _ => None,
-    };
-    for b in s.bytes() {
-        bits = bits << 4 | u64::from(digit(b).ok_or_else(|| bad(format!("field {field}: {s:?}")))?);
-    }
-    if s.len() != 16 {
-        return Err(bad(format!("field {field}: {s:?}")));
-    }
-    Ok(f64::from_bits(bits))
+    // Exactly what `put_bits` writes; `from_str_radix` alone would also
+    // take a sign, upper case, or fewer digits.
+    let canonical = s.len() == 16 && s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    u64::from_str_radix(s, 16)
+        .ok()
+        .filter(|_| canonical)
+        .map(f64::from_bits)
+        .ok_or_else(|| bad(format!("field {field}: {s:?}")))
 }
 
 /// Appends `p` as a `placement W H` line and three counted point lists.

@@ -26,7 +26,7 @@
 //! | `synth`    | rewritten netlist + proof effort | workload, technology, library, rewrite, verify |
 //! | `pipeline` | registered netlist (the final-check golden) + registers | `pipeline_stages` |
 //! | `place`    | sized netlist + placement + timer checkpoint + registers | sizing, floorplan, seed |
-//! | `route`    | final netlist + report numbers + timer delta + both of the above scalars | wire model |
+//! | `route`    | final netlist + report numbers + timer delta + registers + the place timer checkpoint | wire model |
 //!
 //! Keys chain on upstream **keys**, not on upstream artifact content, so
 //! every key is a function of the request alone — known before any store
@@ -1058,16 +1058,12 @@ where
     // A verified run holds the golden side, fetched or recomputed under
     // its own verify level, before it looks at anything downstream; an
     // unverified one reaches upstream only from a miss.
-    let golden;
-    let entering = if verify == VerifyLevel::Off {
-        Entering::Workload(workload)
+    let front;
+    let (entering, golden) = if verify == VerifyLevel::Off {
+        (Entering::Workload(workload), None)
     } else {
-        golden = flow.front(&checkpoints, workload, synth_clock, &mut reuse)?;
-        Entering::Golden(&golden)
-    };
-    let golden = match entering {
-        Entering::Golden(golden) => Some(golden),
-        Entering::Workload(_) => None,
+        front = flow.front(&checkpoints, workload, synth_clock, &mut reuse)?;
+        (Entering::Golden(&front), Some(&front))
     };
 
     let clock = Instant::now();

@@ -236,11 +236,16 @@ impl<'t> Cursor<'t> {
         hit
     }
 
-    /// Consumes and returns the next byte.
-    fn byte(&mut self) -> Option<u8> {
+    /// After a list item: `,` and there are more, `\n` and the list is
+    /// done, anything else and it is damaged.
+    fn more(&mut self) -> Option<bool> {
         let b = *self.text.as_bytes().get(self.at)?;
         self.at += 1;
-        Some(b)
+        match b {
+            b',' => Some(true),
+            b'\n' => Some(false),
+            _ => None,
+        }
     }
 
     /// A decimal: digits only, at least one.
@@ -422,10 +427,11 @@ pub fn decode(text: &str, lib: &Library) -> Result<Netlist, NetlistError> {
                     inst: InstId(inst),
                     pin,
                 });
-                match cur.byte() {
-                    Some(b',') => {}
-                    Some(b'\n') => break,
-                    _ => return Err(bad(format!("bad sink list on net {i}"))),
+                if !cur
+                    .more()
+                    .ok_or_else(|| bad(format!("bad sink list on net {i}")))?
+                {
+                    break;
                 }
             }
         }
@@ -475,10 +481,11 @@ pub fn decode(text: &str, lib: &Library) -> Result<Netlist, NetlistError> {
                     .ok_or_else(|| bad(format!("inst {i} fanin net missing or out of range")))?;
                 fanin.push(NetId(net));
                 expected[net as usize] += 1;
-                match cur.byte() {
-                    Some(b',') => {}
-                    Some(b'\n') => break,
-                    _ => return Err(bad(format!("bad fanin list on inst {i}"))),
+                if !cur
+                    .more()
+                    .ok_or_else(|| bad(format!("bad fanin list on inst {i}")))?
+                {
+                    break;
                 }
             }
         }

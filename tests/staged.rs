@@ -513,14 +513,7 @@ fn cancellation_at_every_boundary_on_both_paths() {
         .expect_err("cancelled");
         let (retry, reuse) = run_scenario_staged(&scenario, &w, verify, &store).expect("retry");
         assert_eq!(retry.canonical_text(), want.canonical_text(), "poll {k}");
-        resumed.push(
-            reuse
-                .entries()
-                .iter()
-                .zip(["s", "p", "l", "r"])
-                .map(|((_, hit), tag)| if *hit == Some(true) { tag } else { "-" })
-                .collect::<String>(),
-        );
+        resumed.push(reuse_code(&reuse));
     }
     assert_eq!(resumed, RESUMED, "resume points moved; got {resumed:#?}");
 }
