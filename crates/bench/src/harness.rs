@@ -1,10 +1,11 @@
 //! A minimal wall-clock bench harness, plus the ECO mutation fuzzer.
 //!
-//! The workspace builds with no registry access, so the bench targets
-//! use this module instead of Criterion: plain `fn main()` binaries
-//! (`harness = false`) that time closures with `std::time::Instant` and
-//! report the median over a fixed iteration count. Numbers are for
-//! relative comparison on one machine, not statistical rigour.
+//! The workspace builds with no registry access, so the one bench
+//! target left here (`benches/netlist.rs`, the arena-vs-seed-layout
+//! ratio gate) uses this module instead of Criterion: a plain
+//! `fn main()` binary (`harness = false`) that times closures with
+//! `std::time::Instant` and reports the median over a fixed iteration
+//! count. Recorded numbers come from `benchmark/`, not from here.
 //!
 //! [`eco_equivalence_fuzz`] stress-tests the incremental timing API the
 //! way the checker is meant to be used in anger: seeded random ECO

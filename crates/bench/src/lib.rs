@@ -1,7 +1,7 @@
-//! Shared experiment drivers for the `repro` binary and the benches.
-//! Each `eN_*` function computes one experiment of the index in
-//! DESIGN.md and returns its headline numbers, so the binary can print
-//! them and the benches can time them against the same code path.
+//! Shared experiment drivers for the `repro` binary and
+//! `tests/golden.rs`. Each `eN_*` function computes one experiment of
+//! the index in DESIGN.md and returns its headline numbers, so the
+//! binary prints, and the golden suite pins, the same code path.
 
 #![warn(missing_docs)]
 
@@ -28,11 +28,6 @@ use asicgap::{
 /// E1: the observed silicon gap.
 pub fn e1_chip_gap() -> chips::ObservedGap {
     chips::observed_gap()
-}
-
-/// E2 (paper side): the factor table product.
-pub fn e2_paper_factors() -> f64 {
-    FactorTable::paper_maxima().combined()
 }
 
 /// E2 (measured side): end-to-end scenario gap and a measured factor
@@ -204,20 +199,29 @@ pub fn e9_binning_sweep() -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// Extension: §8.3 technology migration (0.25 µm ASIC → 0.18 µm copper).
-/// Returns (migration speedup, raw process FO4 ratio).
+/// Extension: §8.3 technology migration (0.25 µm ASIC → 0.18 µm copper),
+/// "ASIC designs are typically easy to migrate between technology
+/// generations, as they are retargetable to different processes".
+/// Migration is literal: collapse the mapped design to its AIG, re-map
+/// it against the new process's library, re-run drive selection — the
+/// push-button flow a 2000-era ASIC team ran. Returns (migration
+/// speedup, raw process FO4 ratio).
 pub fn ext_migration() -> (f64, f64) {
     let tech025 = Technology::cmos025_asic();
+    let tech018 = Technology::cmos018_copper();
     let lib025 = LibrarySpec::rich().build(&tech025);
+    let lib018 = LibrarySpec::rich().build(&tech018);
     let design = generators::alu(&lib025, 16).expect("alu16");
-    let (_, report) = asicgap::migrate::migrate(
-        &design,
-        &lib025,
-        &LibrarySpec::rich(),
-        &Technology::cmos018_copper(),
+    let migrated = SynthFlow::default()
+        .remap_from(&design, &lib025, &lib018)
+        .expect("migration succeeds");
+    let clock = ClockSpec::unconstrained();
+    let source_period = analyze(&design, &lib025, &clock, None).min_period;
+    let target_period = analyze(&migrated, &lib018, &clock, None).min_period;
+    (
+        source_period / target_period,
+        tech018.generation_speedup(&tech025),
     )
-    .expect("migration succeeds");
-    (report.speedup, report.process_speedup)
 }
 
 /// E11: the 32-scenario factor grid — every subset of the five §3
@@ -887,4 +891,20 @@ pub fn e10_residuals() -> (f64, f64) {
             ],
         ),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn migration_to_018_captures_the_generation_speedup() {
+        // The paper's scaling datum: ~1.5x per generation. Remapping can
+        // shift logic structure slightly, so allow a band around the raw
+        // process ratio.
+        let (speedup, process_speedup) = super::ext_migration();
+        assert!(
+            (1.2..=1.9).contains(&speedup),
+            "migration speedup {speedup:.2} (process ratio {process_speedup:.2})"
+        );
+        assert!(speedup > 0.75 * process_speedup);
+    }
 }

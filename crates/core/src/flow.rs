@@ -7,7 +7,7 @@
 use asicgap_cells::{CellFunction, Library, LibrarySpec, LogicFamily};
 use asicgap_equiv::{EquivEffort, VerifyLevel};
 use asicgap_exec::Pool;
-use asicgap_netlist::{Netlist, Simulator};
+use asicgap_netlist::Netlist;
 use asicgap_route::RouteSummary;
 use asicgap_sta::IncrementalStats;
 use asicgap_synth::{PassKind, PassPipeline};
@@ -739,41 +739,6 @@ pub fn run_scenario_observed(
     obs: &dyn FlowObserver,
 ) -> Result<ScenarioOutcome, GapError> {
     run_flow(scenario, workload, verify, obs, Checkpoints::NONE).map(|(outcome, _)| outcome)
-}
-
-/// The [`VerifyLevel::Sim`] tier for the pipeline stage: the piped
-/// netlist's outputs lag by the fill latency, so plain lock-step
-/// simulation cannot compare them — instead each vector runs flat
-/// combinationally and through a full pipeline flush.
-pub(crate) fn verify_pipeline_by_sim(
-    flat: &Netlist,
-    piped: &Netlist,
-    stages: usize,
-    lib: &Library,
-) -> Result<(), GapError> {
-    let mut sim_flat = Simulator::new(flat, lib);
-    let mut sim_piped = Simulator::new(piped, lib);
-    let n = flat.inputs().len();
-    for seed in 0..32u64 {
-        let mut x = (seed + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let bits: Vec<bool> = (0..n)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x & 1 == 1
-            })
-            .collect();
-        let want = sim_flat.run_comb(&bits);
-        let got = sim_piped.run_pipelined(&bits, stages + 1);
-        if want != got {
-            return Err(GapError::Inequivalent {
-                stage: "pipeline".to_string(),
-                output: "<random simulation>".to_string(),
-            });
-        }
-    }
-    Ok(())
 }
 
 /// Runs every scenario in `scenarios` on the same `workload`,

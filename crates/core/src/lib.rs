@@ -57,7 +57,6 @@ mod error;
 mod factors;
 mod flow;
 pub mod gap;
-pub mod migrate;
 pub mod report;
 mod stage;
 

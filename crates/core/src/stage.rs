@@ -75,7 +75,7 @@ use asicgap_cells::{Library, LogicFamily};
 use asicgap_equiv::{
     check_equiv, random_sim_equiv, EquivEffort, EquivReport, EquivResult, VerifyLevel,
 };
-use asicgap_netlist::{canon, Netlist};
+use asicgap_netlist::{canon, Netlist, Simulator};
 use asicgap_pipeline::{pipeline_netlist_with, verify_pipeline};
 use asicgap_place::{annotate, AnnealOptions, Floorplan, FloorplanStrategy, Placement};
 use asicgap_process::{BinningPolicy, ChipPopulation, VariationComponents};
@@ -93,9 +93,8 @@ use crate::canon::{
 use crate::close::{fold_period, map_autopilot_err, unfold_period, ClosureOutcome};
 use crate::error::GapError;
 use crate::flow::{
-    abort_if_cancelled, content_hash, verify_pipeline_by_sim, DesignScenario, FloorplanQuality,
-    FlowObserver, FlowStage, LogicStyle, NoObserver, ProcessAccess, ScenarioOutcome, SizingQuality,
-    WireModel, WorkloadSpec,
+    abort_if_cancelled, content_hash, DesignScenario, FloorplanQuality, FlowObserver, FlowStage,
+    LogicStyle, NoObserver, ProcessAccess, ScenarioOutcome, SizingQuality, WireModel, WorkloadSpec,
 };
 
 /// A store of stage artifacts under their stage keys: a checkpointed
@@ -654,6 +653,41 @@ fn discharge(
             output: cex.output,
         }),
     }
+}
+
+/// The [`VerifyLevel::Sim`] tier for the pipeline stage: the piped
+/// netlist's outputs lag by the fill latency, so plain lock-step
+/// simulation cannot compare them — instead each vector runs flat
+/// combinationally and through a full pipeline flush.
+fn verify_pipeline_by_sim(
+    flat: &Netlist,
+    piped: &Netlist,
+    stages: usize,
+    lib: &Library,
+) -> Result<(), GapError> {
+    let mut sim_flat = Simulator::new(flat, lib);
+    let mut sim_piped = Simulator::new(piped, lib);
+    let n = flat.inputs().len();
+    for seed in 0..32u64 {
+        let mut x = (seed + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let bits: Vec<bool> = (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x & 1 == 1
+            })
+            .collect();
+        let want = sim_flat.run_comb(&bits);
+        let got = sim_piped.run_pipelined(&bits, stages + 1);
+        if want != got {
+            return Err(GapError::Inequivalent {
+                stage: "pipeline".to_string(),
+                output: "<random simulation>".to_string(),
+            });
+        }
+    }
+    Ok(())
 }
 
 /// One scenario's stage bodies. Each method is a plain function of the

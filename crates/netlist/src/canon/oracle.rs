@@ -5,6 +5,11 @@
 //! observably equal [`decode`], and accept/reject agreement on damaged
 //! texts up to the strictness differences the parent's docs list.
 //!
+//! Expiry: this module dies with the format it guards. When stage
+//! checkpoints stop being `netlist/v1` text (ROADMAP item 6, binary
+//! arena dumps), delete it; the arena-equality half of the suite is
+//! kept and pointed at the new codec.
+//!
 //! The suite cannot run the real pipelining, buffering and drive
 //! selection passes (those crates depend on this one), so it applies the
 //! same arena mutations they do — registers and buffers spliced in with

@@ -52,7 +52,6 @@ mod ids;
 mod intern;
 mod netlist;
 mod power;
-mod scan;
 mod sim;
 mod stats;
 mod sweep;
@@ -66,7 +65,6 @@ pub use ids::{InstId, NetId};
 pub use intern::Symbol;
 pub use netlist::{InstRef, NetDriver, NetRef, Netlist, Sink, INLINE_FANIN};
 pub use power::{estimate_power, PowerEstimate};
-pub use scan::{insert_scan_chain, ScanChain};
 pub use sim::Simulator;
 pub use sim::{from_bits, to_bits};
 pub use stats::{

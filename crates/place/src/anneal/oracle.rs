@@ -1,6 +1,12 @@
 //! Differential oracle for the annealing kernel: the recompute-from-scratch
 //! loop the kernel replaced survives here, test-only, and every placement
 //! and HPWL the kernel returns must match it to the bit.
+//!
+//! Expiry: delete this module when ROADMAP item 7(d)'s random
+//! `(scenario, workload, seed)` generator checks placement identity as a
+//! property and two re-anchors have passed with `anneal_chain`
+//! unchanged, or when the kernel is rewritten again (the kernel as it
+//! then stands becomes the new reference), whichever comes first.
 
 use asicgap_cells::{CellFunction, Library, LibrarySpec};
 use asicgap_netlist::generators;

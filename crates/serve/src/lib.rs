@@ -31,8 +31,8 @@
 //! [`server`] a std-only non-blocking event loop — one thread sweeps
 //! every connection, pipelined requests are answered strictly in
 //! order, and flow execution stays on the scheduler's worker pool —
-//! and [`client`] the blocking client used by the `loadgen` tool and
-//! the integration tests. The daemon binary is `served`; `router`
+//! and [`client`] the blocking client used by the benchmark harness
+//! and the integration tests. The daemon binary is `served`; `router`
 //! fronts several daemons with a consistent-hash ring
 //! ([`asicgap_cluster::Ring`]).
 //!

@@ -95,16 +95,14 @@ impl HistogramSnapshot {
             return 0;
         }
         let rank = ((self.count as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0;
+        let mut seen = 0u64;
         for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
+            seen = seen.saturating_add(n);
             if seen >= rank {
-                // Bucket i holds [2^(i-1), 2^i); upper bound capped at max.
-                let upper = if i == 0 {
-                    0
-                } else {
-                    (1u64 << i).saturating_sub(1)
-                };
+                // Bucket i holds [2^(i-1), 2^i); upper bound capped at
+                // max. Bucket 64's bound is u64::MAX, which `1 << 64`
+                // cannot spell.
+                let upper = if i == 0 { 0 } else { u64::MAX >> (64 - i) };
                 return upper.min(self.max);
             }
         }
@@ -123,14 +121,15 @@ impl HistogramSnapshot {
 
     /// Componentwise sum of two snapshots (bucket counts add, `max`
     /// takes the larger) — how the router aggregates shard histograms.
+    /// The addends are whatever a shard sent, so every sum saturates.
     pub fn merge(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
         let mut buckets = self.buckets;
         for (slot, &n) in buckets.iter_mut().zip(&other.buckets) {
-            *slot += n;
+            *slot = slot.saturating_add(n);
         }
         HistogramSnapshot {
-            count: self.count + other.count,
-            sum: self.sum + other.sum,
+            count: self.count.saturating_add(other.count),
+            sum: self.sum.saturating_add(other.sum),
             max: self.max.max(other.max),
             buckets,
         }
@@ -181,7 +180,7 @@ impl HistogramSnapshot {
             return None;
         }
         let mut buckets = [0u64; BUCKETS];
-        let mut total = 0;
+        let mut total = 0u64;
         if sparse != "-" {
             for pair in sparse.split(',') {
                 let (i, n) = pair.split_once(':')?;
@@ -191,7 +190,7 @@ impl HistogramSnapshot {
                     return None;
                 }
                 buckets[i] = n;
-                total += n;
+                total = total.checked_add(n)?;
             }
         }
         let snap = HistogramSnapshot {
@@ -338,7 +337,7 @@ pub struct MetricsSnapshot {
 
 impl MetricsSnapshot {
     fn rate(hits: u64, misses: u64) -> f64 {
-        let looked = hits + misses;
+        let looked = hits.saturating_add(misses);
         if looked == 0 {
             0.0
         } else {
@@ -361,32 +360,33 @@ impl MetricsSnapshot {
     /// Stage-cache hit rate across all consulted checkpoints; 0.0 when
     /// none were consulted.
     pub fn stage_hit_rate(&self) -> f64 {
-        let hits: u64 = self.stage_cache.iter().map(|&(h, _)| h).sum();
-        let misses: u64 = self.stage_cache.iter().map(|&(_, m)| m).sum();
+        let stages = self.stage_cache.iter();
+        let hits = stages.clone().fold(0u64, |a, &(h, _)| a.saturating_add(h));
+        let misses = stages.fold(0u64, |a, &(_, m)| a.saturating_add(m));
         MetricsSnapshot::rate(hits, misses)
     }
 
-    /// Componentwise sum of two snapshots — how the router answers
-    /// `STATS` as the aggregate of every shard's counters.
+    /// Componentwise saturating sum of two snapshots — how the router
+    /// answers `STATS` as the aggregate of every shard's counters.
     pub fn merge(&self, other: &MetricsSnapshot) -> MetricsSnapshot {
         MetricsSnapshot {
-            requests: self.requests + other.requests,
-            cache_hits: self.cache_hits + other.cache_hits,
-            cache_misses: self.cache_misses + other.cache_misses,
-            dedup_joins: self.dedup_joins + other.dedup_joins,
-            busy_rejections: self.busy_rejections + other.busy_rejections,
-            completed: self.completed + other.completed,
-            errors: self.errors + other.errors,
-            cancelled: self.cancelled + other.cancelled,
-            queue_depth: self.queue_depth + other.queue_depth,
-            cache_entries: self.cache_entries + other.cache_entries,
-            cache_bytes: self.cache_bytes + other.cache_bytes,
-            l2_hits: self.l2_hits + other.l2_hits,
-            l2_misses: self.l2_misses + other.l2_misses,
+            requests: self.requests.saturating_add(other.requests),
+            cache_hits: self.cache_hits.saturating_add(other.cache_hits),
+            cache_misses: self.cache_misses.saturating_add(other.cache_misses),
+            dedup_joins: self.dedup_joins.saturating_add(other.dedup_joins),
+            busy_rejections: self.busy_rejections.saturating_add(other.busy_rejections),
+            completed: self.completed.saturating_add(other.completed),
+            errors: self.errors.saturating_add(other.errors),
+            cancelled: self.cancelled.saturating_add(other.cancelled),
+            queue_depth: self.queue_depth.saturating_add(other.queue_depth),
+            cache_entries: self.cache_entries.saturating_add(other.cache_entries),
+            cache_bytes: self.cache_bytes.saturating_add(other.cache_bytes),
+            l2_hits: self.l2_hits.saturating_add(other.l2_hits),
+            l2_misses: self.l2_misses.saturating_add(other.l2_misses),
             stage_cache: std::array::from_fn(|i| {
                 (
-                    self.stage_cache[i].0 + other.stage_cache[i].0,
-                    self.stage_cache[i].1 + other.stage_cache[i].1,
+                    self.stage_cache[i].0.saturating_add(other.stage_cache[i].0),
+                    self.stage_cache[i].1.saturating_add(other.stage_cache[i].1),
                 )
             }),
             queue_depth_hist: self.queue_depth_hist.merge(&other.queue_depth_hist),
@@ -564,6 +564,27 @@ mod tests {
     }
 
     #[test]
+    fn top_bucket_samples_keep_their_bound_and_round_trip() {
+        // Bucket 64 (top bit set) is what a peer's `buckets 64:1` names.
+        let m = Metrics::default();
+        m.latency_us.record(u64::MAX);
+        let snap = m.snapshot(0, 0);
+        assert_eq!(snap.latency_us.p50(), u64::MAX);
+        assert_eq!(snap.latency_us.p99(), u64::MAX);
+        let text = snap.to_string();
+        assert!(text.contains("buckets 64:1"), "{text}");
+        let back = MetricsSnapshot::parse(&text).expect("bucket 64 parses");
+        assert_eq!(back.to_string(), text);
+        // Two shards that each report near-full counters merge without
+        // overflow, and the merge is still a stats/v1 document.
+        let merged = back.merge(&back);
+        assert_eq!(merged.latency_us.sum, u64::MAX);
+        assert_eq!(merged.latency_us.count, 2);
+        let text = merged.to_string();
+        assert_eq!(MetricsSnapshot::parse(&text).unwrap().to_string(), text);
+    }
+
+    #[test]
     fn snapshot_text_round_trips() {
         let m = Metrics::default();
         m.requests.store(100, Ordering::Relaxed);
@@ -664,6 +685,12 @@ mod tests {
             &good.replace("end\n", ""),
             &format!("{good}junk\n"),
             &good[..good.len() / 2],
+            // Bucket counts that overflow u64 cannot equal any `count`.
+            &good.replace(
+                "latency_us count 0 sum 0 max 0 p50 0 p99 0 buckets -",
+                "latency_us count 1 sum 0 max 0 p50 0 p99 0 \
+                 buckets 1:18446744073709551615,2:2",
+            ),
         ] {
             assert!(
                 MetricsSnapshot::parse(broken).is_err(),

@@ -147,6 +147,9 @@ pub fn tilos_size(netlist: &Netlist, lib: &Library, options: &TilosOptions) -> S
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use asicgap_cells::LibrarySpec;
@@ -212,9 +215,9 @@ mod tests {
         // bumped gate's fanin nets) covers about a third of the netlist,
         // so the exact-arithmetic pin ratio sits at ~3× independent of
         // width; assert a safety margin below that structural figure.
-        // (Wall-clock does better — ~4-5× in benches/engines.rs — because
-        // an incremental pin is also cheaper than a full-pass pin, which
-        // re-derives loads and delays from scratch.)
+        // (Wall-clock does better, ~4-5×, because an incremental pin is
+        // also cheaper than a full-pass pin, which re-derives loads and
+        // delays from scratch.)
         assert!(
             2 * full_pins >= 5 * r.stats.pins_touched,
             "incremental should be ≥2.5× cheaper: full {} vs incremental {}",

@@ -96,6 +96,10 @@ fn riscv_fixtures_parse_into_bound_netlists() {
     );
     assert_eq!(alu.inputs().len(), 1 + 4 + 4 + 2, "clk + a + b + op bits");
     assert_eq!(alu.outputs().len(), 4);
+    // Flattened hierarchical names repeat prefixes, so the frontend
+    // lowers with name dedup on. Pinned so hash-consing drift shows as a
+    // number; tracks this fixture and the flattened naming scheme only.
+    assert_eq!(alu.name_table_bytes(), 1297, "riscv_alu interner bytes");
 
     // The EDIF datapath: external leaf library, array ports, renamed
     // hierarchy — the direct lowering path with preserved names.
@@ -489,6 +493,13 @@ fn export_load_export_is_a_fixed_point_for_every_generator() {
                 "{name}/{seed}"
             );
             assert_eq!(once.inputs().len(), golden.inputs().len(), "{name}/{seed}");
+            // Generators intern append-only, the loader with dedup on.
+            assert!(
+                once.name_table_bytes() <= golden.name_table_bytes(),
+                "{name}/{seed}: dedup interner {} B exceeds append-only {} B",
+                once.name_table_bytes(),
+                golden.name_table_bytes()
+            );
             assert_eq!(
                 once.outputs().len(),
                 golden.outputs().len(),

@@ -36,7 +36,7 @@ fn identical_across_threads<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T) -
         out
     };
     let reference = at(1);
-    for threads in [2usize, 8] {
+    for threads in [2usize, 4, 8] {
         let out = at(threads);
         assert_eq!(reference, out, "result diverged at {threads} threads");
     }

@@ -260,13 +260,17 @@ fn close_deadline_cancels_at_iteration_boundary_without_leaking_slots() {
     // fix-loop iteration boundary (never mid-move, never in prep). The
     // target is far beyond reach but *below* the depth lower bound's
     // infeasibility threshold, so the loop grinds its move budget
-    // instead of exiting with a one-iteration proof.
+    // instead of exiting with a one-iteration proof. The deadline is the
+    // shortest the protocol can say: optimized, prep is 4 ms and the
+    // eleven local moves another 3, and a deadline that outlives them
+    // meets the rewrite/retime escalation, which proves for half a
+    // minute between polls.
     let doomed = CloseRequest {
         run: RunRequest {
             wire_model: WireModel::Routed,
             verify: VerifyLevel::Full,
             workload: WorkloadSpec::ArrayMultiplier { width: 8 },
-            deadline_ms: 10,
+            deadline_ms: 1,
             ..small(2002)
         },
         target_mhz: 200.0,
