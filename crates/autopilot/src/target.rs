@@ -1,5 +1,6 @@
 //! What closure means: the target, the budgets, and the verdicts.
 
+use asicgap_tech::text::num;
 use asicgap_tech::{Mhz, Ps};
 
 /// A timing-closure goal: hit `frequency` without blowing the area or
@@ -154,14 +155,13 @@ impl Verdict {
             _ => {}
         }
         if let Some(rest) = s.strip_prefix("infeasible ") {
-            let bound: f64 = rest.parse().ok()?;
             return Some(Verdict::ProvenInfeasible {
-                bound: Ps::new(bound),
+                bound: Ps::new(num(rest).ok()?),
             });
         }
         if let Some(rest) = s.strip_prefix("cancelled ") {
             return Some(Verdict::Cancelled {
-                iteration: rest.parse().ok()?,
+                iteration: num(rest).ok()?,
             });
         }
         None

@@ -14,6 +14,7 @@ use asicgap_equiv::EquivEffort;
 use asicgap_netlist::Netlist;
 use asicgap_sta::IncrementalStats;
 use asicgap_synth::StageProof;
+use asicgap_tech::text::{self, Lines, TextError, Tokens};
 use asicgap_tech::Ps;
 
 use crate::target::{MoveKind, Verdict};
@@ -183,124 +184,94 @@ impl ConvergenceTrace {
         s
     }
 
-    /// Strict parser for [`ConvergenceTrace::canonical_text`]. Proof
-    /// efforts are restored only to the cone counts the text carries
-    /// (re-serializing a parsed trace is byte-identical; the SAT-level
-    /// counters live in the aggregate `verify` line).
+    /// Strict parser for [`ConvergenceTrace::canonical_text`]: `None` for
+    /// any text that does not re-encode to the same bytes. Proof efforts
+    /// are restored only to the cone counts the text carries (the
+    /// SAT-level counters live in the aggregate `verify` line).
     pub fn parse_canonical(text: &str) -> Option<ConvergenceTrace> {
-        let mut lines = text.lines();
-        if lines.next()? != "trace/v1" {
-            return None;
-        }
-        let target_mhz: f64 = lines.next()?.strip_prefix("target ")?.parse().ok()?;
-        let period: f64 = lines.next()?.strip_prefix("period ")?.parse().ok()?;
-        let start = lines.next()?.strip_prefix("start ")?;
-        let (start_wns, start_tns, start_area_um2) = parse_wta(start)?;
+        ConvergenceTrace::read(text).ok()
+    }
+
+    fn read(text: &str) -> Result<ConvergenceTrace, TextError> {
+        let mut lines = Lines::open(text, "trace/v1")?;
+        let target_mhz = lines.num("target")?;
+        let period = Ps::new(lines.num("period")?);
+        let mut t = Tokens::new(lines.field("start")?);
+        let (start_wns, start_tns) = (Ps::new(t.key("wns")?), Ps::new(t.key("tns")?));
+        let start_area_um2 = t.key("area")?;
+        t.end()?;
 
         let mut iterations = Vec::new();
-        let mut line = lines.next()?;
-        while let Some(rest) = line.strip_prefix("iter ") {
-            let (head, detail) = rest.split_once(" :: ")?;
-            let mut tok = head.split(' ');
-            let index: usize = tok.next()?.parse().ok()?;
-            let kind = MoveKind::parse(tok.next()?)?;
-            let gain: f64 = tok.next()?.strip_prefix("gain=")?.parse().ok()?;
-            let wns: f64 = tok.next()?.strip_prefix("wns=")?.parse().ok()?;
-            let tns: f64 = tok.next()?.strip_prefix("tns=")?.parse().ok()?;
-            let area_um2: f64 = tok.next()?.strip_prefix("area=")?.parse().ok()?;
-            let pins_touched: usize = tok.next()?.strip_prefix("pins=")?.parse().ok()?;
-            let cones = tok.next()?.strip_prefix("cones=")?;
-            let proof = if cones == "-" {
-                None
-            } else {
-                Some(StageProof {
-                    stage: kind.name(),
-                    effort: EquivEffort {
-                        cones: cones.parse().ok()?,
-                        ..EquivEffort::default()
-                    },
-                })
-            };
-            if tok.next().is_some() {
-                return None;
-            }
+        while lines.rest().starts_with("iter ") {
+            let iter = lines.field("iter")?;
+            let (head, detail) = (iter.split_once(" :: "))
+                .ok_or_else(|| TextError::new(format!("iter without detail: {iter:?}")))?;
+            let mut t = Tokens::new(head);
+            let index = t.num()?;
+            let kind = MoveKind::parse(t.token()?).ok_or_else(|| TextError::new("move kind"))?;
+            let gain = Ps::new(t.key("gain")?);
             iterations.push(IterationRecord {
                 index,
-                wns: Ps::new(wns),
-                tns: Ps::new(tns),
-                area_um2,
+                wns: Ps::new(t.key("wns")?),
+                tns: Ps::new(t.key("tns")?),
+                area_um2: t.key("area")?,
+                pins_touched: t.key("pins")?,
                 mv: MoveRecord {
                     kind,
                     detail: detail.to_string(),
-                    gain: Ps::new(gain),
-                    proof,
+                    gain,
+                    proof: match t.pair("cones")? {
+                        "-" => None,
+                        cones => Some(StageProof {
+                            stage: kind.name(),
+                            effort: EquivEffort {
+                                cones: text::num(cones)?,
+                                ..EquivEffort::default()
+                            },
+                        }),
+                    },
                 },
-                pins_touched,
             });
-            line = lines.next()?;
+            t.end()?;
         }
 
-        let verdict = Verdict::parse(line.strip_prefix("verdict ")?)?;
-        let fin = lines.next()?.strip_prefix("final ")?;
-        let (final_wns, final_area_um2) = parse_wa(fin)?;
-        let netlist_hash = u64::from_str_radix(lines.next()?.strip_prefix("netlist ")?, 16).ok()?;
-        let eff = lines.next()?.strip_prefix("effort ")?;
-        let mut tok = eff.split(' ');
+        let verdict =
+            Verdict::parse(lines.field("verdict")?).ok_or_else(|| TextError::new("verdict"))?;
+        let mut t = Tokens::new(lines.field("final")?);
+        let (final_wns, final_area_um2) = (Ps::new(t.key("wns")?), t.key("area")?);
+        t.end()?;
+        let netlist_hash = text::hex(lines.field("netlist")?)?;
+        let mut t = Tokens::new(lines.field("effort")?);
         let effort = IncrementalStats {
-            full_propagations: tok.next()?.strip_prefix("full=")?.parse().ok()?,
-            incremental_updates: tok.next()?.strip_prefix("incr=")?.parse().ok()?,
-            pins_touched: tok.next()?.strip_prefix("pins=")?.parse().ok()?,
+            full_propagations: t.key("full")?,
+            incremental_updates: t.key("incr")?,
+            pins_touched: t.key("pins")?,
         };
-        let ver = lines.next()?.strip_prefix("verify ")?;
-        let mut tok = ver.split(' ');
+        t.end()?;
+        let mut t = Tokens::new(lines.field("verify")?);
         let verify_effort = EquivEffort {
-            cones: tok.next()?.strip_prefix("cones=")?.parse().ok()?,
-            structural: tok.next()?.strip_prefix("structural=")?.parse().ok()?,
-            sat_cones: tok.next()?.strip_prefix("sat=")?.parse().ok()?,
+            cones: t.key("cones")?,
+            structural: t.key("structural")?,
+            sat_cones: t.key("sat")?,
             ..EquivEffort::default()
         };
-        if lines.next()? != "end" || lines.next().is_some() {
-            return None;
-        }
-
-        Some(ConvergenceTrace {
+        t.end()?;
+        lines.end()?;
+        Ok(ConvergenceTrace {
             target_mhz,
-            period: Ps::new(period),
+            period,
             start_wns,
             start_tns,
             start_area_um2,
             iterations,
             verdict,
-            final_wns: Ps::new(final_wns),
+            final_wns,
             final_area_um2,
             netlist_hash,
             effort,
             verify_effort,
         })
     }
-}
-
-/// Parses `wns=<f> tns=<f> area=<f>`.
-fn parse_wta(s: &str) -> Option<(Ps, Ps, f64)> {
-    let mut tok = s.split(' ');
-    let wns: f64 = tok.next()?.strip_prefix("wns=")?.parse().ok()?;
-    let tns: f64 = tok.next()?.strip_prefix("tns=")?.parse().ok()?;
-    let area: f64 = tok.next()?.strip_prefix("area=")?.parse().ok()?;
-    if tok.next().is_some() {
-        return None;
-    }
-    Some((Ps::new(wns), Ps::new(tns), area))
-}
-
-/// Parses `wns=<f> area=<f>`.
-fn parse_wa(s: &str) -> Option<(f64, f64)> {
-    let mut tok = s.split(' ');
-    let wns: f64 = tok.next()?.strip_prefix("wns=")?.parse().ok()?;
-    let area: f64 = tok.next()?.strip_prefix("area=")?.parse().ok()?;
-    if tok.next().is_some() {
-        return None;
-    }
-    Some((wns, area))
 }
 
 impl fmt::Display for ConvergenceTrace {

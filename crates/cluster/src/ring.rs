@@ -24,7 +24,7 @@ fn mix(mut h: u64) -> u64 {
 
 /// A consistent-hash ring: deterministic key → member placement.
 ///
-/// Each member is expanded into [`VNODES`] virtual points hashed from
+/// Each member is expanded into `VNODES` virtual points hashed from
 /// `"member/{name}#{replica}"`; a key routes to the first point at or
 /// after its own hash (wrapping). Determinism is total: the placement
 /// depends only on the member names, not their order of insertion, so

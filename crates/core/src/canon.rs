@@ -11,19 +11,19 @@
 //!
 //! The format is line-based: a `outcome/v1` header, one `field value`
 //! line per field, `end`. Optional sub-records (`verify`, `route`)
-//! collapse to `-` when absent. The line and record codecs below are
-//! the ones the stage artifacts in `stage.rs` are written with too: a
-//! versioned header, one field per line in fixed order, strict
-//! re-parse.
+//! collapse to `-` when absent. The record codecs below are the ones the
+//! stage artifacts in `stage.rs` are written with too. Every reader here
+//! reads through [`asicgap_tech::text`], which accepts a text only if it
+//! re-encodes to the same bytes.
 
 use std::fmt;
 use std::fmt::Write;
-use std::str::Lines;
 
-use asicgap_equiv::{EquivEffort, VerifyLevel};
+use asicgap_equiv::EquivEffort;
 use asicgap_place::Placement;
 use asicgap_route::RouteSummary;
 use asicgap_sta::IncrementalStats;
+use asicgap_tech::text::{hex, Lines, TextError, Tokens};
 use asicgap_tech::{Mhz, Ps};
 
 use crate::error::GapError;
@@ -34,16 +34,9 @@ pub(crate) fn bad(what: impl Into<String>) -> GapError {
     GapError::Parse { what: what.into() }
 }
 
-pub(crate) fn parse_num<T: std::str::FromStr>(field: &str, s: &str) -> Result<T, GapError> {
-    s.parse().map_err(|_| bad(format!("field {field}: {s:?}")))
-}
-
-/// The spelling of a verify level inside canonical keys.
-pub(crate) fn verify_label(verify: VerifyLevel) -> &'static str {
-    match verify {
-        VerifyLevel::Off => "off",
-        VerifyLevel::Sim => "sim",
-        VerifyLevel::Full => "full",
+impl From<TextError> for GapError {
+    fn from(e: TextError) -> GapError {
+        bad(e.what)
     }
 }
 
@@ -66,24 +59,23 @@ pub(crate) fn write_effort(w: &mut String, e: &Option<EquivEffort>) {
     .expect("write to String");
 }
 
-pub(crate) fn parse_effort(s: &str) -> Result<Option<EquivEffort>, GapError> {
-    if s == "-" {
-        return Ok(None);
-    }
-    let v: Vec<&str> = s.split(' ').collect();
-    if v.len() != 8 {
-        return Err(bad(format!("verify record {s:?}")));
-    }
-    Ok(Some(EquivEffort {
-        cones: parse_num("verify.cones", v[0])?,
-        structural: parse_num("verify.structural", v[1])?,
-        sat_cones: parse_num("verify.sat_cones", v[2])?,
-        vars: parse_num("verify.vars", v[3])?,
-        clauses: parse_num("verify.clauses", v[4])?,
-        conflicts: parse_num("verify.conflicts", v[5])?,
-        decisions: parse_num("verify.decisions", v[6])?,
-        propagations: parse_num("verify.propagations", v[7])?,
-    }))
+pub(crate) fn parse_effort(lines: &mut Lines<'_>) -> Result<Option<EquivEffort>, GapError> {
+    let mut t = match lines.field("verify")? {
+        "-" => return Ok(None),
+        value => Tokens::new(value),
+    };
+    let effort = EquivEffort {
+        cones: t.num()?,
+        structural: t.num()?,
+        sat_cones: t.num()?,
+        vars: t.num()?,
+        clauses: t.num()?,
+        conflicts: t.num()?,
+        decisions: t.num()?,
+        propagations: t.num()?,
+    };
+    t.end()?;
+    Ok(Some(effort))
 }
 
 pub(crate) fn write_stats(w: &mut String, field: &str, s: IncrementalStats) {
@@ -95,16 +87,18 @@ pub(crate) fn write_stats(w: &mut String, field: &str, s: IncrementalStats) {
     .expect("write to String");
 }
 
-pub(crate) fn parse_stats(field: &str, s: &str) -> Result<IncrementalStats, GapError> {
-    let t: Vec<&str> = s.split(' ').collect();
-    if t.len() != 3 {
-        return Err(bad(format!("{field} record {s:?}")));
-    }
-    Ok(IncrementalStats {
-        full_propagations: parse_num("stats.full", t[0])?,
-        incremental_updates: parse_num("stats.incremental", t[1])?,
-        pins_touched: parse_num("stats.pins", t[2])?,
-    })
+pub(crate) fn parse_stats(
+    lines: &mut Lines<'_>,
+    field: &str,
+) -> Result<IncrementalStats, GapError> {
+    let mut t = Tokens::new(lines.field(field)?);
+    let stats = IncrementalStats {
+        full_propagations: t.num()?,
+        incremental_updates: t.num()?,
+        pins_touched: t.num()?,
+    };
+    t.end()?;
+    Ok(stats)
 }
 
 pub(crate) fn write_route(w: &mut String, r: &Option<RouteSummary>) {
@@ -119,21 +113,20 @@ pub(crate) fn write_route(w: &mut String, r: &Option<RouteSummary>) {
     .expect("write to String");
 }
 
-pub(crate) fn parse_route(s: &str) -> Result<Option<RouteSummary>, GapError> {
-    if s == "-" {
-        return Ok(None);
-    }
-    let r: Vec<&str> = s.split(' ').collect();
-    if r.len() != 5 {
-        return Err(bad(format!("route record {s:?}")));
-    }
-    Ok(Some(RouteSummary {
-        iterations: parse_num("route.iterations", r[0])?,
-        overflow: parse_num("route.overflow", r[1])?,
-        routed_um: parse_num("route.routed_um", r[2])?,
-        hpwl_um: parse_num("route.hpwl_um", r[3])?,
-        vias: parse_num("route.vias", r[4])?,
-    }))
+pub(crate) fn parse_route(lines: &mut Lines<'_>) -> Result<Option<RouteSummary>, GapError> {
+    let mut t = match lines.field("route")? {
+        "-" => return Ok(None),
+        value => Tokens::new(value),
+    };
+    let route = RouteSummary {
+        iterations: t.num()?,
+        overflow: t.num()?,
+        routed_um: t.num()?,
+        hpwl_um: t.num()?,
+        vias: t.num()?,
+    };
+    t.end()?;
+    Ok(Some(route))
 }
 
 /// One coordinate pair per line, each `f64` as the 16 lower-case hex
@@ -148,17 +141,6 @@ fn put_bits(w: &mut Vec<u8>, v: f64, end: u8) {
         *d = HEX[(bits >> (60 - 4 * k)) as usize & 15];
     }
     w.extend_from_slice(&digits);
-}
-
-fn parse_bits(field: &str, s: &str) -> Result<f64, GapError> {
-    // Exactly what `put_bits` writes; `from_str_radix` alone would also
-    // take a sign, upper case, or fewer digits.
-    let canonical = s.len() == 16 && s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
-    u64::from_str_radix(s, 16)
-        .ok()
-        .filter(|_| canonical)
-        .map(f64::from_bits)
-        .ok_or_else(|| bad(format!("field {field}: {s:?}")))
 }
 
 /// Appends `p` as a `placement W H` line and three counted point lists.
@@ -181,31 +163,27 @@ pub(crate) fn write_placement(w: &mut Vec<u8>, p: &Placement) {
     }
 }
 
-fn parse_point(field: &str, line: &str) -> Result<(f64, f64), GapError> {
+fn parse_point(line: &str) -> Result<(f64, f64), GapError> {
     let (x, y) = line
         .split_once(' ')
-        .ok_or_else(|| bad(format!("{field} record {line:?}")))?;
-    Ok((parse_bits(field, x)?, parse_bits(field, y)?))
+        .ok_or_else(|| bad(format!("point {line:?}")))?;
+    Ok((f64::from_bits(hex(x)?), f64::from_bits(hex(y)?)))
 }
 
-/// Inverse of [`write_placement`]. `budget` is the size of the text the
-/// lines come from: a list cannot claim more points than that many bytes
-/// could spell, so nothing is reserved on a count's say-so.
-pub(crate) fn parse_placement(lines: &mut Lines<'_>, budget: usize) -> Result<Placement, GapError> {
-    let (width_um, height_um) = parse_point("placement", field_value(lines, "placement")?)?;
+/// Inverse of [`write_placement`]. A list cannot claim more points than
+/// the bytes left in the text could spell, so nothing is reserved on a
+/// count's say-so.
+pub(crate) fn parse_placement(lines: &mut Lines<'_>) -> Result<Placement, GapError> {
+    let (width_um, height_um) = parse_point(lines.field("placement")?)?;
     let mut points = |label: &'static str| -> Result<Vec<(f64, f64)>, GapError> {
-        let n: usize = num_field(lines, label)?;
-        if n > budget / POINT_LINE {
-            return Err(bad(format!(
-                "{label}: {n} points claimed in a {budget}-byte text"
-            )));
+        let n: usize = lines.num(label)?;
+        let left = lines.rest().len();
+        if n > left / POINT_LINE {
+            return Err(bad(format!("{label}: {n} points claimed in {left} bytes")));
         }
         let mut pts = Vec::with_capacity(n);
         for _ in 0..n {
-            let line = lines
-                .next()
-                .ok_or_else(|| bad(format!("truncated {label} list")))?;
-            pts.push(parse_point(label, line)?);
+            pts.push(parse_point(lines.line()?)?);
         }
         Ok(pts)
     };
@@ -216,44 +194,6 @@ pub(crate) fn parse_placement(lines: &mut Lines<'_>, budget: usize) -> Result<Pl
         inputs: points("inputs")?,
         outputs: points("outputs")?,
     })
-}
-
-/// Reads the next line and returns the value after `field ` — fields
-/// come in one fixed order, so anything else is damage.
-pub(crate) fn field_value<'a>(
-    lines: &mut Lines<'a>,
-    field: &'static str,
-) -> Result<&'a str, GapError> {
-    let line = lines
-        .next()
-        .ok_or_else(|| bad(format!("text: missing field {field}")))?;
-    line.strip_prefix(field)
-        .and_then(|rest| rest.strip_prefix(' '))
-        .ok_or_else(|| bad(format!("text: expected field {field:?}, got {line:?}")))
-}
-
-/// [`field_value`] parsed as a number.
-pub(crate) fn num_field<T: std::str::FromStr>(
-    lines: &mut Lines<'_>,
-    field: &'static str,
-) -> Result<T, GapError> {
-    parse_num(field, field_value(lines, field)?)
-}
-
-/// Reads the next line and requires it to be exactly `want` (a
-/// versioned header, or `end`).
-pub(crate) fn expect_line(lines: &mut Lines<'_>, want: &'static str) -> Result<(), GapError> {
-    match lines.next() {
-        Some(line) if line == want => Ok(()),
-        other => Err(bad(format!("text: expected {want:?}, got {other:?}"))),
-    }
-}
-
-pub(crate) fn no_trailing(mut lines: Lines<'_>, what: &'static str) -> Result<(), GapError> {
-    if lines.next().is_some() {
-        return Err(bad(format!("{what}: trailing data")));
-    }
-    Ok(())
 }
 
 impl ScenarioOutcome {
@@ -283,25 +223,25 @@ impl ScenarioOutcome {
     ///
     /// # Errors
     ///
-    /// [`GapError::Parse`] on any missing, reordered, or malformed line.
+    /// [`GapError::Parse`] on any text that does not re-encode to the
+    /// same bytes: a missing, reordered or malformed line, or a number
+    /// in any spelling but its canonical one.
     pub fn parse_canonical(text: &str) -> Result<ScenarioOutcome, GapError> {
-        let mut lines = text.lines();
-        expect_line(&mut lines, "outcome/v1")?;
+        let mut lines = Lines::open(text, "outcome/v1")?;
         let outcome = ScenarioOutcome {
-            scenario: field_value(&mut lines, "scenario")?.to_string(),
-            min_period: Ps::new(num_field(&mut lines, "min_period_ps")?),
-            fo4_per_cycle: num_field(&mut lines, "fo4_per_cycle")?,
-            shipped: Mhz::new(num_field(&mut lines, "shipped_mhz")?),
-            gates: num_field(&mut lines, "gates")?,
-            registers: num_field(&mut lines, "registers")?,
-            area_um2: num_field(&mut lines, "area_um2")?,
-            power_proxy: num_field(&mut lines, "power_proxy")?,
-            timing_effort: parse_stats("timing", field_value(&mut lines, "timing")?)?,
-            verify_effort: parse_effort(field_value(&mut lines, "verify")?)?,
-            route: parse_route(field_value(&mut lines, "route")?)?,
+            scenario: lines.field("scenario")?.to_string(),
+            min_period: Ps::new(lines.num("min_period_ps")?),
+            fo4_per_cycle: lines.num("fo4_per_cycle")?,
+            shipped: Mhz::new(lines.num("shipped_mhz")?),
+            gates: lines.num("gates")?,
+            registers: lines.num("registers")?,
+            area_um2: lines.num("area_um2")?,
+            power_proxy: lines.num("power_proxy")?,
+            timing_effort: parse_stats(&mut lines, "timing")?,
+            verify_effort: parse_effort(&mut lines)?,
+            route: parse_route(&mut lines)?,
         };
-        expect_line(&mut lines, "end")?;
-        no_trailing(lines, "outcome")?;
+        lines.end()?;
         Ok(outcome)
     }
 }

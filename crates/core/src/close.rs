@@ -16,8 +16,10 @@ use asicgap_cells::Library;
 use asicgap_equiv::VerifyLevel;
 use asicgap_exec::Pool;
 use asicgap_netlist::Netlist;
+use asicgap_tech::text::Lines;
 use asicgap_tech::{Mhz, Ps};
 
+use crate::canon::bad;
 use crate::error::GapError;
 use crate::flow::{
     canonical_key, domino_speed_ratio, sequencing_overhead, DesignScenario, LogicStyle,
@@ -72,6 +74,25 @@ impl ClosureOutcome {
         writeln!(s, "closed {:?}", self.closed_min_period.value()).expect("write to String");
         s.push_str(&self.trace.canonical_text());
         s
+    }
+
+    /// Parses [`ClosureOutcome::canonical_text`] back. A parsed trace
+    /// keeps only each proof's cone count, so the outcome re-encodes to
+    /// the same bytes without equalling the one that wrote them.
+    ///
+    /// # Errors
+    ///
+    /// [`GapError::Parse`] on any text that re-encodes differently.
+    pub fn parse_canonical(text: &str) -> Result<ClosureOutcome, GapError> {
+        let mut lines = Lines::open(text, "close-outcome/v1")?;
+        Ok(ClosureOutcome {
+            scenario: lines.field("scenario")?.to_string(),
+            target: Mhz::new(lines.num("target")?),
+            open_min_period: Ps::new(lines.num("open")?),
+            closed_min_period: Ps::new(lines.num("closed")?),
+            trace: ConvergenceTrace::parse_canonical(lines.rest())
+                .ok_or_else(|| bad("close-outcome/v1 trace"))?,
+        })
     }
 
     /// Closed-loop nominal frequency.

@@ -11,11 +11,10 @@ use asicgap_netlist::Netlist;
 use asicgap_route::RouteSummary;
 use asicgap_sta::IncrementalStats;
 use asicgap_synth::{PassKind, PassPipeline};
-use asicgap_tech::{Ff, Mhz, Ps, Technology};
+use asicgap_tech::{text, Ff, Mhz, Ps, Technology};
 
 use std::time::Duration;
 
-use crate::canon::verify_label;
 use crate::error::GapError;
 use crate::stage::{run_flow, Checkpoints};
 
@@ -230,7 +229,7 @@ impl WorkloadSpec {
         let (name, w) = s.split_once('/').ok_or_else(bad)?;
         if name == "xlarge" {
             // A generator seed, not a datapath width: any u64 is valid.
-            let seed: u64 = w.parse().map_err(|_| bad())?;
+            let seed = text::num(w).map_err(|_| bad())?;
             return Ok(WorkloadSpec::Xlarge { seed });
         }
         if name == "file" {
@@ -238,17 +237,14 @@ impl WorkloadSpec {
             // whoever parses this must resolve the content by hash.
             let (fmt, hex) = w.split_once('/').ok_or_else(bad)?;
             let format = asicgap_frontend::DesignFormat::parse(fmt).ok_or_else(bad)?;
-            if hex.len() != 16 {
-                return Err(bad());
-            }
-            let hash = u64::from_str_radix(hex, 16).map_err(|_| bad())?;
+            let hash = text::hex(hex).map_err(|_| bad())?;
             return Ok(WorkloadSpec::File {
                 path: String::new(),
                 format,
                 hash,
             });
         }
-        let width: usize = w.parse().map_err(|_| bad())?;
+        let width: usize = text::num(w).map_err(|_| bad())?;
         if width == 0 || width > 64 {
             return Err(bad());
         }
@@ -347,7 +343,7 @@ pub fn canonical_key(
     let mut k = String::with_capacity(512);
     writeln!(k, "asicgap-flow/v1").expect("write to String");
     writeln!(k, "workload {}", workload.canonical()).expect("write to String");
-    writeln!(k, "verify {}", verify_label(verify)).expect("write to String");
+    writeln!(k, "verify {}", verify.name()).expect("write to String");
     writeln!(k, "technology {:?}", scenario.technology).expect("write to String");
     writeln!(k, "library {:?}", scenario.library).expect("write to String");
     writeln!(k, "pipeline_stages {}", scenario.pipeline_stages).expect("write to String");

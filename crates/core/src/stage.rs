@@ -83,12 +83,12 @@ use asicgap_route::{annotate_routed, route, RouteSummary, RouterOptions, Routing
 use asicgap_sizing::{snap_to_library, tilos_size, TilosOptions};
 use asicgap_sta::{ClockSpec, IncrementalStats, TimingGraph};
 use asicgap_synth::{select_drives_on, DriveOptions, PassPipeline, SynthError};
+use asicgap_tech::text::Lines;
 use asicgap_tech::{Mhz, Ps};
 
 use crate::canon::{
-    bad, expect_line, field_value, no_trailing, num_field, parse_effort, parse_placement,
-    parse_route, parse_stats, verify_label, write_effort, write_placement, write_route,
-    write_stats,
+    bad, parse_effort, parse_placement, parse_route, parse_stats, write_effort, write_placement,
+    write_route, write_stats,
 };
 use crate::close::{fold_period, map_autopilot_err, unfold_period, ClosureOutcome};
 use crate::error::GapError;
@@ -216,23 +216,13 @@ impl StageReuse {
     }
 }
 
-/// Splits an artifact text at its `netlist` marker: the head fields
-/// before it, and the embedded `netlist/v1` text (which self-terminates)
-/// after it, with the artifact's own trailing `end` line stripped.
-fn split_netlist_tail<'t>(
-    text: &'t str,
-    what: &'static str,
-) -> Result<(&'t str, &'t str), GapError> {
-    let (head, rest) = text
-        .split_once("\nnetlist\n")
-        .ok_or_else(|| bad(format!("{what}: missing netlist section")))?;
-    let net = rest
-        .strip_suffix("end\n")
-        .ok_or_else(|| bad(format!("{what}: missing end")))?;
-    Ok((head, net))
-}
-
-fn decode_netlist(net: &str, lib: &Library, what: &'static str) -> Result<Netlist, GapError> {
+/// Reads what follows an artifact's head fields: the `netlist` marker,
+/// the embedded `netlist/v1` text (which self-terminates), and the
+/// artifact's own closing `end`.
+fn netlist_tail(mut lines: Lines<'_>, lib: &Library, what: &str) -> Result<Netlist, GapError> {
+    lines.expect("netlist")?;
+    let net =
+        (lines.rest().strip_suffix("end\n")).ok_or_else(|| bad(format!("{what}: missing end")))?;
     canon::decode(net, lib).map_err(|e| bad(format!("{what} netlist: {e}")))
 }
 
@@ -274,14 +264,10 @@ impl SynthArtifact {
     /// [`GapError::Parse`] on any structural damage (the staged
     /// executors treat that as a cache miss and recompute).
     pub fn parse(text: &str, lib: &Library) -> Result<SynthArtifact, GapError> {
-        let (head, net) = split_netlist_tail(text, "stage-synth")?;
-        let mut lines = head.lines();
-        expect_line(&mut lines, "stage-synth/v1")?;
-        let verify_effort = parse_effort(field_value(&mut lines, "verify")?)?;
-        no_trailing(lines, "stage-synth")?;
+        let mut lines = Lines::open(text, "stage-synth/v1")?;
         Ok(SynthArtifact {
-            netlist: decode_netlist(net, lib, "stage-synth")?,
-            verify_effort,
+            verify_effort: parse_effort(&mut lines)?,
+            netlist: netlist_tail(lines, lib, "stage-synth")?,
         })
     }
 }
@@ -315,16 +301,11 @@ impl PipelineArtifact {
     ///
     /// [`GapError::Parse`] on any structural damage.
     pub fn parse(text: &str, lib: &Library) -> Result<PipelineArtifact, GapError> {
-        let (head, net) = split_netlist_tail(text, "stage-pipeline")?;
-        let mut lines = head.lines();
-        expect_line(&mut lines, "stage-pipeline/v1")?;
-        let registers = num_field(&mut lines, "registers")?;
-        let verify_effort = parse_effort(field_value(&mut lines, "verify")?)?;
-        no_trailing(lines, "stage-pipeline")?;
+        let mut lines = Lines::open(text, "stage-pipeline/v1")?;
         Ok(PipelineArtifact {
-            netlist: decode_netlist(net, lib, "stage-pipeline")?,
-            registers,
-            verify_effort,
+            registers: lines.num("registers")?,
+            verify_effort: parse_effort(&mut lines)?,
+            netlist: netlist_tail(lines, lib, "stage-pipeline")?,
         })
     }
 }
@@ -379,16 +360,11 @@ impl PlaceArtifact {
     ///
     /// [`GapError::Parse`] on any structural damage.
     pub fn parse(text: &str, lib: &Library) -> Result<PlaceArtifact, GapError> {
-        let (head, net) = split_netlist_tail(text, "stage-place")?;
-        let mut lines = head.lines();
-        expect_line(&mut lines, "stage-place/v2")?;
-        let stats = parse_stats("stats", field_value(&mut lines, "stats")?)?;
-        let placement = parse_placement(&mut lines, head.len())?;
-        no_trailing(lines, "stage-place")?;
+        let mut lines = Lines::open(text, "stage-place/v2")?;
         Ok(PlaceArtifact {
-            netlist: decode_netlist(net, lib, "stage-place")?,
-            placement,
-            stats,
+            stats: parse_stats(&mut lines, "stats")?,
+            placement: parse_placement(&mut lines)?,
+            netlist: netlist_tail(lines, lib, "stage-place")?,
         })
     }
 }
@@ -435,22 +411,14 @@ impl RouteArtifact {
     ///
     /// [`GapError::Parse`] on any structural damage.
     pub fn parse(text: &str, lib: &Library) -> Result<RouteArtifact, GapError> {
-        let (head, net) = split_netlist_tail(text, "stage-route")?;
-        let mut lines = head.lines();
-        expect_line(&mut lines, "stage-route/v2")?;
-        let min_period = Ps::new(num_field(&mut lines, "min_period_ps")?);
-        let registers = num_field(&mut lines, "registers")?;
-        let place_stats = parse_stats("placed", field_value(&mut lines, "placed")?)?;
-        let delta = parse_stats("delta", field_value(&mut lines, "delta")?)?;
-        let route = parse_route(field_value(&mut lines, "route")?)?;
-        no_trailing(lines, "stage-route")?;
+        let mut lines = Lines::open(text, "stage-route/v2")?;
         Ok(RouteArtifact {
-            netlist: decode_netlist(net, lib, "stage-route")?,
-            min_period,
-            delta,
-            route,
-            registers,
-            place_stats,
+            min_period: Ps::new(lines.num("min_period_ps")?),
+            registers: lines.num("registers")?,
+            place_stats: parse_stats(&mut lines, "placed")?,
+            delta: parse_stats(&mut lines, "delta")?,
+            route: parse_route(&mut lines)?,
+            netlist: netlist_tail(lines, lib, "stage-route")?,
         })
     }
 }
@@ -471,7 +439,7 @@ fn synth_key(scenario: &DesignScenario, workload_canonical: &str, verify: Verify
             scenario.technology,
             scenario.library,
             PassPipeline::new(scenario.rewrite.clone()).key(),
-            verify_label(verify)
+            verify.name()
         ),
     )
 }
@@ -602,11 +570,9 @@ struct Placed<'l> {
 
 impl Placed<'_> {
     fn parse<'l>(text: &str, lib: &Library) -> Result<Placed<'l>, GapError> {
-        let (registers, artifact) = text
-            .split_once('\n')
-            .ok_or_else(|| bad("place checkpoint: missing registers line"))?;
-        let registers = num_field(&mut registers.lines(), "registers")?;
-        let art = PlaceArtifact::parse(artifact, lib)?;
+        let mut lines = Lines::new(text);
+        let registers = lines.num("registers")?;
+        let art = PlaceArtifact::parse(lines.rest(), lib)?;
         Ok(Placed {
             timer: Timer::Cold(art.netlist),
             placement: art.placement,
@@ -1512,6 +1478,10 @@ mod tests {
         assert_eq!((back.registers, back.stats), (64, stats));
         assert_eq!(back.encode(&lib), stored);
         assert!(Placed::parse(&text, &lib).is_err(), "no registers line");
+        for prefix in ["registers 064\n", "registers +64\n", "registers 64\r\n"] {
+            let stored = format!("{prefix}{text}");
+            assert!(Placed::parse(&stored, &lib).is_err(), "took {prefix:?}");
+        }
 
         for route in [
             None,

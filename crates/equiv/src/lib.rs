@@ -84,6 +84,24 @@ pub enum VerifyLevel {
     Full,
 }
 
+impl VerifyLevel {
+    /// The level's spelling on the wire and in every canonical key.
+    pub fn name(self) -> &'static str {
+        match self {
+            VerifyLevel::Off => "off",
+            VerifyLevel::Sim => "sim",
+            VerifyLevel::Full => "full",
+        }
+    }
+
+    /// Parses a [`VerifyLevel::name`] spelling.
+    pub fn parse(s: &str) -> Option<VerifyLevel> {
+        [VerifyLevel::Off, VerifyLevel::Sim, VerifyLevel::Full]
+            .into_iter()
+            .find(|v| v.name() == s)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,5 +109,13 @@ mod tests {
     #[test]
     fn verify_level_defaults_off() {
         assert_eq!(VerifyLevel::default(), VerifyLevel::Off);
+    }
+
+    #[test]
+    fn verify_level_names_round_trip() {
+        for v in [VerifyLevel::Off, VerifyLevel::Sim, VerifyLevel::Full] {
+            assert_eq!(VerifyLevel::parse(v.name()), Some(v));
+        }
+        assert_eq!(VerifyLevel::parse("Full"), None);
     }
 }

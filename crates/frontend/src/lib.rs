@@ -3,11 +3,11 @@
 //! Two dependency-free readers — Yosys JSON (`write_json`) and EDIF
 //! 2.0.0 — parse into one shared hierarchical [`Design`], which
 //! [`lower`] flattens (instance-path names), bit-blasts, and binds
-//! against a [`Library`](asicgap_cells::Library): exact cell-name
+//! against a [`Library`]: exact cell-name
 //! match first, then the caller's alias map, with Yosys generic gates
 //! (`$and`, `$mux`, `$dff`, ...) expanded through an AIG and
 //! technology-mapped. The result is an ordinary validated
-//! [`Netlist`](asicgap_netlist::Netlist) that the full verified flow
+//! [`Netlist`] that the full verified flow
 //! (synthesis, placement, routing, STA, equivalence) consumes exactly
 //! like a generator's output.
 //!

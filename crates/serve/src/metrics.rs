@@ -18,6 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use asicgap::{FlowStage, StageReuse};
+use asicgap_tech::text::{self, Lines, TextError, Tokens};
 
 use crate::proto::ProtoError;
 
@@ -159,39 +160,30 @@ impl HistogramSnapshot {
         )
     }
 
-    fn parse_line(rest: &str) -> Option<HistogramSnapshot> {
-        let mut fields = rest.split(' ');
-        let mut named = |name: &str| -> Option<u64> {
-            if fields.next() != Some(name) {
-                return None;
-            }
-            fields.next()?.parse().ok()
+    /// Inverse of [`HistogramSnapshot::canonical_line`]: sparse buckets
+    /// in ascending order, and a summary that matches them.
+    fn parse_line(line: &str) -> Result<HistogramSnapshot, TextError> {
+        let mut t = Tokens::new(line);
+        let mut named = |name: &str| -> Result<u64, TextError> {
+            t.word(name)?;
+            t.num()
         };
-        let count = named("count")?;
-        let sum = named("sum")?;
-        let max = named("max")?;
-        let p50 = named("p50")?;
-        let p99 = named("p99")?;
-        if fields.next() != Some("buckets") {
-            return None;
-        }
-        let sparse = fields.next()?;
-        if fields.next().is_some() {
-            return None;
-        }
+        let (count, sum, max) = (named("count")?, named("sum")?, named("max")?);
+        let (p50, p99) = (named("p50")?, named("p99")?);
+        t.word("buckets")?;
+        let sparse = t.token()?;
+        t.end()?;
         let mut buckets = [0u64; BUCKETS];
-        let mut total = 0u64;
-        if sparse != "-" {
-            for pair in sparse.split(',') {
-                let (i, n) = pair.split_once(':')?;
-                let i: usize = i.parse().ok()?;
-                let n: u64 = n.parse().ok()?;
-                if i >= BUCKETS || n == 0 {
-                    return None;
-                }
-                buckets[i] = n;
-                total = total.checked_add(n)?;
+        let (mut total, mut next) = (0u64, 0usize);
+        for pair in sparse.split(',').filter(|_| sparse != "-") {
+            let (i, n) =
+                (pair.split_once(':')).ok_or_else(|| TextError::new(format!("bucket {pair:?}")))?;
+            let (i, n): (usize, u64) = (text::num(i)?, text::num(n)?);
+            if i < next || i >= BUCKETS || n == 0 {
+                return Err(TextError::new(format!("bucket {pair:?} out of order")));
             }
+            (buckets[i], next) = (n, i + 1);
+            total = (total.checked_add(n)).ok_or_else(|| TextError::new("bucket overflow"))?;
         }
         let snap = HistogramSnapshot {
             count,
@@ -201,9 +193,11 @@ impl HistogramSnapshot {
         };
         // The summary must be consistent with the buckets it claims.
         if total != count || snap.p50() != p50 || snap.p99() != p99 {
-            return None;
+            return Err(TextError::new(format!(
+                "summary disagrees with buckets in {line:?}"
+            )));
         }
-        Some(snap)
+        Ok(snap)
     }
 }
 
@@ -404,102 +398,44 @@ impl MetricsSnapshot {
     /// [`ProtoError::Malformed`] on any structural deviation, including
     /// a histogram summary inconsistent with its own buckets.
     pub fn parse(text: &str) -> Result<MetricsSnapshot, ProtoError> {
-        let bad = |what: &str| ProtoError::Malformed {
-            what: format!("stats: {what}"),
+        let mut lines = Lines::open(text, "stats/v1")?;
+        let empty = Histogram::default().snapshot();
+        let mut snap = MetricsSnapshot {
+            requests: lines.num("requests")?,
+            cache_hits: lines.num("cache_hits")?,
+            cache_misses: lines.num("cache_misses")?,
+            dedup_joins: lines.num("dedup_joins")?,
+            busy_rejections: lines.num("busy_rejections")?,
+            completed: lines.num("completed")?,
+            errors: lines.num("errors")?,
+            cancelled: lines.num("cancelled")?,
+            queue_depth: lines.num("queue_depth")?,
+            cache_entries: lines.num("cache_entries")?,
+            cache_bytes: lines.num("cache_bytes")?,
+            l2_hits: lines.num("l2_hits")?,
+            l2_misses: lines.num("l2_misses")?,
+            stage_cache: [(0, 0); 4],
+            queue_depth_hist: empty,
+            latency_us: empty,
+            stage_us: [empty; FlowStage::ALL.len()],
         };
-        let mut lines = text.lines();
-        if lines.next() != Some("stats/v1") {
-            return Err(bad("missing stats/v1 header"));
+        // The hit-rate lines are derived from the counters: accept them
+        // only as the recomputation spells them.
+        lines.expect(&format!("l1_hit_rate {:?}", snap.hit_rate()))?;
+        lines.expect(&format!("l2_hit_rate {:?}", snap.l2_hit_rate()))?;
+        for (name, slot) in STAGE_CACHE_NAMES.iter().zip(&mut snap.stage_cache) {
+            let mut t = Tokens::new(lines.field(&format!("stage_cache_{name}"))?);
+            *slot = (t.num()?, t.num()?);
+            t.end()?;
         }
-        let mut field = |name: &str| -> Result<u64, ProtoError> {
-            let line = lines.next().ok_or_else(|| bad("truncated"))?;
-            line.strip_prefix(name)
-                .and_then(|r| r.strip_prefix(' '))
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| bad(&format!("expected {name}, got {line:?}")))
-        };
-        let requests = field("requests")?;
-        let cache_hits = field("cache_hits")?;
-        let cache_misses = field("cache_misses")?;
-        let dedup_joins = field("dedup_joins")?;
-        let busy_rejections = field("busy_rejections")?;
-        let completed = field("completed")?;
-        let errors = field("errors")?;
-        let cancelled = field("cancelled")?;
-        let queue_depth = field("queue_depth")?;
-        let cache_entries = field("cache_entries")?;
-        let cache_bytes = field("cache_bytes")?;
-        let l2_hits = field("l2_hits")?;
-        let l2_misses = field("l2_misses")?;
-        // The hit-rate lines are derived from counters already parsed:
-        // accept them only when they match the recomputation exactly.
-        for (name, hits, misses) in [
-            ("l1_hit_rate", cache_hits, cache_misses),
-            ("l2_hit_rate", l2_hits, l2_misses),
-        ] {
-            let line = lines.next().ok_or_else(|| bad("truncated"))?;
-            let expected = format!("{name} {:?}", MetricsSnapshot::rate(hits, misses));
-            if line != expected {
-                return Err(bad(&format!("expected {expected:?}, got {line:?}")));
-            }
+        let mut hist = |name: &str| HistogramSnapshot::parse_line(lines.field(name)?);
+        snap.queue_depth_hist = hist("queue_depth_hist")?;
+        snap.latency_us = hist("latency_us")?;
+        for (slot, stage) in snap.stage_us.iter_mut().zip(FlowStage::ALL) {
+            *slot = hist(&format!("stage_{}", stage.label()))?;
         }
-        let mut stage_cache = [(0u64, 0u64); 4];
-        for (name, slot) in STAGE_CACHE_NAMES.iter().zip(&mut stage_cache) {
-            let line = lines.next().ok_or_else(|| bad("truncated"))?;
-            let rest = line
-                .strip_prefix("stage_cache_")
-                .and_then(|r| r.strip_prefix(name))
-                .and_then(|r| r.strip_prefix(' '))
-                .ok_or_else(|| bad(&format!("expected stage_cache_{name}, got {line:?}")))?;
-            let (h, m) = rest
-                .split_once(' ')
-                .and_then(|(h, m)| Some((h.parse().ok()?, m.parse().ok()?)))
-                .ok_or_else(|| bad(&format!("stage_cache_{name} counters in {line:?}")))?;
-            *slot = (h, m);
-        }
-        let mut hist = |name: &str| -> Result<HistogramSnapshot, ProtoError> {
-            let line = lines.next().ok_or_else(|| bad("truncated"))?;
-            line.strip_prefix(name)
-                .and_then(|r| r.strip_prefix(' '))
-                .and_then(HistogramSnapshot::parse_line)
-                .ok_or_else(|| bad(&format!("histogram {name} in {line:?}")))
-        };
-        let queue_depth_hist = hist("queue_depth_hist")?;
-        let latency_us = hist("latency_us")?;
-        let mut stage_us = [HistogramSnapshot {
-            count: 0,
-            sum: 0,
-            max: 0,
-            buckets: [0; BUCKETS],
-        }; FlowStage::ALL.len()];
-        for (i, stage) in FlowStage::ALL.iter().enumerate() {
-            stage_us[i] = hist(&format!("stage_{}", stage.label()))?;
-        }
-        if lines.next() != Some("end") {
-            return Err(bad("missing end"));
-        }
-        if lines.next().is_some() {
-            return Err(bad("trailing data"));
-        }
-        Ok(MetricsSnapshot {
-            requests,
-            cache_hits,
-            cache_misses,
-            dedup_joins,
-            busy_rejections,
-            completed,
-            errors,
-            cancelled,
-            queue_depth,
-            cache_entries,
-            cache_bytes,
-            l2_hits,
-            l2_misses,
-            stage_cache,
-            queue_depth_hist,
-            latency_us,
-            stage_us,
-        })
+        lines.end()?;
+        Ok(snap)
     }
 }
 

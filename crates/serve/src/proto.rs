@@ -8,7 +8,8 @@
 //! two failure paths the protocol property tests pin.
 //!
 //! Request bodies are single lines (`PING`, `STATS`, `SHUTDOWN`, or a
-//! `RUN` line of `key=value` fields). Response bodies are a verb line
+//! `RUN` line of `key=value` fields, in one order, each once; see
+//! [`asicgap_tech::text`]). Response bodies are a verb line
 //! optionally followed by a canonical-text payload (the
 //! [`asicgap::ScenarioOutcome`] canonical form for `OUTCOME`, the metrics
 //! snapshot for `STATS`) — the same bytes the batch tooling prints, so
@@ -23,6 +24,7 @@ use asicgap::{
     canonical_key, close_canonical_key, content_hash, ClosureTarget, DesignScenario, VerifyLevel,
     WireModel, WorkloadSpec,
 };
+use asicgap_tech::text::{num, TextError, Tokens};
 
 /// Default ceiling on frame payloads (1 MiB). Far above any legitimate
 /// outcome or stats dump; a header above this is treated as a protocol
@@ -98,6 +100,12 @@ impl From<io::Error> for ProtoError {
 
 fn malformed(what: impl Into<String>) -> ProtoError {
     ProtoError::Malformed { what: what.into() }
+}
+
+impl From<TextError> for ProtoError {
+    fn from(e: TextError) -> ProtoError {
+        malformed(e.what)
+    }
 }
 
 /// Writes one frame, enforcing the per-verb cap ([`frame_cap`]).
@@ -243,7 +251,7 @@ impl ScenarioPreset {
             _ => {
                 let i: u8 = s
                     .strip_prefix("grid:")
-                    .and_then(|n| n.parse().ok())
+                    .and_then(|n| num(n).ok())
                     .ok_or_else(|| malformed(format!("scenario preset {s:?}")))?;
                 if i >= 32 {
                     return Err(malformed(format!("grid index {i} out of 0..32")));
@@ -377,28 +385,10 @@ fn wire_name(w: WireModel) -> &'static str {
 }
 
 fn parse_wire(s: &str) -> Result<WireModel, ProtoError> {
-    match s {
-        "hpwl" => Ok(WireModel::Hpwl),
-        "routed" => Ok(WireModel::Routed),
-        _ => Err(malformed(format!("wire model {s:?}"))),
-    }
-}
-
-fn verify_name(v: VerifyLevel) -> &'static str {
-    match v {
-        VerifyLevel::Off => "off",
-        VerifyLevel::Sim => "sim",
-        VerifyLevel::Full => "full",
-    }
-}
-
-fn parse_verify(s: &str) -> Result<VerifyLevel, ProtoError> {
-    match s {
-        "off" => Ok(VerifyLevel::Off),
-        "sim" => Ok(VerifyLevel::Sim),
-        "full" => Ok(VerifyLevel::Full),
-        _ => Err(malformed(format!("verify level {s:?}"))),
-    }
+    [WireModel::Hpwl, WireModel::Routed]
+        .into_iter()
+        .find(|&w| wire_name(w) == s)
+        .ok_or_else(|| malformed(format!("wire model {s:?}")))
 }
 
 fn run_fields(r: &RunRequest) -> String {
@@ -406,7 +396,7 @@ fn run_fields(r: &RunRequest) -> String {
         "preset={} wire={} verify={} seed={} workload={} deadline_ms={}",
         r.preset.canonical(),
         wire_name(r.wire_model),
-        verify_name(r.verify),
+        r.verify.name(),
         r.seed,
         r.workload.canonical(),
         r.deadline_ms
@@ -481,76 +471,38 @@ impl Request {
                 payload: payload.to_string(),
             });
         }
-        let (verb, fields) = if let Some(fields) = body.strip_prefix("RUN ") {
-            ("RUN", fields)
-        } else if let Some(fields) = body.strip_prefix("CLOSE ") {
-            ("CLOSE", fields)
-        } else {
-            return Err(malformed(format!("unknown verb in {body:?}")));
+        let (close, fields) = match body.split_once(' ') {
+            Some(("RUN", fields)) => (false, fields),
+            Some(("CLOSE", fields)) => (true, fields),
+            _ => return Err(malformed(format!("unknown verb in {body:?}"))),
         };
-        let mut preset = None;
-        let mut wire = None;
-        let mut verify = None;
-        let mut seed = None;
-        let mut workload = None;
-        let mut deadline = None;
-        let mut target_mhz = None;
-        let mut max_moves = None;
-        for field in fields.split(' ') {
-            let (k, v) = field
-                .split_once('=')
-                .ok_or_else(|| malformed(format!("{verb} field {field:?}")))?;
-            match k {
-                "preset" => preset = Some(ScenarioPreset::parse(v)?),
-                "wire" => wire = Some(parse_wire(v)?),
-                "verify" => verify = Some(parse_verify(v)?),
-                "seed" => {
-                    seed = Some(v.parse().map_err(|_| malformed(format!("seed {v:?}")))?);
-                }
-                "workload" => {
-                    workload = Some(WorkloadSpec::parse(v).map_err(|e| malformed(format!("{e}")))?);
-                }
-                "deadline_ms" => {
-                    deadline = Some(
-                        v.parse()
-                            .map_err(|_| malformed(format!("deadline {v:?}")))?,
-                    );
-                }
-                "target_mhz" if verb == "CLOSE" => {
-                    let mhz: f64 = v
-                        .parse()
-                        .map_err(|_| malformed(format!("target_mhz {v:?}")))?;
-                    if !(mhz.is_finite() && mhz > 0.0) {
-                        return Err(malformed(format!("target_mhz {v:?}")));
-                    }
-                    target_mhz = Some(mhz);
-                }
-                "max_moves" if verb == "CLOSE" => {
-                    max_moves = Some(
-                        v.parse()
-                            .map_err(|_| malformed(format!("max_moves {v:?}")))?,
-                    );
-                }
-                _ => return Err(malformed(format!("unknown {verb} field {k:?}"))),
-            }
-        }
-        let missing = |what: &str| malformed(format!("{verb} missing field {what}"));
+        // Fields in the order `encode` writes them, each exactly once.
+        let mut t = Tokens::new(fields);
         let run = RunRequest {
-            preset: preset.ok_or_else(|| missing("preset"))?,
-            wire_model: wire.ok_or_else(|| missing("wire"))?,
-            verify: verify.ok_or_else(|| missing("verify"))?,
-            seed: seed.ok_or_else(|| missing("seed"))?,
-            workload: workload.ok_or_else(|| missing("workload"))?,
-            deadline_ms: deadline.ok_or_else(|| missing("deadline_ms"))?,
+            preset: ScenarioPreset::parse(t.pair("preset")?)?,
+            wire_model: parse_wire(t.pair("wire")?)?,
+            verify: VerifyLevel::parse(t.pair("verify")?)
+                .ok_or_else(|| malformed("verify level"))?,
+            seed: t.key("seed")?,
+            workload: WorkloadSpec::parse(t.pair("workload")?)
+                .map_err(|e| malformed(e.to_string()))?,
+            deadline_ms: t.key("deadline_ms")?,
         };
-        if verb == "RUN" {
-            return Ok(Request::Run(run));
+        if close {
+            let target_mhz: f64 = t.key("target_mhz")?;
+            if !(target_mhz.is_finite() && target_mhz > 0.0) {
+                return Err(malformed(format!("target_mhz {target_mhz:?}")));
+            }
+            let max_moves = t.key("max_moves")?;
+            t.end()?;
+            return Ok(Request::Close(CloseRequest {
+                run,
+                target_mhz,
+                max_moves,
+            }));
         }
-        Ok(Request::Close(CloseRequest {
-            run,
-            target_mhz: target_mhz.ok_or_else(|| missing("target_mhz"))?,
-            max_moves: max_moves.ok_or_else(|| missing("max_moves"))?,
-        }))
+        t.end()?;
+        Ok(Request::Run(run))
     }
 }
 
@@ -578,12 +530,10 @@ impl Source {
     }
 
     fn parse(s: &str) -> Result<Source, ProtoError> {
-        match s {
-            "cache" => Ok(Source::Cache),
-            "computed" => Ok(Source::Computed),
-            "deduped" => Ok(Source::Deduped),
-            _ => Err(malformed(format!("outcome source {s:?}"))),
-        }
+        [Source::Cache, Source::Computed, Source::Deduped]
+            .into_iter()
+            .find(|source| source.name() == s)
+            .ok_or_else(|| malformed(format!("outcome source {s:?}")))
     }
 }
 
@@ -654,10 +604,9 @@ impl Response {
             _ => {}
         }
         if let Some(ms) = body.strip_prefix("BUSY ") {
-            let retry_after_ms = ms
-                .parse()
-                .map_err(|_| malformed(format!("BUSY delay {ms:?}")))?;
-            return Ok(Response::Busy { retry_after_ms });
+            return Ok(Response::Busy {
+                retry_after_ms: num(ms)?,
+            });
         }
         if let Some(message) = body.strip_prefix("ERROR ") {
             return Ok(Response::Error {
@@ -685,7 +634,7 @@ impl Response {
         }
         Err(malformed(format!(
             "unknown response verb in {:?}",
-            body.lines().next().unwrap_or("")
+            body.split('\n').next().unwrap_or("")
         )))
     }
 }

@@ -262,7 +262,7 @@ impl<'a> Mapper<'a> {
 }
 
 /// Maps an AIG that may carry sequential boundaries — the public form
-/// of [`map_with_seq`] for external AIG producers. The frontend lowers
+/// of `map_with_seq` for external AIG producers. The frontend lowers
 /// imported designs with Yosys generic gates into an AIG (flip-flops as
 /// `__q_`/`__d_` pseudo-pin boundaries, exactly as
 /// [`crate::netlist_to_aig`] produces them) and hands it here for
@@ -270,7 +270,7 @@ impl<'a> Mapper<'a> {
 ///
 /// # Errors
 ///
-/// As [`map_with_seq`]: [`SynthError::LibraryTooPoor`] without an
+/// As `map_with_seq`: [`SynthError::LibraryTooPoor`] without an
 /// inverter plus a nand2 or nor2, [`SynthError::ConstantOutput`] when
 /// an output literal is constant.
 pub fn map_aig_seq(

@@ -84,7 +84,7 @@ pub fn netlist_to_aig(netlist: &Netlist, lib: &Library) -> (Aig, Vec<SeqBinding>
 }
 
 /// Expands one combinational cell function over AIG literals — the
-/// public form of [`build_function`]. The frontend uses it to lower
+/// public form of `build_function`. The frontend uses it to lower
 /// bound library cells into the same AIG as Yosys generic gates before
 /// technology mapping.
 ///

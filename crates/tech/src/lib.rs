@@ -16,7 +16,8 @@
 //! - the [`Technology`] description with the FO4 rule and the logical-effort
 //!   time constant τ = FO4/5,
 //! - process corners and derating ([`ProcessCorner`], [`OperatingConditions`]),
-//! - wire parasitics per metal layer ([`WireParams`], [`WireLayer`]).
+//! - wire parasitics per metal layer ([`WireParams`], [`WireLayer`]),
+//! - the one strict reader of the workspace's canonical texts ([`text`]).
 //!
 //! # Example
 //!
@@ -44,6 +45,7 @@ mod fo4;
 mod hash;
 pub mod rng;
 mod technology;
+pub mod text;
 mod units;
 
 pub use corner::{OperatingConditions, ProcessCorner};

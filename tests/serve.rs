@@ -13,7 +13,7 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use asicgap::{VerifyLevel, WireModel, WorkloadSpec};
+use asicgap::{ClosureOutcome, VerifyLevel, WireModel, WorkloadSpec};
 use asicgap_serve::client::{Client, ClientError};
 use asicgap_serve::proto::{
     read_frame, write_frame, CloseRequest, Request, Response, RunRequest, ScenarioPreset, Source,
@@ -241,7 +241,13 @@ fn close_verb_serves_cacheable_trace_bytes() {
     let (s1, t1) = client.close_retry(req.clone(), 10).expect("close");
     assert_eq!(s1, Source::Computed);
     assert_eq!(t1, expected, "CLOSE bytes must match local compute");
-    assert!(t1.starts_with("close-outcome/v1\n"));
+    let parsed = ClosureOutcome::parse_canonical(&t1).expect("a close-outcome/v1 reply");
+    assert_eq!(
+        parsed.canonical_text(),
+        t1,
+        "the reply re-encodes to its own bytes"
+    );
+    assert_eq!(parsed.scenario, req.run.scenario().name);
     let (s2, t2) = client.close_retry(req, 10).expect("close again");
     assert_eq!(s2, Source::Cache);
     assert_eq!(t2, expected);
