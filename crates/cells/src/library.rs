@@ -213,15 +213,8 @@ impl Library {
                 what: format!("{function} in {family}"),
             });
         }
-        let best = ids
-            .iter()
-            .min_by(|&&a, &&b| {
-                let ga = (load / self.cell(a).input_cap / target_gain).ln().abs();
-                let gb = (load / self.cell(b).input_cap / target_gain).ln().abs();
-                ga.partial_cmp(&gb).expect("gains are finite")
-            })
-            .expect("non-empty drive list");
-        Ok(*best)
+        let gain_error = |id: CellId| (load / self.cell(id).input_cap / target_gain).ln().abs();
+        Ok(first_min(ids, gain_error, "gains are finite").expect("non-empty drive list"))
     }
 
     /// Picks the drive variant of `cell_id`'s function whose drive is
@@ -229,14 +222,28 @@ impl Library {
     pub fn closest_drive(&self, cell_id: CellId, target_drive: f64) -> CellId {
         let c = self.cell(cell_id);
         let ids = self.drives_for(c.function, c.family);
-        *ids.iter()
-            .min_by(|&&a, &&b| {
-                let da = (self.cell(a).drive.ln() - target_drive.ln()).abs();
-                let db = (self.cell(b).drive.ln() - target_drive.ln()).abs();
-                da.partial_cmp(&db).expect("drives are finite")
-            })
-            .unwrap_or(&cell_id)
+        let target_ln = target_drive.ln();
+        let distance = |id: CellId| (self.cell(id).drive.ln() - target_ln).abs();
+        first_min(ids, distance, "drives are finite").unwrap_or(cell_id)
     }
+}
+
+/// The id whose `key` is least, the first of equals winning (the rule
+/// `Iterator::min_by` applies), with each key computed once.
+///
+/// # Panics
+///
+/// Panics with `finite` if a key compared is NaN.
+fn first_min(ids: &[CellId], key: impl Fn(CellId) -> f64, finite: &str) -> Option<CellId> {
+    let (&first, rest) = ids.split_first()?;
+    let mut best = (first, key(first));
+    for &id in rest {
+        let k = key(id);
+        if best.1.partial_cmp(&k).expect(finite) == std::cmp::Ordering::Greater {
+            best = (id, k);
+        }
+    }
+    Some(best.0)
 }
 
 /// Incremental builder for a [`Library`].

@@ -13,27 +13,31 @@
 //! convention, matching the Yosys reader). The top cell is whatever
 //! `(design ... (cellRef c))` names, else the last cell with contents.
 
+use std::borrow::Cow;
+use std::fmt::Write;
+
 use crate::error::{dangling, syntax, FrontendError};
-use crate::lower::{Design, Inst, LocalBit, Module, Port, PortDir};
+use crate::lower::{ConnRec, Design, InstRec, LocalBit, Module, PortDir, PortRec, Span};
 use crate::MAX_DEPTH;
 
 // ---------------------------------------------------------------------
 // S-expressions.
 // ---------------------------------------------------------------------
 
+/// One form, its atoms and strings borrowed from the input text.
 #[derive(Debug, Clone, PartialEq)]
-enum Sexp {
+enum Sexp<'t> {
     /// An unquoted atom: identifier or keyword.
-    Sym(String),
+    Sym(&'t str),
     /// A quoted string.
-    Str(String),
+    Str(&'t str),
     /// An integer atom.
     Num(i64),
     /// A parenthesised list.
-    List(Vec<Sexp>),
+    List(Vec<Sexp<'t>>),
 }
 
-impl Sexp {
+impl<'t> Sexp<'t> {
     /// `true` when this is a list whose head symbol equals `kw`
     /// (case-insensitive, as EDIF keywords are).
     fn is_form(&self, kw: &str) -> bool {
@@ -41,7 +45,7 @@ impl Sexp {
             if matches!(items.first(), Some(Sexp::Sym(s)) if s.eq_ignore_ascii_case(kw)))
     }
 
-    fn list(&self) -> &[Sexp] {
+    fn list(&self) -> &[Sexp<'t>] {
         match self {
             Sexp::List(items) => items,
             _ => &[],
@@ -49,17 +53,17 @@ impl Sexp {
     }
 
     /// The first sub-form with head `kw`, if any.
-    fn find(&self, kw: &str) -> Option<&Sexp> {
+    fn find(&self, kw: &str) -> Option<&Sexp<'t>> {
         self.list().iter().find(|s| s.is_form(kw))
     }
 
     /// All sub-forms with head `kw`.
-    fn find_all<'a>(&'a self, kw: &'a str) -> impl Iterator<Item = &'a Sexp> + 'a {
+    fn find_all<'a>(&'a self, kw: &'a str) -> impl Iterator<Item = &'a Sexp<'t>> + 'a {
         self.list().iter().filter(move |s| s.is_form(kw))
     }
 }
 
-fn lex_and_parse(text: &str) -> Result<Sexp, FrontendError> {
+fn lex_and_parse(text: &str) -> Result<Sexp<'_>, FrontendError> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
     let sexp = parse_sexp(bytes, &mut pos, 0)?;
@@ -77,7 +81,11 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
 }
 
 /// Parses one form; `depth` is the number of lists it sits inside.
-fn parse_sexp(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Sexp, FrontendError> {
+fn parse_sexp<'t>(
+    bytes: &'t [u8],
+    pos: &mut usize,
+    depth: usize,
+) -> Result<Sexp<'t>, FrontendError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(syntax("unexpected end of EDIF input")),
@@ -115,7 +123,7 @@ fn parse_sexp(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Sexp, Front
             let s = std::str::from_utf8(&bytes[start..*pos])
                 .map_err(|_| syntax("non-UTF-8 bytes in string"))?;
             *pos += 1;
-            Ok(Sexp::Str(s.to_string()))
+            Ok(Sexp::Str(s))
         }
         Some(_) => {
             let start = *pos;
@@ -129,27 +137,31 @@ fn parse_sexp(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Sexp, Front
                 .map_err(|_| syntax("non-UTF-8 bytes in atom"))?;
             match atom.parse::<i64>() {
                 Ok(n) => Ok(Sexp::Num(n)),
-                Err(_) => Ok(Sexp::Sym(atom.to_string())),
+                Err(_) => Ok(Sexp::Sym(atom)),
             }
         }
     }
 }
 
+/// `(identifier, display name)`: both borrow the input, except a
+/// numeric name, which is spelled anew.
+type Names<'t> = (Cow<'t, str>, Cow<'t, str>);
+
 /// A declaration-position name: a bare identifier or
 /// `(rename id "original")`. Returns `(identifier, display name)` —
 /// references (`portRef`, `instanceRef`, `cellRef`) use the identifier,
 /// while the original string is the readable name worth keeping.
-fn names_of(sexp: &Sexp) -> Result<(String, String), FrontendError> {
-    match sexp {
-        Sexp::Sym(s) => Ok((s.clone(), s.clone())),
-        Sexp::Num(n) => Ok((n.to_string(), n.to_string())),
+fn names_of<'t>(sexp: &Sexp<'t>) -> Result<Names<'t>, FrontendError> {
+    match *sexp {
+        Sexp::Sym(s) => Ok((Cow::Borrowed(s), Cow::Borrowed(s))),
+        Sexp::Num(n) => Ok((Cow::Owned(n.to_string()), Cow::Owned(n.to_string()))),
         Sexp::List(_) if sexp.is_form("rename") => {
-            let Some(Sexp::Sym(id)) = sexp.list().get(1) else {
+            let Some(&Sexp::Sym(id)) = sexp.list().get(1) else {
                 return Err(syntax("malformed (rename ...)"));
             };
             match sexp.list().get(2) {
-                Some(Sexp::Str(s)) => Ok((id.clone(), s.clone())),
-                _ => Ok((id.clone(), id.clone())),
+                Some(&Sexp::Str(s)) => Ok((Cow::Borrowed(id), Cow::Borrowed(s))),
+                _ => Ok((Cow::Borrowed(id), Cow::Borrowed(id))),
             }
         }
         _ => Err(syntax(format!("expected a name, found {sexp:?}"))),
@@ -158,7 +170,7 @@ fn names_of(sexp: &Sexp) -> Result<(String, String), FrontendError> {
 
 /// A reference-position name: a bare identifier (renames never appear
 /// in references).
-fn name_of(sexp: &Sexp) -> Result<String, FrontendError> {
+fn name_of<'t>(sexp: &Sexp<'t>) -> Result<Cow<'t, str>, FrontendError> {
     Ok(names_of(sexp)?.0)
 }
 
@@ -166,7 +178,7 @@ fn name_of(sexp: &Sexp) -> Result<String, FrontendError> {
 // Netlist building.
 // ---------------------------------------------------------------------
 
-/// Parses EDIF text into a [`Design`].
+/// Parses EDIF text into a [`Design`] that borrows `text`.
 ///
 /// # Errors
 ///
@@ -174,7 +186,7 @@ fn name_of(sexp: &Sexp) -> Result<String, FrontendError> {
 /// [`FrontendError::DanglingRef`] for portRefs naming unknown instances
 /// or ports, [`FrontendError::Unsupported`] for constructs outside the
 /// netlist-view subset.
-pub fn parse(text: &str) -> Result<Design, FrontendError> {
+pub fn parse(text: &str) -> Result<Design<'_>, FrontendError> {
     let root = lex_and_parse(text)?;
     if !root.is_form("edif") {
         return Err(syntax("top-level form is not (edif ...)"));
@@ -182,13 +194,13 @@ pub fn parse(text: &str) -> Result<Design, FrontendError> {
 
     // Pass 1: find every cell across all libraries (external ones too)
     // and classify module vs leaf by the presence of contents.
-    struct ECell<'a> {
-        ident: String,
-        name: String,
-        ports: Vec<PortDecl>,
-        contents: Option<&'a Sexp>,
+    struct ECell<'a, 't> {
+        ident: Cow<'t, str>,
+        name: Cow<'t, str>,
+        ports: Vec<PortDecl<'t>>,
+        contents: Option<&'a Sexp<'t>>,
     }
-    let mut cells: Vec<ECell<'_>> = Vec::new();
+    let mut cells: Vec<ECell<'_, '_>> = Vec::new();
     for lib_form in root.find_all("library").chain(root.find_all("external")) {
         for cell_form in lib_form.find_all("cell") {
             let (cident, cname) = names_of(
@@ -221,7 +233,7 @@ pub fn parse(text: &str) -> Result<Design, FrontendError> {
     // Pass 2: lower every cell-with-contents into a Module. A cellRef
     // resolves by identifier (or display name) to the cell's display
     // name, which is also the Module name.
-    let kinds: Vec<CellKind<'_>> = cells
+    let kinds: Vec<CellKind<'_, '_>> = cells
         .iter()
         .map(|c| CellKind {
             ident: &c.ident,
@@ -253,12 +265,11 @@ pub fn parse(text: &str) -> Result<Design, FrontendError> {
             )?;
             let tname = kinds
                 .iter()
-                .find(|k| k.ident == tref || k.name == tref)
-                .map(|k| k.name.to_string())
-                .unwrap_or(tref);
+                .find(|k| k.ident == tref || *k.name == tref)
+                .map_or(tref, |k| k.name.clone());
             modules
                 .iter()
-                .position(|m| m.name == tname)
+                .position(|m| m.name() == tname)
                 .ok_or_else(|| dangling(format!("(design ...) points at unknown cell {tname}")))?
         }
         None => modules.len() - 1,
@@ -267,26 +278,26 @@ pub fn parse(text: &str) -> Result<Design, FrontendError> {
 }
 
 /// How a cell name resolves for instance kinds.
-struct CellKind<'a> {
+struct CellKind<'a, 't> {
     ident: &'a str,
-    name: &'a str,
+    name: &'a Cow<'t, str>,
     is_module: bool,
     /// The cell's declared ports, for resolving renamed pin references.
-    ports: &'a [PortDecl],
+    ports: &'a [PortDecl<'t>],
 }
 
 /// A declared port: reference identifier, display name, direction,
 /// width.
-struct PortDecl {
-    ident: String,
-    name: String,
+struct PortDecl<'t> {
+    ident: Cow<'t, str>,
+    name: Cow<'t, str>,
     dir: PortDir,
     width: usize,
 }
 
 /// `(port name (direction INPUT))` or
 /// `(port (array name width) (direction OUTPUT))`.
-fn parse_port_decl(port_form: &Sexp, cell: &str) -> Result<PortDecl, FrontendError> {
+fn parse_port_decl<'t>(port_form: &Sexp<'t>, cell: &str) -> Result<PortDecl<'t>, FrontendError> {
     let head = port_form
         .list()
         .get(1)
@@ -332,9 +343,12 @@ fn parse_port_decl(port_form: &Sexp, cell: &str) -> Result<PortDecl, FrontendErr
     })
 }
 
+/// (port name, bit index, instance name or None).
+type PortRef<'t> = (Cow<'t, str>, Option<usize>, Option<Cow<'t, str>>);
+
 /// `(portRef p)`, `(portRef (member p k))`, optionally with
 /// `(instanceRef i)`: → (port name, bit index, instance name or None).
-fn parse_port_ref(pr: &Sexp) -> Result<(String, Option<usize>, Option<String>), FrontendError> {
+fn parse_port_ref<'t>(pr: &Sexp<'t>) -> Result<PortRef<'t>, FrontendError> {
     let target = pr
         .list()
         .get(1)
@@ -365,30 +379,31 @@ fn parse_port_ref(pr: &Sexp) -> Result<(String, Option<usize>, Option<String>), 
     Ok((port, bit, inst))
 }
 
-fn build_module(
-    name: &str,
-    ports: &[PortDecl],
-    contents: &Sexp,
-    cell_kinds: &[CellKind<'_>],
-) -> Result<Module, FrontendError> {
-    let mut net_names: Vec<String> = Vec::new();
-    let fresh = |net_names: &mut Vec<String>, spelling: String| -> u32 {
-        let id = u32::try_from(net_names.len()).expect("net count fits in u32");
-        net_names.push(spelling);
+fn build_module<'t>(
+    name: &Cow<'t, str>,
+    ports: &[PortDecl<'t>],
+    contents: &Sexp<'t>,
+    cell_kinds: &[CellKind<'_, 't>],
+) -> Result<Module<'t>, FrontendError> {
+    let mut module = Module::default();
+    module.name = module.keep(name.clone())?;
+    let fresh = |module: &mut Module<'t>, spelling| -> u32 {
+        let id = u32::try_from(module.net_names.len()).expect("net count fits in u32");
+        module.net_names.push(spelling);
         id
     };
 
     // Instances first, so portRefs can be checked against them.
-    struct EInst {
-        ident: String,
-        name: String,
-        kind: String,
+    struct EInst<'t> {
+        ident: Cow<'t, str>,
+        name: Cow<'t, str>,
+        kind: Cow<'t, str>,
         kind_idx: Option<usize>,
         is_module_kind: bool,
         /// pin → per-bit net assignment (grown by member index).
-        conns: Vec<(String, Vec<Option<u32>>)>,
+        conns: Vec<(Cow<'t, str>, Vec<Option<u32>>)>,
     }
-    let mut insts: Vec<EInst> = Vec::new();
+    let mut insts: Vec<EInst<'t>> = Vec::new();
     for inst_form in contents.find_all("instance") {
         let (iident, iname) = names_of(
             inst_form
@@ -411,9 +426,9 @@ fn build_module(
         // cells stay as written and bind as leaves against the library.
         let kind_idx = cell_kinds
             .iter()
-            .position(|k| k.ident == kref || k.name == kref);
+            .position(|k| k.ident == kref || *k.name == kref);
         let (kind, is_module_kind) = match kind_idx {
-            Some(ki) => (cell_kinds[ki].name.to_string(), cell_kinds[ki].is_module),
+            Some(ki) => (cell_kinds[ki].name.clone(), cell_kinds[ki].is_module),
             None => (kref, false),
         };
         insts.push(EInst {
@@ -436,7 +451,8 @@ fn build_module(
                 .get(1)
                 .ok_or_else(|| syntax(format!("(net ...) without a name in {name}")))?,
         )?;
-        let net = fresh(&mut net_names, nname.clone());
+        let spelling = module.keep(nname.clone())?;
+        let net = fresh(&mut module, spelling);
         let Some(joined) = net_form.find("joined") else {
             continue; // A net with no connections is legal and inert.
         };
@@ -461,7 +477,7 @@ fn build_module(
                     if bit.is_none() && width != 1 {
                         return Err(FrontendError::WidthMismatch {
                             cell: name.to_string(),
-                            pin: port.clone(),
+                            pin: port.into_owned(),
                             expected: width,
                             got: 1,
                         });
@@ -501,10 +517,10 @@ fn build_module(
                         Some(p) => p.name.clone(),
                         None => port.clone(),
                     };
-                    let conn = match einst.conns.iter_mut().find(|(p, _)| *p == pin) {
-                        Some((_, v)) => v,
+                    let conn = match einst.conns.iter_mut().position(|(p, _)| *p == pin) {
+                        Some(at) => &mut einst.conns[at].1,
                         None => {
-                            einst.conns.push((pin.clone(), Vec::new()));
+                            einst.conns.push((pin, Vec::new()));
                             &mut einst.conns.last_mut().expect("just pushed").1
                         }
                     };
@@ -526,63 +542,61 @@ fn build_module(
     // Finalise: unjoined port bits and connection holes get fresh
     // implicit nets (dangling but well-defined; the lowering's undriven
     // check catches any that actually matter).
-    let mut module_ports = Vec::with_capacity(ports.len());
-    for (pidx, decl) in ports.iter().enumerate() {
-        let bits = (0..decl.width)
-            .map(|k| {
-                let id = match port_bits[pidx][k] {
+    for (decl, bits) in ports.iter().zip(port_bits) {
+        let start = module.bits.len();
+        for (k, bit) in bits.into_iter().enumerate() {
+            let id = match bit {
+                Some(n) => n,
+                None => {
+                    let spelling = if decl.width == 1 {
+                        module.keep(decl.name.clone())?
+                    } else {
+                        module.spell(|buf| {
+                            write!(buf, "{}[{k}]", decl.name).expect("writing to a String")
+                        })?
+                    };
+                    fresh(&mut module, spelling)
+                }
+            };
+            module.bits.push(LocalBit::Net(id));
+        }
+        let port = PortRec {
+            name: module.keep(decl.name.clone())?,
+            dir: decl.dir,
+            bits: Span::new(start, module.bits.len())?,
+        };
+        module.ports.push(port);
+    }
+    for inst in insts {
+        let first_conn = module.conns.len();
+        for (pin, slots) in inst.conns {
+            let start = module.bits.len();
+            for (k, slot) in slots.into_iter().enumerate() {
+                let id = match slot {
                     Some(n) => n,
                     None => {
-                        let spelling = if decl.width == 1 {
-                            decl.name.clone()
-                        } else {
-                            format!("{}[{k}]", decl.name)
-                        };
-                        fresh(&mut net_names, spelling)
+                        let spelling = module.spell(|buf| {
+                            write!(buf, "{}.{pin}[{k}]", inst.name).expect("writing to a String")
+                        })?;
+                        fresh(&mut module, spelling)
                     }
                 };
-                LocalBit::Net(id)
-            })
-            .collect();
-        module_ports.push(Port {
-            name: decl.name.clone(),
-            dir: decl.dir,
-            bits,
-        });
-    }
-    let insts = insts
-        .into_iter()
-        .map(|i| {
-            let conns = i
-                .conns
-                .into_iter()
-                .map(|(pin, v)| {
-                    let bits = v
-                        .into_iter()
-                        .enumerate()
-                        .map(|(k, slot)| {
-                            LocalBit::Net(slot.unwrap_or_else(|| {
-                                fresh(&mut net_names, format!("{}.{pin}[{k}]", i.name))
-                            }))
-                        })
-                        .collect();
-                    (pin, bits)
-                })
-                .collect();
-            Inst {
-                name: i.name,
-                kind: i.kind,
-                conns,
+                module.bits.push(LocalBit::Net(id));
             }
-        })
-        .collect();
-
-    Ok(Module {
-        name: name.to_string(),
-        ports: module_ports,
-        insts,
-        net_names,
-    })
+            let conn = ConnRec {
+                pin: module.keep(pin)?,
+                bits: Span::new(start, module.bits.len())?,
+            };
+            module.conns.push(conn);
+        }
+        let rec = InstRec {
+            name: module.keep(inst.name)?,
+            kind: module.keep(inst.kind)?,
+            conns: Span::new(first_conn, module.conns.len())?,
+        };
+        module.insts.push(rec);
+    }
+    Ok(module)
 }
 
 #[cfg(test)]
@@ -661,7 +675,7 @@ mod tests {
         let lib = lib();
         let text = tiny_edif(&nand_name(&lib));
         let design = parse(&text).expect("parses");
-        assert_eq!(design.top_module().name, "top");
+        assert_eq!(design.top_module().name(), "top");
         assert_eq!(design.modules.len(), 2, "leaf cell is not a module");
         let n = lower(&design, &lib, &LowerOptions::default()).expect("lowers");
         assert_eq!(n.instance_count(), 2);
@@ -680,9 +694,9 @@ mod tests {
         let half = design
             .modules
             .iter()
-            .find(|m| m.name == "half")
+            .find(|m| m.name() == "half")
             .expect("half module");
-        assert_eq!(half.insts[0].name, "g.mangled");
+        assert_eq!(half.inst(0).name(), "g.mangled");
     }
 
     #[test]

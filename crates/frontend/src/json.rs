@@ -106,21 +106,27 @@ impl<'a> Reader<'a> {
     /// [`FrontendError::Syntax`] on a non-string, an unterminated or
     /// control-byte-bearing literal, or a bad escape.
     pub fn string(&mut self) -> Result<Cow<'a, str>, FrontendError> {
+        self.raw_str().map(RawStr::decode)
+    }
+
+    /// Reads a string literal without decoding it — nothing is
+    /// allocated, even for an escape — after checking its escapes as
+    /// strictly as [`Reader::string`] would.
+    ///
+    /// # Errors
+    ///
+    /// As [`Reader::string`].
+    pub fn raw_str(&mut self) -> Result<RawStr<'a>, FrontendError> {
         let (raw, escaped) = self.raw_string()?;
-        if !escaped {
-            return Ok(Cow::Borrowed(raw));
+        if escaped {
+            unescape(raw, |_| ())?;
         }
-        let mut out = String::with_capacity(raw.len());
-        unescape(raw, |piece| out.push_str(piece))?;
-        Ok(Cow::Owned(out))
+        Ok(RawStr { raw, escaped })
     }
 
     /// Steps over a string literal, escapes checked.
     fn skip_string(&mut self) -> Result<(), FrontendError> {
-        match self.raw_string()? {
-            (raw, true) => unescape(raw, |_| ()),
-            (_, false) => Ok(()),
-        }
+        self.raw_str().map(drop)
     }
 
     /// Consumes a string literal and returns what lies between its
@@ -237,6 +243,18 @@ impl<'a> Reader<'a> {
         self.members(Reader::string, f)
     }
 
+    /// [`Reader::object`] with each key as a [`RawStr`], undecoded.
+    ///
+    /// # Errors
+    ///
+    /// As [`Reader::object`].
+    pub fn object_raw(
+        &mut self,
+        f: impl FnMut(&mut Reader<'a>, RawStr<'a>) -> Result<(), FrontendError>,
+    ) -> Result<(), FrontendError> {
+        self.members(Reader::raw_str, f)
+    }
+
     fn members<K>(
         &mut self,
         key: impl Fn(&mut Reader<'a>) -> Result<K, FrontendError>,
@@ -298,6 +316,38 @@ impl<'a> Reader<'a> {
         }
         self.depth -= 1;
         Ok(())
+    }
+}
+
+/// A string literal as the input spells it: the text between its
+/// quotes, escapes still in place (and already checked).
+#[derive(Debug, Clone, Copy)]
+pub struct RawStr<'a> {
+    raw: &'a str,
+    escaped: bool,
+}
+
+impl<'a> RawStr<'a> {
+    /// The literal's text, when it holds no escape to decode.
+    pub fn as_plain(self) -> Option<&'a str> {
+        (!self.escaped).then_some(self.raw)
+    }
+
+    /// Appends the decoded text to `out`.
+    pub fn decode_into(self, out: &mut String) {
+        unescape(self.raw, |piece| out.push_str(piece)).expect("escapes checked when read");
+    }
+
+    /// The decoded text: borrowed unless an escape forced a copy.
+    pub fn decode(self) -> Cow<'a, str> {
+        match self.as_plain() {
+            Some(plain) => Cow::Borrowed(plain),
+            None => {
+                let mut out = String::with_capacity(self.raw.len());
+                self.decode_into(&mut out);
+                Cow::Owned(out)
+            }
+        }
     }
 }
 

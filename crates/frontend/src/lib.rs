@@ -95,13 +95,13 @@ impl fmt::Display for DesignFormat {
 }
 
 /// Parses `text` in the given format into the shared [`Design`] IR
-/// without lowering it.
+/// without lowering it. The design borrows `text`.
 ///
 /// # Errors
 ///
 /// The format reader's [`FrontendError`]s; see [`yosys::parse`] and
 /// [`edif::parse`].
-pub fn parse_design(format: DesignFormat, text: &str) -> Result<Design, FrontendError> {
+pub fn parse_design(format: DesignFormat, text: &str) -> Result<Design<'_>, FrontendError> {
     match format {
         DesignFormat::YosysJson => yosys::parse(text),
         DesignFormat::Edif => edif::parse(text),

@@ -20,13 +20,14 @@
 
 use std::borrow::Cow;
 use std::collections::hash_map::{Entry, HashMap};
+use std::fmt;
 use std::ops::Range;
 
 use asicgap_cells::{CellFunction, CellId, Library};
 use asicgap_netlist::{Netlist, NetlistError};
 use asicgap_synth::{expand_cell, map_aig_seq, Aig, Lit, MapOptions, SeqBinding};
 
-use crate::error::{dangling, FrontendError};
+use crate::error::{dangling, syntax, FrontendError};
 use crate::MAX_DEPTH;
 
 // ---------------------------------------------------------------------
@@ -55,55 +56,259 @@ pub enum PortDir {
     Output,
 }
 
-/// A module port, already bit-blasted: `bits[k]` is the local net
+/// A name inside a [`Module`]: a slice of the input text, or a run of
+/// the module's name buffer when the input does not spell the name out
+/// verbatim (an escaped string, a `name[k]` bus bit, a fallback).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Name<'t> {
+    Text(&'t str),
+    Spelled(Span),
+}
+
+/// A run `start..end` of one of a module's vectors.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Span {
+    start: u32,
+    end: u32,
+}
+
+impl Span {
+    /// The run `start..end`, or a syntax error for a module too large to
+    /// index with `u32`.
+    pub(crate) fn new(start: usize, end: usize) -> Result<Span, FrontendError> {
+        let index = |n: usize| {
+            u32::try_from(n).map_err(|_| syntax("module has more than 2^32 - 1 entries"))
+        };
+        Ok(Span {
+            start: index(start)?,
+            end: index(end)?,
+        })
+    }
+
+    fn range(self) -> Range<usize> {
+        self.start as usize..self.end as usize
+    }
+}
+
+/// A port: its name, direction, and run of [`Module::bits`], LSB first.
+#[derive(Clone)]
+pub(crate) struct PortRec<'t> {
+    pub(crate) name: Name<'t>,
+    pub(crate) dir: PortDir,
+    pub(crate) bits: Span,
+}
+
+/// An instance: its name, kind, and run of [`Module::conns`].
+#[derive(Clone)]
+pub(crate) struct InstRec<'t> {
+    pub(crate) name: Name<'t>,
+    pub(crate) kind: Name<'t>,
+    pub(crate) conns: Span,
+}
+
+/// One connection: a pin name and its run of [`Module::bits`].
+#[derive(Clone)]
+pub(crate) struct ConnRec<'t> {
+    pub(crate) pin: Name<'t>,
+    pub(crate) bits: Span,
+}
+
+/// One module of a parsed design, laid out like the flattened form
+/// [`lower`] builds from it: names borrow the input text `'t`, the few
+/// that must be spelled share one buffer, and every instance's
+/// connections are runs of two shared vectors. A module costs a fixed
+/// number of allocations, however many instances it holds.
+#[derive(Clone, Default)]
+pub struct Module<'t> {
+    pub(crate) name: Name<'t>,
+    /// Ports in declaration order.
+    pub(crate) ports: Vec<PortRec<'t>>,
+    /// Instances in file order.
+    pub(crate) insts: Vec<InstRec<'t>>,
+    /// Connections, instance after instance, each in file order.
+    pub(crate) conns: Vec<ConnRec<'t>>,
+    /// Port and connection bits, run after run.
+    pub(crate) bits: Vec<LocalBit>,
+    /// `LocalBit::Net(i)` is named `net_names[i]`.
+    pub(crate) net_names: Vec<Name<'t>>,
+    /// The spelled names, back to back.
+    pub(crate) spelled: String,
+}
+
+impl Default for Name<'_> {
+    fn default() -> Self {
+        Name::Text("")
+    }
+}
+
+impl<'t> Module<'t> {
+    /// Appends whatever `spell` writes to the name buffer, as a name.
+    pub(crate) fn spell(
+        &mut self,
+        spell: impl FnOnce(&mut String),
+    ) -> Result<Name<'t>, FrontendError> {
+        let start = self.spelled.len();
+        spell(&mut self.spelled);
+        Span::new(start, self.spelled.len()).map(Name::Spelled)
+    }
+
+    /// `text` as a name: borrowed when it is a slice of the input.
+    pub(crate) fn keep(&mut self, text: Cow<'t, str>) -> Result<Name<'t>, FrontendError> {
+        match text {
+            Cow::Borrowed(text) => Ok(Name::Text(text)),
+            Cow::Owned(text) => self.spell(|buf| buf.push_str(&text)),
+        }
+    }
+
+    fn resolve(&self, name: Name<'t>) -> &str {
+        match name {
+            Name::Text(text) => text,
+            Name::Spelled(span) => &self.spelled[span.range()],
+        }
+    }
+
+    /// Module name.
+    pub fn name(&self) -> &str {
+        self.resolve(self.name)
+    }
+
+    /// Ports in declaration order.
+    pub fn ports(&self) -> impl ExactSizeIterator<Item = Port<'_>> + '_ {
+        self.ports.iter().map(|p| Port {
+            name: self.resolve(p.name),
+            dir: p.dir,
+            bits: &self.bits[p.bits.range()],
+        })
+    }
+
+    /// Instances in file order.
+    pub fn insts(&self) -> impl ExactSizeIterator<Item = Inst<'_>> + '_ {
+        self.insts.iter().map(|rec| Inst { module: self, rec })
+    }
+
+    /// Instance `k` in file order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the module has `k` or fewer instances.
+    pub fn inst(&self, k: usize) -> Inst<'_> {
+        Inst {
+            module: self,
+            rec: &self.insts[k],
+        }
+    }
+
+    /// Number of local nets.
+    pub fn net_count(&self) -> usize {
+        self.net_names.len()
+    }
+
+    /// Name of local net `net` (what `LocalBit::Net(net)` refers to).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net` is not below [`Module::net_count`].
+    pub fn net_name(&self, net: u32) -> &str {
+        self.resolve(self.net_names[net as usize])
+    }
+
+    /// Names of the local nets, in net order.
+    pub fn net_names(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        self.net_names.iter().map(|&n| self.resolve(n))
+    }
+}
+
+/// Modules compare by what they spell, not by where a name is stored.
+impl PartialEq for Module<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.name() == other.name()
+            && self.ports().eq(other.ports())
+            && self.insts().eq(other.insts())
+            && self.net_names().eq(other.net_names())
+    }
+}
+
+impl fmt::Debug for Module<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Module")
+            .field("name", &self.name())
+            .field("ports", &self.ports().collect::<Vec<_>>())
+            .field("insts", &self.insts().collect::<Vec<_>>())
+            .field("net_names", &self.net_names().collect::<Vec<_>>())
+            .finish()
+    }
+}
+
+/// A module port, already bit-blasted: `bits[k]` is the local bit
 /// carrying bit `k`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Port {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Port<'m> {
     /// Port name.
-    pub name: String,
+    pub name: &'m str,
     /// Direction.
     pub dir: PortDir,
     /// One local bit per port bit, LSB first.
-    pub bits: Vec<LocalBit>,
+    pub bits: &'m [LocalBit],
 }
 
-/// An instance inside a module: a library cell, a Yosys generic gate,
-/// or (when `kind` names another module) a hierarchical instance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Inst {
+/// An instance inside a [`Module`]: a library cell, a Yosys generic
+/// gate, or (when its kind names another module) a hierarchical
+/// instance.
+#[derive(Clone, Copy)]
+pub struct Inst<'m> {
+    module: &'m Module<'m>,
+    rec: &'m InstRec<'m>,
+}
+
+impl<'m> Inst<'m> {
     /// Instance name, unique within its module.
-    pub name: String,
+    pub fn name(self) -> &'m str {
+        self.module.resolve(self.rec.name)
+    }
+
     /// Cell type or module name.
-    pub kind: String,
+    pub fn kind(self) -> &'m str {
+        self.module.resolve(self.rec.kind)
+    }
+
     /// Connections as (pin/port name, bits LSB first), file order.
-    pub conns: Vec<(String, Vec<LocalBit>)>,
+    pub fn conns(self) -> impl ExactSizeIterator<Item = (&'m str, &'m [LocalBit])> {
+        let module = self.module;
+        module.conns[self.rec.conns.range()]
+            .iter()
+            .map(move |c| (module.resolve(c.pin), &module.bits[c.bits.range()]))
+    }
 }
 
-/// One module of a parsed design.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Module {
-    /// Module name.
-    pub name: String,
-    /// Ports in declaration order.
-    pub ports: Vec<Port>,
-    /// Instances in file order.
-    pub insts: Vec<Inst>,
-    /// Names of the local nets; `LocalBit::Net(i)` indexes this.
-    pub net_names: Vec<String>,
+impl PartialEq for Inst<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.name() == other.name() && self.kind() == other.kind() && self.conns().eq(other.conns())
+    }
 }
 
-/// A parsed hierarchical design with a designated top module.
+impl fmt::Debug for Inst<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Inst")
+            .field("name", &self.name())
+            .field("kind", &self.kind())
+            .field("conns", &self.conns().collect::<Vec<_>>())
+            .finish()
+    }
+}
+
+/// A parsed hierarchical design with a designated top module. It
+/// borrows the text it was parsed from.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Design {
+pub struct Design<'t> {
     /// All modules, file order.
-    pub modules: Vec<Module>,
+    pub modules: Vec<Module<'t>>,
     /// Index of the top module in `modules`.
     pub top: usize,
 }
 
-impl Design {
+impl<'t> Design<'t> {
     /// The top module.
-    pub fn top_module(&self) -> &Module {
+    pub fn top_module(&self) -> &Module<'t> {
         &self.modules[self.top]
     }
 }
@@ -200,7 +405,7 @@ enum Kind {
 
 /// Flattening state that is not part of the result.
 struct Flattener<'a> {
-    design: &'a Design,
+    design: &'a Design<'a>,
     flat: Flat<'a>,
     /// Every kind met so far. One lookup per instance replaces a scan
     /// of the module list and, later, a library lookup per instance.
@@ -209,10 +414,10 @@ struct Flattener<'a> {
     stack: Vec<usize>,
 }
 
-fn flatten(design: &Design) -> Result<Flat<'_>, FrontendError> {
+fn flatten<'a>(design: &'a Design<'a>) -> Result<Flat<'a>, FrontendError> {
     let top = design.top_module();
     let mut flat = Flat {
-        name: &top.name,
+        name: top.name(),
         nets: Vec::new(),
         inputs: Vec::new(),
         outputs: Vec::new(),
@@ -224,14 +429,15 @@ fn flatten(design: &Design) -> Result<Flat<'_>, FrontendError> {
 
     // Top ports become flat nets named after the port (with `[k]` for
     // buses) and pre-bind the local nets they touch.
-    let mut bind: Vec<Option<FlatBit>> = vec![None; top.net_names.len()];
-    for port in &top.ports {
+    let mut bind: Vec<Option<FlatBit>> = vec![None; top.net_count()];
+    for port in top.ports() {
         for (k, bit) in port.bits.iter().enumerate() {
             let LocalBit::Net(n) = *bit else {
                 return Err(FrontendError::Unsupported {
                     what: format!(
                         "constant bit in top-level port {} of module {}",
-                        port.name, top.name
+                        port.name,
+                        top.name()
                     ),
                 });
             };
@@ -242,11 +448,12 @@ fn flatten(design: &Design) -> Result<Flat<'_>, FrontendError> {
                 return Err(FrontendError::Unsupported {
                     what: format!(
                         "top-level port {} aliases another port bit in module {}",
-                        port.name, top.name
+                        port.name,
+                        top.name()
                     ),
                 });
             }
-            let name = bit_name(&port.name, k, port.bits.len());
+            let name = bit_name(port.name, k, port.bits.len());
             let id = flat.add_net(name.clone());
             bind[n as usize] = Some(FlatBit::Net(id));
             match port.dir {
@@ -259,9 +466,7 @@ fn flatten(design: &Design) -> Result<Flat<'_>, FrontendError> {
     let mut kind_of = HashMap::new();
     for (idx, module) in design.modules.iter().enumerate() {
         // Of two modules with one name, the first is the one meant.
-        kind_of
-            .entry(module.name.as_str())
-            .or_insert(Kind::Module(idx));
+        kind_of.entry(module.name()).or_insert(Kind::Module(idx));
     }
     let mut flattener = Flattener {
         design,
@@ -281,14 +486,14 @@ impl<'a> Flattener<'a> {
         &mut self,
         bit: LocalBit,
         bind: &mut [Option<FlatBit>],
-        net_names: &'a [String],
+        module: &'a Module<'a>,
         prefix: &str,
     ) -> FlatBit {
         match bit {
             LocalBit::Zero => FlatBit::Zero,
             LocalBit::One => FlatBit::One,
             LocalBit::Net(n) => *bind[n as usize].get_or_insert_with(|| {
-                FlatBit::Net(self.flat.add_net(scoped(prefix, &net_names[n as usize])))
+                FlatBit::Net(self.flat.add_net(scoped(prefix, module.net_name(n))))
             }),
         }
     }
@@ -303,21 +508,21 @@ impl<'a> Flattener<'a> {
     ) -> Result<(), FrontendError> {
         let design = self.design;
         let module = &design.modules[midx];
-        for inst in &module.insts {
-            let kind = match self.kind_of.entry(&inst.kind) {
+        for inst in module.insts() {
+            let kind = match self.kind_of.entry(inst.kind()) {
                 Entry::Occupied(known) => *known.get(),
                 Entry::Vacant(new) => {
-                    self.flat.kinds.push(&inst.kind);
+                    self.flat.kinds.push(inst.kind());
                     *new.insert(Kind::Leaf(self.flat.kinds.len() - 1))
                 }
             };
             match kind {
                 Kind::Leaf(kind) => {
                     let first_conn = self.flat.conns.len();
-                    for (pname, bits) in &inst.conns {
+                    for (pname, bits) in inst.conns() {
                         let first_bit = self.flat.bits.len();
                         for &b in bits {
-                            let b = self.resolve(b, &mut bind, &module.net_names, prefix);
+                            let b = self.resolve(b, &mut bind, module, prefix);
                             self.flat.bits.push(b);
                         }
                         self.flat
@@ -325,7 +530,7 @@ impl<'a> Flattener<'a> {
                             .push((pname, first_bit..self.flat.bits.len()));
                     }
                     self.flat.insts.push(FlatInst {
-                        name: scoped(prefix, &inst.name),
+                        name: scoped(prefix, inst.name()),
                         kind,
                         conns: first_conn..self.flat.conns.len(),
                     });
@@ -333,7 +538,7 @@ impl<'a> Flattener<'a> {
                 Kind::Module(child_idx) => {
                     if self.stack.contains(&child_idx) {
                         return Err(FrontendError::Unsupported {
-                            what: format!("recursive instantiation of module {}", inst.kind),
+                            what: format!("recursive instantiation of module {}", inst.kind()),
                         });
                     }
                     // Expansion recurses once per level; a chain of
@@ -343,34 +548,36 @@ impl<'a> Flattener<'a> {
                         return Err(FrontendError::Unsupported {
                             what: format!(
                                 "hierarchy deeper than {MAX_DEPTH} levels at instance {prefix}{}",
-                                inst.name
+                                inst.name()
                             ),
                         });
                     }
                     let child = &design.modules[child_idx];
-                    let mut child_bind: Vec<Option<FlatBit>> = vec![None; child.net_names.len()];
-                    for (pname, bits) in &inst.conns {
-                        let Some(port) = child.ports.iter().find(|p| &p.name == pname) else {
+                    let mut child_bind: Vec<Option<FlatBit>> = vec![None; child.net_count()];
+                    for (pname, bits) in inst.conns() {
+                        let Some(port) = child.ports().find(|p| p.name == pname) else {
                             return Err(dangling(format!(
                                 "instance {prefix}{} connects port {pname} absent from module {}",
-                                inst.name, child.name
+                                inst.name(),
+                                child.name()
                             )));
                         };
                         if bits.len() != port.bits.len() {
                             return Err(FrontendError::WidthMismatch {
-                                cell: child.name.clone(),
-                                pin: pname.clone(),
+                                cell: child.name().to_string(),
+                                pin: pname.to_string(),
                                 expected: port.bits.len(),
                                 got: bits.len(),
                             });
                         }
                         for (k, &outer) in bits.iter().enumerate() {
-                            let outer = self.resolve(outer, &mut bind, &module.net_names, prefix);
+                            let outer = self.resolve(outer, &mut bind, module, prefix);
                             let LocalBit::Net(n) = port.bits[k] else {
                                 return Err(FrontendError::Unsupported {
                                     what: format!(
                                         "constant bit in port {} of module {}",
-                                        port.name, child.name
+                                        port.name,
+                                        child.name()
                                     ),
                                 });
                             };
@@ -379,7 +586,8 @@ impl<'a> Flattener<'a> {
                                     return Err(FrontendError::Unsupported {
                                         what: format!(
                                             "port bit aliasing through module {} (net {})",
-                                            child.name, child.net_names[n as usize]
+                                            child.name(),
+                                            child.net_name(n)
                                         ),
                                     })
                                 }
@@ -387,7 +595,7 @@ impl<'a> Flattener<'a> {
                             }
                         }
                     }
-                    let child_prefix = format!("{prefix}{}.", inst.name);
+                    let child_prefix = format!("{prefix}{}.", inst.name());
                     self.stack.push(child_idx);
                     self.instantiate(child_idx, &child_prefix, child_bind)?;
                     self.stack.pop();
@@ -696,7 +904,7 @@ fn split_generic_conns(
 /// dangling references, undriven nets, netlist invariant violations, or
 /// mapping failures on the generic-gate path.
 pub fn lower(
-    design: &Design,
+    design: &Design<'_>,
     lib: &Library,
     opts: &LowerOptions,
 ) -> Result<Netlist, FrontendError> {
@@ -1036,6 +1244,9 @@ mod tests {
     use asicgap_netlist::Simulator;
     use asicgap_tech::Technology;
 
+    use LocalBit::{Net, One};
+    use PortDir::{Input, Output};
+
     fn lib() -> Library {
         LibrarySpec::rich().build(&Technology::cmos025_asic())
     }
@@ -1045,83 +1256,96 @@ mod tests {
         lib.cell(id).name.clone()
     }
 
-    /// `top` instantiates `half` twice; `half` is one NAND.
-    fn hierarchical_design(lib: &Library) -> Design {
-        let nand = nand2_name(lib);
-        let half = Module {
-            name: "half".into(),
-            ports: vec![
-                Port {
-                    name: "p".into(),
-                    dir: PortDir::Input,
-                    bits: vec![LocalBit::Net(0)],
-                },
-                Port {
-                    name: "q".into(),
-                    dir: PortDir::Input,
-                    bits: vec![LocalBit::Net(1)],
-                },
-                Port {
-                    name: "r".into(),
-                    dir: PortDir::Output,
-                    bits: vec![LocalBit::Net(2)],
-                },
+    type Conns<'a> = &'a [(&'a str, &'a [LocalBit])];
+
+    /// A module from literal parts, every name spelled into its buffer.
+    fn module(
+        name: &str,
+        ports: &[(&str, PortDir, &[LocalBit])],
+        insts: &[(&str, &str, Conns<'_>)],
+        net_names: &[&str],
+    ) -> Module<'static> {
+        fn spell(m: &mut Module<'static>, s: &str) -> Name<'static> {
+            m.spell(|buf| buf.push_str(s)).expect("small module")
+        }
+        fn run(m: &mut Module<'static>, bits: &[LocalBit]) -> Span {
+            let start = m.bits.len();
+            m.bits.extend_from_slice(bits);
+            Span::new(start, m.bits.len()).expect("small module")
+        }
+        let mut m = Module::default();
+        m.name = spell(&mut m, name);
+        for &(pname, dir, bits) in ports {
+            let name = spell(&mut m, pname);
+            let bits = run(&mut m, bits);
+            m.ports.push(PortRec { name, dir, bits });
+        }
+        for &(iname, kind, conns) in insts {
+            let first = m.conns.len();
+            for &(pin, bits) in conns {
+                let pin = spell(&mut m, pin);
+                let bits = run(&mut m, bits);
+                m.conns.push(ConnRec { pin, bits });
+            }
+            let (name, kind) = (spell(&mut m, iname), spell(&mut m, kind));
+            let conns = Span::new(first, m.conns.len()).expect("small module");
+            m.insts.push(InstRec { name, kind, conns });
+        }
+        for net in net_names {
+            let name = spell(&mut m, net);
+            m.net_names.push(name);
+        }
+        m
+    }
+
+    /// `top` instantiates `half` twice; `half` is one `gate`. `u0`
+    /// connects `u0_p` to half's `p` and `u0_r` to its `r`.
+    fn hierarchical(gate: &str, u0_p: &[LocalBit], u0_r: &[LocalBit]) -> Design<'static> {
+        let half = module(
+            "half",
+            &[
+                ("p", Input, &[Net(0)]),
+                ("q", Input, &[Net(1)]),
+                ("r", Output, &[Net(2)]),
             ],
-            insts: vec![Inst {
-                name: "g".into(),
-                kind: nand.clone(),
-                conns: vec![
-                    ("a".into(), vec![LocalBit::Net(0)]),
-                    ("b".into(), vec![LocalBit::Net(1)]),
-                    ("y".into(), vec![LocalBit::Net(2)]),
-                ],
-            }],
-            net_names: vec!["p".into(), "q".into(), "r".into()],
-        };
-        let top = Module {
-            name: "top".into(),
-            ports: vec![
-                Port {
-                    name: "a".into(),
-                    dir: PortDir::Input,
-                    bits: vec![LocalBit::Net(0)],
-                },
-                Port {
-                    name: "b".into(),
-                    dir: PortDir::Input,
-                    bits: vec![LocalBit::Net(1)],
-                },
-                Port {
-                    name: "y".into(),
-                    dir: PortDir::Output,
-                    bits: vec![LocalBit::Net(2)],
-                },
+            &[(
+                "g",
+                gate,
+                &[("a", &[Net(0)]), ("b", &[Net(1)]), ("y", &[Net(2)])],
+            )],
+            &["p", "q", "r"],
+        );
+        let top = module(
+            "top",
+            &[
+                ("a", Input, &[Net(0)]),
+                ("b", Input, &[Net(1)]),
+                ("y", Output, &[Net(2)]),
             ],
-            insts: vec![
-                Inst {
-                    name: "u0".into(),
-                    kind: "half".into(),
-                    conns: vec![
-                        ("p".into(), vec![LocalBit::Net(0)]),
-                        ("q".into(), vec![LocalBit::Net(1)]),
-                        ("r".into(), vec![LocalBit::Net(3)]),
-                    ],
-                },
-                Inst {
-                    name: "u1".into(),
-                    kind: "half".into(),
-                    conns: vec![
-                        ("p".into(), vec![LocalBit::Net(3)]),
-                        ("q".into(), vec![LocalBit::Net(3)]),
-                        ("r".into(), vec![LocalBit::Net(2)]),
-                    ],
-                },
+            &[
+                ("u0", "half", &[("p", u0_p), ("q", &[Net(1)]), ("r", u0_r)]),
+                (
+                    "u1",
+                    "half",
+                    &[("p", &[Net(3)]), ("q", &[Net(3)]), ("r", &[Net(2)])],
+                ),
             ],
-            net_names: vec!["a".into(), "b".into(), "y".into(), "t".into()],
-        };
+            &["a", "b", "y", "t"],
+        );
         Design {
             modules: vec![half, top],
             top: 1,
+        }
+    }
+
+    fn hierarchical_design(lib: &Library) -> Design<'static> {
+        hierarchical(&nand2_name(lib), &[Net(0)], &[Net(3)])
+    }
+
+    fn single(top: Module<'static>) -> Design<'static> {
+        Design {
+            modules: vec![top],
+            top: 0,
         }
     }
 
@@ -1147,56 +1371,28 @@ mod tests {
     fn generic_gates_take_the_mapped_path() {
         let lib = lib();
         // y = (a & b) ^ c with one $and + one $xor, 1-bit.
-        let top = Module {
-            name: "gen".into(),
-            ports: vec![
-                Port {
-                    name: "a".into(),
-                    dir: PortDir::Input,
-                    bits: vec![LocalBit::Net(0)],
-                },
-                Port {
-                    name: "b".into(),
-                    dir: PortDir::Input,
-                    bits: vec![LocalBit::Net(1)],
-                },
-                Port {
-                    name: "c".into(),
-                    dir: PortDir::Input,
-                    bits: vec![LocalBit::Net(2)],
-                },
-                Port {
-                    name: "y".into(),
-                    dir: PortDir::Output,
-                    bits: vec![LocalBit::Net(3)],
-                },
+        let design = single(module(
+            "gen",
+            &[
+                ("a", Input, &[Net(0)]),
+                ("b", Input, &[Net(1)]),
+                ("c", Input, &[Net(2)]),
+                ("y", Output, &[Net(3)]),
             ],
-            insts: vec![
-                Inst {
-                    name: "u_and".into(),
-                    kind: "$and".into(),
-                    conns: vec![
-                        ("A".into(), vec![LocalBit::Net(0)]),
-                        ("B".into(), vec![LocalBit::Net(1)]),
-                        ("Y".into(), vec![LocalBit::Net(4)]),
-                    ],
-                },
-                Inst {
-                    name: "u_xor".into(),
-                    kind: "$xor".into(),
-                    conns: vec![
-                        ("A".into(), vec![LocalBit::Net(4)]),
-                        ("B".into(), vec![LocalBit::Net(2)]),
-                        ("Y".into(), vec![LocalBit::Net(3)]),
-                    ],
-                },
+            &[
+                (
+                    "u_and",
+                    "$and",
+                    &[("A", &[Net(0)]), ("B", &[Net(1)]), ("Y", &[Net(4)])],
+                ),
+                (
+                    "u_xor",
+                    "$xor",
+                    &[("A", &[Net(4)]), ("B", &[Net(2)]), ("Y", &[Net(3)])],
+                ),
             ],
-            net_names: vec!["a".into(), "b".into(), "c".into(), "y".into(), "t".into()],
-        };
-        let design = Design {
-            modules: vec![top],
-            top: 0,
-        };
+            &["a", "b", "c", "y", "t"],
+        ));
         let n = lower(&design, &lib, &LowerOptions::default()).expect("maps");
         let mut sim = Simulator::new(&n, &lib);
         for v in 0..8u32 {
@@ -1209,44 +1405,27 @@ mod tests {
     fn multibit_generic_dff_bit_blasts() {
         let lib = lib();
         // q[1:0] <= ~q[1:0] (two toggle registers via $not + $dff).
-        let top = Module {
-            name: "tog".into(),
-            ports: vec![Port {
-                name: "q".into(),
-                dir: PortDir::Output,
-                bits: vec![LocalBit::Net(0), LocalBit::Net(1)],
-            }],
-            insts: vec![
-                Inst {
-                    name: "inv".into(),
-                    kind: "$not".into(),
-                    conns: vec![
-                        ("A".into(), vec![LocalBit::Net(0), LocalBit::Net(1)]),
-                        ("Y".into(), vec![LocalBit::Net(2), LocalBit::Net(3)]),
+        let design = single(module(
+            "tog",
+            &[("q", Output, &[Net(0), Net(1)])],
+            &[
+                (
+                    "inv",
+                    "$not",
+                    &[("A", &[Net(0), Net(1)]), ("Y", &[Net(2), Net(3)])],
+                ),
+                (
+                    "ff",
+                    "$dff",
+                    &[
+                        ("D", &[Net(2), Net(3)]),
+                        ("CLK", &[Net(4)]),
+                        ("Q", &[Net(0), Net(1)]),
                     ],
-                },
-                Inst {
-                    name: "ff".into(),
-                    kind: "$dff".into(),
-                    conns: vec![
-                        ("D".into(), vec![LocalBit::Net(2), LocalBit::Net(3)]),
-                        ("CLK".into(), vec![LocalBit::Net(4)]),
-                        ("Q".into(), vec![LocalBit::Net(0), LocalBit::Net(1)]),
-                    ],
-                },
+                ),
             ],
-            net_names: vec![
-                "q0".into(),
-                "q1".into(),
-                "d0".into(),
-                "d1".into(),
-                "clk".into(),
-            ],
-        };
-        let design = Design {
-            modules: vec![top],
-            top: 0,
-        };
+            &["q0", "q1", "d0", "d1", "clk"],
+        ));
         let n = lower(&design, &lib, &LowerOptions::default()).expect("maps");
         let regs = n
             .iter_instances()
@@ -1260,35 +1439,16 @@ mod tests {
         let lib = lib();
         let nand = nand2_name(&lib);
         // y = NAND(a, 1) = NOT a, with a library cell but a constant pin.
-        let top = Module {
-            name: "konst".into(),
-            ports: vec![
-                Port {
-                    name: "a".into(),
-                    dir: PortDir::Input,
-                    bits: vec![LocalBit::Net(0)],
-                },
-                Port {
-                    name: "y".into(),
-                    dir: PortDir::Output,
-                    bits: vec![LocalBit::Net(1)],
-                },
-            ],
-            insts: vec![Inst {
-                name: "g".into(),
-                kind: nand,
-                conns: vec![
-                    ("a".into(), vec![LocalBit::Net(0)]),
-                    ("b".into(), vec![LocalBit::One]),
-                    ("y".into(), vec![LocalBit::Net(1)]),
-                ],
-            }],
-            net_names: vec!["a".into(), "y".into()],
-        };
-        let design = Design {
-            modules: vec![top],
-            top: 0,
-        };
+        let design = single(module(
+            "konst",
+            &[("a", Input, &[Net(0)]), ("y", Output, &[Net(1)])],
+            &[(
+                "g",
+                &nand,
+                &[("a", &[Net(0)]), ("b", &[One]), ("y", &[Net(1)])],
+            )],
+            &["a", "y"],
+        ));
         let n = lower(&design, &lib, &LowerOptions::default()).expect("maps");
         let mut sim = Simulator::new(&n, &lib);
         assert_eq!(sim.run_comb(&[false]), vec![true]);
@@ -1298,16 +1458,14 @@ mod tests {
     #[test]
     fn unknown_cell_and_undriven_net_are_typed_errors() {
         let lib = lib();
-        let mut design = hierarchical_design(&lib);
-        design.modules[0].insts[0].kind = "mystery_gate".into();
+        let design = hierarchical("mystery_gate", &[Net(0)], &[Net(3)]);
         assert!(matches!(
             lower(&design, &lib, &LowerOptions::default()),
             Err(FrontendError::UnknownCell { .. })
         ));
 
-        let mut design = hierarchical_design(&lib);
         // Disconnect u0.r: u1 then consumes an undriven net.
-        design.modules[1].insts[0].conns[2].1 = vec![LocalBit::Net(0)];
+        let design = hierarchical(&nand2_name(&lib), &[Net(0)], &[Net(0)]);
         let got = lower(&design, &lib, &LowerOptions::default());
         assert!(
             matches!(
@@ -1321,8 +1479,7 @@ mod tests {
     #[test]
     fn alias_binding_resolves_foreign_names() {
         let lib = lib();
-        let mut design = hierarchical_design(&lib);
-        design.modules[0].insts[0].kind = "ND2".into();
+        let design = hierarchical("ND2", &[Net(0)], &[Net(3)]);
         let opts = LowerOptions {
             aliases: vec![("ND2".into(), nand2_name(&lib))],
         };
@@ -1333,8 +1490,7 @@ mod tests {
     #[test]
     fn width_mismatch_on_submodule_port_is_reported() {
         let lib = lib();
-        let mut design = hierarchical_design(&lib);
-        design.modules[1].insts[0].conns[0].1 = vec![LocalBit::Net(0), LocalBit::Net(1)];
+        let design = hierarchical(&nand2_name(&lib), &[Net(0), Net(1)], &[Net(3)]);
         assert!(matches!(
             lower(&design, &lib, &LowerOptions::default()),
             Err(FrontendError::WidthMismatch {

@@ -14,23 +14,28 @@
 //! (first-wins, `name[k]` for bus bits), with `_<bit>` as the fallback
 //! spelling for nets the file leaves anonymous.
 //!
+//! Names borrow the input text; an escaped name, a bus bit and an
+//! anonymous net are spelled into the module's name buffer instead (see
+//! [`Module`]), so parsing allocates per module, not per instance.
+//!
 //! Top selection: the module whose `attributes.top` is truthy, else the
 //! only module, else the first module never instantiated by another.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::fmt::Write;
 
 use crate::error::{syntax, FrontendError};
-use crate::json::Reader;
-use crate::lower::{Design, Inst, LocalBit, Module, Port, PortDir};
+use crate::json::{RawStr, Reader};
+use crate::lower::{ConnRec, Design, InstRec, LocalBit, Module, Name, PortDir, PortRec, Span};
 
-/// Parses Yosys JSON text into a [`Design`].
+/// Parses Yosys JSON text into a [`Design`] that borrows `text`.
 ///
 /// # Errors
 ///
 /// [`FrontendError::Syntax`] for malformed JSON or a shape that is not
 /// a Yosys netlist; [`FrontendError::Unsupported`] for `inout` ports.
-pub fn parse(text: &str) -> Result<Design, FrontendError> {
+pub fn parse(text: &str) -> Result<Design<'_>, FrontendError> {
     let mut r = Reader::new(text);
     let mut modules = Vec::new();
     let mut marked_top = None;
@@ -42,8 +47,8 @@ pub fn parse(text: &str) -> Result<Design, FrontendError> {
         if r.peek()? != b'{' {
             return Err(syntax("\"modules\" is not an object"));
         }
-        r.object(|r, name| {
-            let (module, is_top) = parse_module(r, name.into_owned())?;
+        r.object_raw(|r, name| {
+            let (module, is_top) = parse_module(r, name)?;
             if is_top && marked_top.is_none() {
                 marked_top = Some(modules.len());
             }
@@ -66,18 +71,19 @@ pub fn parse(text: &str) -> Result<Design, FrontendError> {
     Ok(Design { modules, top })
 }
 
-/// Structural fallback when no module carries the `top` attribute.
-fn pick_top(modules: &[Module]) -> Result<usize, FrontendError> {
+/// Structural fallback when no module carries the `top` attribute: the
+/// first module, in file order, that no instance names as its kind.
+fn pick_top(modules: &[Module<'_>]) -> Result<usize, FrontendError> {
     if modules.len() == 1 {
         return Ok(0);
     }
-    let instantiated: Vec<&str> = modules
+    let instantiated: HashSet<&str> = modules
         .iter()
-        .flat_map(|m| m.insts.iter().map(|i| i.kind.as_str()))
+        .flat_map(|m| m.insts().map(|i| i.kind()))
         .collect();
     modules
         .iter()
-        .position(|m| !instantiated.contains(&m.name.as_str()))
+        .position(|m| !instantiated.contains(m.name()))
         .ok_or_else(|| syntax("cannot determine top module (all modules are instantiated)"))
 }
 
@@ -87,11 +93,20 @@ fn first(seen: &mut bool) -> bool {
     !std::mem::replace(seen, true)
 }
 
+/// A string of the input as a name of `module`: borrowed, unless an
+/// escape has to be decoded into the module's name buffer.
+fn keep_raw<'t>(module: &mut Module<'t>, s: RawStr<'t>) -> Result<Name<'t>, FrontendError> {
+    match s.as_plain() {
+        Some(plain) => Ok(Name::Text(plain)),
+        None => module.spell(|buf| s.decode_into(buf)),
+    }
+}
+
 /// Bit number → local net, in first-appearance order.
 #[derive(Default)]
-struct NetTable {
+struct NetTable<'t> {
     /// The name `netnames` gave each net, if it has named it yet.
-    names: Vec<Option<String>>,
+    names: Vec<Option<Name<'t>>>,
     /// The bit number behind each net.
     bits: Vec<i64>,
     /// `dense[bit]` is the net of `bit`, or [`NetTable::NONE`]. Yosys
@@ -103,7 +118,7 @@ struct NetTable {
     sparse: HashMap<i64, u32>,
 }
 
-impl NetTable {
+impl<'t> NetTable<'t> {
     const NONE: u32 = u32::MAX;
     /// How far past `2 * nets seen` a bit number may land and still
     /// extend the dense table.
@@ -155,29 +170,39 @@ impl NetTable {
         Ok(id)
     }
 
-    /// The net names: what `netnames` gave, `_<bit>` for the rest.
-    fn into_names(self) -> Vec<String> {
-        self.names
-            .into_iter()
-            .zip(self.bits)
-            .map(|(name, bit)| name.unwrap_or_else(|| format!("_{bit}")))
-            .collect()
+    /// Names `module`'s nets: what `netnames` gave, `_<bit>` for the
+    /// rest.
+    fn name_nets(self, module: &mut Module<'t>) -> Result<(), FrontendError> {
+        module.net_names.reserve_exact(self.names.len());
+        for (name, bit) in self.names.into_iter().zip(self.bits) {
+            let name = match name {
+                Some(name) => name,
+                None => module
+                    .spell(|buf| write!(buf, "_{bit}").expect("writing to a String cannot fail"))?,
+            };
+            module.net_names.push(name);
+        }
+        Ok(())
     }
 }
 
-/// Reads a `bits` / connection value. Anything but an array reads as no
-/// bits, as the tree walk had it.
-fn parse_bits(r: &mut Reader<'_>, table: &mut NetTable) -> Result<Vec<LocalBit>, FrontendError> {
-    let mut bits = Vec::new();
+/// Reads a `bits` / connection value onto the end of `module.bits`.
+/// Anything but an array reads as no bits, as the tree walk had it.
+fn parse_bits<'t>(
+    r: &mut Reader<'_>,
+    module: &mut Module<'t>,
+    table: &mut NetTable<'t>,
+) -> Result<Span, FrontendError> {
+    let start = module.bits.len();
     if r.peek()? != b'[' {
         r.skip()?;
-        return Ok(bits);
+    } else {
+        r.array(|r| {
+            module.bits.push(table.local(r)?);
+            Ok(())
+        })?;
     }
-    r.array(|r| {
-        bits.push(table.local(r)?);
-        Ok(())
-    })?;
-    Ok(bits)
+    Span::new(start, module.bits.len())
 }
 
 /// Walks the members of an object value; any other value is stepped
@@ -193,14 +218,31 @@ fn members<'a>(
     }
 }
 
+/// [`members`] for objects whose keys are names: each key undecoded.
+fn entries<'a>(
+    r: &mut Reader<'a>,
+    f: impl FnMut(&mut Reader<'a>, RawStr<'a>) -> Result<(), FrontendError>,
+) -> Result<(), FrontendError> {
+    if r.peek()? == b'{' {
+        r.object_raw(f)
+    } else {
+        r.skip()
+    }
+}
+
 /// Reads one module and whether its `attributes.top` is truthy.
-fn parse_module(r: &mut Reader<'_>, name: String) -> Result<(Module, bool), FrontendError> {
+fn parse_module<'t>(
+    r: &mut Reader<'t>,
+    raw_name: RawStr<'t>,
+) -> Result<(Module<'t>, bool), FrontendError> {
+    let name = raw_name.decode();
     if r.peek()? != b'{' {
         return Err(syntax(format!("module {name:?} is not an object")));
     }
+    let mut module = Module::default();
+    module.name = keep_raw(&mut module, raw_name)?;
+    let m = &mut module;
     let mut table = NetTable::default();
-    let mut ports = Vec::new();
-    let mut insts = Vec::new();
     let mut is_top = false;
     let (mut seen_attrs, mut seen_ports, mut seen_cells, mut seen_netnames) =
         (false, false, false, false);
@@ -220,13 +262,12 @@ fn parse_module(r: &mut Reader<'_>, name: String) -> Result<(Module, bool), Fron
                 }
             })
         }
-        "ports" if first(&mut seen_ports) => members(r, |r, pname| {
-            ports.push(parse_port(r, pname.into_owned(), &name, &mut table)?);
-            Ok(())
-        }),
+        "ports" if first(&mut seen_ports) => {
+            entries(r, |r, pname| parse_port(r, pname, &name, m, &mut table))
+        }
         "cells" if first(&mut seen_cells) => {
             if seen_ports {
-                parse_cells(r, &name, &mut table, &mut insts)
+                parse_cells(r, &name, m, &mut table)
             } else {
                 cells_later = Some(r.offset());
                 r.skip()
@@ -234,7 +275,7 @@ fn parse_module(r: &mut Reader<'_>, name: String) -> Result<(Module, bool), Fron
         }
         "netnames" if first(&mut seen_netnames) => {
             if seen_ports && seen_cells && cells_later.is_none() {
-                parse_netnames(r, &mut table)
+                parse_netnames(r, m, &mut table)
             } else {
                 netnames_later = Some(r.offset());
                 r.skip()
@@ -243,18 +284,12 @@ fn parse_module(r: &mut Reader<'_>, name: String) -> Result<(Module, bool), Fron
         _ => r.skip(),
     })?;
     if let Some(at) = cells_later {
-        r.revisit(at, |r| parse_cells(r, &name, &mut table, &mut insts))?;
+        r.revisit(at, |r| parse_cells(r, &name, m, &mut table))?;
     }
     if let Some(at) = netnames_later {
-        r.revisit(at, |r| parse_netnames(r, &mut table))?;
+        r.revisit(at, |r| parse_netnames(r, m, &mut table))?;
     }
-
-    let module = Module {
-        name,
-        ports,
-        insts,
-        net_names: table.into_names(),
-    };
+    table.name_nets(m)?;
     Ok((module, is_top))
 }
 
@@ -268,12 +303,13 @@ fn truthy(r: &mut Reader<'_>) -> Result<bool, FrontendError> {
     }
 }
 
-fn parse_port(
-    r: &mut Reader<'_>,
-    pname: String,
-    module: &str,
-    table: &mut NetTable,
-) -> Result<Port, FrontendError> {
+fn parse_port<'t>(
+    r: &mut Reader<'t>,
+    pname: RawStr<'t>,
+    module_name: &str,
+    module: &mut Module<'t>,
+    table: &mut NetTable<'t>,
+) -> Result<(), FrontendError> {
     let mut dir = None;
     let mut bits = None;
     let mut seen_dir = false;
@@ -283,7 +319,7 @@ fn parse_port(
             Ok(())
         }
         "bits" if bits.is_none() => {
-            bits = Some(parse_bits(r, table)?);
+            bits = Some(parse_bits(r, module, table)?);
             Ok(())
         }
         _ => r.skip(),
@@ -293,61 +329,72 @@ fn parse_port(
         Some("output") => PortDir::Output,
         Some("inout") => {
             return Err(FrontendError::Unsupported {
-                what: format!("inout port {pname} in module {module}"),
+                what: format!("inout port {} in module {module_name}", pname.decode()),
             })
         }
         _ => {
             return Err(syntax(format!(
-                "port {pname} of module {module} has no direction"
+                "port {} of module {module_name} has no direction",
+                pname.decode()
             )))
         }
     };
-    let bits =
-        bits.ok_or_else(|| syntax(format!("port {pname} of module {module} has no bits")))?;
-    Ok(Port {
-        name: pname,
-        dir,
-        bits,
-    })
+    let bits = bits.ok_or_else(|| {
+        syntax(format!(
+            "port {} of module {module_name} has no bits",
+            pname.decode()
+        ))
+    })?;
+    let name = keep_raw(module, pname)?;
+    module.ports.push(PortRec { name, dir, bits });
+    Ok(())
 }
 
-fn parse_cells(
-    r: &mut Reader<'_>,
-    module: &str,
-    table: &mut NetTable,
-    insts: &mut Vec<Inst>,
+fn parse_cells<'t>(
+    r: &mut Reader<'t>,
+    module_name: &str,
+    module: &mut Module<'t>,
+    table: &mut NetTable<'t>,
 ) -> Result<(), FrontendError> {
-    members(r, |r, cname| {
+    entries(r, |r, cname| {
         let mut kind = None;
-        let mut conns = Vec::new();
+        let first_conn = module.conns.len();
         let (mut seen_type, mut seen_conns) = (false, false);
         members(r, |r, key| match &*key {
             "type" if first(&mut seen_type) && r.peek()? == b'"' => {
-                kind = Some(r.string()?.into_owned());
+                kind = Some(r.raw_str()?);
                 Ok(())
             }
-            "connections" if first(&mut seen_conns) => members(r, |r, pin| {
-                conns.push((pin.into_owned(), parse_bits(r, table)?));
+            "connections" if first(&mut seen_conns) => entries(r, |r, pin| {
+                let bits = parse_bits(r, module, table)?;
+                let pin = keep_raw(module, pin)?;
+                module.conns.push(ConnRec { pin, bits });
                 Ok(())
             }),
             _ => r.skip(),
         })?;
-        let kind =
-            kind.ok_or_else(|| syntax(format!("cell {cname} of module {module} has no type")))?;
-        insts.push(Inst {
-            name: cname.into_owned(),
-            kind,
-            conns,
-        });
+        let kind = kind.ok_or_else(|| {
+            syntax(format!(
+                "cell {} of module {module_name} has no type",
+                cname.decode()
+            ))
+        })?;
+        let conns = Span::new(first_conn, module.conns.len())?;
+        let (name, kind) = (keep_raw(module, cname)?, keep_raw(module, kind)?);
+        module.insts.push(InstRec { name, kind, conns });
         Ok(())
     })
 }
 
-fn parse_netnames(r: &mut Reader<'_>, table: &mut NetTable) -> Result<(), FrontendError> {
+fn parse_netnames<'t>(
+    r: &mut Reader<'t>,
+    module: &mut Module<'t>,
+    table: &mut NetTable<'t>,
+) -> Result<(), FrontendError> {
     // One netname's bits, `None` for a constant: a bus bit's name needs
     // the bus width, which is known only at the closing bracket.
     let mut bits: Vec<Option<i64>> = Vec::new();
-    members(r, |r, nname| {
+    entries(r, |r, nname| {
         let mut seen_bits = false;
         members(r, |r, key| {
             if key != "bits" || !first(&mut seen_bits) || r.peek()? != b'[' {
@@ -366,9 +413,12 @@ fn parse_netnames(r: &mut Reader<'_>, table: &mut NetTable) -> Result<(), Fronte
                 let id = table.net_of(bit)? as usize;
                 if table.names[id].is_none() {
                     table.names[id] = Some(if bits.len() == 1 {
-                        String::from(&*nname)
+                        keep_raw(module, nname)?
                     } else {
-                        format!("{nname}[{k}]")
+                        module.spell(|buf| {
+                            nname.decode_into(buf);
+                            write!(buf, "[{k}]").expect("writing to a String cannot fail");
+                        })?
                     });
                 }
             }
@@ -392,7 +442,7 @@ mod tests {
         let golden = generators::alu(&lib, 4).expect("alu4");
         let text = to_yosys_json(&golden, &lib);
         let design = parse(&text).expect("parses");
-        assert_eq!(design.top_module().name, "alu4");
+        assert_eq!(design.top_module().name(), "alu4");
         let back = lower(&design, &lib, &LowerOptions::default()).expect("lowers");
         assert_eq!(back.inputs().len(), golden.inputs().len());
         assert_eq!(back.outputs().len(), golden.outputs().len());
@@ -437,12 +487,47 @@ mod tests {
           }
         }"#;
         let design = parse(text).expect("parses");
-        assert_eq!(design.top_module().name, "top");
+        assert_eq!(design.top_module().name(), "top");
         let tech = Technology::cmos025_asic();
         let lib = LibrarySpec::rich().build(&tech);
         let n = lower(&design, &lib, &LowerOptions::default()).expect("lowers via AIG");
         let mut sim = Simulator::new(&n, &lib);
         assert_eq!(sim.run_comb(&[false]), vec![true]);
+    }
+
+    #[test]
+    fn without_a_top_attribute_the_first_uninstantiated_module_is_top() {
+        // Leaves come first in the file; `chip` is the first module no
+        // instance names, and `spare`, also uninstantiated, comes later.
+        let inverter = r#"{ "ports": { "a": { "direction": "input", "bits": [2] },
+                                      "y": { "direction": "output", "bits": [3] } },
+                           "cells": { "n": { "type": "$not",
+                                             "connections": { "A": [2], "Y": [3] } } } }"#;
+        let text = format!(
+            r#"{{ "modules": {{
+              "inv1": {inverter},
+              "pair": {{ "ports": {{ "a": {{ "direction": "input", "bits": [2] }},
+                                     "y": {{ "direction": "output", "bits": [3] }} }},
+                         "cells": {{ "u0": {{ "type": "inv1", "connections": {{ "a": [2], "y": [4] }} }},
+                                     "u1": {{ "type": "inv1", "connections": {{ "a": [4], "y": [3] }} }} }} }},
+              "chip": {{ "ports": {{ "x": {{ "direction": "input", "bits": [2] }},
+                                     "z": {{ "direction": "output", "bits": [3] }} }},
+                         "cells": {{ "p": {{ "type": "pair", "connections": {{ "a": [2], "y": [3] }} }} }} }},
+              "spare": {inverter}
+            }} }}"#
+        );
+        let design = parse(&text).expect("parses");
+        assert_eq!(design.top, 2);
+        assert_eq!(design.top_module().name(), "chip");
+
+        let tech = Technology::cmos025_asic();
+        let lib = LibrarySpec::rich().build(&tech);
+        let n = lower(&design, &lib, &LowerOptions::default()).expect("lowers");
+        assert_eq!(n.name, "chip");
+        let mut sim = Simulator::new(&n, &lib);
+        for x in [false, true] {
+            assert_eq!(sim.run_comb(&[x]), vec![x], "two inverters in series");
+        }
     }
 
     #[test]
@@ -460,11 +545,13 @@ mod tests {
           }
         }"#;
         let design = parse(text).expect("parses");
-        assert_eq!(design.top_module().insts[0].conns[0].1, vec![LocalBit::One]);
-        assert_eq!(
-            design.top_module().insts[0].conns[1].1,
-            vec![LocalBit::Zero]
-        );
+        let bits: Vec<_> = design
+            .top_module()
+            .inst(0)
+            .conns()
+            .map(|(_, b)| b)
+            .collect();
+        assert_eq!(bits[..2], [[LocalBit::One], [LocalBit::Zero]]);
     }
 
     #[test]

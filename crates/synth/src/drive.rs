@@ -7,7 +7,7 @@
 //! logical-effort target (≈ 4).
 
 use asicgap_cells::{CellId, Library};
-use asicgap_netlist::{InstId, Netlist};
+use asicgap_netlist::{InstId, NetDriver, Netlist};
 use asicgap_sta::{NetParasitics, TimingGraph, OUTPUT_LOAD_UNITS};
 use asicgap_tech::Ff;
 
@@ -21,8 +21,10 @@ pub struct DriveOptions<'p> {
     pub parasitics: Option<&'p NetParasitics>,
     /// Logical-effort stage gain to aim each instance at.
     pub target_gain: f64,
-    /// Sweeps to run (loads depend on sink input caps, which change as
-    /// sinks are resized; 2–3 passes converge in practice).
+    /// Upper bound on sweeps (loads depend on sink input caps, which
+    /// change as sinks are resized). Selection stops earlier, after the
+    /// first sweep that swaps nothing: it has reached a fixed point, and
+    /// further sweeps would find nothing to do. 2–3 converge in practice.
     pub passes: usize,
 }
 
@@ -62,8 +64,9 @@ fn best_drive(
     }
 }
 
-/// Instance visit order for one sweep: reverse topological (outputs
-/// first, so downstream caps settle), then the sequential cells.
+/// Instance visit order: reverse topological (outputs first, so
+/// downstream caps settle), then the sequential cells. Resizing never
+/// changes connectivity, so one order serves every pass.
 fn sweep_order(netlist: &Netlist) -> Vec<InstId> {
     let mut order = netlist
         .topo_order()
@@ -78,6 +81,81 @@ fn sweep_order(netlist: &Netlist) -> Vec<InstId> {
     order
 }
 
+/// What a sweep reads loads from and commits swaps to.
+trait Target {
+    fn parts(&self) -> (&Netlist, &Library, &NetParasitics);
+    fn resize(&mut self, id: InstId, cell: CellId);
+}
+
+/// A bare netlist under fixed parasitics.
+struct Bare<'n> {
+    netlist: &'n mut Netlist,
+    lib: &'n Library,
+    par: &'n NetParasitics,
+}
+
+impl Target for Bare<'_> {
+    fn parts(&self) -> (&Netlist, &Library, &NetParasitics) {
+        (self.netlist, self.lib, self.par)
+    }
+    fn resize(&mut self, id: InstId, cell: CellId) {
+        self.netlist.set_instance_cell(self.lib, id, cell);
+    }
+}
+
+impl Target for TimingGraph<'_> {
+    fn parts(&self) -> (&Netlist, &Library, &NetParasitics) {
+        (self.netlist(), self.library(), self.parasitics())
+    }
+    fn resize(&mut self, id: InstId, cell: CellId) {
+        self.resize_cell(id, cell);
+    }
+}
+
+/// The sweep both entry points share: up to `options.passes` passes in
+/// [`sweep_order`], each evaluating only the instances whose load may
+/// have changed since they were last evaluated, ending early at the
+/// first pass that swaps nothing.
+///
+/// This is exact against visiting every instance every pass. A decision
+/// reads only the instance's output load, and that load changes only
+/// when one of its sinks is resized; so every instance starts stale,
+/// goes clean when evaluated, and a swap re-stales the drivers of the
+/// swapped cell's fan-in nets. Re-evaluating a clean instance would
+/// find the drive it already has. The same swaps therefore happen in
+/// the same order (`oracle.rs` holds the every-instance loop to this).
+fn sweep(target: &mut impl Target, options: &DriveOptions) {
+    assert!(options.target_gain > 0.0, "target gain must be positive");
+    if options.passes == 0 {
+        return;
+    }
+    let order = sweep_order(target.parts().0);
+    let mut stale = vec![true; order.len()];
+    for _ in 0..options.passes {
+        let mut swapped = false;
+        for &id in &order {
+            if !std::mem::replace(&mut stale[id.index()], false) {
+                continue;
+            }
+            let (netlist, lib, par) = target.parts();
+            let Some(best) = best_drive(netlist, lib, par, id, options.target_gain) else {
+                continue;
+            };
+            target.resize(id, best);
+            swapped = true;
+            let netlist = target.parts().0;
+            for &net in netlist.fanin(id) {
+                if let Some(NetDriver::Instance(driver)) = netlist.driver(net) {
+                    stale[driver.index()] = true;
+                }
+            }
+        }
+        if !swapped {
+            break;
+        }
+    }
+}
+
 /// Re-selects every instance's drive strength per `options`. Functions
 /// with a single drive in the library are left untouched.
 ///
@@ -86,7 +164,6 @@ fn sweep_order(netlist: &Netlist) -> Vec<InstId> {
 /// Panics if `options.target_gain` is not strictly positive, or if
 /// `options.parasitics` was built for a different netlist.
 pub fn select_drives_with(netlist: &mut Netlist, lib: &Library, options: &DriveOptions) {
-    assert!(options.target_gain > 0.0, "target gain must be positive");
     let ideal;
     let par = match options.parasitics {
         Some(p) => p,
@@ -95,13 +172,7 @@ pub fn select_drives_with(netlist: &mut Netlist, lib: &Library, options: &DriveO
             &ideal
         }
     };
-    for _ in 0..options.passes {
-        for id in sweep_order(netlist) {
-            if let Some(best) = best_drive(netlist, lib, par, id, options.target_gain) {
-                netlist.set_instance_cell(lib, id, best);
-            }
-        }
-    }
+    sweep(&mut Bare { netlist, lib, par }, options);
 }
 
 /// [`select_drives_with`] against a live [`TimingGraph`]: the same
@@ -114,21 +185,11 @@ pub fn select_drives_with(netlist: &mut Netlist, lib: &Library, options: &DriveO
 ///
 /// Panics if `options.target_gain` is not strictly positive.
 pub fn select_drives_on(graph: &mut TimingGraph, options: &DriveOptions) {
-    assert!(options.target_gain > 0.0, "target gain must be positive");
-    for _ in 0..options.passes {
-        for id in sweep_order(graph.netlist()) {
-            if let Some(best) = best_drive(
-                graph.netlist(),
-                graph.library(),
-                graph.parasitics(),
-                id,
-                options.target_gain,
-            ) {
-                graph.resize_cell(id, best);
-            }
-        }
-    }
+    sweep(graph, options);
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

@@ -284,7 +284,7 @@ fn section_order_in_the_file_does_not_change_the_design() {
 
 #[test]
 fn first_of_a_repeated_key_wins_at_every_level() {
-    let parse = |text: &str| frontend::parse_design(DesignFormat::YosysJson, text);
+    let parse = |text: &'static str| frontend::parse_design(DesignFormat::YosysJson, text);
     let plain = parse(
         r#"{ "modules": { "m": {
             "attributes": { "top": 1 },
@@ -324,9 +324,9 @@ fn first_of_a_repeated_key_wins_at_every_level() {
     )
     .expect("parses");
     let m = twice.top_module();
-    assert_eq!(m.ports.len(), 2);
-    assert_eq!(m.insts.len(), 2);
-    assert_eq!(m.insts[0].conns.len(), 2);
+    assert_eq!(m.ports().len(), 2);
+    assert_eq!(m.insts().len(), 2);
+    assert_eq!(m.inst(0).conns().len(), 2);
 }
 
 #[test]
@@ -343,11 +343,11 @@ fn escaped_and_multibyte_names_round_trip() {
         "netnames": { "ünï-中": { "bits": [2] }, "\u00e9": { "bits": [3, 4] } } } } }"#;
     let design = frontend::parse_design(DesignFormat::YosysJson, text).expect("parses");
     let m = design.top_module();
-    assert_eq!(m.name, "top \"quoted\" 中");
-    let ports: Vec<&str> = m.ports.iter().map(|p| p.name.as_str()).collect();
+    assert_eq!(m.name(), "top \"quoted\" 中");
+    let ports: Vec<&str> = m.ports().map(|p| p.name).collect();
     assert_eq!(ports, ["a\"b", "c\\d", "eAf"]);
-    assert_eq!(m.insts[0].name, "g/h");
-    assert_eq!(m.net_names, ["ünï-中", "é[0]", "é[1]"]);
+    assert_eq!(m.inst(0).name(), "g/h");
+    assert!(m.net_names().eq(["ünï-中", "é[0]", "é[1]"]));
 
     // And through the exporter, which escapes them again.
     let netlist = frontend::load_design(DesignFormat::YosysJson, text, &lib).expect("lowers");
@@ -382,10 +382,8 @@ fn wild_bit_numbers_are_nets_like_any_other() {
         "netnames": { "far": { "bits": [9000000000001, -4] },
                       "min": { "bits": [-9223372036854775808] } } } } }"#;
     let design = frontend::parse_design(DesignFormat::YosysJson, text).expect("parses");
-    assert_eq!(
-        design.top_module().net_names,
-        ["_9000000000000", "far[1]", "_2", "far[0]", "min"]
-    );
+    let names: Vec<&str> = design.top_module().net_names().collect();
+    assert_eq!(names, ["_9000000000000", "far[1]", "_2", "far[0]", "min"]);
     let lib = rich_library();
     let netlist = frontend::load_design(DesignFormat::YosysJson, text, &lib).expect("lowers");
     assert_eq!(netlist.inputs().len(), 2);
