@@ -38,4 +38,4 @@ mod trace;
 
 pub use engine::{close_on, depth_lower_bound, replay, AutopilotError, RouteContext};
 pub use target::{ClosureTarget, MoveKind, Verdict};
-pub use trace::{fnv64, netlist_fingerprint, ConvergenceTrace, IterationRecord, MoveRecord};
+pub use trace::{netlist_fingerprint, ConvergenceTrace, IterationRecord, MoveRecord};

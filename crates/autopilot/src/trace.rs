@@ -19,11 +19,6 @@ use asicgap_tech::Ps;
 
 use crate::target::{MoveKind, Verdict};
 
-/// Hashes a byte string with FNV-1a 64 (the repo-wide fingerprint hash).
-pub fn fnv64(data: &[u8]) -> u64 {
-    asicgap_tech::fnv1a(data)
-}
-
 /// Structural fingerprint of a netlist: FNV-1a 64 over the design name,
 /// ports, and every instance's name / cell / connectivity in iteration
 /// order. Two netlists with the same fingerprint went through the same
@@ -47,7 +42,7 @@ pub fn netlist_fingerprint(netlist: &Netlist, lib: &Library) -> u64 {
         }
         text.push_str(&format!(" -> {}\n", netlist.net(inst.out()).name()));
     }
-    fnv64(text.as_bytes())
+    asicgap_tech::fnv1a(text.as_bytes())
 }
 
 /// One committed ECO move.

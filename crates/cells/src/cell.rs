@@ -143,24 +143,6 @@ impl LibCell {
         tau * self.parasitic + tau * (load / (tech.unit_inverter_cin * self.drive))
     }
 
-    /// Propagation delay at explicit operating conditions: the nominal
-    /// delay scaled by the corner/voltage/temperature derate — how a
-    /// multi-corner sign-off evaluates the same cell.
-    pub fn delay_at(
-        &self,
-        tech: &Technology,
-        load: Ff,
-        conditions: &asicgap_tech::OperatingConditions,
-    ) -> Ps {
-        self.delay(tech, load) * conditions.delay_derate()
-    }
-
-    /// Output resistance expressed as delay-per-fF (τ/(x·Cu)); used by wire
-    /// models that need an explicit driver resistance.
-    pub fn drive_resistance_ps_per_ff(&self, tech: &Technology) -> f64 {
-        tech.tau().value() / (tech.unit_inverter_cin.value() * self.drive)
-    }
-
     /// First-order switching energy proxy: total input capacitance times
     /// the family power factor (relative units; sufficient for the §6
     /// power-aware sizing experiment).
@@ -224,26 +206,6 @@ mod tests {
             ratio > 1.4 && ratio < 2.2,
             "domino speedup {ratio} outside the paper's 1.5-2.0x band"
         );
-    }
-
-    #[test]
-    fn derated_delay_orders_by_corner() {
-        use asicgap_tech::{OperatingConditions, ProcessCorner, Volt};
-        let tech = tech();
-        let cell =
-            LibCell::combinational(CellFunction::Nand(2), LogicFamily::StaticCmos, 1.0, &tech);
-        let load = Ff::new(10.0);
-        let nominal = OperatingConditions::nominal(Volt::new(2.5));
-        let signoff = OperatingConditions::asic_signoff(Volt::new(2.5));
-        let fast = OperatingConditions {
-            corner: ProcessCorner::FastFast,
-            ..nominal.clone()
-        };
-        let d_nom = cell.delay_at(&tech, load, &nominal);
-        let d_slow = cell.delay_at(&tech, load, &signoff);
-        let d_fast = cell.delay_at(&tech, load, &fast);
-        assert!(d_fast < d_nom && d_nom < d_slow);
-        assert!((d_nom - cell.delay(&tech, load)).abs().value() < 1e-9);
     }
 
     #[test]

@@ -98,28 +98,6 @@ impl LibrarySpec {
         }
     }
 
-    /// Rich ASIC library plus a domino family — the hypothetical "dynamic
-    /// logic library for ASICs" the paper's §7.2 deems unlikely.
-    pub fn rich_with_domino() -> LibrarySpec {
-        LibrarySpec {
-            name: "rich-domino".to_string(),
-            domino: true,
-            ..LibrarySpec::rich()
-        }
-    }
-
-    /// Overrides the drive menu.
-    pub fn with_drives(mut self, drives: Vec<f64>) -> LibrarySpec {
-        self.drives = drives;
-        self
-    }
-
-    /// Overrides the name.
-    pub fn with_name(mut self, name: impl Into<String>) -> LibrarySpec {
-        self.name = name.into();
-        self
-    }
-
     /// Expands the spec into a characterised library for `tech`.
     ///
     /// # Panics

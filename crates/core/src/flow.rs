@@ -670,13 +670,6 @@ pub struct ScenarioOutcome {
     pub route: Option<RouteSummary>,
 }
 
-impl ScenarioOutcome {
-    /// Power proxy per shipped MHz — the efficiency view.
-    pub fn power_per_mhz(&self) -> f64 {
-        self.power_proxy / self.shipped.value()
-    }
-}
-
 /// Runs `scenario` on the workload produced by `workload` (a generator
 /// taking the scenario's library).
 ///
@@ -899,7 +892,8 @@ mod tests {
         assert!(custom.power_proxy > 3.0 * asic.power_proxy);
         assert!(custom.area_um2 > asic.area_um2);
         // Even per MHz, the custom machine burns more.
-        assert!(custom.power_per_mhz() > asic.power_per_mhz() * 0.5);
+        let per_mhz = |o: &ScenarioOutcome| o.power_proxy / o.shipped.value();
+        assert!(per_mhz(&custom) > per_mhz(&asic) * 0.5);
     }
 
     #[test]

@@ -73,7 +73,8 @@ use std::time::Instant;
 use asicgap_autopilot::{close_on, ClosureTarget, RouteContext};
 use asicgap_cells::{Library, LogicFamily};
 use asicgap_equiv::{
-    check_equiv, random_sim_equiv, EquivEffort, EquivReport, EquivResult, VerifyLevel,
+    check_equiv, random_sim_equiv, random_vector, EquivEffort, EquivReport, EquivResult,
+    VerifyLevel,
 };
 use asicgap_netlist::{canon, Netlist, Simulator};
 use asicgap_pipeline::{pipeline_netlist_with, verify_pipeline};
@@ -634,16 +635,8 @@ fn verify_pipeline_by_sim(
     let mut sim_flat = Simulator::new(flat, lib);
     let mut sim_piped = Simulator::new(piped, lib);
     let n = flat.inputs().len();
-    for seed in 0..32u64 {
-        let mut x = (seed + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let bits: Vec<bool> = (0..n)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x & 1 == 1
-            })
-            .collect();
+    for vector in 0..32 {
+        let bits = random_vector(vector, n);
         let want = sim_flat.run_comb(&bits);
         let got = sim_piped.run_pipelined(&bits, stages + 1);
         if want != got {

@@ -386,6 +386,29 @@ fn replay_side(
     Some(sim.value(*net))
 }
 
+/// 2⁶⁴/φ: spreads consecutive vector numbers across the state space.
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Endless pseudo-random bits: xorshift64 (13, 7, 17) from `state`, the
+/// low bit of each step.
+fn random_bits(mut state: u64) -> impl Iterator<Item = bool> {
+    std::iter::repeat_with(move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state & 1 == 1
+    })
+}
+
+/// Random input vector number `index` over `inputs` inputs, seeded from
+/// `(index + 1)·φ`: a function of its two arguments alone, so every
+/// random-simulation tier that draws from it replays identically.
+pub fn random_vector(index: u64, inputs: usize) -> Vec<bool> {
+    random_bits((index + 1).wrapping_mul(GOLDEN))
+        .take(inputs)
+        .collect()
+}
+
 /// Fast random-simulation smoke check (no proof): drives both designs
 /// with `vectors` shared random input vectors, compares outputs by name
 /// after combinational settle and after two clock edges. This is the
@@ -405,15 +428,9 @@ pub fn random_sim_equiv(
         None => return false,
     };
     for v in 0..vectors {
-        let mut x = seed ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut bit = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x & 1 == 1
-        };
+        let mut bits = random_bits(seed ^ v.wrapping_mul(GOLDEN));
         for (name, _) in a.inputs() {
-            let val = bit();
+            let val = bits.next().expect("endless");
             sa.set_input(name, val);
             if b.inputs().iter().any(|(n, _)| n == name) {
                 sb.set_input(name, val);

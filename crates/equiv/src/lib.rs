@@ -17,7 +17,7 @@
 //! 2. **Structural discharge**: output pairs whose cones hash to the same
 //!    literal are proven equal for free — this closes every
 //!    drive-/buffer-only stage without touching SAT.
-//! 3. **CDCL SAT** ([`Solver`]): the residue is Tseitin-encoded and
+//! 3. **CDCL SAT** (`sat.rs`): the residue is Tseitin-encoded and
 //!    decided by a small deterministic solver (two-watched literals,
 //!    first-UIP learning, Luby restarts).
 //! 4. **Counterexample replay**: an `Inequivalent` verdict is only
@@ -54,13 +54,12 @@ mod miter;
 mod sat;
 
 pub use check::{
-    check_equiv, check_equiv_with, checked_sweep, prove_outputs, random_sim_equiv, Counterexample,
-    EquivEffort, EquivOptions, EquivReport, EquivResult, RawCounterexample,
+    check_equiv, check_equiv_with, checked_sweep, prove_outputs, random_sim_equiv, random_vector,
+    Counterexample, EquivEffort, EquivOptions, EquivReport, EquivResult, RawCounterexample,
 };
 pub use error::EquivError;
 pub use graph::{Graph, Lit};
-pub use miter::{build_function, import_netlist, register_key, ImportedNetlist, SeqMode};
-pub use sat::{SatLit, SatOutcome, SatStats, Solver};
+pub use miter::{build_function, import_netlist, ImportedNetlist, SeqMode};
 
 /// How much verification a flow performs at each transform boundary.
 ///

@@ -50,7 +50,7 @@ pub struct ImportedNetlist {
 /// The cut-point key of a sequential instance: the suffix of a
 /// `__q_`-prefixed Q-net name when present (identity preserved across
 /// remapping), the instance name otherwise.
-pub fn register_key(netlist: &Netlist, inst: InstId) -> String {
+pub(crate) fn register_key(netlist: &Netlist, inst: InstId) -> String {
     let i = netlist.instance(inst);
     let qname = netlist.net(i.out()).name();
     match qname.strip_prefix("__q_") {

@@ -10,7 +10,7 @@
 
 /// A SAT literal: `variable << 1 | negated`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SatLit(u32);
+pub(crate) struct SatLit(u32);
 
 impl SatLit {
     /// A literal over `var`, positive when `negated` is false.
@@ -42,7 +42,7 @@ impl SatLit {
 
 /// Solver effort counters, accumulated across the solver's lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SatStats {
+pub(crate) struct SatStats {
     /// Variables allocated.
     pub vars: usize,
     /// Clauses added (problem clauses, before learning).
@@ -59,7 +59,7 @@ pub struct SatStats {
 
 /// The result of a solve.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SatOutcome {
+pub(crate) enum SatOutcome {
     /// Satisfiable; the model assigns every variable.
     Sat(Vec<bool>),
     /// Proven unsatisfiable.
@@ -71,7 +71,7 @@ const UNDEF: i8 = 0;
 /// The solver. Create, [`Solver::new_var`] as needed,
 /// [`Solver::add_clause`], then [`Solver::solve`].
 #[derive(Debug, Default)]
-pub struct Solver {
+pub(crate) struct Solver {
     /// Clause database; learnt clauses are appended after problem clauses.
     clauses: Vec<Vec<SatLit>>,
     /// Watch lists indexed by literal: clauses watching that literal.

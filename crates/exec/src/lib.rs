@@ -40,8 +40,8 @@
 mod pool;
 mod seed;
 
-pub use pool::{par_map, par_run, Pool};
-pub use seed::{split_seed, SeedSequence};
+pub use pool::Pool;
+pub use seed::split_seed;
 
 /// The number of worker threads [`Pool::from_env`] will use: the value
 /// of `ASICGAP_THREADS` if it parses to a positive integer, otherwise

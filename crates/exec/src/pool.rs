@@ -158,26 +158,6 @@ fn steal(queues: &[Mutex<VecDeque<Range<usize>>>], thief: usize) -> Option<Range
     None
 }
 
-/// [`Pool::from_env`]`.map(..)` as a free function — the workspace's
-/// one-line way to parallelise a slice.
-pub fn par_map<I, T, F>(items: &[I], f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I) -> T + Sync,
-{
-    Pool::from_env().map(items, f)
-}
-
-/// [`Pool::from_env`]`.run(..)` as a free function.
-pub fn par_run<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    Pool::from_env().run(n, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

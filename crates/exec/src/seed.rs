@@ -26,38 +26,6 @@ pub fn split_seed(base: u64, index: u64) -> u64 {
     sm.next_u64()
 }
 
-/// An iterator producing the per-task seeds of a job: `split_seed(base,
-/// 0)`, `split_seed(base, 1)`, … Convenient when spawning a batch of
-/// chains or lots.
-#[derive(Debug, Clone, Copy)]
-pub struct SeedSequence {
-    base: u64,
-    next: u64,
-}
-
-impl SeedSequence {
-    /// A sequence rooted at `base`.
-    pub fn new(base: u64) -> SeedSequence {
-        SeedSequence { base, next: 0 }
-    }
-
-    /// The seed for an arbitrary task index, without consuming the
-    /// iterator.
-    pub fn seed(&self, index: u64) -> u64 {
-        split_seed(self.base, index)
-    }
-}
-
-impl Iterator for SeedSequence {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
-        let s = split_seed(self.base, self.next);
-        self.next += 1;
-        Some(s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,22 +35,6 @@ mod tests {
         assert_eq!(split_seed(42, 7), split_seed(42, 7));
         assert_ne!(split_seed(42, 7), split_seed(42, 8));
         assert_ne!(split_seed(42, 7), split_seed(43, 7));
-    }
-
-    #[test]
-    fn sequence_matches_direct_split() {
-        let seq = SeedSequence::new(5);
-        let first: Vec<u64> = seq.take(4).collect();
-        assert_eq!(
-            first,
-            vec![
-                split_seed(5, 0),
-                split_seed(5, 1),
-                split_seed(5, 2),
-                split_seed(5, 3)
-            ]
-        );
-        assert_eq!(SeedSequence::new(5).seed(2), split_seed(5, 2));
     }
 
     #[test]

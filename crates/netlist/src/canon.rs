@@ -35,11 +35,18 @@
 //! a subset of what it accepted, with the same observable result. The
 //! one byte difference is a repair: the reference wrote a name's bytes
 //! `>= 0x80` one `char` each — as mojibake its own decoder could not
-//! undo — where this encoder copies them. The texts the reference took
-//! and this decoder refuses — none of which [`encode`] ever writes — are:
+//! undo — where this encoder copies them.
+//!
+//! A text is accepted only if it re-encodes to the same bytes: every
+//! value has one spelling. The texts the reference took and this decoder
+//! refuses — none of which [`encode`] ever writes — are:
 //!
 //! - a `+` before a decimal or inside a `%` escape (`str::parse` and
 //!   `from_str_radix` take one);
+//! - a leading zero on a decimal (`r3 042` for `r3 42`, `nets 007`);
+//! - an escape of a byte that travels plain (`%61` for `a`), or one in
+//!   upper-case hex (`%2A`, `%0A`): the encoder escapes only the bytes
+//!   `<= 0x20`, `%` and `0x7f`, in lower case;
 //! - `\r\n` line ends (`str::lines` drops the `\r`);
 //! - a last line without its `\n`;
 //! - a raw space, control byte or DEL inside a name (the encoder writes
@@ -248,7 +255,7 @@ impl<'t> Cursor<'t> {
         }
     }
 
-    /// A decimal: digits only, at least one.
+    /// A decimal: digits only, at least one, and no leading zero.
     fn digits(&mut self) -> Option<usize> {
         let bytes = self.text.as_bytes();
         let start = self.at;
@@ -256,6 +263,9 @@ impl<'t> Cursor<'t> {
         while let Some(d) = bytes.get(self.at).map(|b| b.wrapping_sub(b'0')) {
             if d > 9 {
                 break;
+            }
+            if self.at > start && v == 0 {
+                return None;
             }
             v = v.checked_mul(10)?.checked_add(usize::from(d))?;
             self.at += 1;
@@ -323,7 +333,8 @@ impl<'t> Cursor<'t> {
 }
 
 /// The name a token spells: the token itself unless it carries escapes,
-/// which are decoded into `scratch`.
+/// which are decoded into `scratch`. An escape is taken only as
+/// [`put_name`] writes it: lower-case hex, of a byte that is not plain.
 fn spelled<'a>((token, escaped): Token<'a>, scratch: &'a mut Vec<u8>) -> Option<&'a str> {
     if !escaped {
         return Some(token);
@@ -332,9 +343,16 @@ fn spelled<'a>((token, escaped): Token<'a>, scratch: &'a mut Vec<u8>) -> Option<
     let mut bytes = token.bytes();
     while let Some(b) = bytes.next() {
         if b == b'%' {
-            let mut hex = || bytes.next().and_then(|b| char::from(b).to_digit(16));
-            let (hi, lo) = (hex()?, hex()?);
-            scratch.push((hi * 16 + lo) as u8);
+            let mut hex = || match bytes.next()? {
+                d @ b'0'..=b'9' => Some(d - b'0'),
+                d @ b'a'..=b'f' => Some(d - b'a' + 10),
+                _ => None,
+            };
+            let escaped = hex()? * 16 + hex()?;
+            if PLAIN[usize::from(escaped)] {
+                return None;
+            }
+            scratch.push(escaped);
         } else {
             scratch.push(b);
         }

@@ -562,21 +562,25 @@ mod tests {
         assert_same_arena(&decode(&text, &lib).expect("reference decodes"), &back);
     }
 
-    /// The two decoders on one damaged text. The one-pass decoder may
-    /// only refuse what the reference took when `licence` says the
-    /// damage is one of the documented differences; it may never take
-    /// what the reference refused, and when both take a text they must
-    /// build the same netlist. Returns whether each accepted.
-    fn decode_both(text: &str, lib: &Library, licence: bool) -> (bool, bool) {
+    /// The two decoders on one damaged text. The one-pass decoder takes
+    /// exactly the texts the reference takes that are also what the
+    /// encoder writes for the netlist read (the documented differences
+    /// are all spellings it never writes), and when both take a text
+    /// they build the same netlist. Returns whether each accepted.
+    fn decode_both(text: &str, lib: &Library) -> (bool, bool) {
         // Debug builds of the reference assert on ids past `u32`.
         let want = catch_unwind(|| decode(text, lib)).unwrap_or_else(|_| Err(bad("panicked")));
         let got = fast::decode(text, lib);
         match (&want, &got) {
-            (Ok(want), Ok(got)) => assert_same_arena(want, got),
+            (Ok(want), Ok(got)) => {
+                assert_same_arena(want, got);
+                assert_eq!(fast::encode(got, lib), text, "took a non-canonical text");
+            }
             (Err(_), Ok(_)) => panic!("one-pass decoder took what the reference refused: {text:?}"),
-            (Ok(_), Err(e)) => assert!(
-                licence,
-                "one-pass decoder refused ({e}) a text the reference took: {text:?}"
+            (Ok(want), Err(e)) => assert_ne!(
+                fast::encode(want, lib),
+                text,
+                "one-pass decoder refused ({e}) a canonical text the reference took"
             ),
             (Err(_), Err(_)) => {}
         }
@@ -598,10 +602,10 @@ mod tests {
     fn every_truncation_is_refused_by_both() {
         let lib = lib();
         let good = small_artifact(&lib);
-        assert_eq!(decode_both(&good, &lib, false), (true, true));
+        assert_eq!(decode_both(&good, &lib), (true, true));
         for cut in 0..good.len() - 1 {
             assert_eq!(
-                decode_both(&good[..cut], &lib, false),
+                decode_both(&good[..cut], &lib),
                 (false, false),
                 "cut at {cut}"
             );
@@ -632,11 +636,7 @@ mod tests {
             let Ok(text) = String::from_utf8(bytes) else {
                 continue;
             };
-            // The documented differences a one-byte change can reach: a
-            // `+`, a `\r` before a `\n`, a raw blank or control byte in a
-            // name, the final `\n` gone.
-            let licence = with == b'+' || with <= 0x20 || with == 0x7f || at == good.len() - 1;
-            match decode_both(&text, &lib, licence) {
+            match decode_both(&text, &lib) {
                 (true, true) => both += 1,
                 (true, false) => licensed += 1,
                 _ => neither += 1,
@@ -679,22 +679,29 @@ mod tests {
                 "raw del in a name",
                 good.replacen("rca%203%25", "rca\u{7f}3%25", 1),
             ),
+            (
+                "leading zero on a count",
+                good.replacen("nets ", "nets 0", 1),
+            ),
+            ("leading zero on an index", good.replacen(":0", ":00", 1)),
+            (
+                "escape of a plain byte",
+                good.replacen("rca%203%25", "%72ca%203%25", 1),
+            ),
+            (
+                "upper-case escape",
+                good.replacen("rca%203%25", "rca%0A3%25", 1),
+            ),
         ];
         for (what, text) in cases {
             assert_ne!(text, good, "{what}: the case must differ from the artifact");
-            assert_eq!(decode_both(&text, &lib, true), (true, false), "{what}");
+            assert_eq!(decode_both(&text, &lib), (true, false), "{what}");
         }
         // An id past `u32` was never accepted; what changed is that it is
         // now refused where it is read, not after saturating.
         let pin = good.find(":0").expect("a sink on pin 0");
         let mut huge = good.clone();
         huge.insert_str(pin, "9999999999");
-        assert_eq!(decode_both(&huge, &lib, false), (false, false));
-        // Not a difference: leading zeros and upper-case escapes are
-        // taken by both.
-        let zeros = good.replacen("nets ", "nets 000", 1);
-        assert_eq!(decode_both(&zeros, &lib, false), (true, true));
-        let upper = good.replacen("%25", "%2F", 1);
-        assert_eq!(decode_both(&upper, &lib, false), (true, true));
+        assert_eq!(decode_both(&huge, &lib), (false, false));
     }
 }

@@ -24,7 +24,7 @@ use asicgap_tech::fnv1a;
 /// that minted them; resolve one through that netlist's accessors
 /// (e.g. [`InstRef::name`](crate::InstRef::name)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Symbol(pub(crate) u32);
+pub(crate) struct Symbol(pub(crate) u32);
 
 impl Symbol {
     /// The raw table index.

@@ -62,7 +62,6 @@ pub mod yosys_json;
 pub use builder::NetlistBuilder;
 pub use error::NetlistError;
 pub use ids::{InstId, NetId};
-pub use intern::Symbol;
 pub use netlist::{InstRef, NetDriver, NetRef, Netlist, Sink, INLINE_FANIN};
 pub use power::{estimate_power, PowerEstimate};
 pub use sim::Simulator;

@@ -248,7 +248,7 @@ impl Netlist {
     }
 
     /// Switches the name interner to hash-consing mode: repeated
-    /// spellings share one [`Symbol`] from here on. Generator netlists
+    /// spellings share one interned name from here on. Generator netlists
     /// never repeat a name, so this stays off by default; the frontend
     /// turns it on for imported designs, where output nets are named
     /// after their driving instances and every spelling occurs twice.

@@ -120,7 +120,7 @@ impl MemoryFootprint {
         let instance_bytes = netlist.insts.capacity() * size_of::<crate::netlist::InstRecord>()
             + netlist.inst_seq.capacity()
             + netlist.fanin_overflow.capacity() * size_of::<crate::NetId>();
-        let net_bytes = netlist.net_name.capacity() * size_of::<crate::Symbol>()
+        let net_bytes = netlist.net_name.capacity() * size_of::<crate::intern::Symbol>()
             + netlist.net_driver.capacity() * size_of::<u32>()
             + netlist.net_flags.capacity()
             + netlist.slots.capacity() * size_of::<SinkSlot>();

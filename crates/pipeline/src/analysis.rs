@@ -7,7 +7,7 @@
 //! world.
 
 use asicgap_cells::{CellFunction, Library};
-use asicgap_netlist::{NetDriver, Netlist};
+use asicgap_netlist::Netlist;
 use asicgap_sta::{analyze, ClockSpec};
 use asicgap_tech::Ps;
 
@@ -21,7 +21,7 @@ use crate::borrow::{borrowed_cycle, BorrowReport};
 ///
 /// Panics if the register dependency graph is cyclic (this analysis is
 /// for feed-forward pipelines) or the netlist is combinationally cyclic.
-pub fn stage_profile(netlist: &Netlist, lib: &Library) -> Vec<Ps> {
+pub(crate) fn stage_profile(netlist: &Netlist, lib: &Library) -> Vec<Ps> {
     let report = analyze(netlist, lib, &ClockSpec::unconstrained(), None);
     let order = netlist.topo_order().expect("acyclic combinational logic");
 
@@ -134,22 +134,6 @@ pub fn borrowing_gain(netlist: &Netlist, lib: &Library) -> BorrowReport {
     borrowed_cycle(&profile, ff, latch)
 }
 
-/// Counts registers whose Q directly feeds another register's D (pure
-/// shift stages) — useful for sanity checks on inserted pipelines.
-pub fn direct_transfer_registers(netlist: &Netlist) -> usize {
-    netlist
-        .iter_instances()
-        .filter(|(_, inst)| {
-            inst.is_sequential()
-                && matches!(
-                    netlist.net(inst.fanin()[0]).driver(),
-                    Some(NetDriver::Instance(src))
-                        if netlist.instance(src).is_sequential()
-                )
-        })
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,18 +193,5 @@ mod tests {
             "borrowing gain {:.3} on a real pipeline",
             r.speedup()
         );
-    }
-
-    #[test]
-    fn shift_chains_are_counted() {
-        let lib = setup();
-        let mut b = asicgap_netlist::NetlistBuilder::new("chain", &lib);
-        let a = b.input("a");
-        let q1 = b.dff(a).expect("dff");
-        let q2 = b.dff(q1).expect("dff");
-        let q3 = b.dff(q2).expect("dff");
-        b.output("q", q3);
-        let n = b.finish().expect("valid");
-        assert_eq!(direct_transfer_registers(&n), 2);
     }
 }

@@ -39,7 +39,7 @@ mod model;
 mod retime;
 mod tradeoff;
 
-pub use analysis::{borrowing_gain, direct_transfer_registers, stage_profile};
+pub use analysis::borrowing_gain;
 pub use borrow::{borrowed_cycle, BorrowReport};
 pub use model::PipelineModel;
 pub use retime::{pipeline_netlist, pipeline_netlist_with, verify_pipeline, PipelinedNetlist};

@@ -78,11 +78,6 @@ impl PipelineModel {
         self.unpipelined_cycle() / self.cycle()
     }
 
-    /// Overhead as a fraction of the cycle.
-    pub fn overhead_fraction(&self) -> f64 {
-        self.overhead / self.cycle()
-    }
-
     /// Clock frequency in `tech`.
     pub fn frequency(&self, tech: &Technology) -> Mhz {
         self.cycle().to_frequency(tech)
@@ -91,21 +86,6 @@ impl PipelineModel {
     /// Same machine with a different stage count.
     pub fn with_stages(&self, stages: usize) -> PipelineModel {
         PipelineModel::new(self.logic, stages, self.overhead, self.imbalance)
-    }
-
-    /// The stage count minimising cycle time per unit of hazard-free
-    /// speedup keeps growing with depth; the *latency-optimal* stage count
-    /// given the overhead is where marginal gain vanishes:
-    /// `n* = sqrt(logic·(1+imb) / overhead)` rounded to ≥ 1 — included for
-    /// the depth-sweep experiments.
-    pub fn latency_knee(&self) -> usize {
-        if self.overhead.count() <= 0.0 {
-            return usize::MAX;
-        }
-        ((self.logic.count() * (1.0 + self.imbalance) / self.overhead.count())
-            .sqrt()
-            .round() as usize)
-            .max(1)
     }
 }
 
@@ -161,14 +141,8 @@ mod tests {
     }
 
     #[test]
-    fn latency_knee_is_sensible() {
-        let m = PipelineModel::new(Fo4::new(100.0), 1, Fo4::new(4.0), 0.0);
-        assert_eq!(m.latency_knee(), 5); // sqrt(25)
-    }
-
-    #[test]
     fn overhead_fraction_round_trips() {
         let m = PipelineModel::from_overhead_fraction(Fo4::new(154.0), 5, 0.30);
-        assert!((m.overhead_fraction() - 0.30).abs() < 1e-9);
+        assert!((m.overhead / m.cycle() - 0.30).abs() < 1e-9);
     }
 }

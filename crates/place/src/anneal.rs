@@ -375,7 +375,7 @@ fn anneal_chain(
 /// move (used by region-constrained floorplans to pin cells).
 ///
 /// Deterministic for a given seed.
-pub fn anneal_placement(
+pub(crate) fn anneal_placement(
     netlist: &Netlist,
     placement: &mut Placement,
     options: &AnnealOptions,
@@ -399,8 +399,8 @@ pub fn anneal_placement(
 /// `split_seed(options.seed, c)` (a function of the chain index only),
 /// and the reduction scans chains in index order, keeping a strictly
 /// better HPWL — so ties resolve to the lowest index no matter which
-/// worker finished first. With `chains == 1` this *is*
-/// [`anneal_placement`], on the exact same code path and seed.
+/// worker finished first. With `chains == 1` this *is* the
+/// single-chain anneal, on the exact same code path and seed.
 pub fn anneal_placement_multi(
     netlist: &Netlist,
     placement: &mut Placement,

@@ -11,7 +11,7 @@
 //! netlists:
 //!
 //! - [`Placement`] — cell coordinates on a die, with ports on the boundary;
-//! - [`anneal_placement`] — simulated-annealing HPWL minimisation;
+//! - [`anneal_placement_multi`] — simulated-annealing HPWL minimisation;
 //! - [`Floorplan`] — rectangular regions, with a
 //!   [`FloorplanStrategy::Localized`] layout (all logic in one compact
 //!   module) and a [`FloorplanStrategy::Spread`] layout (the design
@@ -44,14 +44,12 @@ mod anneal;
 mod annotate;
 mod experiment;
 mod floorplan;
-mod legalize;
 mod placement;
 mod resize;
 
-pub use anneal::{anneal_placement, anneal_placement_multi, AnnealOptions};
+pub use anneal::{anneal_placement_multi, AnnealOptions};
 pub use annotate::{annotate, wire_parasitics};
 pub use experiment::FloorplanStudy;
 pub use floorplan::{Floorplan, FloorplanStrategy, Region};
-pub use legalize::{check_legal, legalize, LegalizeStats};
 pub use placement::Placement;
-pub use resize::{post_layout_resize, post_layout_resize_on};
+pub use resize::post_layout_resize;

@@ -2,74 +2,37 @@
 //!
 //! §6.2: "After layout, transistors can be resized accounting for the
 //! drive strengths required to send signals across the circuit." This is
-//! placement's half of that loop: annotate → resize → re-annotate. The
-//! drive-selection algorithm itself lives in `asicgap-synth`; to avoid a
-//! dependency cycle this module re-implements the small backward sweep
-//! locally (same target-gain policy).
+//! placement's half of that loop: annotate → resize → re-annotate, where
+//! each resize is one pass of `asicgap_synth::select_drives_on` against
+//! the annotated loads — the same drive selection synthesis runs against
+//! estimated ones.
 
-use asicgap_cells::{CellId, Library};
-use asicgap_netlist::{InstId, Netlist};
-use asicgap_sta::{ClockSpec, NetParasitics, TimingGraph, OUTPUT_LOAD_UNITS};
-use asicgap_tech::Ff;
+use asicgap_cells::Library;
+use asicgap_netlist::Netlist;
+use asicgap_sta::{ClockSpec, NetParasitics, TimingGraph};
+use asicgap_synth::{select_drives_on, DriveOptions};
 
 use crate::annotate::annotate;
 use crate::placement::Placement;
 
-const TARGET_GAIN: f64 = 4.0;
-
-/// Instance visit order for one resize sweep: reverse topological
-/// (outputs first, so downstream caps settle), then sequential cells.
-fn sweep_order(netlist: &Netlist) -> Vec<InstId> {
-    let mut order = netlist
-        .topo_order()
-        .expect("post-layout resize requires an acyclic netlist");
-    order.reverse();
-    order.extend(
-        netlist
-            .iter_instances()
-            .filter(|(_, i)| i.is_sequential())
-            .map(|(id, _)| id),
-    );
-    order
-}
-
-/// The drive of the same function/family closest to the target gain under
-/// `id`'s current annotated load, or `None` to leave it alone.
-fn best_drive(netlist: &Netlist, lib: &Library, par: &NetParasitics, id: InstId) -> Option<CellId> {
-    let tech = &lib.tech;
-    let inst = netlist.instance(id);
-    let mut load = netlist.net_load(lib, inst.out(), par.cap(inst.out()));
-    if netlist.net(inst.out()).is_output() {
-        load += tech.unit_inverter_cin * OUTPUT_LOAD_UNITS;
-    }
-    if load <= Ff::ZERO {
-        return None;
-    }
-    let cell = lib.cell(inst.cell());
-    match lib.drive_for_gain(cell.function, cell.family, load, TARGET_GAIN) {
-        Ok(best) if best != inst.cell() => Some(best),
-        _ => None,
-    }
-}
-
-/// The annotate → resize loop against a live [`TimingGraph`]: each pass
+/// The annotate → resize loop against a live [`TimingGraph`]: each round
 /// back-annotates the current placement-derived parasitics into the graph
 /// (a full repropagation — every wire delay changed), then re-selects
-/// drives through [`TimingGraph::resize_cell`], which dirties only each
-/// swap's cone. Swaps are committed one at a time, so later (upstream)
-/// decisions see earlier swaps' input-cap changes, exactly as the plain
-/// [`post_layout_resize`] sweep always has. The graph leaves with fresh
-/// parasitics for the final netlist.
-pub fn post_layout_resize_on(graph: &mut TimingGraph, placement: &Placement) {
+/// every drive once through [`select_drives_on`], which commits swaps one
+/// at a time via [`TimingGraph::resize_cell`]: later (upstream) decisions
+/// see earlier swaps' input-cap changes, and only each swap's cone is
+/// dirtied. The graph leaves with fresh parasitics for the final netlist.
+fn post_layout_resize_on(graph: &mut TimingGraph, placement: &Placement) {
     let lib = graph.library();
-    for _pass in 0..2 {
+    let once = DriveOptions {
+        parasitics: None,
+        target_gain: 4.0,
+        passes: 1,
+    };
+    for _round in 0..2 {
         let par = annotate(graph.netlist(), lib, placement, true);
         graph.set_parasitics(par);
-        for id in sweep_order(graph.netlist()) {
-            if let Some(best) = best_drive(graph.netlist(), lib, graph.parasitics(), id) {
-                graph.resize_cell(id, best);
-            }
-        }
+        select_drives_on(graph, &once);
     }
     let par = annotate(graph.netlist(), lib, placement, true);
     graph.set_parasitics(par);
@@ -152,5 +115,55 @@ mod tests {
             .map(|(_, i)| i.cell())
             .collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn resized_netlists_are_pinned_bit_for_bit() {
+        // E6 and the placed library penalty read post_layout_resize's
+        // cells; these digests of its netlist hold every swap exactly.
+        let tech = Technology::cmos025_asic();
+        let mut got = Vec::new();
+        for spec in [
+            LibrarySpec::rich(),
+            LibrarySpec::two_drive(),
+            LibrarySpec::poor(),
+        ] {
+            let lib = spec.build(&tech);
+            let designs = [
+                generators::alu(&lib, 16).expect("alu16"),
+                generators::array_multiplier(&lib, 8).expect("mult8"),
+            ];
+            for n in &designs {
+                for seed in [1, 42] {
+                    let fp = Floorplan::build(
+                        n,
+                        &lib,
+                        FloorplanStrategy::Localized,
+                        &AnnealOptions::quick(seed),
+                    );
+                    let (resized, _) = post_layout_resize(n, &lib, &fp.placement);
+                    got.push(asicgap_netlist::canon::digest(&resized, &lib));
+                }
+            }
+        }
+        // Per library: alu/16 at seeds 1 and 42, then mult/8 at both.
+        let pinned: [u64; 12] = [
+            // rich
+            0xf80fa2f2c764be96,
+            0xe74ce918968bcd1e,
+            0x2a3a471c3d2df414,
+            0xa009917605126c27,
+            // two-drive
+            0x5aed56c7dbe0c831,
+            0x5b3e004cb2d2eec9,
+            0x447bb588d5805d0f,
+            0xf295ab217188aad1,
+            // poor
+            0xf45fe4632cb25470,
+            0xdbfcd6fe428ee1f7,
+            0xe62a987370b1e3d9,
+            0xfc90e68e83ef88f4,
+        ];
+        assert_eq!(got, pinned);
     }
 }

@@ -34,7 +34,6 @@
 
 mod binning;
 mod components;
-mod economics;
 mod foundry;
 mod maturity;
 mod montecarlo;
@@ -43,7 +42,6 @@ mod within_die;
 
 pub use binning::{BinningPolicy, SpeedBins};
 pub use components::VariationComponents;
-pub use economics::WaferEconomics;
 pub use foundry::{foundry_lineup, Foundry};
 pub use maturity::MaturityModel;
 pub use montecarlo::ChipPopulation;

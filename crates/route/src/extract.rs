@@ -18,12 +18,12 @@ use crate::negotiate::RoutingResult;
 /// Series resistance charged per via, Ω. Mid-1990s stacked vias ran a
 /// few ohms each; the exact value matters less than charging bends and
 /// layer changes *something*, which the HPWL model cannot.
-pub const VIA_OHM: f64 = 2.0;
+pub(crate) const VIA_OHM: f64 = 2.0;
 
 /// Produces [`NetParasitics`] from a finished global route.
 ///
 /// Per routed net, the wire is the routed length on the layer class the
-/// router picked, with `vias ·` [`VIA_OHM`] of extra series resistance;
+/// router picked, with `vias ·` `VIA_OHM` of extra series resistance;
 /// [`asicgap_place::wire_parasitics`] turns that into the driver-visible
 /// cap and net delay (including repeater insertion on long nets when
 /// `repeaters` is set). Nets the router skipped (fewer than two pins)

@@ -13,7 +13,7 @@
 /// metal layers at ≈1 µm pitch; with the lowest layers reserved for cell
 /// internals and power, about four remain for signal routing in each
 /// direction pair.
-pub const TRACKS_PER_UM: f64 = 4.0;
+pub(crate) const TRACKS_PER_UM: f64 = 4.0;
 
 /// A uniform rectangular routing grid.
 ///
@@ -41,7 +41,7 @@ pub struct RoutingGrid {
 impl RoutingGrid {
     /// Derives a grid from a die: roughly `√n` g-cells per side for an
     /// `n`-instance placement (clamped to 4..=40), capacities from
-    /// [`TRACKS_PER_UM`].
+    /// `TRACKS_PER_UM`.
     pub fn from_placement(placement: &asicgap_place::Placement) -> RoutingGrid {
         let n = placement.cells.len().max(1);
         let side = ((n as f64).sqrt().ceil() as usize).clamp(4, 40);

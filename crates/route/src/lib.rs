@@ -52,6 +52,6 @@ mod grid;
 mod maze;
 mod negotiate;
 
-pub use extract::{annotate_routed, routed_parasitics, VIA_OHM};
-pub use grid::{RoutingGrid, TRACKS_PER_UM};
+pub use extract::{annotate_routed, routed_parasitics};
+pub use grid::RoutingGrid;
 pub use negotiate::{route, route_on, RouteSummary, RoutedNet, RouterOptions, RoutingResult};

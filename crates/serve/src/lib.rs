@@ -77,8 +77,8 @@ pub use cache::ResultCache;
 pub use client::{Client, ClientError};
 pub use metrics::{Histogram, HistogramSnapshot, Metrics, MetricsSnapshot, STAGE_CACHE_NAMES};
 pub use proto::{
-    frame_cap, parse_frame, read_frame, write_frame, CloseRequest, ProtoError, Request, Response,
-    RunRequest, ScenarioPreset, Source, MAX_FRAME, MAX_LOAD_FRAME,
+    parse_frame, read_frame, write_frame, CloseRequest, ProtoError, Request, Response, RunRequest,
+    ScenarioPreset, Source, MAX_FRAME, MAX_LOAD_FRAME,
 };
-pub use sched::{Admission, Job, Scheduler, Work};
+pub use sched::{Admission, Job, Scheduler};
 pub use server::{Server, ServerConfig};

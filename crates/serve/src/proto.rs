@@ -39,7 +39,7 @@ pub const MAX_LOAD_FRAME: usize = 16 << 20;
 
 /// The per-verb frame cap table: everything rides the default
 /// [`MAX_FRAME`] except `LOAD` payloads.
-pub fn frame_cap(body: &str) -> usize {
+pub(crate) fn frame_cap(body: &str) -> usize {
     if body.as_bytes().starts_with(LOAD_PREFIX) {
         MAX_LOAD_FRAME
     } else {
@@ -108,7 +108,8 @@ impl From<TextError> for ProtoError {
     }
 }
 
-/// Writes one frame, enforcing the per-verb cap ([`frame_cap`]).
+/// Writes one frame, enforcing the per-verb cap ([`MAX_FRAME`], or
+/// [`MAX_LOAD_FRAME`] for a `LOAD`).
 ///
 /// # Errors
 ///

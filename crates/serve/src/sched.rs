@@ -50,7 +50,7 @@ use crate::proto::{CloseRequest, RunRequest};
 /// deduplicated under their own canonical keys, which can never collide
 /// (the `CLOSE` key embeds the flow key under a distinct header).
 #[derive(Debug, Clone)]
-pub enum Work {
+pub(crate) enum Work {
     /// `RUN`: one scenario flow.
     Run(RunRequest),
     /// `CLOSE`: one timing-closure flow.
@@ -311,7 +311,7 @@ impl Scheduler {
 
     /// Admits one unit of work; see the module docs for the four
     /// outcomes.
-    pub fn submit_work(&self, work: Work) -> Admission {
+    fn submit_work(&self, work: Work) -> Admission {
         self.metrics.requests.fetch_add(1, Ordering::Relaxed);
         let key = work.canonical_key();
         let hash = asicgap::content_hash(&key);

@@ -1,160 +1,38 @@
-//! A timing evaluator over continuous per-instance sizes.
+//! The continuous-size load model.
 //!
 //! The sizer cannot use `asicgap-sta` directly because sizes live between
-//! library drive points; this evaluator reads the same logical-effort
+//! library drive points; this model reads the same logical-effort
 //! parameters from each instance's *function* and applies an arbitrary
 //! size vector. With sizes equal to the mapped cells' drives it agrees
 //! with the STA's combinational arrival model by construction.
+//!
+//! `continuous/full.rs` (test-only) evaluates a whole size vector in one
+//! pass, the reference the incremental evaluator is held to.
 
-use asicgap_cells::{CellFunction, Library};
-use asicgap_netlist::{InstId, NetId, Netlist};
-use asicgap_tech::Ps;
+use asicgap_cells::Library;
+use asicgap_netlist::{NetId, Netlist};
 
 /// External load assumed on primary outputs, in unit inverter caps
 /// (matches the STA).
 const OUTPUT_LOAD_UNITS: f64 = 4.0;
 
-/// Timing of a netlist under a continuous size assignment.
-#[derive(Debug, Clone)]
-pub struct SizedTiming {
-    /// Arrival per net, τ units are already folded into ps.
-    pub arrival: Vec<Ps>,
-    /// Worst driver per net (for path walking).
-    pub worst_driver: Vec<Option<InstId>>,
-    /// Worst predecessor net per net.
-    pub worst_pred: Vec<Option<NetId>>,
-    /// Worst endpoint arrival (min clock period proxy, excluding
-    /// sequencing overheads — consistent before/after comparisons only).
-    pub critical_delay: Ps,
-    /// The endpoint net of the critical path.
-    pub critical_net: Option<NetId>,
-}
-
-impl SizedTiming {
-    /// Evaluates `netlist` with per-instance `sizes` (unit-inverter
-    /// multiples, indexed like `netlist.instances()`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sizes.len() != netlist.instance_count()`, if any size is
-    /// not strictly positive, or if the netlist is cyclic.
-    pub fn evaluate(netlist: &Netlist, lib: &Library, sizes: &[f64]) -> SizedTiming {
-        assert_eq!(sizes.len(), netlist.instance_count(), "size vector length");
-        assert!(
-            sizes.iter().all(|&s| s > 0.0),
-            "sizes must be strictly positive"
-        );
-        let tech = &lib.tech;
-        let tau = tech.tau();
-        let cu = tech.unit_inverter_cin;
-
-        let mut arrival = vec![Ps::ZERO; netlist.net_count()];
-        let mut worst_driver: Vec<Option<InstId>> = vec![None; netlist.net_count()];
-        let mut worst_pred: Vec<Option<NetId>> = vec![None; netlist.net_count()];
-
-        for (id, inst) in netlist.iter_instances() {
-            if inst.is_sequential() {
-                let t = lib
-                    .cell(inst.cell())
-                    .kind
-                    .seq_timing()
-                    .expect("sequential timing");
-                arrival[inst.out().index()] = t.clk_to_q;
-                worst_driver[inst.out().index()] = Some(id);
-            }
-        }
-
-        let order = netlist.topo_order().expect("acyclic netlist");
-        for &id in &order {
-            let inst = netlist.instance(id);
-            let load = Self::net_load_units(netlist, lib, inst.out(), sizes);
-            let s = sizes[id.index()];
-            let p = inst.function().parasitic();
-            let delay = tau * (p + load / s);
-            let (worst_in, in_arr) = inst
-                .fanin()
-                .iter()
-                .map(|&n| (n, arrival[n.index()]))
-                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
-                .expect("combinational gates have inputs");
-            arrival[inst.out().index()] = in_arr + delay;
-            worst_driver[inst.out().index()] = Some(id);
-            worst_pred[inst.out().index()] = Some(worst_in);
-        }
-
-        // Endpoints: register D pins and primary outputs.
-        let mut critical_delay = Ps::ZERO;
-        let mut critical_net = None;
-        let mut consider = |net: NetId, a: Ps| {
-            if a > critical_delay {
-                critical_delay = a;
-                critical_net = Some(net);
-            }
-        };
-        for (_, inst) in netlist.iter_instances() {
-            if inst.is_sequential() {
-                consider(inst.fanin()[0], arrival[inst.fanin()[0].index()]);
-            }
-        }
-        for (_, net) in netlist.outputs() {
-            consider(*net, arrival[net.index()]);
-        }
-        let _ = cu;
-        SizedTiming {
-            arrival,
-            worst_driver,
-            worst_pred,
-            critical_delay,
-            critical_net,
-        }
+/// Load on `net` in unit-inverter input-cap units: Σ g·s over sinks
+/// (sequential D pins present one unit of load at their drive), plus the
+/// PO allowance.
+pub(crate) fn net_load_units(netlist: &Netlist, net: NetId, sizes: &[f64]) -> f64 {
+    let mut load = 0.0;
+    for s in netlist.net(net).sinks() {
+        let g = netlist.instance(s.inst).function().logical_effort();
+        load += g * sizes[s.inst.index()];
     }
-
-    /// Load on `net` in unit-inverter input-cap units: Σ g·s over sinks,
-    /// plus the PO allowance.
-    pub(crate) fn net_load_units(
-        netlist: &Netlist,
-        _lib: &Library,
-        net: NetId,
-        sizes: &[f64],
-    ) -> f64 {
-        let mut load = 0.0;
-        for s in netlist.net(net).sinks() {
-            let sink = netlist.instance(s.inst);
-            let g = effective_effort(sink.function());
-            load += g * sizes[s.inst.index()];
-        }
-        if netlist.net(net).is_output() {
-            load += OUTPUT_LOAD_UNITS;
-        }
-        load
+    if netlist.net(net).is_output() {
+        load += OUTPUT_LOAD_UNITS;
     }
-
-    /// Instances on the critical path, source → endpoint.
-    pub fn critical_path(&self) -> Vec<InstId> {
-        let Some(mut net) = self.critical_net else {
-            return Vec::new();
-        };
-        let mut path = Vec::new();
-        while let Some(drv) = self.worst_driver[net.index()] {
-            path.push(drv);
-            match self.worst_pred[net.index()] {
-                Some(p) => net = p,
-                None => break,
-            }
-        }
-        path.reverse();
-        path
-    }
-}
-
-/// Logical effort per input used for sizing (sequential D pins present one
-/// unit of load at their drive).
-pub(crate) fn effective_effort(f: CellFunction) -> f64 {
-    f.logical_effort()
+    load
 }
 
 /// Sizes implied by the mapped cells of `netlist` (its current drives).
-pub fn sizes_from_cells(netlist: &Netlist, lib: &Library) -> Vec<f64> {
+pub(crate) fn sizes_from_cells(netlist: &Netlist, lib: &Library) -> Vec<f64> {
     netlist
         .iter_instances()
         .map(|(_, i)| lib.cell(i.cell()).drive)
@@ -162,12 +40,17 @@ pub fn sizes_from_cells(netlist: &Netlist, lib: &Library) -> Vec<f64> {
 }
 
 #[cfg(test)]
+mod full;
+#[cfg(test)]
+pub(crate) use full::SizedTiming;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use asicgap_cells::LibrarySpec;
     use asicgap_netlist::generators;
     use asicgap_sta::{analyze, ClockSpec};
-    use asicgap_tech::Technology;
+    use asicgap_tech::{Ps, Technology};
 
     #[test]
     fn matches_sta_at_library_drives() {

@@ -34,7 +34,7 @@ impl SnapResult {
 /// for that instance's function, then re-times.
 ///
 /// The re-time is incremental: all snaps are applied to one
-/// [`IncrementalSizedTiming`] and repropagated in a single lazy flush over
+/// `IncrementalSizedTiming` and repropagated in a single lazy flush over
 /// the affected cones, instead of a second whole-netlist evaluation.
 ///
 /// # Panics

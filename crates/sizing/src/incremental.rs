@@ -1,4 +1,4 @@
-//! An incremental version of [`SizedTiming`](crate::SizedTiming).
+//! Continuous-size timing, updated one resize at a time.
 //!
 //! TILOS trials thousands of single-gate size bumps; re-evaluating the
 //! whole netlist per trial made the inner loop O(gates) when each bump
@@ -9,15 +9,15 @@
 //! fanin drivers (their loads changed through g·s). Queries flush lazily,
 //! so a trial bump + query + revert costs two small cone repropagations
 //! instead of two full passes — and, because gate delay depends only on
-//! loads, converges to bitwise the same arrivals as a fresh
-//! [`SizedTiming::evaluate`](crate::SizedTiming::evaluate).
+//! loads, converges to bitwise the same arrivals as a fresh full pass
+//! (`continuous/full.rs`).
 
 use asicgap_cells::Library;
 use asicgap_netlist::{InstId, NetDriver, NetId, Netlist};
 use asicgap_sta::{ArrivalEngine, DelayModel, IncrementalStats};
 use asicgap_tech::Ps;
 
-use crate::continuous::SizedTiming;
+use crate::continuous::net_load_units;
 
 /// The continuous logical-effort delay model over a size vector:
 /// d = τ·(p + load/s), load = Σ g·s over sinks (+ PO allowance).
@@ -49,7 +49,7 @@ impl DelayModel for SizeModel<'_> {
 
 /// Cached continuous-size timing with an O(cone) size-mutation API.
 #[derive(Debug)]
-pub struct IncrementalSizedTiming<'a> {
+pub(crate) struct IncrementalSizedTiming<'a> {
     netlist: &'a Netlist,
     lib: &'a Library,
     sizes: Vec<f64>,
@@ -63,7 +63,7 @@ pub struct IncrementalSizedTiming<'a> {
     parasitic: Vec<f64>,
     tau: Ps,
     engine: ArrivalEngine,
-    /// Endpoint nets in `SizedTiming::evaluate`'s sweep order: register D
+    /// Endpoint nets in the full pass's sweep order: register D
     /// pins (instance order), then primary outputs. Precomputed so a
     /// critical-delay query costs O(endpoints), not O(instances).
     endpoints: Vec<NetId>,
@@ -96,7 +96,7 @@ impl<'a> IncrementalSizedTiming<'a> {
             endpoints.push(*net);
         }
         let loads = (0..netlist.net_count())
-            .map(|i| SizedTiming::net_load_units(netlist, lib, NetId::from_index(i), &sizes))
+            .map(|i| net_load_units(netlist, NetId::from_index(i), &sizes))
             .collect();
         let mut out_index = Vec::with_capacity(netlist.instance_count());
         let mut parasitic = Vec::with_capacity(netlist.instance_count());
@@ -140,11 +140,6 @@ impl<'a> IncrementalSizedTiming<'a> {
         self.sizes[inst.index()]
     }
 
-    /// The whole size vector.
-    pub fn sizes(&self) -> &[f64] {
-        &self.sizes
-    }
-
     /// Consumes the evaluator, returning the size vector.
     pub fn into_sizes(self) -> Vec<f64> {
         self.sizes
@@ -186,8 +181,7 @@ impl<'a> IncrementalSizedTiming<'a> {
     fn refresh_caches(&mut self, inst: InstId) {
         for pin in 0..self.netlist.instance(inst).fanin().len() {
             let net = self.netlist.instance(inst).fanin()[pin];
-            self.loads[net.index()] =
-                SizedTiming::net_load_units(self.netlist, self.lib, net, &self.sizes);
+            self.loads[net.index()] = net_load_units(self.netlist, net, &self.sizes);
             if let Some(NetDriver::Instance(src)) = self.netlist.net(net).driver() {
                 self.delays[src.index()] = self.delay_of(src);
             }
@@ -217,13 +211,14 @@ impl<'a> IncrementalSizedTiming<'a> {
     }
 
     /// Arrival of a net under the current sizes.
+    #[cfg(test)]
     pub fn arrival(&mut self, net: NetId) -> Ps {
         self.flush();
         self.engine.arrival(net)
     }
 
-    /// Worst endpoint arrival (the same quantity as
-    /// [`SizedTiming::critical_delay`](crate::SizedTiming)).
+    /// Worst endpoint arrival (the same quantity as the full pass's
+    /// `critical_delay`).
     pub fn critical_delay(&mut self) -> Ps {
         self.critical().0
     }
@@ -246,7 +241,7 @@ impl<'a> IncrementalSizedTiming<'a> {
         path
     }
 
-    /// The endpoint sweep, replicating `SizedTiming::evaluate`'s order
+    /// The endpoint sweep, replicating the full pass's order
     /// exactly: register D pins (in instance order), then primary
     /// outputs, strict `>` so the first worst wins.
     fn critical(&mut self) -> (Ps, Option<NetId>) {
@@ -278,7 +273,7 @@ impl<'a> IncrementalSizedTiming<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::continuous::sizes_from_cells;
+    use crate::continuous::{sizes_from_cells, SizedTiming};
     use asicgap_cells::LibrarySpec;
     use asicgap_netlist::generators;
     use asicgap_tech::Technology;

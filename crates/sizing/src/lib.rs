@@ -15,11 +15,7 @@
 //! - [`snap_to_library`] — discretise the continuous solution onto a
 //!   library's drive menu and measure the penalty (the paper's \[13\]\[11\]:
 //!   "with a rich library of sizes the performance impact of discrete
-//!   sizes may be 2% to 7% or less"; with two drives, ~25%);
-//! - [`downsize_for_power`] — minimal sizing off the critical path
-//!   ("Sizing transistors minimally to reduce power consumption, except on
-//!   critical paths … can make a speed difference of 20% or more" — i.e.
-//!   the same speed at much lower power).
+//!   sizes may be 2% to 7% or less"; with two drives, ~25%).
 //!
 //! # Example
 //!
@@ -43,13 +39,7 @@
 mod continuous;
 mod discrete;
 mod incremental;
-mod lagrangian;
-mod power;
 mod tilos;
 
-pub use continuous::{sizes_from_cells, SizedTiming};
 pub use discrete::{snap_to_library, SnapResult};
-pub use incremental::IncrementalSizedTiming;
-pub use lagrangian::{lagrangian_size, LagrangianOptions, LagrangianResult};
-pub use power::{downsize_for_power, PowerResult};
 pub use tilos::{tilos_size, SizingResult, TilosOptions};

@@ -72,7 +72,7 @@ impl SizingResult {
 /// the bump with the best delay improvement per added area. Stops at the
 /// iteration budget or when no bump helps.
 ///
-/// Timing runs on [`IncrementalSizedTiming`], so each trial repropagates
+/// Timing runs on `IncrementalSizedTiming`, so each trial repropagates
 /// only the bumped gate's fanout cone rather than the whole netlist; the
 /// arrivals (and therefore every decision) are bitwise identical to the
 /// original full-re-evaluation loop. The full-vs-incremental effort ratio

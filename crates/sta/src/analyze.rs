@@ -53,7 +53,7 @@ pub const OUTPUT_LOAD_UNITS: f64 = 4.0;
 /// consumes before data arrives at this block's inputs and after it
 /// leaves its outputs.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct IoConstraints {
+pub(crate) struct IoConstraints {
     /// Arrival time of all primary inputs relative to the launching edge.
     pub input_delay: Ps,
     /// Margin reserved after every primary output before the capturing
@@ -200,7 +200,7 @@ pub fn analyze(
 /// # Panics
 ///
 /// As for [`analyze`].
-pub fn analyze_with_io(
+pub(crate) fn analyze_with_io(
     netlist: &Netlist,
     lib: &Library,
     clock: &ClockSpec,

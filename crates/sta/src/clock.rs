@@ -1,6 +1,6 @@
 //! Clock constraints: period, skew, jitter.
 
-use asicgap_tech::{Mhz, Ps, Technology};
+use asicgap_tech::{Mhz, Ps};
 
 /// A single-domain clock constraint.
 ///
@@ -56,22 +56,6 @@ impl ClockSpec {
     pub fn custom(freq: Mhz) -> ClockSpec {
         ClockSpec::with_skew_fraction(freq.period(), 0.05)
     }
-
-    /// The portion of the cycle available to logic + sequencing after skew
-    /// and jitter.
-    pub fn usable_period(&self) -> Ps {
-        self.period - self.skew - self.jitter
-    }
-
-    /// Same skew/jitter, different period.
-    pub fn at_period(&self, period: Ps) -> ClockSpec {
-        ClockSpec { period, ..*self }
-    }
-
-    /// Skew expressed in FO4s of `tech` (for reports).
-    pub fn skew_fo4(&self, tech: &Technology) -> f64 {
-        self.skew / tech.fo4()
-    }
 }
 
 #[cfg(test)]
@@ -87,13 +71,6 @@ mod tests {
         assert!((frac - 0.05).abs() < 1e-9);
         // The paper's datum: 75 ps at 600 MHz is ~5%.
         assert!((Ps::new(75.0) / period - 0.045).abs() < 0.001);
-    }
-
-    #[test]
-    fn usable_period_subtracts_overheads() {
-        let mut c = ClockSpec::with_skew_fraction(Ps::new(1000.0), 0.10);
-        c.jitter = Ps::new(20.0);
-        assert!((c.usable_period().value() - 880.0).abs() < 1e-9);
     }
 
     #[test]

@@ -108,21 +108,6 @@ impl<'a> TimingGraph<'a> {
         clock: ClockSpec,
         parasitics: Option<NetParasitics>,
     ) -> TimingGraph<'a> {
-        TimingGraph::with_io(netlist, lib, clock, parasitics, IoConstraints::default())
-    }
-
-    /// Like [`TimingGraph::new`], with explicit boundary constraints.
-    ///
-    /// # Panics
-    ///
-    /// As for [`TimingGraph::new`].
-    pub fn with_io(
-        netlist: Netlist,
-        lib: &'a Library,
-        clock: ClockSpec,
-        parasitics: Option<NetParasitics>,
-        io: IoConstraints,
-    ) -> TimingGraph<'a> {
         let mut par = parasitics.unwrap_or_else(|| NetParasitics::ideal(&netlist));
         // A back-annotation carried over from before a structural edit may
         // be short a few nets; new nets start with ideal wires.
@@ -133,7 +118,7 @@ impl<'a> TimingGraph<'a> {
             netlist,
             par,
             clock,
-            io,
+            io: IoConstraints::default(),
             engine,
             buffers: 0,
         };

@@ -46,10 +46,7 @@ mod parasitics;
 mod report;
 mod topk;
 
-pub use analyze::{
-    analyze, analyze_with_io, EndpointKind, IoConstraints, PathGroup, TimingReport,
-    OUTPUT_LOAD_UNITS,
-};
+pub use analyze::{analyze, EndpointKind, PathGroup, TimingReport, OUTPUT_LOAD_UNITS};
 pub use clock::ClockSpec;
 pub use domino::{check_domino_phases, DominoViolation};
 pub use graph::TimingGraph;
@@ -57,4 +54,4 @@ pub use hold::{check_hold, fix_hold_violations, HoldReport};
 pub use incremental::{ArrivalEngine, DelayModel, IncrementalStats};
 pub use parasitics::NetParasitics;
 pub use report::{PathStep, TimingPath};
-pub use topk::{report_timing, slack_histogram, EndpointReport};
+pub use topk::{report_timing, EndpointReport};

@@ -99,44 +99,6 @@ pub fn report_timing(
         .collect()
 }
 
-/// A slack histogram over all endpoints at the report's clock: bin edges
-/// in picoseconds plus counts. Negative-slack bins reveal how much of the
-/// design misses timing (the classic sign-off picture).
-///
-/// # Panics
-///
-/// Panics if `bins == 0`.
-pub fn slack_histogram(
-    netlist: &Netlist,
-    lib: &Library,
-    report: &TimingReport,
-    bins: usize,
-) -> Vec<(Ps, Ps, usize)> {
-    assert!(bins > 0, "need at least one bin");
-    let eps = report_timing(netlist, lib, report, usize::MAX);
-    let slacks: Vec<Ps> = eps
-        .iter()
-        .map(|e| report.clock.period - e.required_period)
-        .collect();
-    let lo = slacks.iter().copied().fold(Ps::new(f64::INFINITY), Ps::min);
-    let hi = slacks.iter().copied().fold(lo, Ps::max);
-    let span = (hi - lo).value().max(1e-9);
-    let mut out: Vec<(Ps, Ps, usize)> = (0..bins)
-        .map(|k| {
-            (
-                lo + Ps::new(span * k as f64 / bins as f64),
-                lo + Ps::new(span * (k + 1) as f64 / bins as f64),
-                0usize,
-            )
-        })
-        .collect();
-    for s in slacks {
-        let k = (((s - lo).value() / span) * bins as f64) as usize;
-        out[k.min(bins - 1)].2 += 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,21 +134,6 @@ mod tests {
         let report = analyze(&n, &lib, &ClockSpec::unconstrained(), None);
         let top = report_timing(&n, &lib, &report, 100);
         assert_eq!(top.len(), 1, "one primary output = one endpoint");
-    }
-
-    #[test]
-    fn histogram_counts_every_endpoint() {
-        let tech = Technology::cmos025_asic();
-        let lib = LibrarySpec::rich().build(&tech);
-        let n = generators::ripple_carry_adder(&lib, 8).expect("rca8");
-        let clock = ClockSpec::with_skew_fraction(asicgap_tech::Ps::new(2000.0), 0.0);
-        let report = analyze(&n, &lib, &clock, None);
-        let hist = slack_histogram(&n, &lib, &report, 6);
-        let total: usize = hist.iter().map(|&(_, _, c)| c).sum();
-        assert_eq!(total, n.outputs().len(), "all endpoints binned");
-        for w in hist.windows(2) {
-            assert!(w[1].0 >= w[0].0, "bins ordered");
-        }
     }
 
     #[test]

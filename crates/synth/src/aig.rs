@@ -2,46 +2,7 @@
 
 use std::collections::HashMap;
 
-/// A literal: an AIG node reference with an optional complement.
-///
-/// Encoded as `node_index << 1 | complement`. Node 0 is the constant
-/// false, so [`Lit::FALSE`] is `0` and [`Lit::TRUE`] is `1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Lit(u32);
-
-impl Lit {
-    /// Constant false.
-    pub const FALSE: Lit = Lit(0);
-    /// Constant true.
-    pub const TRUE: Lit = Lit(1);
-
-    /// The literal for `node` with optional complement.
-    pub fn new(node: usize, complement: bool) -> Lit {
-        Lit((node as u32) << 1 | complement as u32)
-    }
-
-    /// The referenced node index.
-    pub fn node(self) -> usize {
-        (self.0 >> 1) as usize
-    }
-
-    /// `true` if the literal is complemented.
-    pub fn is_complement(self) -> bool {
-        self.0 & 1 == 1
-    }
-
-    /// The complemented literal.
-    #[allow(clippy::should_implement_trait)] // AIG literature calls this `not`
-    #[must_use]
-    pub fn not(self) -> Lit {
-        Lit(self.0 ^ 1)
-    }
-
-    /// `true` for the constant literals.
-    pub fn is_const(self) -> bool {
-        self.node() == 0
-    }
-}
+use asicgap_equiv::Lit;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Node {

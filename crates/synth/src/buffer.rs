@@ -5,7 +5,6 @@
 
 use asicgap_cells::{CellFunction, Library};
 use asicgap_netlist::{NetId, Netlist, Sink};
-use asicgap_sta::TimingGraph;
 
 use crate::error::SynthError;
 
@@ -102,78 +101,6 @@ pub fn buffer_high_fanout(
     Ok(inserted)
 }
 
-/// [`buffer_high_fanout`] against a live [`TimingGraph`]: the same
-/// splitting policy, committed through [`TimingGraph::insert_buffer`] and
-/// [`TimingGraph::retarget_net`] so only the split nets' cones are
-/// re-timed. Returns the number of cells inserted.
-///
-/// # Errors
-///
-/// Returns [`SynthError::LibraryTooPoor`] if the library lacks both a
-/// buffer and an inverter.
-///
-/// # Panics
-///
-/// Panics if `max_fanout < 2`.
-pub fn buffer_high_fanout_on(
-    graph: &mut TimingGraph,
-    max_fanout: usize,
-) -> Result<usize, SynthError> {
-    assert!(max_fanout >= 2, "max fanout must be at least 2");
-    let lib = graph.library();
-    let buf = lib.smallest(CellFunction::Buf);
-    let inv = lib.smallest(CellFunction::Inv);
-    if buf.is_none() && inv.is_none() {
-        return Err(SynthError::LibraryTooPoor {
-            what: "buffer or inverter".to_string(),
-        });
-    }
-
-    let mut inserted = 0usize;
-    let mut round = 0;
-    loop {
-        round += 1;
-        if round > 16 {
-            break; // bounded: each round strictly reduces max fanout
-        }
-        let heavy: Vec<NetId> = graph
-            .netlist()
-            .iter_nets()
-            .filter(|(_, n)| n.sinks().len() > max_fanout)
-            .map(|(id, _)| id)
-            .collect();
-        if heavy.is_empty() {
-            break;
-        }
-        for net in heavy {
-            let sinks: Vec<Sink> = graph.netlist().net(net).sinks().to_vec();
-            if sinks.len() <= max_fanout {
-                continue;
-            }
-            for chunk in sinks.chunks(max_fanout) {
-                match buf {
-                    Some(bcell) => {
-                        graph.insert_buffer(net, bcell, chunk)?;
-                        inserted += 1;
-                    }
-                    None => {
-                        // Back-to-back inverters: split twice, then walk
-                        // the chunk over to the second stage's output.
-                        let icell = inv.expect("checked above");
-                        let (_, mid) = graph.insert_buffer(net, icell, &[])?;
-                        let (_, sub) = graph.insert_buffer(mid, icell, &[])?;
-                        inserted += 2;
-                        for s in chunk {
-                            graph.retarget_net(s.inst, s.pin as usize, sub);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok(inserted)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,47 +162,5 @@ mod tests {
         let mut n = fanout_case(&lib, 3);
         let inserted = buffer_high_fanout(&mut n, &lib, 6).expect("buffers");
         assert_eq!(inserted, 0);
-    }
-
-    #[test]
-    fn graph_buffering_caps_fanout_and_matches_fresh_analyze() {
-        use asicgap_sta::{analyze, ClockSpec};
-        let tech = Technology::cmos025_asic();
-        let lib = LibrarySpec::rich().build(&tech);
-        let n = fanout_case(&lib, 30);
-        let mut g = TimingGraph::new(n, &lib, ClockSpec::unconstrained(), None);
-        let inserted = buffer_high_fanout_on(&mut g, 6).expect("buffers");
-        assert!(inserted > 0);
-        for (_, net) in g.netlist().iter_nets() {
-            assert!(
-                net.sinks().len() <= 6,
-                "net {} fanout {}",
-                net.name(),
-                net.sinks().len()
-            );
-        }
-        let fresh = analyze(g.netlist(), &lib, &ClockSpec::unconstrained(), None);
-        assert_eq!(g.min_period(), fresh.min_period);
-        assert_eq!(g.stats().full_propagations, 1, "no re-analysis");
-    }
-
-    #[test]
-    fn graph_buffering_uses_inverter_pairs_on_poor_library() {
-        use asicgap_sta::{analyze, ClockSpec};
-        let tech = Technology::cmos025_asic();
-        let lib = LibrarySpec::poor().build(&tech);
-        let n = fanout_case(&lib, 20);
-        let mut g = TimingGraph::new(n, &lib, ClockSpec::unconstrained(), None);
-        let inserted = buffer_high_fanout_on(&mut g, 5).expect("buffers");
-        assert!(inserted >= 2);
-        for (_, net) in g.netlist().iter_nets() {
-            assert!(net.sinks().len() <= 5);
-        }
-        let fresh = analyze(g.netlist(), &lib, &ClockSpec::unconstrained(), None);
-        assert_eq!(g.min_period(), fresh.min_period);
-        // Polarity must survive the double inversion.
-        let mut sim = Simulator::new(g.netlist(), &lib);
-        let out = sim.run_comb(&[true]);
-        assert!(out.iter().all(|&v| !v));
     }
 }

@@ -2,12 +2,12 @@
 
 use asicgap_cells::Library;
 use asicgap_equiv::{
-    check_equiv, import_netlist, prove_outputs, random_sim_equiv, EquivEffort, EquivResult, Graph,
-    SeqMode, VerifyLevel,
+    check_equiv, import_netlist, prove_outputs, random_sim_equiv, random_vector, EquivEffort,
+    EquivResult, Graph, Lit, SeqMode, VerifyLevel,
 };
 use asicgap_netlist::{Netlist, Simulator};
 
-use crate::aig::{Aig, Lit};
+use crate::aig::Aig;
 use crate::buffer::buffer_high_fanout;
 use crate::drive::{select_drives_with, DriveOptions};
 use crate::error::SynthError;
@@ -93,13 +93,6 @@ impl SynthFlow {
     #[must_use]
     pub fn with_verify(mut self, level: VerifyLevel) -> SynthFlow {
         self.verify = level;
-        self
-    }
-
-    /// This flow with the given post-mapping rewrite passes.
-    #[must_use]
-    pub fn with_passes(mut self, passes: Vec<PassKind>) -> SynthFlow {
-        self.passes = passes;
         self
     }
 
@@ -286,16 +279,8 @@ impl SynthFlow {
             VerifyLevel::Off => Ok(()),
             VerifyLevel::Sim => {
                 let mut sim = Simulator::new(candidate, lib);
-                for seed in 0..64u64 {
-                    let mut x = (seed + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    let bits: Vec<bool> = (0..aig.input_count())
-                        .map(|_| {
-                            x ^= x << 13;
-                            x ^= x >> 7;
-                            x ^= x << 17;
-                            x & 1 == 1
-                        })
-                        .collect();
+                for vector in 0..64 {
+                    let bits = random_vector(vector, aig.input_count());
                     for (name, value) in aig.input_names().iter().zip(&bits) {
                         sim.set_input(name, *value);
                     }
@@ -441,9 +426,9 @@ pub(crate) fn verify_stage(
 /// graph, returning its outputs as name/literal pairs for
 /// [`prove_outputs`]. Inputs are shared by name with anything already in
 /// the graph.
-fn mirror_aig(g: &mut Graph, aig: &Aig) -> Vec<(String, asicgap_equiv::Lit)> {
-    let mut lits: Vec<asicgap_equiv::Lit> = vec![asicgap_equiv::Lit::FALSE; aig.len()];
-    let adjust = |lits: &[asicgap_equiv::Lit], l: Lit| {
+fn mirror_aig(g: &mut Graph, aig: &Aig) -> Vec<(String, Lit)> {
+    let mut lits: Vec<Lit> = vec![Lit::FALSE; aig.len()];
+    let adjust = |lits: &[Lit], l: Lit| {
         let base = lits[l.node()];
         if l.is_complement() {
             base.not()

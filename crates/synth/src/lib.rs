@@ -16,12 +16,12 @@
 //! - [`select_drives_with`] — load-driven drive-strength selection at a
 //!   target logical-effort gain (and [`select_drives_on`], the same pass
 //!   over a live incremental [`TimingGraph`](asicgap_sta::TimingGraph));
-//! - [`buffer_high_fanout`] / [`buffer_high_fanout_on`] — buffer-tree
-//!   insertion on heavily loaded nets;
-//! - [`rewrite_pass`] / [`rebalance_pass`] — cut-based rewriting against
-//!   an NPN-canonical [`ReplacementLibrary`] and associative-chain
-//!   rebalancing, composed through [`PassPipeline`] with per-pass
-//!   equivalence proofs (the §4 microarchitecture/logic-depth attack);
+//! - [`buffer_high_fanout`] — buffer-tree insertion on heavily loaded
+//!   nets;
+//! - [`rewrite_pass`] — cut-based rewriting against an NPN-canonical
+//!   [`ReplacementLibrary`]; with associative-chain rebalancing, composed
+//!   through [`PassPipeline`] with per-pass equivalence proofs (the §4
+//!   microarchitecture/logic-depth attack);
 //! - [`SynthFlow`] — the end-to-end recipe with ablation switches.
 //!
 //! # Example
@@ -58,8 +58,9 @@ mod pass;
 mod reentry;
 mod rewrite;
 
-pub use aig::{Aig, Lit};
-pub use buffer::{buffer_high_fanout, buffer_high_fanout_on};
+pub use aig::Aig;
+pub use asicgap_equiv::Lit;
+pub use buffer::buffer_high_fanout;
 pub use domino_map::map_dual_rail_domino;
 pub use drive::{select_drives_on, select_drives_with, DriveOptions};
 pub use error::SynthError;
@@ -67,6 +68,4 @@ pub use flow::{StageProof, SynthFlow};
 pub use map::{map_aig, map_aig_seq, MapOptions};
 pub use pass::{PassDelta, PassKind, PassPipeline};
 pub use reentry::{expand_cell, netlist_to_aig, SeqBinding};
-pub use rewrite::{
-    rebalance_pass, rewrite_pass, ChainFamily, ReplacementLibrary, RewriteOptions, RewriteStats,
-};
+pub use rewrite::{rewrite_pass, ReplacementLibrary, RewriteOptions, RewriteStats};

@@ -11,9 +11,10 @@
 use std::collections::HashMap;
 
 use asicgap_cells::{CellFunction, Library, LogicFamily};
+use asicgap_equiv::Lit;
 use asicgap_netlist::{NetId, Netlist};
 
-use crate::aig::{Aig, Lit};
+use crate::aig::Aig;
 use crate::error::SynthError;
 use crate::reentry::SeqBinding;
 

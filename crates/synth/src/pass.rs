@@ -25,7 +25,7 @@ use crate::rewrite::{
 pub enum PassKind {
     /// Cut-based rewriting ([`rewrite_pass`]).
     Rewrite,
-    /// AND-chain rebalancing ([`rebalance_pass`]).
+    /// AND-chain rebalancing.
     RebalanceAnd,
     /// OR-chain rebalancing.
     RebalanceOr,

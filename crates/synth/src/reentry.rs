@@ -6,9 +6,10 @@
 //! [`crate::SynthFlow::remap`] reconnects after mapping.
 
 use asicgap_cells::{CellFunction, Library};
+use asicgap_equiv::Lit;
 use asicgap_netlist::Netlist;
 
-use crate::aig::{Aig, Lit};
+use crate::aig::Aig;
 
 /// A sequential cell carried across re-entry: its Q is AIG input
 /// `q_input`, its D is AIG output `d_output` (indices into the AIG input /

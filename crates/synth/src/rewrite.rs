@@ -29,12 +29,13 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 
 use asicgap_cells::{CellFunction, Library, LogicFamily};
+use asicgap_equiv::Lit;
 use asicgap_netlist::cuts::{enumerate_cuts, npn_canon, tt_support, CUT_INPUTS, VAR_TT};
 use asicgap_netlist::{
     net_levels, sweep_dead_logic, InstId, NetDriver, NetId, Netlist, INLINE_FANIN,
 };
 
-use crate::aig::{Aig, Lit};
+use crate::aig::Aig;
 use crate::error::SynthError;
 use crate::map::{map_aig, MapOptions};
 
@@ -486,7 +487,7 @@ fn pop_min<T: Copy>(q1: &mut VecDeque<(usize, T)>, q2: &mut VecDeque<(usize, T)>
 
 /// Which associative chain family a rebalance pass targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ChainFamily {
+pub(crate) enum ChainFamily {
     /// AND chains (`And(n)` gates).
     And,
     /// OR chains (`Or(n)` gates).
@@ -565,7 +566,7 @@ fn flatten_chain(netlist: &Netlist, root_inst: InstId, family: ChainFamily) -> O
 /// # Errors
 ///
 /// Propagates arena mutation failures.
-pub fn rebalance_pass(
+pub(crate) fn rebalance_pass(
     netlist: &mut Netlist,
     lib: &Library,
     family: ChainFamily,

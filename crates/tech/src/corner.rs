@@ -1,4 +1,4 @@
-//! Process corners and operating-condition derating.
+//! Process corners and their delay derates.
 //!
 //! Section 8 of the paper hinges on the difference between what a fab
 //! *produces* (a distribution of die speeds) and what an ASIC library
@@ -6,8 +6,6 @@
 //! designers sign off at [`ProcessCorner::SlowSlow`] with low voltage and
 //! high temperature; custom designers characterise their own silicon and
 //! ship parts binned near the typical or fast corner.
-
-use crate::units::Volt;
 
 /// A process corner: where within the manufacturing distribution the
 /// transistor parameters are assumed to sit for sign-off.
@@ -37,61 +35,6 @@ impl ProcessCorner {
             ProcessCorner::FastFast => 1.0 / 1.30,
         }
     }
-
-    /// All corners, slowest first.
-    pub const ALL: [ProcessCorner; 3] = [
-        ProcessCorner::SlowSlow,
-        ProcessCorner::Typical,
-        ProcessCorner::FastFast,
-    ];
-}
-
-/// Voltage and temperature at which timing is evaluated.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OperatingConditions {
-    /// Process corner.
-    pub corner: ProcessCorner,
-    /// Supply voltage actually applied.
-    pub supply: Volt,
-    /// Nominal supply of the technology (for derating relative to it).
-    pub nominal_supply: Volt,
-    /// Junction temperature, °C.
-    pub temperature_c: f64,
-}
-
-impl OperatingConditions {
-    /// Nominal conditions: typical corner, nominal supply, 25 °C.
-    pub fn nominal(nominal_supply: Volt) -> OperatingConditions {
-        OperatingConditions {
-            corner: ProcessCorner::Typical,
-            supply: nominal_supply,
-            nominal_supply,
-            temperature_c: 25.0,
-        }
-    }
-
-    /// ASIC sign-off conditions: slow corner, 90% of nominal supply, 125 °C.
-    pub fn asic_signoff(nominal_supply: Volt) -> OperatingConditions {
-        OperatingConditions {
-            corner: ProcessCorner::SlowSlow,
-            supply: nominal_supply * 0.9,
-            nominal_supply,
-            temperature_c: 125.0,
-        }
-    }
-
-    /// Total delay derate relative to nominal conditions.
-    ///
-    /// Combines the corner derate with first-order voltage sensitivity
-    /// (delay ∝ V / (V − Vt)^1.3 in that era; linearised to ≈ −1.5%/1% ΔV
-    /// near nominal) and temperature sensitivity (≈ +0.1%/°C above 25 °C).
-    pub fn delay_derate(&self) -> f64 {
-        let corner = self.corner.delay_derate();
-        let dv = (self.supply.value() - self.nominal_supply.value()) / self.nominal_supply.value();
-        let voltage = (1.0 - 1.5 * dv).max(0.3);
-        let temperature = 1.0 + 0.001 * (self.temperature_c - 25.0);
-        corner * voltage * temperature
-    }
 }
 
 #[cfg(test)]
@@ -109,26 +52,5 @@ mod tests {
         // Worst-case quote 60-70% below typical speed: derate in [1.6, 1.7].
         let d = ProcessCorner::SlowSlow.delay_derate();
         assert!((1.6..=1.7).contains(&d));
-    }
-
-    #[test]
-    fn nominal_conditions_are_unity() {
-        let oc = OperatingConditions::nominal(Volt::new(2.5));
-        assert!((oc.delay_derate() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn asic_signoff_substantially_slower() {
-        let oc = OperatingConditions::asic_signoff(Volt::new(2.5));
-        // Corner 1.65 x voltage (+15%) x temperature (+10%) ~ 2.0x.
-        let d = oc.delay_derate();
-        assert!(d > 1.9 && d < 2.2, "sign-off derate {d}");
-    }
-
-    #[test]
-    fn higher_voltage_is_faster() {
-        let mut oc = OperatingConditions::nominal(Volt::new(2.5));
-        oc.supply = Volt::new(2.75);
-        assert!(oc.delay_derate() < 1.0);
     }
 }

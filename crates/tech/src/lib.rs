@@ -15,7 +15,7 @@
 //! - strongly typed physical units ([`Ps`], [`Ff`], [`Um`], [`Mhz`], …),
 //! - the [`Technology`] description with the FO4 rule and the logical-effort
 //!   time constant τ = FO4/5,
-//! - process corners and derating ([`ProcessCorner`], [`OperatingConditions`]),
+//! - process corners and their delay derates ([`ProcessCorner`]),
 //! - wire parasitics per metal layer ([`WireParams`], [`WireLayer`]),
 //! - the one strict reader of the workspace's canonical texts ([`text`]).
 //!
@@ -48,7 +48,7 @@ mod technology;
 pub mod text;
 mod units;
 
-pub use corner::{OperatingConditions, ProcessCorner};
+pub use corner::ProcessCorner;
 pub use error::TechError;
 pub use fo4::Fo4;
 pub use hash::fnv1a;

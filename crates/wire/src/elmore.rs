@@ -7,7 +7,7 @@ use crate::OHM_FF_TO_PS;
 
 /// A wire together with the driver size and receiver load used to time it.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DrivenWire {
+pub(crate) struct DrivenWire {
     /// The wire.
     pub wire: Wire,
     /// Driver strength in unit-inverter multiples.
@@ -30,7 +30,7 @@ pub struct DrivenWire {
 /// # Panics
 ///
 /// Panics if `drive` is not strictly positive.
-pub fn elmore_delay(tech: &Technology, wire: &Wire, drive: f64, load: Ff) -> Ps {
+pub(crate) fn elmore_delay(tech: &Technology, wire: &Wire, drive: f64, load: Ff) -> Ps {
     assert!(drive > 0.0, "driver strength must be positive");
     // Driver resistance from the logical-effort model: an inverter of
     // strength x has R = tau / (x · C_unit)  [ps/fF].
@@ -48,7 +48,7 @@ pub fn elmore_delay(tech: &Technology, wire: &Wire, drive: f64, load: Ff) -> Ps 
 ///
 /// Returns the best [`DrivenWire`]. Driver sizes are swept over a
 /// geometric grid up to 64×.
-pub fn drive_wire(tech: &Technology, wire: &Wire, load: Ff) -> DrivenWire {
+pub(crate) fn drive_wire(tech: &Technology, wire: &Wire, load: Ff) -> DrivenWire {
     let mut best: Option<DrivenWire> = None;
     let mut drive = 1.0;
     while drive <= 64.0 {

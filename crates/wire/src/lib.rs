@@ -16,11 +16,10 @@
 //! - [`Wire`]: a wire segment with per-layer R/C from the
 //!   [`Technology`](asicgap_tech::Technology) and an optional width
 //!   multiplier (§6's wire sizing);
-//! - [`elmore_delay`]: driver + distributed wire + load Elmore delay;
+//! - the Elmore delay of driver + distributed wire + load, and the best
+//!   of it over driver sizing (`elmore.rs`);
 //! - [`RepeaterPlan`]: closed-form optimal repeater count/size and the
-//!   resulting delay;
-//! - [`drive_wire`]: the best achievable delay over driver sizing,
-//!   repeatered or not — what placement back-annotation uses.
+//!   resulting delay.
 //!
 //! # Example
 //!
@@ -46,10 +45,9 @@ mod repeater;
 mod segment;
 mod study;
 
-pub use elmore::{drive_wire, elmore_delay, DrivenWire};
 pub use htree::{ClockTree, CtsQuality};
 pub use repeater::RepeaterPlan;
-pub use segment::{layer_for_length, Wire, GLOBAL_THRESHOLD_UM, INTERMEDIATE_THRESHOLD_UM};
+pub use segment::{layer_for_length, Wire};
 pub use study::{wire_delay_curve, wire_scaling_study, ScalingRow, WireStudyRow};
 
 /// Ω · fF → ps conversion (1 Ω·fF = 10⁻³ ps).

@@ -30,7 +30,7 @@ pub struct RepeaterPlan {
 
 impl RepeaterPlan {
     /// Computes the closed-form optimal plan for `wire`, then evaluates the
-    /// actual delay by timing each segment with [`elmore_delay`] (so the
+    /// actual delay by timing each segment's Elmore delay (so the
     /// reported delay is consistent with the rest of the workspace, not
     /// just the textbook formula). Repeater sizes are capped at 512× (real
     /// global repeater banks are enormous) and stage counts at 128.

@@ -4,9 +4,9 @@ use asicgap_tech::{Ff, Technology, Um, WireLayer};
 
 /// Net length above which routing escalates to the intermediate metal
 /// class (see [`layer_for_length`]).
-pub const INTERMEDIATE_THRESHOLD_UM: f64 = 200.0;
+pub(crate) const INTERMEDIATE_THRESHOLD_UM: f64 = 200.0;
 /// Net length above which routing escalates to the global metal class.
-pub const GLOBAL_THRESHOLD_UM: f64 = 1000.0;
+pub(crate) const GLOBAL_THRESHOLD_UM: f64 = 1000.0;
 
 /// The metal-layer class a net of `length` is routed on: short nets stay
 /// on the thin local layers, medium nets escalate to the intermediate

@@ -7,7 +7,9 @@
 //! below pin each spelling the formats used to accept and re-print
 //! differently (`+5`, `007`, `1.50`, upper-case hex, CRLF, a missing
 //! final newline, leftover tokens, a repeated or reordered `RUN` field,
-//! out-of-order histogram buckets).
+//! out-of-order histogram buckets, and in an embedded `netlist/v1` text a
+//! leading zero on an index or an escape spelled other than the encoder
+//! spells it).
 
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -308,12 +310,8 @@ fn every_mutant_is_refused_or_re_encodes_to_itself() {
     let mut rng = Rng64::new(26);
     let (mut accepted, mut refused) = (0, 0);
     for (codec, text) in samples() {
-        // The embedded `netlist/v1` text has a decoder of its own, held
-        // to its own oracle: only the artifact's head is damaged here.
-        let cut = text.find("\nnetlist\n").map_or(text.len(), |at| at + 9);
-        let (head, netlist) = text.split_at(cut);
         for _ in 0..400 {
-            let m = mutate(head, &mut rng) + netlist;
+            let m = mutate(text, &mut rng);
             match codec(&m) {
                 None => refused += 1,
                 Some(back) => {
@@ -403,6 +401,47 @@ fn upper_case_hex_is_refused() {
             assert_eq!(codec(&m), None, "accepted {line:?} in upper case");
         }
     }
+}
+
+#[test]
+fn the_embedded_netlist_has_one_spelling() {
+    let splice = |t: &str, at: usize, cut: usize, with: &str| {
+        format!("{}{with}{}", &t[..at], &t[at + cut..])
+    };
+    let (mut seen, mut accepted) = (0, Vec::new());
+    for (codec, text) in samples() {
+        let Some(at) = text.find("\nnetlist/v1\ndesign ") else {
+            continue;
+        };
+        let design = at + "\nnetlist/v1\ndesign ".len();
+        // `outputs N`, then the first output's `name net` line.
+        let outputs = design + text[design..].find("\noutputs ").expect("outputs");
+        let line = outputs + 1 + text[outputs + 1..].find('\n').expect("count line") + 1;
+        let net = line + text[line..].find(' ').expect("output net") + 1;
+        let first = text.as_bytes()[design];
+        assert!(first.is_ascii_lowercase(), "{text}");
+        for (what, m) in [
+            ("a leading zero on an index", splice(text, net, 0, "0")),
+            (
+                "an escape of a plain byte",
+                splice(text, design, 1, &format!("%{first:02x}")),
+            ),
+            (
+                "an escape in upper-case hex",
+                splice(text, design, 1, "%0A"),
+            ),
+        ] {
+            if codec(&m).is_some() {
+                accepted.push(what);
+            }
+        }
+        // The encoder's own spelling of that name is taken.
+        let lower = splice(text, design, 1, "%0a");
+        assert_eq!(codec(&lower).as_deref(), Some(lower.as_str()));
+        seen += 1;
+    }
+    assert!(seen >= 4, "{seen}");
+    assert_eq!(accepted, Vec::<&str>::new());
 }
 
 /// The line formats: the outcome, trace, closure and stats texts.
