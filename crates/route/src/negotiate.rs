@@ -21,6 +21,13 @@
 //! carry a tiny deterministic jitter derived from
 //! [`asicgap_exec::split_seed`]`(seed, iteration·nets + net)` — different
 //! nets prefer different (near-)ties and the symmetry breaks.
+//!
+//! Each thread keeps its search memory in a thread-local and reuses it for
+//! every net it routes. A search reads only records its own generation
+//! stamp wrote (see `maze`), so which nets a thread routed before cannot
+//! show in a route.
+
+use std::cell::RefCell;
 
 use asicgap_exec::{split_seed, Pool};
 use asicgap_netlist::{NetId, Netlist};
@@ -29,9 +36,33 @@ use asicgap_tech::{SplitMix64, Um, WireLayer};
 use asicgap_wire::layer_for_length;
 
 use crate::grid::RoutingGrid;
-use crate::maze::shortest_path;
+use crate::maze::{Marks, Scratch};
 
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One thread's routing memory, reused by every net the thread routes:
+/// the search scratch, and the edges of the net being rerouted (the
+/// Jacobi cost's self-usage test).
+#[derive(Debug, Default)]
+struct Worker {
+    net: Scratch,
+    own: Marks,
+}
+
+thread_local! {
+    static WORKER: RefCell<Worker> = RefCell::default();
+}
+
+/// Raises every stamp of this thread's routing memory to at least
+/// `stamp`; returns the search stamp held before (the oracle's wrap-around
+/// hook).
+#[cfg(test)]
+pub(crate) fn raise_stamps(stamp: u32) -> u32 {
+    WORKER.with_borrow_mut(|w| {
+        w.own.raise(stamp);
+        w.net.raise_stamps(stamp)
+    })
+}
 
 /// Knobs of the negotiation loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -190,6 +221,13 @@ impl RoutingResult {
     /// their routes. Returns the new routed length, or `None` if the net
     /// now has fewer than two pins.
     ///
+    /// Edges are priced as negotiation round `self.iterations` would
+    /// price them, one round past the last one run: present pressure
+    /// `present_base · present_growth^iterations`, and the jitter stream
+    /// `split_seed(seed, iterations · nets.len() + net)`, with
+    /// `nets.len()` read after the table is extended. Routed `CLOSE`
+    /// results are pinned on this pricing.
+    ///
     /// `netlist` may have grown since the full route (the route table is
     /// extended on demand), but `placement` must place every instance the
     /// net touches.
@@ -227,7 +265,7 @@ impl RoutingResult {
                 let j = 1.0 + options.jitter * jitter_unit(seed, e);
                 grid.edge_length_um(e) * penalty * j
             };
-            route_net(grid, &cost, &terminals)
+            WORKER.with_borrow_mut(|w| w.net.route_net(grid, &cost, &terminals))
         };
         for &e in &edges {
             self.usage[e as usize] += 1;
@@ -352,22 +390,28 @@ pub fn route_on(
         };
         let pressure = options.present_base * options.present_growth.powi(iter as i32);
         let rerouted = pool.map(&victims, |_, &i| {
-            let own = &routes[i].0;
             let seed = split_seed(options.seed, (iter * nn + i) as u64);
-            let cost = |e: usize| {
-                let mut u = usage[e];
-                if own.binary_search(&(e as u32)).is_ok() {
-                    u -= 1; // Jacobi: a net does not compete with itself.
+            WORKER.with_borrow_mut(|w| {
+                w.own.clear(ne);
+                for &e in &routes[i].0 {
+                    w.own.insert(e as usize);
                 }
-                let over = (u + 1).saturating_sub(grid.edge_capacity(e)) as f64;
-                let penalty = 1.0 + pressure * over + options.history_weight * history[e];
-                let j = 1.0 + options.jitter * jitter_unit(seed, e);
-                grid.edge_length_um(e) * penalty * j
-            };
-            route_net(&grid, &cost, &terminals[i])
+                let own = &w.own;
+                let cost = |e: usize| {
+                    let mut u = usage[e];
+                    if own.contains(e) {
+                        u -= 1; // Jacobi: a net does not compete with itself.
+                    }
+                    let over = (u + 1).saturating_sub(grid.edge_capacity(e)) as f64;
+                    let penalty = 1.0 + pressure * over + options.history_weight * history[e];
+                    let j = 1.0 + options.jitter * jitter_unit(seed, e);
+                    grid.edge_length_um(e) * penalty * j
+                };
+                w.net.route_net(&grid, &cost, &terminals[i])
+            })
         });
-        for (k, &i) in victims.iter().enumerate() {
-            routes[i] = rerouted[k].clone();
+        for (&i, route) in victims.iter().zip(rerouted) {
+            routes[i] = route;
         }
 
         usage.iter_mut().for_each(|u| *u = 0);
@@ -410,7 +454,7 @@ pub fn route_on(
 
 /// Maps pins to g-cells (deduplicated, pin order kept) and sums the
 /// escape-stub length from each pin to its g-cell centre.
-fn terminals_of(grid: &RoutingGrid, pins: &[(f64, f64)]) -> (Vec<usize>, f64) {
+pub(crate) fn terminals_of(grid: &RoutingGrid, pins: &[(f64, f64)]) -> (Vec<usize>, f64) {
     let mut cells = Vec::with_capacity(pins.len());
     let mut escape = 0.0;
     for &(x, y) in pins {
@@ -424,47 +468,7 @@ fn terminals_of(grid: &RoutingGrid, pins: &[(f64, f64)]) -> (Vec<usize>, f64) {
     (cells, escape)
 }
 
-/// Routes one net as a tree: start at the first terminal, then connect
-/// each remaining terminal to the grown tree with an A* search. Returns
-/// the sorted, deduplicated edge set and the bend count.
-fn route_net<C: Fn(usize) -> f64>(
-    grid: &RoutingGrid,
-    cost: &C,
-    terminals: &[usize],
-) -> (Vec<u32>, usize) {
-    if terminals.len() < 2 {
-        return (Vec::new(), 0);
-    }
-    let mut in_tree = vec![false; grid.cell_count()];
-    in_tree[terminals[0]] = true;
-    let mut tree = vec![terminals[0]];
-    let mut edges: Vec<u32> = Vec::new();
-    let mut bends = 0usize;
-    for &t in &terminals[1..] {
-        if in_tree[t] {
-            continue;
-        }
-        let path = shortest_path(grid, cost, &tree, t);
-        let mut prev_h: Option<bool> = None;
-        for &(cell, edge) in &path {
-            let is_h = edge < grid.h_edge_count();
-            if prev_h.is_some_and(|p| p != is_h) {
-                bends += 1;
-            }
-            prev_h = Some(is_h);
-            edges.push(edge as u32);
-            if !in_tree[cell] {
-                in_tree[cell] = true;
-                tree.push(cell);
-            }
-        }
-    }
-    edges.sort_unstable();
-    edges.dedup();
-    (edges, bends)
-}
-
-fn routed_net(
+pub(crate) fn routed_net(
     grid: &RoutingGrid,
     net: NetId,
     edges: Vec<u32>,
@@ -486,7 +490,7 @@ fn routed_net(
 
 /// A uniform deviate in `[0, 1)` that is a pure function of
 /// `(seed, edge)` — the deterministic jitter source.
-fn jitter_unit(seed: u64, edge: usize) -> f64 {
+pub(crate) fn jitter_unit(seed: u64, edge: usize) -> f64 {
     let mut sm = SplitMix64::new(seed.wrapping_add((edge as u64 + 1).wrapping_mul(GOLDEN)));
     (sm.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }

@@ -16,7 +16,9 @@ use std::sync::Mutex;
 use asicgap::cells::LibrarySpec;
 use asicgap::exec::{split_seed, Pool};
 use asicgap::netlist::generators;
-use asicgap::place::{anneal_placement_multi, AnnealOptions, Placement};
+use asicgap::place::{
+    anneal_placement_multi, AnnealOptions, Floorplan, FloorplanStrategy, Placement,
+};
 use asicgap::process::{ChipPopulation, VariationComponents, VariationStudy, WithinDieModel};
 use asicgap::tech::Technology;
 use asicgap::{run_scenarios, DesignScenario};
@@ -137,6 +139,40 @@ fn global_routing_is_bitwise_identical_across_thread_counts() {
         "the scarce grid must trigger negotiation (got {} iterations)",
         scarce.iterations
     );
+
+    // Scratch reuse: each thread keeps its A* memory between nets and
+    // between calls. A floorplanned mult/16 (a large grid) first, then
+    // the scarce case twice on whatever threads are left holding that
+    // memory; at one thread all three run on this test's thread. Every
+    // result must equal the one above and the one-thread run.
+    let mult = generators::array_multiplier(&lib, 16).expect("mult16");
+    let placed = Floorplan::build(
+        &mult,
+        &lib,
+        FloorplanStrategy::Localized,
+        &AnnealOptions::quick(11),
+    )
+    .placement;
+    let (big, again, third) = identical_across_threads(|| {
+        let big = route(&mult, &placed, &RouterOptions::seeded(11));
+        let scarce_on = || {
+            route_on(
+                &netlist,
+                &placement,
+                RoutingGrid::uniform(8, 8, 12.0, 2),
+                &RouterOptions::seeded(7),
+            )
+        };
+        (big, scarce_on(), scarce_on())
+    });
+    assert!(
+        big.grid.cell_count() > 8 * 8,
+        "mult/16 must route on the larger grid ({}x{})",
+        big.grid.nx,
+        big.grid.ny
+    );
+    assert_eq!(again, scarce);
+    assert_eq!(third, scarce);
 }
 
 #[test]
