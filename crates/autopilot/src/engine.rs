@@ -1,6 +1,6 @@
 //! The closed fix loop: enumerate → dry-evaluate → commit → repeat.
 //!
-//! Each iteration pulls the top-k critical endpoints from the warm
+//! Each iteration pulls the [`TOPK`] worst endpoints from the warm
 //! [`TimingGraph`], enumerates candidate ECOs along their worst paths,
 //! dry-evaluates every candidate through the undo-log trial API (or a
 //! graph clone for structural edits), and commits the best strict
@@ -34,6 +34,9 @@ const RETIME_STAGES: usize = 2;
 
 /// Path instances considered for sizing/buffering per endpoint.
 const PATH_TAIL: usize = 6;
+
+/// Critical endpoints examined per iteration.
+const TOPK: usize = 4;
 
 /// Everything the loop needs to try wiring moves: the placement the
 /// routes were built against, the live routing state, and the knobs the
@@ -151,14 +154,6 @@ impl Candidate {
             Candidate::Reroute { net } => format!("w{}", net.index()),
         }
     }
-}
-
-/// Total switching-power proxy of the netlist (see `LibCell::power_proxy`).
-fn power_total(netlist: &Netlist, lib: &Library) -> f64 {
-    netlist
-        .iter_instances()
-        .map(|(_, i)| lib.cell(i.cell()).power_proxy())
-        .sum()
 }
 
 /// TNS at the graph's current clock: the sum of negative endpoint slacks,
@@ -291,7 +286,6 @@ pub fn close_on<'a>(
             try_local_moves(
                 graph,
                 route_ctx.as_deref_mut(),
-                target,
                 verify,
                 routes_stale,
                 &mut base_effort,
@@ -355,13 +349,11 @@ pub fn close_on<'a>(
 }
 
 /// Enumerates and dry-evaluates resize / buffer / reroute candidates on
-/// the top-k worst paths, then commits the best strict improvement that
-/// fits the area/power budget. Returns `None` when nothing qualifies.
-#[allow(clippy::too_many_arguments)]
+/// the [`TOPK`] worst paths, then commits the best strict improvement.
+/// Returns `None` when nothing improves.
 fn try_local_moves<'a>(
     graph: &mut TimingGraph<'a>,
     mut route_ctx: Option<&mut RouteContext>,
-    target: &ClosureTarget,
     verify: VerifyLevel,
     routes_stale: bool,
     base_effort: &mut IncrementalStats,
@@ -381,7 +373,7 @@ fn try_local_moves<'a>(
                 cands.push(c);
             }
         };
-        let endpoints = report_timing(netlist, lib, &report, target.topk);
+        let endpoints = report_timing(netlist, lib, &report, TOPK);
         for ep in &endpoints {
             let end = endpoint_net(netlist, &ep.endpoint);
             let path = report.instances_on_worst_path(end);
@@ -489,100 +481,80 @@ fn try_local_moves<'a>(
         }
     }
 
-    // Best gain first; enumeration order breaks ties, so the loop is
+    // Best gain wins; enumeration order breaks ties, so the loop is
     // deterministic even when two moves are bit-equal.
-    trials.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite").then(a.0.cmp(&b.0)));
+    let Some(&(i, trial_period)) = trials
+        .iter()
+        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite").then(a.0.cmp(&b.0)))
+    else {
+        return Ok(None);
+    };
+    let cand = &cands[i];
 
-    let area = graph.netlist().total_area_um2(lib);
-    let power = power_total(graph.netlist(), lib);
-    for &(i, trial_period) in &trials {
-        let cand = &cands[i];
-        // Budget prediction (reroutes change no cells).
-        let (d_area, d_power) = match cand {
-            Candidate::Resize { inst, cell } => {
-                let old = lib.cell(graph.netlist().instance(*inst).cell());
-                let new = lib.cell(*cell);
-                (
-                    new.area_um2 - old.area_um2,
-                    new.power_proxy() - old.power_proxy(),
-                )
-            }
-            Candidate::Buffer { cell, .. } => {
-                let c = lib.cell(*cell);
-                (c.area_um2, c.power_proxy())
-            }
-            Candidate::Reroute { .. } => (0.0, 0.0),
-        };
-        if area + d_area > target.max_area_um2 || power + d_power > target.max_power {
-            continue;
+    // --- commit ---
+    let golden = (verify == VerifyLevel::Full).then(|| graph.netlist().clone());
+    let (kind, detail) = match cand {
+        Candidate::Resize { inst, cell } => {
+            let detail = format!(
+                "resize {} {}",
+                graph.netlist().instance(*inst).name(),
+                lib.cell(*cell).name
+            );
+            graph.resize_cell(*inst, *cell);
+            (MoveKind::Resize, detail)
         }
+        Candidate::Buffer { net, cell, moved } => {
+            let netlist = graph.netlist();
+            let list = moved
+                .iter()
+                .map(|s| format!("{}:{}", netlist.instance(s.inst).name(), s.pin))
+                .collect::<Vec<_>>()
+                .join(",");
+            let detail = format!(
+                "buffer {} {} {list}",
+                netlist.net(*net).name(),
+                lib.cell(*cell).name
+            );
+            graph.insert_buffer(*net, *cell, moved)?;
+            (MoveKind::Buffer, detail)
+        }
+        Candidate::Reroute { net } => {
+            let (cap, delay) = reroute_par[i].expect("trial stored parasitics");
+            let ctx = route_ctx.expect("enumerated with context");
+            // Identical routing state ⇒ reroute_net picks the same
+            // jitter seed ⇒ the committed route is the trial route.
+            ctx.routing.take_net(*net);
+            ctx.routing
+                .reroute_net(graph.netlist(), &ctx.placement, *net, &ctx.options);
+            let detail = format!(
+                "reroute {} {:?} {:?}",
+                graph.netlist().net(*net).name(),
+                cap.value(),
+                delay.value()
+            );
+            graph.set_net_parasitics(*net, cap, delay);
+            (MoveKind::Reroute, detail)
+        }
+    };
 
-        // --- commit ---
-        let golden = (verify == VerifyLevel::Full).then(|| graph.netlist().clone());
-        let (kind, detail) = match cand {
-            Candidate::Resize { inst, cell } => {
-                let detail = format!(
-                    "resize {} {}",
-                    graph.netlist().instance(*inst).name(),
-                    lib.cell(*cell).name
-                );
-                graph.resize_cell(*inst, *cell);
-                (MoveKind::Resize, detail)
-            }
-            Candidate::Buffer { net, cell, moved } => {
-                let netlist = graph.netlist();
-                let list = moved
-                    .iter()
-                    .map(|s| format!("{}:{}", netlist.instance(s.inst).name(), s.pin))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                let detail = format!(
-                    "buffer {} {} {list}",
-                    netlist.net(*net).name(),
-                    lib.cell(*cell).name
-                );
-                graph.insert_buffer(*net, *cell, moved)?;
-                (MoveKind::Buffer, detail)
-            }
-            Candidate::Reroute { net } => {
-                let (cap, delay) = reroute_par[i].expect("trial stored parasitics");
-                let ctx = route_ctx.as_deref_mut().expect("enumerated with context");
-                // Identical routing state ⇒ reroute_net picks the same
-                // jitter seed ⇒ the committed route is the trial route.
-                ctx.routing.take_net(*net);
-                ctx.routing
-                    .reroute_net(graph.netlist(), &ctx.placement, *net, &ctx.options);
-                let detail = format!(
-                    "reroute {} {:?} {:?}",
-                    graph.netlist().net(*net).name(),
-                    cap.value(),
-                    delay.value()
-                );
-                graph.set_net_parasitics(*net, cap, delay);
-                (MoveKind::Reroute, detail)
-            }
-        };
-
-        let proof = match golden {
-            Some(golden) => Some(prove_move(
-                &golden,
-                graph.netlist(),
-                lib,
-                kind,
-                verify_effort,
-            )?),
-            None => None,
-        };
-        let gain = current - trial_period;
-        debug_assert_eq!(graph.min_period(), trial_period, "commit reproduces trial");
-        return Ok(Some(MoveRecord {
+    let proof = match golden {
+        Some(golden) => Some(prove_move(
+            &golden,
+            graph.netlist(),
+            lib,
             kind,
-            detail,
-            gain,
-            proof,
-        }));
-    }
-    Ok(None)
+            verify_effort,
+        )?),
+        None => None,
+    };
+    let gain = current - trial_period;
+    debug_assert_eq!(graph.min_period(), trial_period, "commit reproduces trial");
+    Ok(Some(MoveRecord {
+        kind,
+        detail,
+        gain,
+        proof,
+    }))
 }
 
 /// Proves a committed move function-preserving and returns its proof.
@@ -610,7 +582,7 @@ fn prove_move(
 /// Depth-reducing escalations: a rewrite/rebalance sweep, then (when
 /// armed and the netlist is still combinational) one extra pipeline
 /// stage. Each is dry-evaluated on a rebuilt graph and committed only on
-/// strict improvement within budget.
+/// strict improvement.
 fn try_escalations<'a>(
     graph: &mut TimingGraph<'a>,
     target: &ClosureTarget,
@@ -637,14 +609,12 @@ fn try_escalations<'a>(
                     proofs += 1;
                 }
             }
-            let new_area = nl.total_area_um2(lib);
-            let new_power = power_total(&nl, lib);
             // `TimingGraph` grows a short annotation itself: surviving
             // nets keep their wires, new nets start ideal.
             let par = graph.parasitics().clone();
             let mut cand = TimingGraph::new(nl, lib, graph.clock(), Some(par));
             let p = cand.min_period();
-            if p < current && new_area <= target.max_area_um2 && new_power <= target.max_power {
+            if p < current {
                 let old = std::mem::replace(graph, cand);
                 *base_effort += old.stats();
                 *routes_stale = true;
@@ -689,12 +659,10 @@ fn try_escalations<'a>(
         } else {
             None
         };
-        let new_area = piped.netlist.total_area_um2(lib);
-        let new_power = power_total(&piped.netlist, lib);
         // A retime renumbers the whole netlist: no annotation carries over.
         let mut cand = TimingGraph::new(piped.netlist, lib, graph.clock(), None);
         let p = cand.min_period();
-        if p < current && new_area <= target.max_area_um2 && new_power <= target.max_power {
+        if p < current {
             let old = std::mem::replace(graph, cand);
             *base_effort += old.stats();
             *routes_stale = true;

@@ -7,10 +7,9 @@
 //! repeat until the clock is met or the target is *proven* out of reach.
 //! This crate is that loop:
 //!
-//! - [`ClosureTarget`] — the goal: a frequency plus area/power/move
-//!   budgets;
+//! - [`ClosureTarget`] — the goal: a frequency plus a move budget;
 //! - [`close_on`] — the fix loop over a warm
-//!   [`TimingGraph`](asicgap_sta::TimingGraph): top-k critical
+//!   [`TimingGraph`](asicgap_sta::TimingGraph): the 4 worst critical
 //!   endpoints → candidate ECOs (resize, buffer insertion, single-net
 //!   reroute; rewrite and retime as depth-reducing escalations) →
 //!   undo-log dry trials → commit the best strict improvement, each

@@ -3,8 +3,9 @@
 use asicgap_tech::text::num;
 use asicgap_tech::{Mhz, Ps};
 
-/// A timing-closure goal: hit `frequency` without blowing the area or
-/// power budget, within a bounded number of committed ECO moves.
+/// A timing-closure goal: hit `frequency` within a bounded number of
+/// committed ECO moves. Area and power are unbounded, and each iteration
+/// examines the 4 worst endpoints.
 ///
 /// The loop treats `frequency` as the *effective* (post-skew) clock: the
 /// caller folds its skew fraction into the period it asks the graph to
@@ -13,17 +14,9 @@ use asicgap_tech::{Mhz, Ps};
 pub struct ClosureTarget {
     /// The clock the design must make.
     pub frequency: Mhz,
-    /// Cell-area ceiling, µm² (`f64::INFINITY` = unbounded). A candidate
-    /// that would push the design past this is never committed.
-    pub max_area_um2: f64,
-    /// Switching-power ceiling in the flow's power-proxy units at the
-    /// target frequency (`f64::INFINITY` = unbounded).
-    pub max_power: f64,
     /// Committed-move budget: the loop stops with
     /// [`Verdict::BudgetExhausted`] after this many ECOs.
     pub max_moves: usize,
-    /// Critical endpoints examined per iteration.
-    pub topk: usize,
     /// Arm the rewrite/rebalance escalation (local depth recovery on the
     /// offending cones) when no sizing/wiring move improves WNS.
     pub allow_rewrite: bool,
@@ -33,15 +26,12 @@ pub struct ClosureTarget {
 }
 
 impl ClosureTarget {
-    /// A target at `mhz` with default budgets: unbounded area/power,
-    /// 64 moves, top-4 endpoints, rewrite escalation armed, no retiming.
+    /// A target at `mhz` with the default budget of 64 moves, rewrite
+    /// escalation armed, no retiming.
     pub fn at(mhz: f64) -> ClosureTarget {
         ClosureTarget {
             frequency: Mhz::new(mhz),
-            max_area_um2: f64::INFINITY,
-            max_power: f64::INFINITY,
             max_moves: 64,
-            topk: 4,
             allow_rewrite: true,
             allow_retime: false,
         }
@@ -214,6 +204,5 @@ mod tests {
         assert_eq!(t.period(), Ps::new(4000.0));
         assert_eq!(t.max_moves, 64);
         assert!(t.allow_rewrite && !t.allow_retime);
-        assert!(t.max_area_um2.is_infinite());
     }
 }

@@ -231,6 +231,11 @@ fn main() {
         format!("{:.0}%", (s.typical_over_worst_case - 1.0) * 100.0),
     ]);
     t.row_owned(vec![
+        "typical over statistical quote (99.5%)".into(),
+        "-".into(),
+        format!("{:.0}%", (s.typical_over_statistical_quote - 1.0) * 100.0),
+    ]);
+    t.row_owned(vec![
         "fastest bins over typical".into(),
         "20%-40%".into(),
         format!(
@@ -253,6 +258,11 @@ fn main() {
         "custom access over ASIC (headline)".into(),
         "~90%".into(),
         format!("{:.0}%", (s.custom_access_over_asic - 1.0) * 100.0),
+    ]);
+    t.row_owned(vec![
+        "speed lost to a stale library".into(),
+        "up to 20%".into(),
+        format!("{:.0}%", s.stale_library_loss * 100.0),
     ]);
     println!("{t}");
 

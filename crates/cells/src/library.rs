@@ -156,37 +156,6 @@ impl Library {
         any_pair
     }
 
-    /// The cell of `function`/`family` with the least delay driving `load`,
-    /// together with that delay in picoseconds.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LibraryError::MissingFunction`] if no cell implements the
-    /// requested function in the requested family.
-    pub fn best_for_load(
-        &self,
-        function: CellFunction,
-        family: LogicFamily,
-        load: Ff,
-    ) -> Result<(CellId, asicgap_tech::Ps), LibraryError> {
-        let ids = self.drives_for(function, family);
-        if ids.is_empty() {
-            return Err(LibraryError::MissingFunction {
-                what: format!("{function} in {family}"),
-            });
-        }
-        let mut best = None;
-        for &id in ids {
-            let d = self.cell(id).delay(&self.tech, load);
-            match best {
-                None => best = Some((id, d)),
-                Some((_, bd)) if d < bd => best = Some((id, d)),
-                _ => {}
-            }
-        }
-        Ok(best.expect("non-empty drive list yields a best cell"))
-    }
-
     /// Picks the drive of `function`/`family` whose stage gain
     /// (`load / input_cap`) is closest to `target_gain`.
     ///
@@ -332,24 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn best_for_load_minimises_delay() {
-        // With an external fixed load, min delay is achieved by the largest
-        // drive; best_for_load is the greedy critical-path repair query.
-        let lib = rich();
-        let (id, d) = lib
-            .best_for_load(
-                CellFunction::Nand(2),
-                LogicFamily::StaticCmos,
-                Ff::new(400.0),
-            )
-            .expect("nand2 exists");
-        for &other in lib.drives_for(CellFunction::Nand(2), LogicFamily::StaticCmos) {
-            assert!(d <= lib.cell(other).delay(&lib.tech, Ff::new(400.0)));
-        }
-        assert!((lib.cell(id).drive - 16.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn drive_for_gain_scales_with_load() {
         let lib = rich();
         let small = lib
@@ -378,7 +329,12 @@ mod tests {
     fn missing_function_is_an_error() {
         let lib = LibrarySpec::poor().build(&Technology::cmos025_asic());
         let err = lib
-            .best_for_load(CellFunction::Aoi22, LogicFamily::StaticCmos, Ff::new(1.0))
+            .drive_for_gain(
+                CellFunction::Aoi22,
+                LogicFamily::StaticCmos,
+                Ff::new(1.0),
+                4.0,
+            )
             .unwrap_err();
         assert!(matches!(err, LibraryError::MissingFunction { .. }));
     }

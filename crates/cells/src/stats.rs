@@ -56,21 +56,6 @@ impl LibraryStats {
             dual_polarity: lib.has_dual_polarity(),
         }
     }
-
-    /// A scalar "richness" figure of merit: log2 of the drive-menu span
-    /// times the number of drives, plus bonuses for polarity and complex
-    /// gates. Only used for ordering libraries in reports.
-    pub fn richness_score(&self) -> f64 {
-        let span = (self.max_drive / self.min_drive).log2();
-        let mut score = span * self.drive_count as f64 + self.function_count as f64;
-        if self.dual_polarity {
-            score += 10.0;
-        }
-        if self.has_domino {
-            score += 10.0;
-        }
-        score
-    }
 }
 
 impl fmt::Display for LibraryStats {
@@ -96,13 +81,15 @@ mod tests {
     use asicgap_tech::Technology;
 
     #[test]
-    fn richer_spec_scores_higher() {
+    fn richer_spec_has_the_larger_menu() {
         let tech = Technology::cmos025_asic();
         let rich = LibraryStats::of(&LibrarySpec::rich().build(&tech));
         let poor = LibraryStats::of(&LibrarySpec::poor().build(&tech));
         let custom = LibraryStats::of(&LibrarySpec::custom().build(&tech));
-        assert!(rich.richness_score() > poor.richness_score());
-        assert!(custom.richness_score() > rich.richness_score());
+        assert!(rich.drive_count > poor.drive_count);
+        assert!(rich.function_count > poor.function_count);
+        assert!(custom.has_domino && !rich.has_domino);
+        assert!(custom.max_drive / custom.min_drive >= rich.max_drive / rich.min_drive);
     }
 
     #[test]

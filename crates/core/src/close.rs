@@ -223,10 +223,12 @@ pub fn close_canonical_key(
     let mut k = String::with_capacity(640);
     writeln!(k, "asicgap-close/v1").expect("write to String");
     writeln!(k, "target_mhz {:?}", target.frequency.value()).expect("write to String");
-    writeln!(k, "max_area_um2 {:?}", target.max_area_um2).expect("write to String");
-    writeln!(k, "max_power {:?}", target.max_power).expect("write to String");
+    // The loop has no area or power budget and examines 4 endpoints (see
+    // `ClosureTarget`). `asicgap-close/v1` keys still spell those three
+    // values, so `CLOSE` results already in a store stay addressable.
+    k.push_str("max_area_um2 inf\nmax_power inf\n");
     writeln!(k, "max_moves {}", target.max_moves).expect("write to String");
-    writeln!(k, "topk {}", target.topk).expect("write to String");
+    k.push_str("topk 4\n");
     writeln!(k, "rewrite_escalation {}", target.allow_rewrite).expect("write to String");
     writeln!(k, "retime_escalation {}", target.allow_retime).expect("write to String");
     k.push_str(&canonical_key(scenario, workload, verify));

@@ -751,10 +751,7 @@ impl<'a> Flow<'a> {
 
         let strategy = match scenario.floorplan {
             FloorplanQuality::Careful => FloorplanStrategy::Localized,
-            FloorplanQuality::Spread { modules } => FloorplanStrategy::Spread {
-                modules,
-                die_side_um: 10_000.0,
-            },
+            FloorplanQuality::Spread { modules } => FloorplanStrategy::Spread { modules },
         };
         let clock = Instant::now();
         let fp = Floorplan::build(

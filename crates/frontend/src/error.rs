@@ -19,8 +19,9 @@ pub enum FrontendError {
         /// What the parser saw.
         what: String,
     },
-    /// A cell kind that binds to nothing: not a library cell, not an
-    /// alias, not a Yosys generic gate, not a module in the file.
+    /// A cell kind that binds to nothing: not a library cell, not a
+    /// library function at another drive, not a Yosys generic gate, not a
+    /// module in the file.
     UnknownCell {
         /// The unresolvable cell type.
         what: String,

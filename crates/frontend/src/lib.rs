@@ -3,10 +3,9 @@
 //! Two dependency-free readers — Yosys JSON (`write_json`) and EDIF
 //! 2.0.0 — parse into one shared hierarchical [`Design`], which
 //! [`lower`] flattens (instance-path names), bit-blasts, and binds
-//! against a [`Library`]: exact cell-name
-//! match first, then the caller's alias map, with Yosys generic gates
-//! (`$and`, `$mux`, `$dff`, ...) expanded through an AIG and
-//! technology-mapped. The result is an ordinary validated
+//! against a [`Library`]: exact cell-name match first, then the same
+//! function at the nearest drive, with Yosys generic gates (`$and`,
+//! `$mux`, `$dff`, ...) expanded through an AIG and technology-mapped. The result is an ordinary validated
 //! [`Netlist`] that the full verified flow
 //! (synthesis, placement, routing, STA, equivalence) consumes exactly
 //! like a generator's output.
@@ -108,8 +107,7 @@ pub fn parse_design(format: DesignFormat, text: &str) -> Result<Design<'_>, Fron
     }
 }
 
-/// Parses and lowers `text` into a validated, packed netlist using
-/// default [`LowerOptions`].
+/// Parses and lowers `text` into a validated, packed netlist.
 ///
 /// # Errors
 ///
@@ -120,22 +118,8 @@ pub fn load_design(
     text: &str,
     lib: &Library,
 ) -> Result<Netlist, FrontendError> {
-    load_design_with(format, text, lib, &LowerOptions::default())
-}
-
-/// [`load_design`] with explicit lowering options (cell aliases).
-///
-/// # Errors
-///
-/// As [`load_design`].
-pub fn load_design_with(
-    format: DesignFormat,
-    text: &str,
-    lib: &Library,
-    opts: &LowerOptions,
-) -> Result<Netlist, FrontendError> {
     let design = parse_design(format, text)?;
-    lower(&design, lib, opts)
+    lower(&design, lib, &LowerOptions::default())
 }
 
 /// Reads a design file, inferring the format from its extension.

@@ -313,14 +313,11 @@ impl<'t> Design<'t> {
     }
 }
 
-/// Options steering cell binding during lowering.
+/// Options of [`lower`]: none. A kind binds to the library cell of that
+/// name, else to the same function at the nearest drive, else to a Yosys
+/// generic gate.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct LowerOptions {
-    /// Cell-name aliases tried when a kind is not in the library
-    /// verbatim: `(foreign name, library cell name)`. Checked in order,
-    /// first match wins.
-    pub aliases: Vec<(String, String)>,
-}
+pub struct LowerOptions {}
 
 // ---------------------------------------------------------------------
 // Flattening.
@@ -630,17 +627,9 @@ enum Binding {
     Generic(Generic),
 }
 
-fn resolve_kind(kind: &str, lib: &Library, opts: &LowerOptions) -> Result<Binding, FrontendError> {
+fn resolve_kind(kind: &str, lib: &Library) -> Result<Binding, FrontendError> {
     if let Some((id, _)) = lib.cell_by_name(kind) {
         return Ok(Binding::Cell(id));
-    }
-    if let Some((_, target)) = opts.aliases.iter().find(|(from, _)| from == kind) {
-        return match lib.cell_by_name(target) {
-            Some((id, _)) => Ok(Binding::Cell(id)),
-            None => Err(FrontendError::UnknownCell {
-                what: format!("{kind} (alias target {target} not in library)"),
-            }),
-        };
     }
     if let Some(id) = resolve_by_function(kind, lib) {
         return Ok(Binding::Cell(id));
@@ -906,7 +895,7 @@ fn split_generic_conns(
 pub fn lower(
     design: &Design<'_>,
     lib: &Library,
-    opts: &LowerOptions,
+    _opts: &LowerOptions,
 ) -> Result<Netlist, FrontendError> {
     let flat = flatten(design)?;
 
@@ -915,7 +904,7 @@ pub fn lower(
     let bindings: Vec<Binding> = flat
         .kinds
         .iter()
-        .map(|kind| resolve_kind(kind, lib, opts))
+        .map(|kind| resolve_kind(kind, lib))
         .collect::<Result<_, _>>()?;
 
     let has_generic = bindings.iter().any(|b| matches!(b, Binding::Generic(_)));
@@ -1474,17 +1463,6 @@ mod tests {
             ),
             "got {got:?}"
         );
-    }
-
-    #[test]
-    fn alias_binding_resolves_foreign_names() {
-        let lib = lib();
-        let design = hierarchical("ND2", &[Net(0)], &[Net(3)]);
-        let opts = LowerOptions {
-            aliases: vec![("ND2".into(), nand2_name(&lib))],
-        };
-        let n = lower(&design, &lib, &opts).expect("alias binds");
-        assert_eq!(n.instance_count(), 2);
     }
 
     #[test]

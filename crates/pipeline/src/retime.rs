@@ -25,18 +25,6 @@ pub struct PipelinedNetlist {
     pub latency: usize,
 }
 
-impl PipelinedNetlist {
-    /// Formally verifies this pipelined netlist against the flat
-    /// combinational original it was built from: see [`verify_pipeline`].
-    ///
-    /// # Errors
-    ///
-    /// As [`verify_pipeline`].
-    pub fn verify_against(&self, flat: &Netlist, lib: &Library) -> Result<EquivReport, EquivError> {
-        verify_pipeline(flat, &self.netlist, lib)
-    }
-}
-
 /// Proves that a pipelined netlist computes the same function as the flat
 /// combinational original.
 ///
@@ -316,7 +304,7 @@ mod tests {
         let lib = setup();
         let adder = generators::ripple_carry_adder(&lib, 8).expect("rca8");
         let piped = pipeline_netlist(&adder, &lib, 4).expect("pipelines");
-        let report = piped.verify_against(&adder, &lib).expect("verifies");
+        let report = verify_pipeline(&adder, &piped.netlist, &lib).expect("verifies");
         assert!(report.is_equivalent());
         // Registers are pure delays: every cone folds structurally.
         assert_eq!(report.effort.structural, report.effort.cones);

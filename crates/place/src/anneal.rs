@@ -70,27 +70,17 @@ pub struct AnnealOptions {
     pub chains: usize,
 }
 
-impl Default for AnnealOptions {
-    fn default() -> AnnealOptions {
-        AnnealOptions {
-            moves_per_temp: 2000,
-            temp_steps: 60,
-            initial_temp_factor: 2.0,
-            cooling: 0.88,
-            seed: 1,
-            chains: 1,
-        }
-    }
-}
-
 impl AnnealOptions {
-    /// A fast low-quality schedule for tests.
+    /// A fast single-chain schedule: 25 temperature steps of 400 moves,
+    /// cooling by 0.88 per step from twice the mean random-swap |ΔHPWL|.
     pub fn quick(seed: u64) -> AnnealOptions {
         AnnealOptions {
             moves_per_temp: 400,
             temp_steps: 25,
+            initial_temp_factor: 2.0,
+            cooling: 0.88,
             seed,
-            ..AnnealOptions::default()
+            chains: 1,
         }
     }
 

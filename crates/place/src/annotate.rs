@@ -114,10 +114,7 @@ mod tests {
         let spread = Floorplan::build(
             &n,
             &lib,
-            FloorplanStrategy::Spread {
-                modules: 4,
-                die_side_um: 10_000.0,
-            },
+            FloorplanStrategy::Spread { modules: 4 },
             &AnnealOptions::quick(1),
         );
         let par_local = annotate(&n, &lib, &local.placement, true);
@@ -137,10 +134,7 @@ mod tests {
         let spread = Floorplan::build(
             &n,
             &lib,
-            FloorplanStrategy::Spread {
-                modules: 4,
-                die_side_um: 10_000.0,
-            },
+            FloorplanStrategy::Spread { modules: 4 },
             &AnnealOptions::quick(1),
         );
         let clock = ClockSpec::unconstrained();

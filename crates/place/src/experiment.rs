@@ -34,18 +34,12 @@ impl FloorplanStudy {
     /// far-apart modules. Deterministic in `seed`.
     pub fn run(netlist: &Netlist, lib: &Library, modules: usize, seed: u64) -> FloorplanStudy {
         let clock = ClockSpec::unconstrained();
-        let options = AnnealOptions {
-            seed,
-            ..AnnealOptions::quick(seed)
-        };
+        let options = AnnealOptions::quick(seed);
         let local = Floorplan::build(netlist, lib, FloorplanStrategy::Localized, &options);
         let spread = Floorplan::build(
             netlist,
             lib,
-            FloorplanStrategy::Spread {
-                modules,
-                die_side_um: 10_000.0,
-            },
+            FloorplanStrategy::Spread { modules },
             &options,
         );
         let ideal_period = analyze(netlist, lib, &clock, None).min_period;

@@ -19,16 +19,14 @@ pub struct Region {
 }
 
 impl Region {
-    /// The region's centre.
-    pub fn center(&self) -> (f64, f64) {
-        (self.x + self.w / 2.0, self.y + self.h / 2.0)
-    }
-
     /// `true` if `(x, y)` lies inside (inclusive).
     pub fn contains(&self, x: f64, y: f64) -> bool {
         x >= self.x && x <= self.x + self.w && y >= self.y && y <= self.y + self.h
     }
 }
+
+/// Side of the [`FloorplanStrategy::Spread`] die, µm.
+const DIE_SIDE_UM: f64 = 10_000.0;
 
 /// How the design is arranged on the die.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,16 +35,13 @@ pub enum FloorplanStrategy {
     /// floorplanning (§5.2).
     Localized,
     /// The design split into `modules` chunks placed at far corners of a
-    /// large die, so paths hop across chip-global distances — the
-    /// unfloorplanned comparison point of §5.1. The chunks follow
-    /// topological order, so a long combinational path visits each module
-    /// in turn.
+    /// 10 mm × 10 mm die (the paper's 100 mm² chip), so paths hop across
+    /// chip-global distances — the unfloorplanned comparison point of
+    /// §5.1. The chunks follow topological order, so a long combinational
+    /// path visits each module in turn.
     Spread {
         /// Number of far-apart modules.
         modules: usize,
-        /// Die side, µm (the paper's comparison used a 100 mm² ≈
-        /// 10 mm × 10 mm chip).
-        die_side_um: f64,
     },
 }
 
@@ -94,25 +89,22 @@ impl Floorplan {
                     placement,
                 }
             }
-            FloorplanStrategy::Spread {
-                modules,
-                die_side_um,
-            } => {
+            FloorplanStrategy::Spread { modules } => {
                 assert!(modules >= 2, "spread floorplan needs >= 2 modules");
                 let module_side =
                     Placement::required_side_um(netlist, lib, 0.7) / (modules as f64).sqrt() * 1.3;
                 assert!(
-                    die_side_um > 2.0 * module_side,
-                    "die ({die_side_um} um) too small for {modules} modules of {module_side} um"
+                    DIE_SIDE_UM > 2.0 * module_side,
+                    "die ({DIE_SIDE_UM} um) too small for {modules} modules of {module_side} um"
                 );
                 // Region centres around the die periphery so consecutive
                 // modules are far apart.
                 let regions: Vec<Region> = (0..modules)
                     .map(|k| {
                         let angle = std::f64::consts::TAU * k as f64 / modules as f64;
-                        let r = (die_side_um - module_side) / 2.0 - 1.0;
-                        let cx = die_side_um / 2.0 + r / std::f64::consts::SQRT_2 * angle.cos();
-                        let cy = die_side_um / 2.0 + r / std::f64::consts::SQRT_2 * angle.sin();
+                        let r = (DIE_SIDE_UM - module_side) / 2.0 - 1.0;
+                        let cx = DIE_SIDE_UM / 2.0 + r / std::f64::consts::SQRT_2 * angle.cos();
+                        let cy = DIE_SIDE_UM / 2.0 + r / std::f64::consts::SQRT_2 * angle.sin();
                         Region {
                             x: cx - module_side / 2.0,
                             y: cy - module_side / 2.0,
@@ -144,8 +136,8 @@ impl Floorplan {
 
                 // Lay out each module on its own grid.
                 let mut placement = Placement::initial(netlist, lib, 0.7);
-                placement.width_um = die_side_um;
-                placement.height_um = die_side_um;
+                placement.width_um = DIE_SIDE_UM;
+                placement.height_um = DIE_SIDE_UM;
                 let mut counters = vec![0usize; modules];
                 let per_module: Vec<usize> = (0..modules)
                     .map(|m| assignment.iter().filter(|&&a| a == m).count())
@@ -167,13 +159,13 @@ impl Floorplan {
                 for (k, p) in placement.inputs.iter_mut().enumerate() {
                     *p = (
                         0.0,
-                        (k as f64 + 0.5) * die_side_um / netlist.inputs().len().max(1) as f64,
+                        (k as f64 + 0.5) * DIE_SIDE_UM / netlist.inputs().len().max(1) as f64,
                     );
                 }
                 for (k, p) in placement.outputs.iter_mut().enumerate() {
                     *p = (
-                        die_side_um,
-                        (k as f64 + 0.5) * die_side_um / netlist.outputs().len().max(1) as f64,
+                        DIE_SIDE_UM,
+                        (k as f64 + 0.5) * DIE_SIDE_UM / netlist.outputs().len().max(1) as f64,
                     );
                 }
                 Floorplan {
@@ -222,10 +214,7 @@ mod tests {
         let fp = Floorplan::build(
             &n,
             &lib,
-            FloorplanStrategy::Spread {
-                modules: 4,
-                die_side_um: 10_000.0,
-            },
+            FloorplanStrategy::Spread { modules: 4 },
             &AnnealOptions::quick(1),
         );
         assert_eq!(fp.regions.len(), 4);
@@ -236,8 +225,9 @@ mod tests {
             );
         }
         // Regions are chip-global distances apart.
-        let (x0, y0) = fp.regions[0].center();
-        let (x2, y2) = fp.regions[2].center();
+        let center = |r: &Region| (r.x + r.w / 2.0, r.y + r.h / 2.0);
+        let (x0, y0) = center(&fp.regions[0]);
+        let (x2, y2) = center(&fp.regions[2]);
         let d = ((x0 - x2).powi(2) + (y0 - y2).powi(2)).sqrt();
         assert!(d > 4_000.0, "opposite modules {d} um apart");
     }
@@ -254,10 +244,7 @@ mod tests {
         let spread = Floorplan::build(
             &n,
             &lib,
-            FloorplanStrategy::Spread {
-                modules: 4,
-                die_side_um: 10_000.0,
-            },
+            FloorplanStrategy::Spread { modules: 4 },
             &AnnealOptions::quick(1),
         );
         let h_local = local.placement.total_hpwl(&n).value();

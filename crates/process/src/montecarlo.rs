@@ -58,10 +58,10 @@ impl ChipPopulation {
     /// `n` chips of the default within-die model, in lot order (unsorted).
     fn draw(components: &VariationComponents, n: usize, seed: u64) -> Vec<f64> {
         Self::draw_lots(n, seed, components, |rng, lot_wafer| {
-            let die = gauss(rng) * components.die_sigma;
+            let die = rng.gauss() * components.die_sigma;
             // Within-die: the worst of several path draws only slows
             // the chip.
-            let wid = gauss(rng).abs() * components.within_die_sigma;
+            let wid = rng.gauss().abs() * components.within_die_sigma;
             (lot_wafer + die - wid).exp()
         })
     }
@@ -81,7 +81,7 @@ impl ChipPopulation {
         seed: u64,
     ) -> ChipPopulation {
         Self::sorted(Self::draw_lots(n, seed, components, |rng, lot_wafer| {
-            let die = gauss(rng) * components.die_sigma;
+            let die = rng.gauss() * components.die_sigma;
             let wid = within_die.sample(rng);
             (lot_wafer + die).exp() * wid
         }))
@@ -102,9 +102,9 @@ impl ChipPopulation {
         let per_lot = Pool::from_env().run(lots, |lot_index| {
             let mut rng = Rng64::new(split_seed(seed, lot_index as u64));
             let mut lot_speeds = Vec::with_capacity(DIES_PER_LOT);
-            let lot = gauss(&mut rng) * components.lot_sigma;
+            let lot = rng.gauss() * components.lot_sigma;
             for _wafer in 0..WAFERS_PER_LOT {
-                let wafer = gauss(&mut rng) * components.wafer_sigma;
+                let wafer = rng.gauss() * components.wafer_sigma;
                 for _die in 0..DIES_PER_WAFER {
                     lot_speeds.push(die_speed(&mut rng, lot + wafer));
                 }
@@ -177,11 +177,6 @@ fn by_speed(a: &f64, b: &f64) -> std::cmp::Ordering {
 fn quantile_index(len: usize, q: f64) -> usize {
     assert!((0.0..=1.0).contains(&q), "quantile {q} out of [0, 1]");
     ((len - 1) as f64 * q).round() as usize
-}
-
-/// Box-Muller standard normal.
-fn gauss(rng: &mut Rng64) -> f64 {
-    rng.gauss()
 }
 
 #[cfg(test)]

@@ -2,6 +2,7 @@
 
 use crate::binning::{BinningPolicy, SpeedBins};
 use crate::foundry::foundry_lineup;
+use crate::maturity::MaturityModel;
 
 /// Every §8 claim, regenerated from the Monte-Carlo machinery.
 #[derive(Debug, Clone, PartialEq)]
@@ -9,6 +10,11 @@ pub struct VariationStudy {
     /// Typical silicon over the ASIC worst-case (corner) quote.
     /// Paper: 1.60–1.70 ("60% to 70% faster").
     pub typical_over_worst_case: f64,
+    /// Typical silicon over the statistical ASIC quote
+    /// ([`BinningPolicy::asic_worst_case`]: 99.5 % yield, 10 % guard
+    /// band) on the same fab — what the foundry can promise when it
+    /// quotes from its population instead of the slow corner.
+    pub typical_over_statistical_quote: f64,
     /// The fastest sellable bin over typical silicon on a new process.
     /// Paper: 1.20–1.40 ("20% to 40% faster, but without sufficient yield
     /// for low cost ASIC use").
@@ -23,6 +29,10 @@ pub struct VariationStudy {
     /// best fab) over an ASIC signed off worst-case on a merchant fab.
     /// Paper: ≈ 1.90.
     pub custom_access_over_asic: f64,
+    /// Share of the matured speed a design forfeits when its library is
+    /// never re-characterised ([`MaturityModel::stale_library_loss`]).
+    /// Paper: "as much as a 20% possible improvement in speed is lost".
+    pub stale_library_loss: f64,
 }
 
 impl VariationStudy {
@@ -37,6 +47,8 @@ impl VariationStudy {
 
         let corner_quote = BinningPolicy::corner_quote();
         let typical_over_worst_case = captive.median() / corner_quote;
+        let typical_over_statistical_quote =
+            captive.median() / BinningPolicy::asic_worst_case().quote(&captive);
 
         let bins = SpeedBins::from_quantiles(&captive, &[0.05, 0.50, 0.98]);
         let top_bin_over_typical = bins.top_bin_speed() / captive.median();
@@ -59,11 +71,13 @@ impl VariationStudy {
 
         VariationStudy {
             typical_over_worst_case,
+            typical_over_statistical_quote,
             top_bin_over_typical,
             top_bin_yield,
             foundry_spread,
             grading_gain,
             custom_access_over_asic,
+            stale_library_loss: MaturityModel::default().stale_library_loss(),
         }
     }
 }

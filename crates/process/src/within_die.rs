@@ -51,7 +51,7 @@ impl WithinDieModel {
         let worst = if self.paths <= EXACT_LIMIT {
             let mut worst = 0.0f64;
             for _ in 0..self.paths {
-                worst = worst.max(gauss(rng).abs());
+                worst = worst.max(rng.gauss().abs());
             }
             worst
         } else {
@@ -68,10 +68,6 @@ impl WithinDieModel {
         let mut rng = Rng64::new(seed);
         (0..n).map(|_| self.sample(&mut rng)).collect()
     }
-}
-
-fn gauss(rng: &mut Rng64) -> f64 {
-    rng.gauss()
 }
 
 #[cfg(test)]

@@ -21,8 +21,9 @@ use asicgap_tech::{Rng64, Technology};
 
 use super::*;
 use crate::negotiate::{
-    jitter_unit, raise_stamps, route_on, routed_net, terminals_of, RoutedNet, RouterOptions,
-    RoutingResult,
+    jitter_unit, negotiate, raise_stamps, route_on, routed_net, terminals_of, RoutedNet,
+    RouterOptions, RoutingResult, HISTORY_WEIGHT, JITTER, MAX_ITERATIONS, PRESENT_BASE,
+    PRESENT_GROWTH,
 };
 
 // ---- The reference, as the kernel stood before generation stamps. ----
@@ -161,6 +162,7 @@ fn route_on_reference(
     placement: &Placement,
     grid: RoutingGrid,
     options: &RouterOptions,
+    max_iterations: usize,
 ) -> RoutingResult {
     let nn = netlist.net_count();
     let mut terminals: Vec<Vec<usize>> = vec![Vec::new(); nn];
@@ -185,7 +187,7 @@ fn route_on_reference(
     let mut iterations = 0;
     let mut overflow = 0u64;
 
-    for iter in 0..options.max_iterations {
+    for iter in 0..max_iterations {
         iterations = iter + 1;
         let victims: Vec<usize> = if iter == 0 {
             routable.clone()
@@ -201,7 +203,7 @@ fn route_on_reference(
                 })
                 .collect()
         };
-        let pressure = options.present_base * options.present_growth.powi(iter as i32);
+        let pressure = PRESENT_BASE * PRESENT_GROWTH.powi(iter as i32);
         let rerouted = pool.map(&victims, |_, &i| {
             let own = &routes[i].0;
             let seed = split_seed(options.seed, (iter * nn + i) as u64);
@@ -211,8 +213,8 @@ fn route_on_reference(
                     u -= 1; // Jacobi: a net does not compete with itself.
                 }
                 let over = (u + 1).saturating_sub(grid.edge_capacity(e)) as f64;
-                let penalty = 1.0 + pressure * over + options.history_weight * history[e];
-                let j = 1.0 + options.jitter * jitter_unit(seed, e);
+                let penalty = 1.0 + pressure * over + HISTORY_WEIGHT * history[e];
+                let j = 1.0 + JITTER * jitter_unit(seed, e);
                 grid.edge_length_um(e) * penalty * j
             };
             route_net_reference(&grid, &cost, &terminals[i])
@@ -287,7 +289,7 @@ fn reroute_net_reference(
         return None;
     }
     let (terminals, escape_um) = terminals_of(&r.grid, &pins);
-    let pressure = options.present_base * options.present_growth.powi(r.iterations as i32);
+    let pressure = PRESENT_BASE * PRESENT_GROWTH.powi(r.iterations as i32);
     let seed = split_seed(options.seed, (r.iterations * r.nets.len() + i) as u64);
     let (edges, bends) = {
         let grid = &r.grid;
@@ -295,8 +297,8 @@ fn reroute_net_reference(
         let history = &r.history;
         let cost = move |e: usize| {
             let over = (usage[e] + 1).saturating_sub(grid.edge_capacity(e)) as f64;
-            let penalty = 1.0 + pressure * over + options.history_weight * history[e];
-            let j = 1.0 + options.jitter * jitter_unit(seed, e);
+            let penalty = 1.0 + pressure * over + HISTORY_WEIGHT * history[e];
+            let j = 1.0 + JITTER * jitter_unit(seed, e);
             grid.edge_length_um(e) * penalty * j
         };
         route_net_reference(grid, &cost, &terminals)
@@ -444,18 +446,15 @@ fn route_on_matches_reference_on_every_generator() {
             // Eight rounds: the scarce grids never converge, and eight
             // exercise pressure, history and the jitter streams as well
             // as forty-eight would, at a sixth of the cost.
-            let options = RouterOptions {
-                max_iterations: 8,
-                ..RouterOptions::seeded(seed)
-            };
+            let options = RouterOptions::seeded(seed);
             for grid in [
                 RoutingGrid::from_placement(&placement),
                 RoutingGrid::uniform(8, 8, 12.0, 2),
                 RoutingGrid::uniform(12, 12, 10.0, 3),
             ] {
                 let case = format!("{name} seed {seed} on {}x{}", grid.nx, grid.ny);
-                let want = route_on_reference(&netlist, &placement, grid.clone(), &options);
-                let got = route_on(&netlist, &placement, grid, &options);
+                let want = route_on_reference(&netlist, &placement, grid.clone(), &options, 8);
+                let got = negotiate(&netlist, &placement, grid, &options, 8);
                 assert_same(&got, &want, &case);
                 negotiated += usize::from(want.iterations > 1);
             }
@@ -603,7 +602,8 @@ fn one_thread_reuses_its_scratch_across_grid_sizes_and_stamp_wrap() {
         let placement = placed(&netlist, &lib, 3);
         let options = RouterOptions::seeded(3);
         let grid = RoutingGrid::uniform(6, 6, 20.0, 2);
-        let mut want = route_on_reference(&netlist, &placement, grid.clone(), &options);
+        let mut want =
+            route_on_reference(&netlist, &placement, grid.clone(), &options, MAX_ITERATIONS);
         let mut got = want.clone();
         let nets: Vec<NetId> = netlist.iter_nets().map(|(id, _)| id).collect();
         let widest = *nets
@@ -639,7 +639,8 @@ fn one_thread_reuses_its_scratch_across_grid_sizes_and_stamp_wrap() {
         // through a wrap.
         raise_stamps(high);
         for _ in 0..2 {
-            let want = route_on_reference(&netlist, &placement, grid.clone(), &options);
+            let want =
+                route_on_reference(&netlist, &placement, grid.clone(), &options, MAX_ITERATIONS);
             let got = route_on(&netlist, &placement, grid.clone(), &options);
             assert_same(&got, &want, "route_on through a wrap");
         }

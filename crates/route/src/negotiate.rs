@@ -64,46 +64,35 @@ pub(crate) fn raise_stamps(stamp: u32) -> u32 {
     })
 }
 
-/// Knobs of the negotiation loop.
+/// Rip-up-and-reroute rounds before the loop gives up with overflow left
+/// (the congestion tests assert convergence well inside this bound).
+pub(crate) const MAX_ITERATIONS: usize = 48;
+/// Present-congestion penalty at round 0 …
+pub(crate) const PRESENT_BASE: f64 = 1.0;
+/// … multiplied by this factor every round.
+pub(crate) const PRESENT_GROWTH: f64 = 1.6;
+/// Weight of the accumulated history penalty.
+pub(crate) const HISTORY_WEIGHT: f64 = 0.5;
+/// Relative amplitude of the deterministic per-(net, round, edge) cost
+/// jitter that breaks rip-up symmetry.
+pub(crate) const JITTER: f64 = 0.02;
+
+/// Knobs of the negotiation loop: only the jitter seed. The loop itself
+/// is fixed: at most 48 rounds; round `r` prices a grid edge at
+/// `length · (1 + 1.0 · 1.6^r · over + 0.5 · history) · (1 + 0.02 · u)`,
+/// where `over` is the overflow one more track would cause, `history` the
+/// edge's accumulated overflow and `u ∈ [0, 1)` the jitter draw.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RouterOptions {
-    /// Rip-up-and-reroute rounds before giving up (the congestion tests
-    /// assert convergence well inside this bound).
-    pub max_iterations: usize,
-    /// Present-congestion penalty at iteration 0 …
-    pub present_base: f64,
-    /// … multiplied by this factor every iteration.
-    pub present_growth: f64,
-    /// Weight of the accumulated history penalty.
-    pub history_weight: f64,
-    /// Relative amplitude of the deterministic per-(net, iteration, edge)
-    /// cost jitter that breaks rip-up symmetry.
-    pub jitter: f64,
     /// Base seed of the jitter streams.
     pub seed: u64,
 }
 
-impl Default for RouterOptions {
-    fn default() -> RouterOptions {
-        RouterOptions {
-            max_iterations: 48,
-            present_base: 1.0,
-            present_growth: 1.6,
-            history_weight: 0.5,
-            jitter: 0.02,
-            seed: 0xA51C_0001,
-        }
-    }
-}
-
 impl RouterOptions {
-    /// Default options with an explicit jitter seed (flows derive it from
-    /// the scenario seed so reruns reproduce).
+    /// Options with an explicit jitter seed (flows derive it from the
+    /// scenario seed so reruns reproduce).
     pub fn seeded(seed: u64) -> RouterOptions {
-        RouterOptions {
-            seed,
-            ..RouterOptions::default()
-        }
+        RouterOptions { seed }
     }
 }
 
@@ -223,7 +212,7 @@ impl RoutingResult {
     ///
     /// Edges are priced as negotiation round `self.iterations` would
     /// price them, one round past the last one run: present pressure
-    /// `present_base · present_growth^iterations`, and the jitter stream
+    /// `1.0 · 1.6^iterations`, and the jitter stream
     /// `split_seed(seed, iterations · nets.len() + net)`, with
     /// `nets.len()` read after the table is extended. Routed `CLOSE`
     /// results are pinned on this pricing.
@@ -253,7 +242,7 @@ impl RoutingResult {
             return None;
         }
         let (terminals, escape_um) = terminals_of(&self.grid, &pins);
-        let pressure = options.present_base * options.present_growth.powi(self.iterations as i32);
+        let pressure = PRESENT_BASE * PRESENT_GROWTH.powi(self.iterations as i32);
         let seed = split_seed(options.seed, (self.iterations * self.nets.len() + i) as u64);
         let (edges, bends) = {
             let grid = &self.grid;
@@ -261,8 +250,8 @@ impl RoutingResult {
             let history = &self.history;
             let cost = move |e: usize| {
                 let over = (usage[e] + 1).saturating_sub(grid.edge_capacity(e)) as f64;
-                let penalty = 1.0 + pressure * over + options.history_weight * history[e];
-                let j = 1.0 + options.jitter * jitter_unit(seed, e);
+                let penalty = 1.0 + pressure * over + HISTORY_WEIGHT * history[e];
+                let j = 1.0 + JITTER * jitter_unit(seed, e);
                 grid.edge_length_um(e) * penalty * j
             };
             WORKER.with_borrow_mut(|w| w.net.route_net(grid, &cost, &terminals))
@@ -347,6 +336,19 @@ pub fn route_on(
     grid: RoutingGrid,
     options: &RouterOptions,
 ) -> RoutingResult {
+    negotiate(netlist, placement, grid, options, MAX_ITERATIONS)
+}
+
+/// The negotiation loop, capped at `max_iterations` rounds ([`route_on`]
+/// passes [`MAX_ITERATIONS`]; the kernel oracle passes fewer to bound its
+/// run time).
+pub(crate) fn negotiate(
+    netlist: &Netlist,
+    placement: &Placement,
+    grid: RoutingGrid,
+    options: &RouterOptions,
+    max_iterations: usize,
+) -> RoutingResult {
     let nn = netlist.net_count();
     let mut terminals: Vec<Vec<usize>> = vec![Vec::new(); nn];
     let mut escapes = vec![0.0f64; nn];
@@ -370,7 +372,7 @@ pub fn route_on(
     let mut iterations = 0;
     let mut overflow = 0u64;
 
-    for iter in 0..options.max_iterations {
+    for iter in 0..max_iterations {
         iterations = iter + 1;
         // Iteration 0 routes everything; later rounds rip up only the
         // nets crossing an over-capacity edge.
@@ -388,7 +390,7 @@ pub fn route_on(
                 })
                 .collect()
         };
-        let pressure = options.present_base * options.present_growth.powi(iter as i32);
+        let pressure = PRESENT_BASE * PRESENT_GROWTH.powi(iter as i32);
         let rerouted = pool.map(&victims, |_, &i| {
             let seed = split_seed(options.seed, (iter * nn + i) as u64);
             WORKER.with_borrow_mut(|w| {
@@ -403,8 +405,8 @@ pub fn route_on(
                         u -= 1; // Jacobi: a net does not compete with itself.
                     }
                     let over = (u + 1).saturating_sub(grid.edge_capacity(e)) as f64;
-                    let penalty = 1.0 + pressure * over + options.history_weight * history[e];
-                    let j = 1.0 + options.jitter * jitter_unit(seed, e);
+                    let penalty = 1.0 + pressure * over + HISTORY_WEIGHT * history[e];
+                    let j = 1.0 + JITTER * jitter_unit(seed, e);
                     grid.edge_length_um(e) * penalty * j
                 };
                 w.net.route_net(&grid, &cost, &terminals[i])

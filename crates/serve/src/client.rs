@@ -112,8 +112,41 @@ impl Client {
         }
     }
 
-    /// Submits one run and waits for its outcome. `Ok(None)` means the
-    /// server said `BUSY` (the retry hint is returned alongside).
+    /// Sends one flow request (`RUN` or `CLOSE`) and waits for its
+    /// outcome; the `Err` side of the inner result is the server's `BUSY`
+    /// retry hint.
+    #[allow(clippy::type_complexity)]
+    fn flow(&mut self, req: &Request) -> Result<Result<(Source, String), u32>, ClientError> {
+        match self.call(req)? {
+            Response::Outcome { source, text } => Ok(Ok((source, text))),
+            Response::Busy { retry_after_ms } => Ok(Err(retry_after_ms)),
+            Response::Error { message } => Err(ClientError::Server(message)),
+            other => Err(ClientError::Unexpected(other.encode())),
+        }
+    }
+
+    /// [`Client::flow`], sleeping out `BUSY` hints up to `max_attempts`
+    /// times.
+    fn flow_retry(
+        &mut self,
+        req: &Request,
+        max_attempts: u32,
+    ) -> Result<(Source, String), ClientError> {
+        let mut attempts = 0;
+        loop {
+            attempts += 1;
+            match self.flow(req)? {
+                Ok(done) => return Ok(done),
+                Err(retry_after_ms) if attempts < max_attempts => {
+                    thread::sleep(Duration::from_millis(u64::from(retry_after_ms.max(1))));
+                }
+                Err(_) => return Err(ClientError::StillBusy { attempts }),
+            }
+        }
+    }
+
+    /// Submits one run and waits for its outcome. `Ok(Err(hint))` means
+    /// the server said `BUSY`, with its retry hint in milliseconds.
     ///
     /// # Errors
     ///
@@ -121,12 +154,7 @@ impl Client {
     /// [`ClientError::Proto`] on transport failure.
     #[allow(clippy::type_complexity)]
     pub fn run(&mut self, req: RunRequest) -> Result<Result<(Source, String), u32>, ClientError> {
-        match self.call(&Request::Run(req))? {
-            Response::Outcome { source, text } => Ok(Ok((source, text))),
-            Response::Busy { retry_after_ms } => Ok(Err(retry_after_ms)),
-            Response::Error { message } => Err(ClientError::Server(message)),
-            other => Err(ClientError::Unexpected(other.encode())),
-        }
+        self.flow(&Request::Run(req))
     }
 
     /// [`Client::run`], sleeping out `BUSY` hints up to `max_attempts`
@@ -141,22 +169,12 @@ impl Client {
         req: RunRequest,
         max_attempts: u32,
     ) -> Result<(Source, String), ClientError> {
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            match self.run(req.clone())? {
-                Ok(done) => return Ok(done),
-                Err(retry_after_ms) if attempts < max_attempts => {
-                    thread::sleep(Duration::from_millis(u64::from(retry_after_ms.max(1))));
-                }
-                Err(_) => return Err(ClientError::StillBusy { attempts }),
-            }
-        }
+        self.flow_retry(&Request::Run(req), max_attempts)
     }
 
-    /// Submits one timing-closure run and waits for its outcome.
-    /// `Ok(None)`-style semantics match [`Client::run`]: the `Err` side
-    /// of the inner result is the server's `BUSY` retry hint.
+    /// Submits one timing-closure run and waits for its outcome; the
+    /// `Err` side of the inner result is the server's `BUSY` retry hint,
+    /// as for [`Client::run`].
     ///
     /// # Errors
     ///
@@ -168,12 +186,7 @@ impl Client {
         &mut self,
         req: CloseRequest,
     ) -> Result<Result<(Source, String), u32>, ClientError> {
-        match self.call(&Request::Close(req))? {
-            Response::Outcome { source, text } => Ok(Ok((source, text))),
-            Response::Busy { retry_after_ms } => Ok(Err(retry_after_ms)),
-            Response::Error { message } => Err(ClientError::Server(message)),
-            other => Err(ClientError::Unexpected(other.encode())),
-        }
+        self.flow(&Request::Close(req))
     }
 
     /// [`Client::close`], sleeping out `BUSY` hints up to `max_attempts`
@@ -188,17 +201,7 @@ impl Client {
         req: CloseRequest,
         max_attempts: u32,
     ) -> Result<(Source, String), ClientError> {
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            match self.close(req.clone())? {
-                Ok(done) => return Ok(done),
-                Err(retry_after_ms) if attempts < max_attempts => {
-                    thread::sleep(Duration::from_millis(u64::from(retry_after_ms.max(1))));
-                }
-                Err(_) => return Err(ClientError::StillBusy { attempts }),
-            }
-        }
+        self.flow_retry(&Request::Close(req), max_attempts)
     }
 
     /// Uploads a design payload; returns the canonical

@@ -237,11 +237,6 @@ impl Scheduler {
         self.state.lock().expect("sched lock").queue.len()
     }
 
-    /// Jobs queued or executing.
-    pub fn inflight_count(&self) -> usize {
-        self.state.lock().expect("sched lock").inflight.len()
-    }
-
     /// Admits one `RUN` request; see the module docs for the four
     /// outcomes.
     pub fn submit(&self, req: RunRequest) -> Admission {
@@ -584,7 +579,7 @@ mod tests {
             j.wait().expect("admitted jobs complete");
         }
         assert_eq!(sched.queue_depth(), 0, "queue drains after burst");
-        assert_eq!(sched.inflight_count(), 0);
+        assert_eq!(sched.state.lock().expect("sched lock").inflight.len(), 0);
         assert_eq!(sched.stats().busy_rejections, busy);
         sched.shutdown();
         sched.join();

@@ -8,29 +8,21 @@ use asicgap_tech::Ps;
 use crate::continuous::sizes_from_cells;
 use crate::incremental::IncrementalSizedTiming;
 
-/// Sizing loop parameters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TilosOptions {
-    /// Multiplicative bump applied to the chosen gate each iteration.
-    pub step: f64,
-    /// Iteration budget.
-    pub max_iterations: usize,
-    /// Upper bound on any single size (unit-inverter multiples).
-    pub max_size: f64,
-    /// Stop when an iteration improves delay by less than this fraction.
-    pub min_gain: f64,
-}
+/// Multiplicative bump applied to the chosen gate each iteration.
+const STEP: f64 = 1.15;
+/// Iteration budget.
+const MAX_ITERATIONS: usize = 3000;
+/// Upper bound on any single size (unit-inverter multiples).
+const MAX_SIZE: f64 = 64.0;
+/// Stop when an iteration improves delay by less than this fraction.
+const MIN_GAIN: f64 = 1.0e-5;
 
-impl Default for TilosOptions {
-    fn default() -> TilosOptions {
-        TilosOptions {
-            step: 1.15,
-            max_iterations: 3000,
-            max_size: 64.0,
-            min_gain: 1.0e-5,
-        }
-    }
-}
+/// Options of [`tilos_size`]: none. The loop is fixed: each iteration
+/// bumps one gate by ×1.15, no size exceeds 64 unit inverters, and it
+/// stops after 3000 iterations or once an iteration gains less than 10⁻⁵
+/// of the delay.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TilosOptions {}
 
 /// Outcome of a sizing run.
 #[derive(Debug, Clone)]
@@ -60,15 +52,10 @@ impl SizingResult {
     pub fn speedup(&self) -> f64 {
         self.initial_delay / self.final_delay
     }
-
-    /// Area growth ratio (≥ 1).
-    pub fn area_growth(&self) -> f64 {
-        self.area_after / self.area_before
-    }
 }
 
 /// Runs greedy sensitivity-driven sizing: each iteration evaluates, walks
-/// the critical path, trials a `step` bump on every path gate, and commits
+/// the critical path, trials a ×1.15 bump on every path gate, and commits
 /// the bump with the best delay improvement per added area. Stops at the
 /// iteration budget or when no bump helps.
 ///
@@ -82,7 +69,18 @@ impl SizingResult {
 /// on critical paths where they are optimally sized … can make a speed
 /// difference of 20% or more \[7\]"; "Iterative transistor resizing and
 /// resynthesis can improve speeds by 20% \[8\]".
-pub fn tilos_size(netlist: &Netlist, lib: &Library, options: &TilosOptions) -> SizingResult {
+pub fn tilos_size(netlist: &Netlist, lib: &Library, _options: &TilosOptions) -> SizingResult {
+    tilos_loop(netlist, lib, MAX_ITERATIONS, MAX_SIZE)
+}
+
+/// The sizing loop under explicit caps ([`tilos_size`] passes
+/// [`MAX_ITERATIONS`] and [`MAX_SIZE`]; tests pass tighter ones).
+fn tilos_loop(
+    netlist: &Netlist,
+    lib: &Library,
+    max_iterations: usize,
+    max_size: f64,
+) -> SizingResult {
     let sizes = sizes_from_cells(netlist, lib);
     let area_before: f64 = sizes.iter().sum();
     let mut timing = IncrementalSizedTiming::new(netlist, lib, sizes);
@@ -90,7 +88,7 @@ pub fn tilos_size(netlist: &Netlist, lib: &Library, options: &TilosOptions) -> S
     let mut evaluations = 1;
 
     let mut iterations = 0;
-    while iterations < options.max_iterations {
+    while iterations < max_iterations {
         let current = timing.critical_delay();
         let path = timing.critical_path();
         if path.is_empty() {
@@ -104,8 +102,8 @@ pub fn tilos_size(netlist: &Netlist, lib: &Library, options: &TilosOptions) -> S
                 continue;
             }
             let old = timing.size(inst);
-            let new_size = old * options.step;
-            if new_size > options.max_size {
+            let new_size = old * STEP;
+            if new_size > max_size {
                 continue;
             }
             let trial = timing.trial_critical_delay(inst, new_size);
@@ -123,10 +121,10 @@ pub fn tilos_size(netlist: &Netlist, lib: &Library, options: &TilosOptions) -> S
         }
         let Some((inst, _)) = best else { break };
         let improvement = (current - best_delay) / current;
-        timing.set_size(inst, timing.size(inst) * options.step);
+        timing.set_size(inst, timing.size(inst) * STEP);
         evaluations += 1;
         iterations += 1;
-        if improvement < options.min_gain {
+        if improvement < MIN_GAIN {
             break;
         }
     }
@@ -169,7 +167,7 @@ mod tests {
             "TILOS speedup {:.3} too small",
             r.speedup()
         );
-        assert!(r.area_growth() > 1.0);
+        assert!(r.area_after > r.area_before);
         assert!(r.iterations > 10);
     }
 
@@ -191,11 +189,7 @@ mod tests {
         let tech = Technology::cmos025_asic();
         let lib = LibrarySpec::rich().build(&tech);
         let n = generators::array_multiplier(&lib, 6).expect("mult6");
-        let opts = TilosOptions {
-            max_iterations: 5,
-            ..TilosOptions::default()
-        };
-        let r = tilos_size(&n, &lib, &opts);
+        let r = tilos_loop(&n, &lib, 5, MAX_SIZE);
         assert!(r.iterations <= 5);
     }
 
@@ -232,11 +226,7 @@ mod tests {
         let tech = Technology::cmos025_asic();
         let lib = LibrarySpec::rich().build(&tech);
         let n = generators::ripple_carry_adder(&lib, 8).expect("rca8");
-        let opts = TilosOptions {
-            max_size: 4.0,
-            ..TilosOptions::default()
-        };
-        let r = tilos_size(&n, &lib, &opts);
+        let r = tilos_loop(&n, &lib, MAX_ITERATIONS, 4.0);
         assert!(r.sizes.iter().all(|&s| s <= 4.0 + 1e-9));
     }
 }

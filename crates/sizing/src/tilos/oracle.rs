@@ -1,6 +1,7 @@
 //! Differential oracle for the incremental TILOS loop: the
 //! full-re-analysis loop it replaced (PR 1) survives here, test-only and
-//! verbatim, and [`tilos_size`] must reach the same sizes to the bit.
+//! verbatim, and the incremental loop behind [`tilos_size`] must reach the
+//! same sizes to the bit.
 //! Every decision the loop takes — which gate to bump, when to stop —
 //! reads arrivals, so equal sizes mean the incremental cones propagated
 //! exactly what a whole-netlist pass would have.
@@ -23,13 +24,13 @@ use crate::continuous::SizedTiming;
 fn tilos_full_reanalysis(
     netlist: &Netlist,
     lib: &Library,
-    options: &TilosOptions,
+    max_iterations: usize,
 ) -> (Vec<f64>, usize) {
     let mut sizes = sizes_from_cells(netlist, lib);
     let mut timing = SizedTiming::evaluate(netlist, lib, &sizes);
     let mut evals = 1usize;
     let mut iterations = 0;
-    while iterations < options.max_iterations {
+    while iterations < max_iterations {
         let path = timing.critical_path();
         if path.is_empty() {
             break;
@@ -41,8 +42,8 @@ fn tilos_full_reanalysis(
             if netlist.instance(inst).is_sequential() {
                 continue;
             }
-            let new_size = sizes[i] * options.step;
-            if new_size > options.max_size {
+            let new_size = sizes[i] * STEP;
+            if new_size > MAX_SIZE {
                 continue;
             }
             let old = sizes[i];
@@ -62,11 +63,11 @@ fn tilos_full_reanalysis(
         }
         let Some((i, _)) = best else { break };
         let improvement = (timing.critical_delay - best_delay) / timing.critical_delay;
-        sizes[i] *= options.step;
+        sizes[i] *= STEP;
         timing = SizedTiming::evaluate(netlist, lib, &sizes);
         evals += 1;
         iterations += 1;
-        if improvement < options.min_gain {
+        if improvement < MIN_GAIN {
             break;
         }
     }
@@ -78,12 +79,8 @@ fn incremental_tilos_matches_full_reanalysis_bitwise() {
     let tech = Technology::cmos025_asic();
     let lib = LibrarySpec::rich().build(&tech);
     let n = generators::array_multiplier(&lib, 16).expect("mult16");
-    let opts = TilosOptions {
-        max_iterations: 30,
-        ..TilosOptions::default()
-    };
-    let (full_sizes, full_evals) = tilos_full_reanalysis(&n, &lib, &opts);
-    let r = tilos_size(&n, &lib, &opts);
+    let (full_sizes, full_evals) = tilos_full_reanalysis(&n, &lib, 30);
+    let r = tilos_loop(&n, &lib, 30, MAX_SIZE);
     assert_eq!(full_sizes, r.sizes, "decisions must be bitwise identical");
     assert_eq!(full_evals, r.evaluations, "same trials, same commits");
 }

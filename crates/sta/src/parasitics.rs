@@ -39,11 +39,6 @@ impl NetParasitics {
         self.delay[net.index()]
     }
 
-    /// Total wire capacitance over the design (for power proxies).
-    pub fn total_cap(&self) -> Ff {
-        self.cap.iter().copied().sum()
-    }
-
     /// Extends the tables with ideal (zero) entries up to `n_nets` nets,
     /// so parasitics stay usable after buffer insertion appends nets.
     pub(crate) fn grow(&mut self, n_nets: usize) {
@@ -71,7 +66,7 @@ mod tests {
             assert_eq!(p.cap(id), Ff::ZERO);
             assert_eq!(p.delay(id), Ps::ZERO);
         }
-        assert_eq!(p.total_cap(), Ff::ZERO);
+        assert_eq!(p.cap.iter().copied().sum::<Ff>(), Ff::ZERO);
     }
 
     #[test]
@@ -84,6 +79,6 @@ mod tests {
         p.set(net, Ff::new(12.0), Ps::new(30.0));
         assert_eq!(p.cap(net), Ff::new(12.0));
         assert_eq!(p.delay(net), Ps::new(30.0));
-        assert_eq!(p.total_cap(), Ff::new(12.0));
+        assert_eq!(p.cap.iter().copied().sum::<Ff>(), Ff::new(12.0));
     }
 }

@@ -12,9 +12,10 @@ use crate::buffer::buffer_high_fanout;
 use crate::drive::{select_drives_with, DriveOptions};
 use crate::error::SynthError;
 use crate::map::{map_with_seq, MapOptions};
-use crate::pass::{PassKind, PassPipeline};
 use crate::reentry::netlist_to_aig;
-use crate::rewrite::RewriteOptions;
+
+/// Logical-effort stage gain targeted by drive selection.
+const TARGET_GAIN: f64 = 4.0;
 
 /// One verified transform boundary: which stage, and what the proof
 /// cost. Returned by [`SynthFlow::synth_verified`] and
@@ -33,8 +34,9 @@ pub struct StageProof {
 ///
 /// Each knob is an ablation axis for the experiments: `balance` is the
 /// technology-independent restructuring step, `map.use_complex` the §4.2
-/// complex-gate question, `target_gain`/`buffer_max_fanout` the §6
-/// electrical discipline. `verify` arms per-stage equivalence checking:
+/// complex-gate question, `drive_passes`/`buffer_max_fanout` the §6
+/// electrical discipline (drive selection targets a logical-effort stage
+/// gain of 4). `verify` arms per-stage equivalence checking:
 /// every transform boundary is proven (or smoke-tested) function-
 /// preserving before the flow returns.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,12 +45,6 @@ pub struct SynthFlow {
     pub balance: bool,
     /// Mapper options.
     pub map: MapOptions,
-    /// Post-mapping rewrite passes, run in order before buffering and
-    /// drive selection (empty = mapping only). Each pass is verified at
-    /// [`SynthFlow::verify`] like every other stage.
-    pub passes: Vec<PassKind>,
-    /// Logical-effort stage gain targeted by drive selection.
-    pub target_gain: f64,
     /// Drive-selection sweeps.
     pub drive_passes: usize,
     /// Maximum net fanout before buffers split it.
@@ -62,8 +58,6 @@ impl Default for SynthFlow {
         SynthFlow {
             balance: true,
             map: MapOptions::default(),
-            passes: Vec::new(),
-            target_gain: 4.0,
             drive_passes: 3,
             buffer_max_fanout: 8,
             verify: VerifyLevel::Off,
@@ -81,8 +75,6 @@ impl SynthFlow {
                 use_complex: false,
                 max_fanin: 2,
             },
-            passes: Vec::new(),
-            target_gain: 4.0,
             drive_passes: 0,
             buffer_max_fanout: usize::MAX / 2,
             verify: VerifyLevel::Off,
@@ -207,15 +199,6 @@ impl SynthFlow {
         proofs: &mut Vec<StageProof>,
     ) -> Result<(), SynthError> {
         let keep_golden = self.verify != VerifyLevel::Off;
-        if !self.passes.is_empty() {
-            let pipeline = PassPipeline {
-                passes: self.passes.clone(),
-                verify: self.verify,
-                options: RewriteOptions::default(),
-            };
-            let deltas = pipeline.run(netlist, lib)?;
-            proofs.extend(deltas.into_iter().filter_map(|d| d.proof));
-        }
         if self.buffer_max_fanout < usize::MAX / 2 {
             let before = keep_golden.then(|| netlist.clone());
             buffer_high_fanout(netlist, lib, self.buffer_max_fanout)?;
@@ -230,7 +213,7 @@ impl SynthFlow {
                 lib,
                 &DriveOptions {
                     parasitics: None,
-                    target_gain: self.target_gain,
+                    target_gain: TARGET_GAIN,
                     passes: self.drive_passes,
                 },
             );

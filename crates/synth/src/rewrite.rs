@@ -39,13 +39,15 @@ use crate::aig::Aig;
 use crate::error::SynthError;
 use crate::map::{map_aig, MapOptions};
 
-/// Knobs of [`rewrite_pass`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Priority cuts kept per net during enumeration.
+const MAX_CUTS: usize = 6;
+/// Largest replacement structure considered (library cells).
+const MAX_TEMPLATE_GATES: usize = 8;
+
+/// Knobs of [`rewrite_pass`]: only the sabotage hook. The pass keeps 6
+/// priority cuts per net and considers replacements of at most 8 cells.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RewriteOptions {
-    /// Priority cuts kept per net during enumeration.
-    pub max_cuts: usize,
-    /// Largest replacement structure considered (library cells).
-    pub max_template_gates: usize,
     /// **Test-only sabotage hook**: corrupt the N-th accepted
     /// substitution (0-based) by inserting a spurious inverter between
     /// the replacement cone and the redirected sinks — a wrong-phase
@@ -53,16 +55,6 @@ pub struct RewriteOptions {
     /// tests can prove the per-pass equivalence checker actually
     /// catches a broken rewrite; never set outside tests.
     pub corrupt_substitution: Option<usize>,
-}
-
-impl Default for RewriteOptions {
-    fn default() -> RewriteOptions {
-        RewriteOptions {
-            max_cuts: 6,
-            max_template_gates: 8,
-            corrupt_substitution: None,
-        }
-    }
 }
 
 /// What a pass did, in counts.
@@ -156,11 +148,6 @@ impl ReplacementLibrary {
             rl.template_for(tt, lib);
         }
         rl
-    }
-
-    /// NPN classes seen so far (seeded + lazily discovered).
-    pub fn class_count(&self) -> usize {
-        self.classes.len()
     }
 
     /// The template for `tt` (over its 4-variable minterm encoding),
@@ -296,7 +283,7 @@ pub fn rewrite_pass(
     opts: &RewriteOptions,
 ) -> Result<RewriteStats, SynthError> {
     let order = netlist.topo_order()?;
-    let cuts = enumerate_cuts(netlist, opts.max_cuts);
+    let cuts = enumerate_cuts(netlist, MAX_CUTS);
     let mut level = net_levels(netlist);
     let mut repl: HashMap<NetId, NetId> = HashMap::new();
     let mut stats = RewriteStats::default();
@@ -345,7 +332,7 @@ pub fn rewrite_pass(
                     leaves.sort_by(|a, b| b.2.cmp(&a.2).then(a.1.cmp(&b.1)));
                     let tt_sorted = permute_tt(cut.tt, &leaves);
                     replib.template_for(tt_sorted, lib).and_then(|t| {
-                        if t.gates.len() > opts.max_template_gates {
+                        if t.gates.len() > MAX_TEMPLATE_GATES {
                             return None;
                         }
                         let leaf_levels: Vec<usize> = leaves.iter().map(|l| l.2).collect();
@@ -689,7 +676,7 @@ mod tests {
     fn replacement_library_seeds_library_classes() {
         let (lib, _) = rich();
         let rl = ReplacementLibrary::for_library(&lib);
-        assert!(rl.class_count() >= 5, "classes: {}", rl.class_count());
+        assert!(rl.classes.len() >= 5, "classes: {}", rl.classes.len());
     }
 
     #[test]
@@ -800,7 +787,6 @@ mod tests {
         let mut rl = ReplacementLibrary::for_library(&lib);
         let opts = RewriteOptions {
             corrupt_substitution: Some(subs - 1),
-            ..RewriteOptions::default()
         };
         let stats = rewrite_pass(&mut n, &lib, &mut rl, &opts).expect("pass");
         assert_eq!(stats.corrupted, 1);

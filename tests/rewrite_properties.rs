@@ -229,7 +229,6 @@ fn corrupted_substitution_is_caught_with_confirmed_counterexample() {
     let mut replib = ReplacementLibrary::for_library(&lib);
     let opts = RewriteOptions {
         corrupt_substitution: Some(subs - 1),
-        ..RewriteOptions::default()
     };
     let stats =
         rewrite_pass(&mut corrupted, &lib, &mut replib, &opts).expect("sabotaged pass runs");

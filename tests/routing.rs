@@ -93,10 +93,7 @@ fn routed_bound_survives_a_spread_floorplan() {
     let fp = Floorplan::build(
         &n,
         &lib,
-        FloorplanStrategy::Spread {
-            modules: 4,
-            die_side_um: 10_000.0,
-        },
+        FloorplanStrategy::Spread { modules: 4 },
         &AnnealOptions::quick(3),
     );
     let r = route(&n, &fp.placement, &RouterOptions::seeded(3));
@@ -147,10 +144,7 @@ fn negotiation_converges_on_a_congested_floorplan() {
         "negotiation must converge on a feasible grid (after {} iterations)",
         r.iterations
     );
-    assert!(
-        r.iterations <= options.max_iterations,
-        "convergence must be bounded"
-    );
+    assert!(r.iterations <= 48, "convergence must be bounded");
     assert!(r.max_congestion() <= 1.0);
 }
 

@@ -414,3 +414,25 @@ fn protocol_violations_answered_or_dropped_not_panicked() {
     client.shutdown().expect("shutdown");
     server.join().expect("server drains");
 }
+
+#[test]
+fn retry_helpers_give_up_with_still_busy() {
+    // A queue of 0 admits nothing: every attempt is answered BUSY, so
+    // each retry helper gives up after exactly its attempt budget.
+    let (addr, server) = start_server(1, 0);
+    let mut client = connect(addr);
+    let run = client.run_retry(small(3), 3);
+    assert!(
+        matches!(run, Err(ClientError::StillBusy { attempts: 3 })),
+        "{run:?}"
+    );
+    let close = client.close_retry(CloseRequest::small(1.0), 3);
+    assert!(
+        matches!(close, Err(ClientError::StillBusy { attempts: 3 })),
+        "{close:?}"
+    );
+    assert_eq!(client.stats().expect("stats").busy_rejections, 6);
+
+    client.shutdown().expect("shutdown");
+    server.join().expect("server drains");
+}
