@@ -156,42 +156,6 @@ impl Candidate {
     }
 }
 
-/// TNS at the graph's current clock: the sum of negative endpoint slacks,
-/// replicating the endpoint arithmetic of `report_timing` without tracing
-/// any paths.
-fn total_negative_slack(graph: &mut TimingGraph<'_>) -> Ps {
-    let clock = graph.clock();
-    let capture = clock.skew + clock.jitter;
-    let lib = graph.library();
-    let mut endpoints: Vec<(NetId, Ps)> = Vec::new();
-    {
-        let netlist = graph.netlist();
-        for (_, inst) in netlist.iter_instances() {
-            if !inst.is_sequential() {
-                continue;
-            }
-            let setup = lib
-                .cell(inst.cell())
-                .kind
-                .seq_timing()
-                .expect("sequential timing")
-                .setup;
-            endpoints.push((inst.fanin()[0], setup + capture));
-        }
-        for (_, net) in netlist.outputs() {
-            endpoints.push((*net, clock.skew));
-        }
-    }
-    let mut tns = Ps::ZERO;
-    for (net, overhead) in endpoints {
-        let slack = clock.period - (graph.arrival(net) + overhead);
-        if slack < Ps::ZERO {
-            tns += slack;
-        }
-    }
-    tns
-}
-
 /// A sound lower bound on the minimum period any resize/buffer/reroute
 /// schedule could reach: the deepest logic path has `depth` gate stages
 /// (from [`depth_histogram`]), and no library gate evaluates faster than
@@ -257,7 +221,7 @@ pub fn close_on<'a>(
     let mut routes_stale = false;
 
     let start_wns = graph.wns();
-    let start_tns = total_negative_slack(graph);
+    let start_tns = graph.tns();
     let start_area_um2 = graph.netlist().total_area_um2(lib);
 
     let mut iterations: Vec<IterationRecord> = Vec::new();
@@ -306,7 +270,7 @@ pub fn close_on<'a>(
         match committed {
             Some(mv) => {
                 let wns = graph.wns();
-                let tns = total_negative_slack(graph);
+                let tns = graph.tns();
                 let area_um2 = graph.netlist().total_area_um2(lib);
                 let pins_after = base_effort.pins_touched + graph.stats().pins_touched;
                 iterations.push(IterationRecord {

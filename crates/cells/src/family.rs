@@ -51,14 +51,6 @@ impl LogicFamily {
             LogicFamily::Domino => 2.2,
         }
     }
-
-    /// Short lowercase tag used in cell names.
-    pub fn tag(self) -> &'static str {
-        match self {
-            LogicFamily::StaticCmos => "s",
-            LogicFamily::Domino => "dom",
-        }
-    }
 }
 
 impl fmt::Display for LogicFamily {

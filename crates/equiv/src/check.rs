@@ -7,7 +7,7 @@ use asicgap_cells::Library;
 use asicgap_netlist::{Netlist, Simulator};
 
 use crate::error::EquivError;
-use crate::graph::{Graph, Lit};
+use crate::graph::{AigOps, Graph, Lit};
 use crate::miter::{import_netlist, ImportedNetlist, SeqMode};
 use crate::sat::{SatLit, SatOutcome, Solver};
 
@@ -104,35 +104,23 @@ impl EquivReport {
     }
 }
 
-/// Options for [`check_equiv_with`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EquivOptions {
-    /// Sequential handling for the golden side.
-    pub seq_a: SeqMode,
-    /// Sequential handling for the candidate side.
-    pub seq_b: SeqMode,
-}
-
 /// A raw (not yet replayed) counterexample over miter-graph inputs.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RawCounterexample {
+pub(crate) struct RawCounterexample {
     /// The differing output pair's name.
-    pub output: String,
+    pub(crate) output: String,
     /// Assignment of every miter input, in graph input order.
-    pub assignment: Vec<(String, bool)>,
+    pub(crate) assignment: Vec<(String, bool)>,
 }
 
 /// Pairs two imported output lists by name and proves each pair equal:
 /// structurally when strashing already merged them, by SAT otherwise.
 /// Returns at the first diverging cone.
 ///
-/// This is the engine under [`check_equiv`]; callers with a non-netlist
-/// golden side (e.g. an AIG mirrored into `g`) use it directly.
-///
 /// # Errors
 ///
 /// [`EquivError::InterfaceMismatch`] if the output name sets differ.
-pub fn prove_outputs(
+pub(crate) fn prove_outputs(
     g: &mut Graph,
     golden: &[(String, Lit)],
     candidate: &[(String, Lit)],
@@ -261,15 +249,17 @@ fn solve_cone(g: &Graph, root: Lit, effort: &mut EquivEffort) -> Option<Vec<(Str
                 .collect();
             // The model must reproduce on the graph itself.
             let by_pos: Vec<bool> = assignment.iter().map(|&(_, v)| v).collect();
-            debug_assert!(g.eval(root, &by_pos), "SAT model does not satisfy the cone");
+            debug_assert!(
+                g.eval([root], &by_pos)[0],
+                "SAT model does not satisfy the cone"
+            );
             Some(assignment)
         }
     }
 }
 
-/// Checks combinational (register-cut) equivalence of two netlists with
-/// default options. Inputs, outputs, and register cut points are matched
-/// by name.
+/// Checks combinational (register-cut) equivalence of two netlists.
+/// Inputs, outputs, and register cut points are matched by name.
 ///
 /// # Errors
 ///
@@ -281,10 +271,11 @@ pub fn check_equiv(
     b: &Netlist,
     lib_b: &Library,
 ) -> Result<EquivReport, EquivError> {
-    check_equiv_with(a, lib_a, b, lib_b, &EquivOptions::default())
+    check_equiv_with(a, lib_a, b, lib_b, SeqMode::Cut)
 }
 
-/// [`check_equiv`] with explicit per-side sequential handling.
+/// [`check_equiv`] with the candidate's registers handled as `seq_b`
+/// says; the golden side's registers are always cut.
 ///
 /// # Errors
 ///
@@ -294,11 +285,11 @@ pub fn check_equiv_with(
     lib_a: &Library,
     b: &Netlist,
     lib_b: &Library,
-    opts: &EquivOptions,
+    seq_b: SeqMode,
 ) -> Result<EquivReport, EquivError> {
     let mut g = Graph::new();
-    let ia = import_netlist(&mut g, a, lib_a, opts.seq_a)?;
-    let ib = import_netlist(&mut g, b, lib_b, opts.seq_b)?;
+    let ia = import_netlist(&mut g, a, lib_a, SeqMode::Cut)?;
+    let ib = import_netlist(&mut g, b, lib_b, seq_b)?;
     let (effort, raw) = prove_outputs(&mut g, &ia.outputs, &ib.outputs)?;
     let Some(raw) = raw else {
         return Ok(EquivReport {
@@ -319,8 +310,16 @@ pub fn check_equiv_with(
 
     // Replay through the simulator: the counterexample is only reported
     // once both sides actually produce different values on it.
-    let va = replay_side(a, lib_a, &ia, opts.seq_a, &inputs, &registers, &raw.output);
-    let vb = replay_side(b, lib_b, &ib, opts.seq_b, &inputs, &registers, &raw.output);
+    let va = replay_side(
+        a,
+        lib_a,
+        &ia,
+        SeqMode::Cut,
+        &inputs,
+        &registers,
+        &raw.output,
+    );
+    let vb = replay_side(b, lib_b, &ib, seq_b, &inputs, &registers, &raw.output);
     let confirmed = match (va, vb) {
         (Some(x), Some(y)) => x != y,
         _ => false,

@@ -1,17 +1,21 @@
-//! The miter graph: an And-Inverter Graph with *shared, name-keyed
-//! inputs*, built for equivalence checking.
+//! The And-Inverter Graph shared by the equivalence checker and
+//! synthesis.
 //!
 //! Both sides of a miter are imported into **one** [`Graph`], so a
 //! primary input named `a` on the golden design and `a` on the candidate
-//! resolve to the same literal. Structural hashing then merges every cone
-//! the two sides build identically — such output pairs fold to the same
-//! literal and are discharged without touching the SAT solver. Only
-//! genuinely restructured logic reaches CNF.
+//! resolve to the same literal ([`Graph::input`]). Structural hashing
+//! then merges every cone the two sides build identically — such output
+//! pairs fold to the same literal and are discharged without touching
+//! the SAT solver. Only genuinely restructured logic reaches CNF.
 //!
-//! The graph is deliberately simpler than the synthesis AIG in
-//! `asicgap-synth`: no depth bookkeeping, no balancing — just constant
-//! propagation, idempotence/complement rules, commutative
-//! canonicalisation, and strashing. It lives in its own crate so that
+//! The graph itself does constant propagation, idempotence/complement
+//! rules, commutative canonicalisation and strashing — nothing that
+//! depends on which tool is building. The synthesis AIG in
+//! `asicgap-synth` stores its nodes here too and adds what only
+//! synthesis needs in front: AND depths, one-level rewriting, balancing,
+//! and inputs that are never merged by name ([`Graph::fresh_input`]).
+//! Cell functions expand into either through [`AigOps`] and
+//! [`crate::build_function`]. The graph lives in this crate so that
 //! `asicgap-synth` (and everything above it) can *depend on* the checker
 //! without a cycle.
 
@@ -68,12 +72,49 @@ enum Node {
     And(Lit, Lit),
 }
 
+/// The AND-level operations a cell function expands into
+/// ([`crate::build_function`]), implemented by the miter [`Graph`] and the
+/// synthesis AIG.
+///
+/// `or`, `xor` and `mux` are built from `and` here, once. Each
+/// implementor keeps its own `and`, `maj` and `and_all`, because those
+/// create nodes in an order the implementor's results are pinned to.
+pub trait AigOps {
+    /// AND of two literals.
+    fn and(&mut self, a: Lit, b: Lit) -> Lit;
+
+    /// Majority of three.
+    fn maj(&mut self, a: Lit, b: Lit, c: Lit) -> Lit;
+
+    /// AND over a slice (cell expansions never pass an empty one).
+    fn and_all(&mut self, lits: &[Lit]) -> Lit;
+
+    /// OR via De Morgan.
+    fn or(&mut self, a: Lit, b: Lit) -> Lit {
+        self.and(a.not(), b.not()).not()
+    }
+
+    /// XOR as `(a·¬b) + (¬a·b)`.
+    fn xor(&mut self, a: Lit, b: Lit) -> Lit {
+        let t0 = self.and(a, b.not());
+        let t1 = self.and(a.not(), b);
+        self.or(t0, t1)
+    }
+
+    /// 2:1 mux: `s ? b : a`.
+    fn mux(&mut self, a: Lit, b: Lit, s: Lit) -> Lit {
+        let t0 = self.and(a, s.not());
+        let t1 = self.and(b, s);
+        self.or(t0, t1)
+    }
+}
+
 /// A structurally hashed AIG with get-or-create named inputs.
 ///
 /// # Example
 ///
 /// ```
-/// use asicgap_equiv::Graph;
+/// use asicgap_equiv::{AigOps, Graph, Lit};
 ///
 /// let mut g = Graph::new();
 /// let a = g.input("a");
@@ -82,14 +123,20 @@ enum Node {
 /// // Same operands, same node — strashing at work.
 /// assert_eq!(g.and(b, a), x);
 /// // Constant propagation.
-/// assert_eq!(g.and(a, a.not()), asicgap_equiv::Lit::FALSE);
+/// assert_eq!(g.and(a, a.not()), Lit::FALSE);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Graph {
     nodes: Vec<Node>,
     input_names: Vec<String>,
     by_name: HashMap<String, Lit>,
     strash: HashMap<(Lit, Lit), usize>,
+}
+
+impl Default for Graph {
+    fn default() -> Graph {
+        Graph::new()
+    }
 }
 
 impl Graph {
@@ -110,12 +157,20 @@ impl Graph {
         if let Some(&lit) = self.by_name.get(name) {
             return lit;
         }
-        let idx = self.nodes.len();
-        self.nodes.push(Node::Input(self.input_names.len()));
-        self.input_names.push(name.to_string());
-        let lit = Lit::new(idx, false);
+        let lit = self.fresh_input(name);
         self.by_name.insert(name.to_string(), lit);
         lit
+    }
+
+    /// Creates a new input named `name`, never shared: neither
+    /// [`Graph::input`] nor [`Graph::input_literal`] finds it by name.
+    /// Synthesis numbers its inputs by position, so two of them may carry
+    /// one name (a top port `__q_r` beside register `r`'s pseudo-input).
+    pub fn fresh_input(&mut self, name: impl Into<String>) -> Lit {
+        let idx = self.nodes.len();
+        self.nodes.push(Node::Input(self.input_names.len()));
+        self.input_names.push(name.into());
+        Lit::new(idx, false)
     }
 
     /// Input names in creation order.
@@ -154,9 +209,29 @@ impl Graph {
         }
     }
 
+    /// Evaluates `lits` under an assignment of every input (indexed by
+    /// input position; missing inputs read as false).
+    pub fn eval(&self, lits: impl IntoIterator<Item = Lit>, inputs: &[bool]) -> Vec<bool> {
+        let mut values = vec![false; self.nodes.len()];
+        for (n, node) in self.nodes.iter().enumerate() {
+            values[n] = match *node {
+                Node::Const => false,
+                Node::Input(i) => inputs.get(i).copied().unwrap_or(false),
+                Node::And(a, b) => {
+                    (values[a.node()] ^ a.is_complement()) & (values[b.node()] ^ b.is_complement())
+                }
+            };
+        }
+        lits.into_iter()
+            .map(|l| values[l.node()] ^ l.is_complement())
+            .collect()
+    }
+}
+
+impl AigOps for Graph {
     /// AND with constant propagation, idempotence, complement rules, and
     /// structural hashing.
-    pub fn and(&mut self, a: Lit, b: Lit) -> Lit {
+    fn and(&mut self, a: Lit, b: Lit) -> Lit {
         // Constant and trivial cases.
         if a == Lit::FALSE || b == Lit::FALSE || a == b.not() {
             return Lit::FALSE;
@@ -178,27 +253,7 @@ impl Graph {
         Lit::new(n, false)
     }
 
-    /// OR via De Morgan.
-    pub fn or(&mut self, a: Lit, b: Lit) -> Lit {
-        self.and(a.not(), b.not()).not()
-    }
-
-    /// XOR as two ANDs and an OR.
-    pub fn xor(&mut self, a: Lit, b: Lit) -> Lit {
-        let t0 = self.and(a, b.not());
-        let t1 = self.and(a.not(), b);
-        self.or(t0, t1)
-    }
-
-    /// 2:1 mux: `s ? b : a`.
-    pub fn mux(&mut self, a: Lit, b: Lit, s: Lit) -> Lit {
-        let t0 = self.and(s.not(), a);
-        let t1 = self.and(s, b);
-        self.or(t0, t1)
-    }
-
-    /// Majority of three.
-    pub fn maj(&mut self, a: Lit, b: Lit, c: Lit) -> Lit {
+    fn maj(&mut self, a: Lit, b: Lit, c: Lit) -> Lit {
         let ab = self.and(a, b);
         let ac = self.and(a, c);
         let bc = self.and(b, c);
@@ -206,30 +261,13 @@ impl Graph {
         self.or(t, bc)
     }
 
-    /// Left-fold AND over a slice ([`Lit::TRUE`] for an empty slice).
-    pub fn and_all(&mut self, lits: &[Lit]) -> Lit {
+    /// Left fold from [`Lit::TRUE`] (so an empty slice is true).
+    fn and_all(&mut self, lits: &[Lit]) -> Lit {
         let mut acc = Lit::TRUE;
         for &l in lits {
             acc = self.and(acc, l);
         }
         acc
-    }
-
-    /// Evaluates `lit` under an assignment of every input (indexed by
-    /// input position; missing inputs read as false). Used to sanity-check
-    /// SAT models before they are promoted to counterexamples.
-    pub fn eval(&self, lit: Lit, inputs: &[bool]) -> bool {
-        let mut values = vec![false; self.nodes.len()];
-        for (n, node) in self.nodes.iter().enumerate() {
-            values[n] = match *node {
-                Node::Const => false,
-                Node::Input(i) => inputs.get(i).copied().unwrap_or(false),
-                Node::And(a, b) => {
-                    (values[a.node()] ^ a.is_complement()) & (values[b.node()] ^ b.is_complement())
-                }
-            };
-        }
-        values[lit.node()] ^ lit.is_complement()
     }
 }
 
@@ -257,6 +295,18 @@ mod tests {
     }
 
     #[test]
+    fn fresh_inputs_are_never_shared() {
+        let mut g = Graph::default();
+        let a = g.input("a");
+        let b = g.fresh_input("a");
+        assert!(!a.is_const(), "the default graph holds the constant node");
+        assert_ne!(a, b);
+        assert_eq!(g.input_literal("a"), Some(a));
+        assert_eq!(g.input("a"), a);
+        assert_eq!(g.input_names(), ["a", "a"]);
+    }
+
+    #[test]
     fn identical_cones_strash_to_one_literal() {
         let mut g = Graph::new();
         let a = g.input("a");
@@ -281,9 +331,9 @@ mod tests {
         let m = g.mux(a, b, x);
         for bits in 0..4u32 {
             let ins = [bits & 1 != 0, bits & 2 != 0];
-            assert_eq!(g.eval(x, &ins), ins[0] ^ ins[1]);
+            assert_eq!(g.eval([x], &ins), [ins[0] ^ ins[1]]);
             let want = if ins[0] ^ ins[1] { ins[1] } else { ins[0] };
-            assert_eq!(g.eval(m, &ins), want);
+            assert_eq!(g.eval([m], &ins), [want]);
         }
     }
 
@@ -297,7 +347,7 @@ mod tests {
         for bits in 0..8u32 {
             let ins = [bits & 1 != 0, bits & 2 != 0, bits & 4 != 0];
             let want = ins.iter().filter(|&&x| x).count() >= 2;
-            assert_eq!(g.eval(m, &ins), want, "bits {bits:03b}");
+            assert_eq!(g.eval([m], &ins), [want], "bits {bits:03b}");
         }
     }
 }

@@ -8,7 +8,7 @@
 //! sweeping — changes *timing* while preserving *function*. This crate
 //! replaces "agreed on N random vectors" with a proof:
 //!
-//! 1. **Miter construction** ([`Graph`], [`import_netlist`]): both
+//! 1. **Miter construction** ([`Graph`], [`build_function`]): both
 //!    designs are imported into one structurally hashed And-Inverter
 //!    Graph with name-shared inputs. Registers are either *cut* (Q →
 //!    pseudo-input, D → pseudo-output, keyed across remaps via the
@@ -54,12 +54,12 @@ mod miter;
 mod sat;
 
 pub use check::{
-    check_equiv, check_equiv_with, checked_sweep, prove_outputs, random_sim_equiv, random_vector,
-    Counterexample, EquivEffort, EquivOptions, EquivReport, EquivResult, RawCounterexample,
+    check_equiv, check_equiv_with, checked_sweep, random_sim_equiv, random_vector, Counterexample,
+    EquivEffort, EquivReport, EquivResult,
 };
 pub use error::EquivError;
-pub use graph::{Graph, Lit};
-pub use miter::{build_function, import_netlist, ImportedNetlist, SeqMode};
+pub use graph::{AigOps, Graph, Lit};
+pub use miter::{build_function, SeqMode};
 
 /// How much verification a flow performs at each transform boundary.
 ///

@@ -1,4 +1,6 @@
-//! Importing netlists into the shared miter [`Graph`].
+//! Importing netlists into the shared miter [`Graph`], and the one
+//! expansion of a cell function into AND nodes ([`build_function`]) that
+//! the checker and synthesis share.
 //!
 //! Sequential elements are handled in one of two ways:
 //!
@@ -22,7 +24,7 @@ use asicgap_cells::{CellFunction, Library};
 use asicgap_netlist::{InstId, NetDriver, Netlist};
 
 use crate::error::EquivError;
-use crate::graph::{Graph, Lit};
+use crate::graph::{AigOps, Graph, Lit};
 
 /// How to treat sequential elements during import.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -37,14 +39,14 @@ pub enum SeqMode {
 
 /// The result of importing one netlist into the miter graph.
 #[derive(Debug, Clone)]
-pub struct ImportedNetlist {
+pub(crate) struct ImportedNetlist {
     /// Checkable outputs as (name, literal): primary outputs in
     /// declaration order, then (in [`SeqMode::Cut`]) one `__d_<key>`
     /// pseudo-output per register.
-    pub outputs: Vec<(String, Lit)>,
+    pub(crate) outputs: Vec<(String, Lit)>,
     /// Register cut points as (key, instance), in instance order. Empty
     /// in [`SeqMode::Transparent`].
-    pub registers: Vec<(String, InstId)>,
+    pub(crate) registers: Vec<(String, InstId)>,
 }
 
 /// The cut-point key of a sequential instance: the suffix of a
@@ -67,7 +69,7 @@ pub(crate) fn register_key(netlist: &Netlist, inst: InstId) -> String {
 /// [`EquivError::DuplicateRegisterKey`] if two registers collide on a
 /// key, [`EquivError::SequentialLoop`] for transparent import of a
 /// design with register feedback, and propagated netlist errors.
-pub fn import_netlist(
+pub(crate) fn import_netlist(
     g: &mut Graph,
     netlist: &Netlist,
     lib: &Library,
@@ -187,14 +189,16 @@ fn import_instance(
     lit_of[inst.out().index()] = Some(build_function(g, f, &ins));
 }
 
-/// Expands one cell function over miter-graph literals.
+/// Expands one combinational cell function over graph literals: the
+/// miter import here, and in `asicgap-synth` re-entry and the frontend's
+/// lowering of bound library cells.
 ///
 /// # Panics
 ///
-/// Panics on arity mismatch or a sequential function (both impossible
-/// for the import paths above on valid netlists).
-pub fn build_function(g: &mut Graph, f: CellFunction, ins: &[Lit]) -> Lit {
-    assert_eq!(ins.len(), f.num_inputs(), "{f} arity mismatch in miter");
+/// Panics on arity mismatch or a sequential function (flip-flops are
+/// register boundaries, not gates).
+pub fn build_function<G: AigOps + ?Sized>(g: &mut G, f: CellFunction, ins: &[Lit]) -> Lit {
+    assert_eq!(ins.len(), f.num_inputs(), "{f} arity mismatch");
     match f {
         CellFunction::Inv => ins[0].not(),
         CellFunction::Buf => ins[0],
@@ -265,9 +269,8 @@ mod tests {
                 .map(|i| (seed.wrapping_mul(0x9E3779B97F4A7C15) >> (i % 60)) & 1 == 1)
                 .collect();
             let want = sim.run_comb(&bits);
-            for (k, (_, lit)) in imp.outputs.iter().enumerate() {
-                assert_eq!(g.eval(*lit, &bits), want[k], "seed {seed} output {k}");
-            }
+            let got = g.eval(imp.outputs.iter().map(|&(_, l)| l), &bits);
+            assert_eq!(got, want, "seed {seed}");
         }
     }
 

@@ -25,7 +25,7 @@ use std::ops::Range;
 
 use asicgap_cells::{CellFunction, CellId, Library};
 use asicgap_netlist::{Netlist, NetlistError};
-use asicgap_synth::{expand_cell, map_aig_seq, Aig, Lit, MapOptions, SeqBinding};
+use asicgap_synth::{build_function, map_aig_seq, Aig, AigOps, Lit, MapOptions, SeqBinding};
 
 use crate::error::{dangling, syntax, FrontendError};
 use crate::MAX_DEPTH;
@@ -1018,7 +1018,7 @@ fn lower_via_aig(
                             what: format!("instance {} drives a constant", inst.name),
                         });
                     };
-                    let q_input = aig.input_names().len();
+                    let q_input = aig.graph().input_names().len();
                     lit_of[qn as usize] = Some(aig.input(format!("__q_{}", inst.name)));
                     seq_bits.push(SeqBit {
                         q_input,
@@ -1040,7 +1040,7 @@ fn lower_via_aig(
                             });
                         };
                         let key = bit_name(&inst.name, k, width);
-                        let q_input = aig.input_names().len();
+                        let q_input = aig.graph().input_names().len();
                         lit_of[qn as usize] = Some(aig.input(format!("__q_{key}")));
                         seq_bits.push(SeqBit {
                             q_input,
@@ -1140,7 +1140,7 @@ fn lower_via_aig(
                         .iter()
                         .map(|&b| lit(b, &lit_of).expect("readiness checked"))
                         .collect();
-                    let y = expand_cell(&mut aig, f, &ins);
+                    let y = build_function(&mut aig, f, &ins);
                     if let FlatBit::Net(n) = out {
                         lit_of[n as usize] = Some(y);
                     }
@@ -1210,7 +1210,7 @@ fn lower_via_aig(
     let mut seq = Vec::with_capacity(seq_bits.len());
     for s in &seq_bits {
         let d = lit(s.d, &lit_of).expect("D bits checked driven");
-        let key = aig.input_names()[s.q_input]
+        let key = aig.graph().input_names()[s.q_input]
             .strip_prefix("__q_")
             .expect("pseudo inputs carry the prefix")
             .to_string();

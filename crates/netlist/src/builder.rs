@@ -375,15 +375,6 @@ impl<'a> NetlistBuilder<'a> {
         self.gate(CellFunction::Dff, &[d])
     }
 
-    /// Transparent latch: returns the Q net.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::MissingCell`] if the library has no latch.
-    pub fn latch(&mut self, d: NetId) -> Result<NetId, NetlistError> {
-        self.gate(CellFunction::Latch, &[d])
-    }
-
     /// Finishes the netlist, running full validation. The CSR sink pool
     /// is compacted to an exact fit, so a freshly built netlist carries
     /// none of the construction-time slack.

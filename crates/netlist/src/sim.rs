@@ -144,19 +144,6 @@ impl<'a> Simulator<'a> {
         self.values[net.index()]
     }
 
-    /// Stored state of a sequential instance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inst` is not sequential.
-    pub fn state(&self, inst: InstId) -> bool {
-        assert!(
-            self.netlist.instance(inst).is_sequential(),
-            "state is only defined for sequential instances"
-        );
-        self.state[inst.index()]
-    }
-
     /// Overrides the stored state of a sequential instance. Equivalence
     /// checking uses this to replay counterexamples that depend on
     /// register contents; call before [`Simulator::eval_comb`].

@@ -7,7 +7,7 @@
 //! correct by construction, and the tests verify it by simulation.
 
 use asicgap_cells::{CellFunction, Library};
-use asicgap_equiv::{check_equiv_with, EquivError, EquivOptions, EquivReport, SeqMode};
+use asicgap_equiv::{check_equiv_with, EquivError, EquivReport, SeqMode};
 use asicgap_netlist::{NetDriver, NetId, Netlist, Sink};
 use asicgap_sta::{analyze, ClockSpec, TimingReport};
 use asicgap_tech::Ps;
@@ -50,16 +50,7 @@ pub fn verify_pipeline(
     piped: &Netlist,
     lib: &Library,
 ) -> Result<EquivReport, EquivError> {
-    check_equiv_with(
-        flat,
-        lib,
-        piped,
-        lib,
-        &EquivOptions {
-            seq_a: SeqMode::Cut,
-            seq_b: SeqMode::Transparent,
-        },
-    )
+    check_equiv_with(flat, lib, piped, lib, SeqMode::Transparent)
 }
 
 /// Pipelines a **combinational** netlist into `stages` stages.

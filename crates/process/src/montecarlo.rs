@@ -154,11 +154,6 @@ impl ChipPopulation {
         (self.speeds.len() - below) as f64 / self.speeds.len() as f64
     }
 
-    /// All speeds, ascending.
-    pub fn speeds(&self) -> &[f64] {
-        &self.speeds
-    }
-
     /// Multiplies every speed by `factor` (foundry offset, maturity gain).
     #[must_use]
     pub fn scaled(&self, factor: f64) -> ChipPopulation {

@@ -127,8 +127,44 @@ pub fn write_frame(w: &mut impl Write, body: &str) -> Result<(), ProtoError> {
     Ok(())
 }
 
+/// The body length a frame header announces. Past [`MAX_LOAD_FRAME`]
+/// the frame is oversized before any body byte is read.
+fn announced_len(header: [u8; 4]) -> Result<usize, ProtoError> {
+    let len = u32::from_be_bytes(header) as usize;
+    if len > MAX_LOAD_FRAME {
+        return Err(ProtoError::Oversized { len });
+    }
+    Ok(len)
+}
+
+/// The early verdict on the first bytes of a `len`-byte body: a frame
+/// over the default cap is only legitimate as a `LOAD`, and the verb
+/// shows in those bytes, so it is judged there instead of buffering
+/// megabytes (or waiting forever for a body the peer never sends).
+fn judge_head(len: usize, head: &[u8]) -> Result<(), ProtoError> {
+    if len > MAX_FRAME && head.len() >= LOAD_PREFIX.len() && !head.starts_with(LOAD_PREFIX) {
+        return Err(ProtoError::Oversized { len });
+    }
+    Ok(())
+}
+
+/// The verdict on a whole decoded body: its verb's cap applies once the
+/// verb is known.
+fn judge_cap(body: &str) -> Result<(), ProtoError> {
+    if body.len() > frame_cap(body) {
+        return Err(ProtoError::Oversized { len: body.len() });
+    }
+    Ok(())
+}
+
+fn non_utf8<E>(_: E) -> ProtoError {
+    malformed("non-UTF-8 payload")
+}
+
 /// Reads one frame; `Ok(None)` on a clean end-of-stream before any
 /// header byte (the peer hung up between requests, which is normal).
+/// It reads the header, then exactly the body, and judges them by
+/// [`parse_frame`]'s rules.
 ///
 /// # Errors
 ///
@@ -148,20 +184,11 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<String>, ProtoError> {
             Err(e) => return Err(ProtoError::Io(e)),
         }
     }
-    let len = u32::from_be_bytes(header) as usize;
-    if len > MAX_LOAD_FRAME {
-        return Err(ProtoError::Oversized { len });
-    }
+    let len = announced_len(header)?;
     let mut body = vec![0u8; len];
     let mut filled = 0;
     while filled < len {
-        // A frame over the default cap is only legitimate as a `LOAD`,
-        // and the verb shows in the first body bytes: judge it there
-        // instead of buffering megabytes (or waiting forever for a
-        // body the peer never sends).
-        if len > MAX_FRAME && filled >= LOAD_PREFIX.len() && !body.starts_with(LOAD_PREFIX) {
-            return Err(ProtoError::Oversized { len });
-        }
+        judge_head(len, &body[..filled])?;
         match r.read(&mut body[filled..]) {
             Ok(0) => return Err(ProtoError::Truncated { wanted: len }),
             Ok(n) => filled += n,
@@ -169,12 +196,8 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<String>, ProtoError> {
             Err(e) => return Err(ProtoError::Io(e)),
         }
     }
-    let body = String::from_utf8(body).map_err(|_| malformed("non-UTF-8 payload"))?;
-    if len > frame_cap(&body) {
-        // Over the 1 MiB default and not a LOAD: the per-verb cap
-        // applies once the verb is known.
-        return Err(ProtoError::Oversized { len });
-    }
+    let body = String::from_utf8(body).map_err(non_utf8)?;
+    judge_cap(&body)?;
     Ok(Some(body))
 }
 
@@ -188,26 +211,16 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<String>, ProtoError> {
 /// body over [`MAX_FRAME`]) exceeds its cap, [`ProtoError::Malformed`]
 /// on non-UTF-8 payload.
 pub fn parse_frame(buf: &[u8]) -> Result<Option<(String, usize)>, ProtoError> {
-    if buf.len() < 4 {
+    let Some(header) = buf.first_chunk::<4>() else {
         return Ok(None);
-    }
-    let len = u32::from_be_bytes(buf[..4].try_into().expect("slice len")) as usize;
-    if len > MAX_LOAD_FRAME {
-        return Err(ProtoError::Oversized { len });
-    }
-    // Same early verdict as `read_frame`: past the default cap, the
-    // first body bytes must spell a `LOAD` or the frame is oversized —
-    // no need to wait for (or buffer) the rest.
-    if len > MAX_FRAME && buf.len() >= 4 + LOAD_PREFIX.len() && !buf[4..].starts_with(LOAD_PREFIX) {
-        return Err(ProtoError::Oversized { len });
-    }
-    if buf.len() < 4 + len {
+    };
+    let len = announced_len(*header)?;
+    judge_head(len, &buf[4..])?;
+    let Some(body) = buf.get(4..4 + len) else {
         return Ok(None);
-    }
-    let body = std::str::from_utf8(&buf[4..4 + len]).map_err(|_| malformed("non-UTF-8 payload"))?;
-    if len > frame_cap(body) {
-        return Err(ProtoError::Oversized { len });
-    }
+    };
+    let body = std::str::from_utf8(body).map_err(non_utf8)?;
+    judge_cap(body)?;
     Ok(Some((body.to_string(), 4 + len)))
 }
 
@@ -675,6 +688,90 @@ mod tests {
             seed: rng.next_u64(),
             workload: workloads[(rng.next_u64() % 6) as usize].clone(),
             deadline_ms: (rng.next_u64() % 100_000) as u32,
+        }
+    }
+
+    /// Hands out the bytes before `split`, then the rest, at most `step`
+    /// per `read`; then end-of-stream.
+    struct Pieces<'a> {
+        data: &'a [u8],
+        at: usize,
+        split: usize,
+        step: usize,
+    }
+
+    impl Read for Pieces<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let end = if self.at < self.split {
+                self.split
+            } else {
+                self.data.len()
+            };
+            let n = buf.len().min(self.step).min(end - self.at);
+            buf[..n].copy_from_slice(&self.data[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    fn frame(len: usize, body: &[u8]) -> Vec<u8> {
+        let mut f = (len as u32).to_be_bytes().to_vec();
+        f.extend_from_slice(body);
+        f
+    }
+
+    /// What `read_frame` must return on a stream holding exactly `bytes`:
+    /// `parse_frame`'s body or error, and where `parse_frame` still waits
+    /// for bytes, a clean end before any byte or a truncation.
+    fn expected(bytes: &[u8]) -> Result<Option<String>, std::mem::Discriminant<ProtoError>> {
+        match parse_frame(bytes) {
+            Ok(Some((body, used))) => {
+                assert_eq!(used, bytes.len(), "one frame per shape");
+                Ok(Some(body))
+            }
+            Ok(None) if bytes.is_empty() => Ok(None),
+            Ok(None) => Err(std::mem::discriminant(&ProtoError::Truncated { wanted: 0 })),
+            Err(e) => Err(std::mem::discriminant(&e)),
+        }
+    }
+
+    #[test]
+    fn read_frame_judges_every_split_as_parse_frame_does() {
+        let shapes: Vec<(&str, Vec<u8>)> = vec![
+            ("ok", frame(4, b"PING")),
+            ("empty", frame(0, b"")),
+            ("load", frame(9, b"LOAD x=1\n")),
+            ("malformed UTF-8", frame(3, &[0xff, 0xfe, b'a'])),
+            ("oversized header", frame(MAX_LOAD_FRAME + 1, b"LOAD abc")),
+            ("over-cap non-LOAD", frame(MAX_FRAME + 1, b"RUN preset")),
+            (
+                "over-cap LOAD, cut short",
+                frame(MAX_FRAME + 1, b"LOAD abc"),
+            ),
+            ("truncated", frame(10, b"PIN")),
+        ];
+        for (shape, bytes) in &shapes {
+            for k in 0..=bytes.len() {
+                // The stream ends at `k`, one byte per read.
+                let prefix = &bytes[..k];
+                let mut one = Pieces {
+                    data: prefix,
+                    at: 0,
+                    split: 0,
+                    step: 1,
+                };
+                let got = read_frame(&mut one).map_err(|e| std::mem::discriminant(&e));
+                assert_eq!(got, expected(prefix), "{shape}: stream cut at {k}");
+                // The whole frame, in two pieces split at `k`.
+                let mut two = Pieces {
+                    data: bytes,
+                    at: 0,
+                    split: k,
+                    step: usize::MAX,
+                };
+                let got = read_frame(&mut two).map_err(|e| std::mem::discriminant(&e));
+                assert_eq!(got, expected(bytes), "{shape}: split at {k}");
+            }
         }
     }
 

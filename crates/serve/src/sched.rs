@@ -221,11 +221,6 @@ impl Scheduler {
         sched
     }
 
-    /// The shared metrics registry.
-    pub fn metrics(&self) -> &Arc<Metrics> {
-        &self.metrics
-    }
-
     /// Snapshot of metrics plus current cache occupancy.
     pub fn stats(&self) -> crate::metrics::MetricsSnapshot {
         self.metrics

@@ -231,9 +231,58 @@ pub(crate) struct EndpointSweep {
     pub(crate) end_net: NetId,
 }
 
-/// Sweeps every endpoint (register D pins, then primary outputs) against
-/// the cached arrivals. Pure read: shared by [`analyze_with_io`] and the
-/// [`TimingGraph`](crate::TimingGraph) period/slack queries.
+/// One timing endpoint: the net it captures, and what it adds to that
+/// net's arrival as two terms each caller sums in its own order — a
+/// register D pin's setup time and the clock's skew + jitter, or, for a
+/// primary output, zero (which adds exactly nothing) and the skew.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Endpoint {
+    pub(crate) kind: EndpointKind,
+    pub(crate) net: NetId,
+    pub(crate) setup: Ps,
+    pub(crate) capture: Ps,
+}
+
+/// Every endpoint of `netlist`: register D pins in instance order, then
+/// primary outputs. The one enumeration behind the endpoint sweep,
+/// [`report_timing`](crate::report_timing) and
+/// [`TimingGraph::tns`](crate::TimingGraph::tns).
+pub(crate) fn endpoints<'a>(
+    netlist: &'a Netlist,
+    lib: &'a Library,
+    clock: &ClockSpec,
+) -> impl Iterator<Item = Endpoint> + 'a {
+    let (skew, capture) = (clock.skew, clock.skew + clock.jitter);
+    let registers = netlist
+        .iter_instances()
+        .filter(|(_, inst)| inst.is_sequential())
+        .map(move |(id, inst)| Endpoint {
+            kind: EndpointKind::RegisterD(id),
+            net: inst.fanin()[0],
+            setup: lib
+                .cell(inst.cell())
+                .kind
+                .seq_timing()
+                .expect("sequential cell has timing")
+                .setup,
+            capture,
+        });
+    let outputs = netlist
+        .outputs()
+        .iter()
+        .enumerate()
+        .map(move |(k, &(_, net))| Endpoint {
+            kind: EndpointKind::PrimaryOutput(k),
+            net,
+            setup: Ps::ZERO,
+            capture: skew,
+        });
+    registers.chain(outputs)
+}
+
+/// Sweeps every endpoint against the cached arrivals. Pure read: shared
+/// by [`analyze_with_io`] and the [`TimingGraph`](crate::TimingGraph)
+/// period/slack queries.
 ///
 /// # Panics
 ///
@@ -246,53 +295,37 @@ pub(crate) fn sweep_endpoints(
     arrival: &[Ps],
     from_register: &[bool],
 ) -> EndpointSweep {
-    let capture_overhead = clock.skew + clock.jitter;
     let mut group_worst: Vec<(PathGroup, Ps)> = Vec::new();
     let mut bump = |g: PathGroup, d: Ps| match group_worst.iter_mut().find(|(pg, _)| *pg == g) {
         Some((_, w)) => *w = w.max(d),
         None => group_worst.push((g, d)),
     };
     let mut worst: Option<(EndpointKind, Ps, Ps, NetId)> = None; // (kind, arrival, required_extra, net)
-    for (id, inst) in netlist.iter_instances() {
-        if !inst.is_sequential() {
-            continue;
-        }
-        let d_net = inst.fanin()[0];
-        let a = arrival[d_net.index()];
-        let setup = lib
-            .cell(inst.cell())
-            .kind
-            .seq_timing()
-            .expect("sequential cell has timing")
-            .setup;
-        let group = if from_register[d_net.index()] {
-            PathGroup::RegToReg
-        } else {
-            PathGroup::InToReg
+    for e in endpoints(netlist, lib, clock) {
+        let a = arrival[e.net.index()];
+        let launched = from_register[e.net.index()];
+        let (group, need, extra) = match e.kind {
+            EndpointKind::RegisterD(_) => {
+                let group = if launched {
+                    PathGroup::RegToReg
+                } else {
+                    PathGroup::InToReg
+                };
+                (group, a + e.setup + e.capture, e.setup + e.capture)
+            }
+            EndpointKind::PrimaryOutput(_) => {
+                let group = if launched {
+                    PathGroup::RegToOut
+                } else {
+                    PathGroup::InToOut
+                };
+                let extra = e.capture + io.output_delay;
+                (group, a + extra, extra)
+            }
         };
         bump(group, a);
-        let need = a + setup + capture_overhead;
         if worst.is_none_or(|(_, _, _, _)| need > period_need(&worst)) {
-            worst = Some((
-                EndpointKind::RegisterD(id),
-                a,
-                setup + capture_overhead,
-                d_net,
-            ));
-        }
-    }
-    for (k, (_, net)) in netlist.outputs().iter().enumerate() {
-        let a = arrival[net.index()];
-        let group = if from_register[net.index()] {
-            PathGroup::RegToOut
-        } else {
-            PathGroup::InToOut
-        };
-        bump(group, a);
-        let extra = clock.skew + io.output_delay;
-        let need = a + extra;
-        if worst.is_none_or(|(_, _, _, _)| need > period_need(&worst)) {
-            worst = Some((EndpointKind::PrimaryOutput(k), a, extra, *net));
+            worst = Some((e.kind, a, extra, e.net));
         }
     }
 

@@ -19,7 +19,7 @@ use asicgap_netlist::{InstId, NetId, Netlist, NetlistError, Sink};
 use asicgap_tech::{Ff, Ps};
 
 use crate::analyze::{
-    extract_report, sweep_endpoints, IoConstraints, TimingReport, OUTPUT_LOAD_UNITS,
+    endpoints, extract_report, sweep_endpoints, IoConstraints, TimingReport, OUTPUT_LOAD_UNITS,
 };
 use crate::clock::ClockSpec;
 use crate::incremental::{ArrivalEngine, DelayModel, IncrementalStats};
@@ -376,6 +376,21 @@ impl<'a> TimingGraph<'a> {
     /// Worst slack at the graph's clock period (negative = violation).
     pub fn wns(&mut self) -> Ps {
         self.clock.period - self.min_period()
+    }
+
+    /// Total negative slack at the graph's clock period: the sum of every
+    /// negative endpoint slack, `period - (arrival + (setup + capture))`
+    /// (zero when nothing violates). Traces no paths.
+    pub fn tns(&mut self) -> Ps {
+        self.flush();
+        let mut tns = Ps::ZERO;
+        for e in endpoints(&self.netlist, self.lib, &self.clock) {
+            let slack = self.clock.period - (self.engine.arrival(e.net) + (e.setup + e.capture));
+            if slack < Ps::ZERO {
+                tns += slack;
+            }
+        }
+        tns
     }
 
     /// A full [`TimingReport`] of the current state — bit-for-bit what

@@ -231,11 +231,6 @@ impl ArrivalEngine {
         self.worst_pred[net.index()]
     }
 
-    /// `true` if the worst path into `net` launches from a register.
-    pub fn from_register(&self, net: NetId) -> bool {
-        self.from_register[net.index()]
-    }
-
     /// Effort counters so far.
     pub fn stats(&self) -> IncrementalStats {
         self.stats
@@ -661,7 +656,7 @@ mod tests {
         e.full_propagate(&n, &UnitModel);
         let (_, y) = n.outputs()[0];
         assert_eq!(e.arrival(y), Ps::new(11.0));
-        assert!(e.from_register(y));
+        assert!(e.launch_flags()[y.index()]);
         let _ = CellFunction::Dff;
     }
 }

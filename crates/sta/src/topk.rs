@@ -4,7 +4,7 @@ use asicgap_cells::Library;
 use asicgap_netlist::Netlist;
 use asicgap_tech::Ps;
 
-use crate::analyze::{EndpointKind, TimingReport};
+use crate::analyze::{endpoints, EndpointKind, TimingReport};
 use crate::report::{PathStep, TimingPath};
 
 /// One reported endpoint: its path and the period it demands.
@@ -29,32 +29,10 @@ pub fn report_timing(
     report: &TimingReport,
     k: usize,
 ) -> Vec<EndpointReport> {
-    let capture = report.clock.skew + report.clock.jitter;
-    let mut endpoints: Vec<(EndpointKind, Ps, asicgap_netlist::NetId)> = Vec::new();
-    for (id, inst) in netlist.iter_instances() {
-        if !inst.is_sequential() {
-            continue;
-        }
-        let d = inst.fanin()[0];
-        let setup = lib
-            .cell(inst.cell())
-            .kind
-            .seq_timing()
-            .expect("sequential timing")
-            .setup;
-        endpoints.push((
-            EndpointKind::RegisterD(id),
-            report.arrival(d) + setup + capture,
-            d,
-        ));
-    }
-    for (n, (_, net)) in netlist.outputs().iter().enumerate() {
-        endpoints.push((
-            EndpointKind::PrimaryOutput(n),
-            report.arrival(*net) + report.clock.skew,
-            *net,
-        ));
-    }
+    let mut endpoints: Vec<(EndpointKind, Ps, asicgap_netlist::NetId)> =
+        endpoints(netlist, lib, &report.clock)
+            .map(|e| (e.kind, report.arrival(e.net) + e.setup + e.capture, e.net))
+            .collect();
     // Worst first; equal-slack paths tie-break on endpoint identity so
     // the order is deterministic (endpoints are pushed register-sweep
     // first, and Vec::sort_by is stable only within one run's push order).

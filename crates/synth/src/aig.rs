@@ -1,22 +1,22 @@
-//! And-Inverter Graphs with structural hashing.
+//! And-Inverter Graphs for synthesis: the equivalence checker's
+//! [`Graph`] plus what only synthesis adds.
 
 use std::collections::HashMap;
 
-use asicgap_equiv::Lit;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Node {
-    Const,
-    Input(usize),
-    And(Lit, Lit),
-}
+use asicgap_equiv::{AigOps, Graph, Lit};
 
 /// An And-Inverter Graph: the technology-independent logic representation.
+///
+/// Its nodes live in an [`asicgap_equiv::Graph`] — one node vector, one
+/// strash table and one evaluator, shared with the equivalence checker.
+/// On top of it the AIG keeps what synthesis adds: AND depths, named
+/// outputs, one-level rewriting in front of the graph's `and`, balancing,
+/// and inputs that are always created fresh, never merged by name.
 ///
 /// # Example
 ///
 /// ```
-/// use asicgap_synth::Aig;
+/// use asicgap_synth::{Aig, AigOps};
 ///
 /// let mut aig = Aig::new();
 /// let a = aig.input("a");
@@ -28,12 +28,10 @@ enum Node {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Aig {
-    nodes: Vec<Node>,
+    graph: Graph,
     /// AND-depth per node, maintained incrementally.
     depths: Vec<usize>,
-    input_names: Vec<String>,
     outputs: Vec<(String, Lit)>,
-    strash: HashMap<(Lit, Lit), usize>,
 }
 
 impl Default for Aig {
@@ -46,21 +44,17 @@ impl Aig {
     /// An empty AIG (just the constant node).
     pub fn new() -> Aig {
         Aig {
-            nodes: vec![Node::Const],
+            graph: Graph::new(),
             depths: vec![0],
-            input_names: Vec::new(),
             outputs: Vec::new(),
-            strash: HashMap::new(),
         }
     }
 
-    /// Adds a primary input and returns its literal.
+    /// Adds a primary input and returns its literal. Every call creates a
+    /// new input, whatever its name: inputs are positions, not names.
     pub fn input(&mut self, name: impl Into<String>) -> Lit {
-        let idx = self.nodes.len();
-        self.nodes.push(Node::Input(self.input_names.len()));
         self.depths.push(0);
-        self.input_names.push(name.into());
-        Lit::new(idx, false)
+        self.graph.fresh_input(name)
     }
 
     /// Declares an output.
@@ -68,75 +62,110 @@ impl Aig {
         self.outputs.push((name.into(), lit));
     }
 
-    /// Input names in declaration order.
-    pub fn input_names(&self) -> &[String] {
-        &self.input_names
-    }
-
     /// Outputs as (name, literal) pairs.
     pub fn outputs(&self) -> &[(String, Lit)] {
         &self.outputs
     }
 
-    /// Number of inputs.
-    pub fn input_count(&self) -> usize {
-        self.input_names.len()
+    /// The node graph: AND structure, input names and positions.
+    pub fn graph(&self) -> &Graph {
+        &self.graph
     }
 
-    /// The AND children of `node`, if it is an AND.
-    pub fn and_children(&self, node: usize) -> Option<(Lit, Lit)> {
-        match self.nodes[node] {
-            Node::And(a, b) => Some((a, b)),
-            _ => None,
-        }
+    /// Evaluates all outputs on concrete input values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` does not hold one value per input.
+    pub fn eval(&self, inputs: &[bool]) -> Vec<bool> {
+        let arity = self.graph.input_names().len();
+        assert_eq!(inputs.len(), arity, "input arity mismatch");
+        self.graph
+            .eval(self.outputs.iter().map(|&(_, l)| l), inputs)
     }
 
-    /// `true` if `node` is a primary input.
-    pub fn is_input(&self, node: usize) -> bool {
-        matches!(self.nodes[node], Node::Input(_))
+    /// Rebuilds the AIG with balanced AND/OR trees (depth reduction — the
+    /// technology-independent restructuring step every synthesis tool
+    /// runs). Output literals are remapped; names are preserved.
+    pub fn balanced(&self) -> Aig {
+        let mut out = Aig::new();
+        for name in self.graph.input_names() {
+            out.input(name.clone());
+        }
+        let mut memo: HashMap<usize, Lit> = HashMap::new();
+        for (name, lit) in &self.outputs {
+            let l = self.rebuild(lit.node(), &mut out, &mut memo);
+            out.set_output(name.clone(), if lit.is_complement() { l.not() } else { l });
+        }
+        out
     }
 
-    /// The input position of `node`, if it is an input.
-    pub fn input_position(&self, node: usize) -> Option<usize> {
-        match self.nodes[node] {
-            Node::Input(k) => Some(k),
-            _ => None,
+    /// Rebuilds `node` into `out`, flattening maximal same-phase AND cones
+    /// and re-associating them balanced by depth.
+    fn rebuild(&self, node: usize, out: &mut Aig, memo: &mut HashMap<usize, Lit>) -> Lit {
+        if let Some(&l) = memo.get(&node) {
+            return l;
         }
+        let lit = if node == 0 {
+            Lit::FALSE
+        } else if let Some(k) = self.graph.input_position(node) {
+            Lit::new(k + 1, false) // inputs occupy 1..=n in `out`
+        } else {
+            // Collect the maximal AND cone rooted here: descend through
+            // plain (non-complemented) AND edges.
+            let mut leaves: Vec<Lit> = Vec::new();
+            self.collect_and_cone(node, &mut leaves);
+            let mut rebuilt: Vec<(usize, Lit)> = leaves
+                .iter()
+                .map(|l| {
+                    let r = self.rebuild(l.node(), out, memo);
+                    let r = if l.is_complement() { r.not() } else { r };
+                    (out.depths[r.node()], r)
+                })
+                .collect();
+            // Huffman-style: always combine the two shallowest.
+            rebuilt.sort_by_key(|&(d, _)| std::cmp::Reverse(d));
+            while rebuilt.len() > 1 {
+                let (d1, l1) = rebuilt.pop().expect("len > 1");
+                let (d2, l2) = rebuilt.pop().expect("len > 0");
+                let combined = out.and(l1, l2);
+                let d = d1.max(d2) + 1;
+                let pos = rebuilt
+                    .binary_search_by_key(&std::cmp::Reverse(d), |&(dd, _)| std::cmp::Reverse(dd))
+                    .unwrap_or_else(|e| e);
+                rebuilt.insert(pos, (d, combined));
+            }
+            rebuilt[0].1
+        };
+        memo.insert(node, lit);
+        lit
     }
 
-    /// Total node count (constant + inputs + ANDs).
-    pub fn len(&self) -> usize {
-        self.nodes.len()
+    fn collect_and_cone(&self, node: usize, leaves: &mut Vec<Lit>) {
+        let (a, b) = self
+            .graph
+            .and_children(node)
+            .expect("cone roots are AND nodes");
+        for child in [a, b] {
+            if !child.is_complement() && self.graph.and_children(child.node()).is_some() {
+                self.collect_and_cone(child.node(), leaves);
+            } else {
+                leaves.push(child);
+            }
+        }
     }
+}
 
-    /// `true` if the graph has no nodes besides the constant.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.len() == 1
-    }
-
-    /// AND of two literals, with constant folding, trivial-case
-    /// simplification, one-level rewriting (absorption, contradiction,
-    /// substitution), and structural hashing.
-    pub fn and(&mut self, a: Lit, b: Lit) -> Lit {
-        // Constant folding.
-        if a == Lit::FALSE || b == Lit::FALSE {
-            return Lit::FALSE;
-        }
-        if a == Lit::TRUE {
-            return b;
-        }
-        if b == Lit::TRUE {
-            return a;
-        }
-        if a == b {
-            return a;
-        }
-        if a == b.not() {
-            return Lit::FALSE;
-        }
+impl AigOps for Aig {
+    /// AND of two literals: one-level rewriting (absorption,
+    /// contradiction, substitution), then the graph's constant folding,
+    /// trivial cases and structural hashing. No rule below matches a
+    /// constant or trivial pair (AND children are never constant), so
+    /// those reach the graph untouched.
+    fn and(&mut self, a: Lit, b: Lit) -> Lit {
         // One-level rewriting against each operand's children.
         for (x, y) in [(a, b), (b, a)] {
-            if let Some((c, d)) = self.and_children(y.node()) {
+            if let Some((c, d)) = self.graph.and_children(y.node()) {
                 if !y.is_complement() {
                     // Absorption: x · (x·d) = x·d.
                     if x == c || x == d {
@@ -161,40 +190,17 @@ impl Aig {
                 }
             }
         }
-        // Commutative normalisation for hashing.
-        let (a, b) = if a <= b { (a, b) } else { (b, a) };
-        if let Some(&n) = self.strash.get(&(a, b)) {
-            return Lit::new(n, false);
+        let nodes = self.graph.len();
+        let lit = self.graph.and(a, b);
+        if self.graph.len() > nodes {
+            self.depths
+                .push(1 + self.depths[a.node()].max(self.depths[b.node()]));
         }
-        let idx = self.nodes.len();
-        self.nodes.push(Node::And(a, b));
-        self.depths
-            .push(1 + self.depths[a.node()].max(self.depths[b.node()]));
-        self.strash.insert((a, b), idx);
-        Lit::new(idx, false)
-    }
-
-    /// OR via De Morgan.
-    pub fn or(&mut self, a: Lit, b: Lit) -> Lit {
-        self.and(a.not(), b.not()).not()
-    }
-
-    /// XOR as `(a·¬b) + (¬a·b)`.
-    pub fn xor(&mut self, a: Lit, b: Lit) -> Lit {
-        let t0 = self.and(a, b.not());
-        let t1 = self.and(a.not(), b);
-        self.or(t0, t1)
-    }
-
-    /// MUX: `s ? b : a`.
-    pub fn mux(&mut self, a: Lit, b: Lit, s: Lit) -> Lit {
-        let t0 = self.and(a, s.not());
-        let t1 = self.and(b, s);
-        self.or(t0, t1)
+        lit
     }
 
     /// 3-input majority.
-    pub fn maj(&mut self, a: Lit, b: Lit, c: Lit) -> Lit {
+    fn maj(&mut self, a: Lit, b: Lit, c: Lit) -> Lit {
         let ab = self.and(a, b);
         let bc = self.and(b, c);
         let ac = self.and(a, c);
@@ -207,7 +213,7 @@ impl Aig {
     /// # Panics
     ///
     /// Panics if `lits` is empty.
-    pub fn and_all(&mut self, lits: &[Lit]) -> Lit {
+    fn and_all(&mut self, lits: &[Lit]) -> Lit {
         assert!(!lits.is_empty(), "and over empty literal list");
         let mut level = lits.to_vec();
         while level.len() > 1 {
@@ -223,139 +229,28 @@ impl Aig {
         }
         level[0]
     }
-
-    /// Evaluates all outputs on concrete input values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != self.input_count()`.
-    pub fn eval(&self, inputs: &[bool]) -> Vec<bool> {
-        assert_eq!(inputs.len(), self.input_count(), "input arity mismatch");
-        let mut val = vec![false; self.nodes.len()];
-        for (i, node) in self.nodes.iter().enumerate() {
-            val[i] = match *node {
-                Node::Const => false,
-                Node::Input(k) => inputs[k],
-                Node::And(a, b) => {
-                    let va = val[a.node()] ^ a.is_complement();
-                    let vb = val[b.node()] ^ b.is_complement();
-                    va && vb
-                }
-            };
-        }
-        self.outputs
-            .iter()
-            .map(|(_, l)| val[l.node()] ^ l.is_complement())
-            .collect()
-    }
-
-    /// Depth in AND levels of the deepest output cone.
-    pub fn depth(&self) -> usize {
-        let mut d = vec![0usize; self.nodes.len()];
-        for (i, node) in self.nodes.iter().enumerate() {
-            if let Node::And(a, b) = *node {
-                d[i] = 1 + d[a.node()].max(d[b.node()]);
-            }
-        }
-        self.outputs
-            .iter()
-            .map(|(_, l)| d[l.node()])
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Rebuilds the AIG with balanced AND/OR trees (depth reduction — the
-    /// technology-independent restructuring step every synthesis tool
-    /// runs). Output literals are remapped; names are preserved.
-    pub fn balanced(&self) -> Aig {
-        let mut out = Aig::new();
-        for name in &self.input_names {
-            out.input(name.clone());
-        }
-        let mut memo: HashMap<usize, Lit> = HashMap::new();
-        // Depth for tie-breaking when rebuilding.
-        let mut new_outputs = Vec::new();
-        for (name, lit) in &self.outputs {
-            let l = self.rebuild(lit.node(), &mut out, &mut memo);
-            new_outputs.push((name.clone(), if lit.is_complement() { l.not() } else { l }));
-        }
-        for (n, l) in new_outputs {
-            out.set_output(n, l);
-        }
-        out
-    }
-
-    /// Rebuilds `node` into `out`, flattening maximal same-phase AND cones
-    /// and re-associating them balanced by depth.
-    fn rebuild(&self, node: usize, out: &mut Aig, memo: &mut HashMap<usize, Lit>) -> Lit {
-        if let Some(&l) = memo.get(&node) {
-            return l;
-        }
-        let lit = match self.nodes[node] {
-            Node::Const => Lit::FALSE,
-            Node::Input(k) => Lit::new(k + 1, false), // inputs occupy 1..=n in `out`
-            Node::And(_, _) => {
-                // Collect the maximal AND cone rooted here: descend through
-                // plain (non-complemented) AND edges.
-                let mut leaves: Vec<Lit> = Vec::new();
-                self.collect_and_cone(node, &mut leaves);
-                let mut rebuilt: Vec<(usize, Lit)> = leaves
-                    .iter()
-                    .map(|l| {
-                        let r = self.rebuild(l.node(), out, memo);
-                        let r = if l.is_complement() { r.not() } else { r };
-                        (out.lit_depth(r), r)
-                    })
-                    .collect();
-                // Huffman-style: always combine the two shallowest.
-                rebuilt.sort_by_key(|&(d, _)| std::cmp::Reverse(d));
-                while rebuilt.len() > 1 {
-                    let (d1, l1) = rebuilt.pop().expect("len > 1");
-                    let (d2, l2) = rebuilt.pop().expect("len > 0");
-                    let combined = out.and(l1, l2);
-                    let d = d1.max(d2) + 1;
-                    let pos = rebuilt
-                        .binary_search_by_key(&std::cmp::Reverse(d), |&(dd, _)| {
-                            std::cmp::Reverse(dd)
-                        })
-                        .unwrap_or_else(|e| e);
-                    rebuilt.insert(pos, (d, combined));
-                }
-                rebuilt[0].1
-            }
-        };
-        memo.insert(node, lit);
-        lit
-    }
-
-    fn collect_and_cone(&self, node: usize, leaves: &mut Vec<Lit>) {
-        let Node::And(a, b) = self.nodes[node] else {
-            unreachable!("cone roots are AND nodes");
-        };
-        for child in [a, b] {
-            if !child.is_complement() {
-                if let Node::And(_, _) = self.nodes[child.node()] {
-                    self.collect_and_cone(child.node(), leaves);
-                    continue;
-                }
-            }
-            leaves.push(child);
-        }
-    }
-
-    fn lit_depth(&self, lit: Lit) -> usize {
-        self.depths[lit.node()]
-    }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn and_count(g: &Aig) -> usize {
-        g.nodes
+    /// Depth in AND levels of the deepest output cone.
+    fn depth(g: &Aig) -> usize {
+        g.outputs
             .iter()
-            .filter(|n| matches!(n, Node::And(_, _)))
+            .map(|(_, l)| g.depths[l.node()])
+            .max()
+            .unwrap_or(0)
+    }
+
+    fn and_count(g: &Aig) -> usize {
+        let graph = g.graph();
+        (0..graph.len())
+            .filter(|&n| graph.and_children(n).is_some())
             .count()
     }
 
@@ -416,9 +311,9 @@ mod tests {
             acc = g.and(acc, l);
         }
         g.set_output("y", acc);
-        assert_eq!(g.depth(), 15);
+        assert_eq!(depth(&g), 15);
         let b = g.balanced();
-        assert_eq!(b.depth(), 4, "16-way AND balances to depth 4");
+        assert_eq!(depth(&b), 4, "16-way AND balances to depth 4");
         // Behaviour preserved.
         for pattern in [0u32, 0xFFFF, 0x1234, 0x8000] {
             let ins: Vec<bool> = (0..16).map(|i| pattern & (1 << i) != 0).collect();

@@ -54,7 +54,8 @@ pub fn map_dual_rail_domino(aig: &Aig, lib: &Library, name: &str) -> Result<Netl
     let mut netlist = Netlist::new(name);
     // Rails per node: (pos net, neg net).
     let mut rails: HashMap<usize, (NetId, NetId)> = HashMap::new();
-    for (pos_idx, input_name) in aig.input_names().iter().enumerate() {
+    let graph = aig.graph();
+    for (pos_idx, input_name) in graph.input_names().iter().enumerate() {
         let p = netlist.add_net(input_name.clone());
         netlist.add_input(input_name.clone(), p)?;
         let neg_name = format!("{input_name}_n");
@@ -66,11 +67,10 @@ pub fn map_dual_rail_domino(aig: &Aig, lib: &Library, name: &str) -> Result<Netl
 
     // Nodes are topologically ordered by construction.
     let mut counter = 0usize;
-    for node in 1..aig.len() {
-        if aig.is_input(node) {
-            continue;
-        }
-        let (a, b) = aig.and_children(node).expect("non-input nodes are ANDs");
+    for node in 1..graph.len() {
+        let Some((a, b)) = graph.and_children(node) else {
+            continue; // an input
+        };
         let rail = |l: Lit, rails: &HashMap<usize, (NetId, NetId)>| -> (NetId, NetId) {
             let (p, n) = rails[&l.node()];
             if l.is_complement() {
@@ -140,7 +140,7 @@ mod tests {
             "dual-rail domino is monotone by construction"
         );
         for seed in 0..200u64 {
-            let n = aig.input_count();
+            let n = aig.graph().input_names().len();
             let bits: Vec<bool> = (0..n)
                 .map(|i| (seed.wrapping_mul(0x9E3779B97F4A7C15).rotate_left(i as u32)) & 1 == 1)
                 .collect();

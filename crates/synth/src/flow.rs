@@ -1,13 +1,9 @@
 //! The end-to-end synthesis recipe.
 
 use asicgap_cells::Library;
-use asicgap_equiv::{
-    check_equiv, import_netlist, prove_outputs, random_sim_equiv, random_vector, EquivEffort,
-    EquivResult, Graph, Lit, SeqMode, VerifyLevel,
-};
-use asicgap_netlist::{Netlist, Simulator};
+use asicgap_equiv::{check_equiv, random_sim_equiv, EquivEffort, EquivResult, VerifyLevel};
+use asicgap_netlist::Netlist;
 
-use crate::aig::Aig;
 use crate::buffer::buffer_high_fanout;
 use crate::drive::{select_drives_with, DriveOptions};
 use crate::error::SynthError;
@@ -18,13 +14,12 @@ use crate::reentry::netlist_to_aig;
 const TARGET_GAIN: f64 = 4.0;
 
 /// One verified transform boundary: which stage, and what the proof
-/// cost. Returned by [`SynthFlow::synth_verified`] and
-/// [`SynthFlow::remap_verified`] when [`SynthFlow::verify`] is
-/// [`VerifyLevel::Full`].
+/// cost. Returned by [`SynthFlow::remap_verified`] when
+/// [`SynthFlow::verify`] is [`VerifyLevel::Full`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageProof {
-    /// Stage name: `map` (AIG restructuring + technology mapping),
-    /// `buffer`, or `drive`.
+    /// Stage name: `map` (re-entry, AIG restructuring and technology
+    /// mapping), `buffer`, or `drive`.
     pub stage: &'static str,
     /// Checker effort for this stage.
     pub effort: EquivEffort,
@@ -88,48 +83,6 @@ impl SynthFlow {
         self
     }
 
-    /// Synthesises an AIG onto `lib`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates mapper errors ([`SynthError::LibraryTooPoor`],
-    /// [`SynthError::ConstantOutput`]) and, when [`SynthFlow::verify`]
-    /// is armed, stage-inequivalence findings.
-    pub fn synth(&self, aig: &Aig, lib: &Library) -> Result<Netlist, SynthError> {
-        Ok(self.synth_verified(aig, lib)?.0)
-    }
-
-    /// [`SynthFlow::synth`] returning the per-stage equivalence proofs.
-    ///
-    /// The mapped netlist is checked against the *original* (unbalanced)
-    /// AIG, so the proof covers balancing and mapping together; the
-    /// buffer and drive stages are then checked netlist-against-netlist.
-    /// With [`VerifyLevel::Off`] the proof list is empty; with
-    /// [`VerifyLevel::Sim`] stages are smoke-tested but no proof records
-    /// are produced.
-    ///
-    /// # Errors
-    ///
-    /// As [`SynthFlow::synth`].
-    pub fn synth_verified(
-        &self,
-        aig: &Aig,
-        lib: &Library,
-    ) -> Result<(Netlist, Vec<StageProof>), SynthError> {
-        let balanced;
-        let aig_ref = if self.balance {
-            balanced = aig.balanced();
-            &balanced
-        } else {
-            aig
-        };
-        let mut netlist = map_with_seq(aig_ref, lib, &self.map, &[], "synth")?;
-        let mut proofs = Vec::new();
-        self.verify_aig_stage(aig, &netlist, lib, &mut proofs)?;
-        self.finish_verified(&mut netlist, lib, &mut proofs)?;
-        Ok((netlist, proofs))
-    }
-
     /// Re-synthesises `netlist` (mapped against `source_lib`) onto
     /// `target_lib`.
     ///
@@ -166,7 +119,9 @@ impl SynthFlow {
     /// [`SynthFlow::remap_from`] returning the per-stage equivalence
     /// proofs: `map` (re-entry + balancing + mapping, checked source
     /// netlist against mapped netlist with registers cut by name),
-    /// `buffer`, and `drive`.
+    /// `buffer`, and `drive`. With [`VerifyLevel::Off`] the list is
+    /// empty; [`VerifyLevel::Sim`] smoke-tests each stage and records no
+    /// proofs.
     ///
     /// # Errors
     ///
@@ -187,29 +142,28 @@ impl SynthFlow {
         };
         let mut out = map_with_seq(aig_ref, target_lib, &self.map, &seq, &netlist.name)?;
         let mut proofs = Vec::new();
-        self.verify_netlist_stage("map", netlist, source_lib, &out, target_lib, &mut proofs)?;
-        self.finish_verified(&mut out, target_lib, &mut proofs)?;
-        Ok((out, proofs))
-    }
-
-    fn finish_verified(
-        &self,
-        netlist: &mut Netlist,
-        lib: &Library,
-        proofs: &mut Vec<StageProof>,
-    ) -> Result<(), SynthError> {
+        let lib = target_lib;
+        verify_stage(
+            self.verify,
+            "map",
+            netlist,
+            source_lib,
+            &out,
+            lib,
+            &mut proofs,
+        )?;
         let keep_golden = self.verify != VerifyLevel::Off;
         if self.buffer_max_fanout < usize::MAX / 2 {
-            let before = keep_golden.then(|| netlist.clone());
-            buffer_high_fanout(netlist, lib, self.buffer_max_fanout)?;
+            let before = keep_golden.then(|| out.clone());
+            buffer_high_fanout(&mut out, lib, self.buffer_max_fanout)?;
             if let Some(before) = before {
-                self.verify_netlist_stage("buffer", &before, lib, netlist, lib, proofs)?;
+                verify_stage(self.verify, "buffer", &before, lib, &out, lib, &mut proofs)?;
             }
         }
         if self.drive_passes > 0 {
-            let before = keep_golden.then(|| netlist.clone());
+            let before = keep_golden.then(|| out.clone());
             select_drives_with(
-                netlist,
+                &mut out,
                 lib,
                 &DriveOptions {
                     parasitics: None,
@@ -218,133 +172,10 @@ impl SynthFlow {
                 },
             );
             if let Some(before) = before {
-                self.verify_netlist_stage("drive", &before, lib, netlist, lib, proofs)?;
+                verify_stage(self.verify, "drive", &before, lib, &out, lib, &mut proofs)?;
             }
         }
-        Ok(())
-    }
-
-    /// Checks one netlist-to-netlist transform boundary at the armed
-    /// verify level. `Full` appends a [`StageProof`] on success.
-    fn verify_netlist_stage(
-        &self,
-        stage: &'static str,
-        golden: &Netlist,
-        lib_golden: &Library,
-        candidate: &Netlist,
-        lib_candidate: &Library,
-        proofs: &mut Vec<StageProof>,
-    ) -> Result<(), SynthError> {
-        verify_stage(
-            self.verify,
-            stage,
-            golden,
-            lib_golden,
-            candidate,
-            lib_candidate,
-            proofs,
-        )
-    }
-
-    /// Checks the mapped netlist against its source AIG (the `map` stage
-    /// of [`SynthFlow::synth_verified`], where the golden side is not a
-    /// netlist). The AIG is mirrored into the shared miter graph so
-    /// strashing can discharge cones the mapper left intact.
-    fn verify_aig_stage(
-        &self,
-        aig: &Aig,
-        candidate: &Netlist,
-        lib: &Library,
-        proofs: &mut Vec<StageProof>,
-    ) -> Result<(), SynthError> {
-        const STAGE: &str = "map";
-        match self.verify {
-            VerifyLevel::Off => Ok(()),
-            VerifyLevel::Sim => {
-                let mut sim = Simulator::new(candidate, lib);
-                for vector in 0..64 {
-                    let bits = random_vector(vector, aig.input_count());
-                    for (name, value) in aig.input_names().iter().zip(&bits) {
-                        sim.set_input(name, *value);
-                    }
-                    sim.eval_comb();
-                    let want = aig.eval(&bits);
-                    for ((name, _), value) in aig.outputs().iter().zip(&want) {
-                        let got = candidate
-                            .outputs()
-                            .iter()
-                            .find(|(n, _)| n == name)
-                            .map(|(_, net)| sim.value(*net));
-                        if got != Some(*value) {
-                            return Err(SynthError::Inequivalent {
-                                stage: STAGE.to_string(),
-                                output: name.clone(),
-                            });
-                        }
-                    }
-                }
-                Ok(())
-            }
-            VerifyLevel::Full => {
-                let mut g = Graph::new();
-                let golden_outs = mirror_aig(&mut g, aig);
-                let imported =
-                    import_netlist(&mut g, candidate, lib, SeqMode::Cut).map_err(|e| {
-                        SynthError::Verify {
-                            stage: STAGE.to_string(),
-                            what: e.to_string(),
-                        }
-                    })?;
-                let (effort, raw) = prove_outputs(&mut g, &golden_outs, &imported.outputs)
-                    .map_err(|e| SynthError::Verify {
-                        stage: STAGE.to_string(),
-                        what: e.to_string(),
-                    })?;
-                let Some(raw) = raw else {
-                    proofs.push(StageProof {
-                        stage: STAGE,
-                        effort,
-                    });
-                    return Ok(());
-                };
-                // Replay on both sides before reporting the divergence.
-                let by_name: std::collections::HashMap<&str, bool> = raw
-                    .assignment
-                    .iter()
-                    .map(|(k, v)| (k.as_str(), *v))
-                    .collect();
-                let bits: Vec<bool> = aig
-                    .input_names()
-                    .iter()
-                    .map(|n| by_name.get(n.as_str()).copied().unwrap_or(false))
-                    .collect();
-                let golden_value = aig
-                    .outputs()
-                    .iter()
-                    .position(|(n, _)| *n == raw.output)
-                    .map(|i| aig.eval(&bits)[i]);
-                let mut sim = Simulator::new(candidate, lib);
-                for (name, _) in candidate.inputs() {
-                    sim.set_input(name, by_name.get(name.as_str()).copied().unwrap_or(false));
-                }
-                sim.eval_comb();
-                let mapped_value = candidate
-                    .outputs()
-                    .iter()
-                    .find(|(n, _)| *n == raw.output)
-                    .map(|(_, net)| sim.value(*net));
-                match (golden_value, mapped_value) {
-                    (Some(x), Some(y)) if x != y => Err(SynthError::Inequivalent {
-                        stage: STAGE.to_string(),
-                        output: raw.output,
-                    }),
-                    _ => Err(SynthError::Verify {
-                        stage: STAGE.to_string(),
-                        what: format!("unconfirmed counterexample on output {}", raw.output),
-                    }),
-                }
-            }
-        }
+        Ok((out, proofs))
     }
 }
 
@@ -403,36 +234,6 @@ pub(crate) fn verify_stage(
             }
         }
     }
-}
-
-/// Mirrors a synthesis [`Aig`] into the equivalence checker's miter
-/// graph, returning its outputs as name/literal pairs for
-/// [`prove_outputs`]. Inputs are shared by name with anything already in
-/// the graph.
-fn mirror_aig(g: &mut Graph, aig: &Aig) -> Vec<(String, Lit)> {
-    let mut lits: Vec<Lit> = vec![Lit::FALSE; aig.len()];
-    let adjust = |lits: &[Lit], l: Lit| {
-        let base = lits[l.node()];
-        if l.is_complement() {
-            base.not()
-        } else {
-            base
-        }
-    };
-    for node in 1..aig.len() {
-        if let Some(pos) = aig.input_position(node) {
-            let name = aig.input_names()[pos].clone();
-            lits[node] = g.input(&name);
-        } else if let Some((a, b)) = aig.and_children(node) {
-            let la = adjust(&lits, a);
-            let lb = adjust(&lits, b);
-            lits[node] = g.and(la, lb);
-        }
-    }
-    aig.outputs()
-        .iter()
-        .map(|(name, lit)| (name.clone(), adjust(&lits, *lit)))
-        .collect()
 }
 
 #[cfg(test)]
@@ -504,29 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn synth_builds_fresh_logic_from_an_aig() {
-        use crate::aig::Aig;
-        let tech = Technology::cmos025_asic();
-        let rich = LibrarySpec::rich().build(&tech);
-        let mut g = Aig::new();
-        let a = g.input("a");
-        let b = g.input("b");
-        let c = g.input("c");
-        let s = g.xor(a, b);
-        let s2 = g.xor(s, c);
-        let carry = g.maj(a, b, c);
-        g.set_output("sum", s2);
-        g.set_output("carry", carry);
-        let n = SynthFlow::default().synth(&g, &rich).expect("synthesises");
-        let mut sim = Simulator::new(&n, &rich);
-        for bits in 0..8u32 {
-            let ins: Vec<bool> = (0..3).map(|i| bits & (1 << i) != 0).collect();
-            let got = sim.run_comb(&ins);
-            assert_eq!(got, g.eval(&ins), "bits {bits:03b}");
-        }
-    }
-
-    #[test]
     fn verified_remap_proves_every_stage() {
         let tech = Technology::cmos025_asic();
         let rich = LibrarySpec::rich().build(&tech);
@@ -547,26 +325,6 @@ mod tests {
                 p.stage
             );
         }
-    }
-
-    #[test]
-    fn verified_synth_checks_against_the_source_aig() {
-        let tech = Technology::cmos025_asic();
-        let rich = LibrarySpec::rich().build(&tech);
-        let mut g = Aig::new();
-        let a = g.input("a");
-        let b = g.input("b");
-        let c = g.input("c");
-        let s = g.xor(a, b);
-        let s2 = g.xor(s, c);
-        g.set_output("sum", s2);
-        let co = g.maj(a, b, c);
-        g.set_output("carry", co);
-        let flow = SynthFlow::default().with_verify(VerifyLevel::Full);
-        let (n, proofs) = flow.synth_verified(&g, &rich).expect("synthesises");
-        assert_eq!(proofs[0].stage, "map");
-        assert_eq!(proofs[0].effort.cones, 2);
-        assert!(n.instance_count() > 0);
     }
 
     #[test]

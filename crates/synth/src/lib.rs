@@ -5,12 +5,15 @@
 //! the mapper can only pick from what the library offers. This crate
 //! implements that toolchain step:
 //!
-//! - [`Aig`] — an And-Inverter Graph with structural hashing, constant
-//!   folding, and tree balancing (the technology-independent optimisation
-//!   step);
+//! - [`Aig`] — an And-Inverter Graph whose nodes live in the equivalence
+//!   checker's [`asicgap_equiv::Graph`] (structural hashing, constant
+//!   folding, one evaluator); the AIG adds AND depths, one-level
+//!   rewriting and tree balancing (the technology-independent
+//!   optimisation step);
 //! - [`netlist_to_aig`] — re-entry: decompose an existing mapped netlist
 //!   back into an AIG so it can be *remapped* against a different library
-//!   (how the E7 library-richness comparisons keep the logic identical);
+//!   (how the E7 library-richness comparisons keep the logic identical),
+//!   expanding each cell through the checker's [`build_function`];
 //! - [`map_aig`] — dynamic-programming technology mapping with phase
 //!   assignment and pattern matching (NAND/NOR/AND/OR/AOI/OAI/XOR/MUX);
 //! - [`select_drives_with`] — load-driven drive-strength selection at a
@@ -22,7 +25,8 @@
 //!   [`ReplacementLibrary`]; with associative-chain rebalancing, composed
 //!   through [`PassPipeline`] with per-pass equivalence proofs (the §4
 //!   microarchitecture/logic-depth attack);
-//! - [`SynthFlow`] — the end-to-end recipe with ablation switches.
+//! - [`SynthFlow`] — the end-to-end recipe with ablation switches; it
+//!   enters from a mapped netlist ([`SynthFlow::remap_from`]).
 //!
 //! # Example
 //!
@@ -59,7 +63,7 @@ mod reentry;
 mod rewrite;
 
 pub use aig::Aig;
-pub use asicgap_equiv::Lit;
+pub use asicgap_equiv::{build_function, AigOps, Lit};
 pub use buffer::buffer_high_fanout;
 pub use domino_map::map_dual_rail_domino;
 pub use drive::{select_drives_on, select_drives_with, DriveOptions};
@@ -67,5 +71,5 @@ pub use error::SynthError;
 pub use flow::{StageProof, SynthFlow};
 pub use map::{map_aig, map_aig_seq, MapOptions};
 pub use pass::{PassDelta, PassKind, PassPipeline};
-pub use reentry::{expand_cell, netlist_to_aig, SeqBinding};
+pub use reentry::{netlist_to_aig, SeqBinding};
 pub use rewrite::{rewrite_pass, ReplacementLibrary, RewriteOptions, RewriteStats};

@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 use asicgap_cells::{CellFunction, Library, LogicFamily};
-use asicgap_equiv::Lit;
+use asicgap_equiv::{Graph, Lit};
 use asicgap_netlist::{NetId, Netlist};
 
 use crate::aig::Aig;
@@ -58,7 +58,7 @@ enum Choice {
 }
 
 struct Mapper<'a> {
-    aig: &'a Aig,
+    graph: &'a Graph,
     lib: &'a Library,
     options: &'a MapOptions,
     /// cost[node][phase]: estimated path delay in τ units.
@@ -89,18 +89,18 @@ impl<'a> Mapper<'a> {
     /// Flattens the plain-edge AND cone under `node` to at most `limit`
     /// leaves (expanding breadth-first, never exceeding the limit).
     fn flatten_cone(&self, node: usize, limit: usize) -> Vec<Lit> {
-        let (a, b) = self.aig.and_children(node).expect("cone root is AND");
+        let (a, b) = self.graph.and_children(node).expect("cone root is AND");
         let mut leaves = vec![a, b];
         loop {
             let expandable = leaves
                 .iter()
-                .position(|l| !l.is_complement() && self.aig.and_children(l.node()).is_some());
+                .position(|l| !l.is_complement() && self.graph.and_children(l.node()).is_some());
             let Some(pos) = expandable else { break };
             if leaves.len() + 1 > limit {
                 break;
             }
             let l = leaves.remove(pos);
-            let (c, d) = self.aig.and_children(l.node()).expect("checked above");
+            let (c, d) = self.graph.and_children(l.node()).expect("checked above");
             leaves.push(c);
             leaves.push(d);
         }
@@ -110,7 +110,10 @@ impl<'a> Mapper<'a> {
     /// Enumerates (function, inputs, phase) candidates for `node`.
     /// `phase` 0 = plain (node value), 1 = complemented.
     fn candidates(&self, node: usize) -> Vec<(CellFunction, Vec<Lit>, usize)> {
-        let (a, b) = self.aig.and_children(node).expect("candidates need an AND");
+        let (a, b) = self
+            .graph
+            .and_children(node)
+            .expect("candidates need an AND");
         let mut out = Vec::new();
         let lib_max = (2..=4u8)
             .filter(|&n| self.has(CellFunction::Nand(n)) || self.has(CellFunction::And(n)))
@@ -149,7 +152,7 @@ impl<'a> Mapper<'a> {
 
         let and_node = |l: Lit| -> Option<(Lit, Lit)> {
             if l.is_complement() {
-                self.aig.and_children(l.node())
+                self.graph.and_children(l.node())
             } else {
                 None
             }
@@ -227,13 +230,13 @@ impl<'a> Mapper<'a> {
     }
 
     fn run_dp(&mut self) {
-        for node in 0..self.aig.len() {
+        for node in 0..self.graph.len() {
             if node == 0 {
                 // Constant node: unreachable in valid mapping.
                 self.cost[0] = [f64::INFINITY, f64::INFINITY];
                 continue;
             }
-            if self.aig.is_input(node) {
+            if self.graph.input_position(node).is_some() {
                 self.cost[node] = [0.0, self.inv_cost];
                 self.choice[node] = [Some(Choice::InputPlain), Some(Choice::InvertOther)];
                 continue;
@@ -307,12 +310,13 @@ pub(crate) fn map_with_seq(
         });
     }
 
+    let graph = aig.graph();
     let mut mapper = Mapper {
-        aig,
+        graph,
         lib,
         options,
-        cost: vec![[f64::INFINITY; 2]; aig.len()],
-        choice: vec![[None, None]; aig.len()],
+        cost: vec![[f64::INFINITY; 2]; graph.len()],
+        choice: vec![[None, None]; graph.len()],
         inv_cost: Mapper::cell_cost(CellFunction::Inv),
     };
     mapper.run_dp();
@@ -331,9 +335,9 @@ pub(crate) fn map_with_seq(
         .collect();
 
     // Nets for inputs (true PIs) and pseudo Q nets.
-    let mut input_net: Vec<NetId> = Vec::with_capacity(aig.input_count());
+    let mut input_net: Vec<NetId> = Vec::with_capacity(graph.input_names().len());
     let mut q_nets: Vec<Option<NetId>> = vec![None; seq.len()];
-    for (pos, iname) in aig.input_names().iter().enumerate() {
+    for (pos, iname) in graph.input_names().iter().enumerate() {
         let net = netlist.add_net(iname.clone());
         if let Some(&k) = pseudo_q.get(&pos) {
             q_nets[k] = Some(net);
@@ -348,7 +352,7 @@ pub(crate) fn map_with_seq(
         lib: &'b Library,
         choice: &'b [[Option<Choice>; 2]],
         input_net: &'b [NetId],
-        aig: &'b Aig,
+        graph: &'b Graph,
         memo: HashMap<(usize, bool), NetId>,
         counter: usize,
         inv: asicgap_cells::CellId,
@@ -367,7 +371,7 @@ pub(crate) fn map_with_seq(
             let net = match choice {
                 Choice::InputPlain => {
                     let pos = self
-                        .aig
+                        .graph
                         .input_position(lit.node())
                         .expect("InputPlain on input node");
                     self.input_net[pos]
@@ -418,7 +422,7 @@ pub(crate) fn map_with_seq(
         lib,
         choice: &mapper.choice,
         input_net: &input_net,
-        aig,
+        graph,
         memo: HashMap::new(),
         counter: 0,
         inv,
@@ -464,6 +468,7 @@ pub(crate) fn map_with_seq(
 mod tests {
     use super::*;
     use asicgap_cells::LibrarySpec;
+    use asicgap_equiv::AigOps;
     use asicgap_netlist::Simulator;
     use asicgap_tech::Technology;
 
@@ -493,13 +498,14 @@ mod tests {
 
     fn check_equiv(aig: &Aig, netlist: &Netlist, lib: &Library) {
         let mut sim = Simulator::new(netlist, lib);
-        let n = aig.input_count();
+        let n = aig.graph().input_names().len();
         // Map netlist input order to AIG input order by name.
         let order: Vec<usize> = netlist
             .inputs()
             .iter()
             .map(|(name, _)| {
-                aig.input_names()
+                aig.graph()
+                    .input_names()
                     .iter()
                     .position(|x| x == name)
                     .expect("input names preserved")

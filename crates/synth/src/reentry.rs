@@ -6,7 +6,7 @@
 //! [`crate::SynthFlow::remap`] reconnects after mapping.
 
 use asicgap_cells::{CellFunction, Library};
-use asicgap_equiv::Lit;
+use asicgap_equiv::{build_function, Lit};
 use asicgap_netlist::Netlist;
 
 use crate::aig::Aig;
@@ -16,7 +16,7 @@ use crate::aig::Aig;
 /// output lists).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeqBinding {
-    /// Position in [`Aig::input_names`].
+    /// Position in the AIG's input names.
     pub q_input: usize,
     /// Position in [`Aig::outputs`].
     pub d_output: usize,
@@ -44,7 +44,7 @@ pub fn netlist_to_aig(netlist: &Netlist, lib: &Library) -> (Aig, Vec<SeqBinding>
     let mut seq_insts = Vec::new();
     for (id, inst) in netlist.iter_instances() {
         if inst.is_sequential() {
-            let q_input = aig.input_names().len();
+            let q_input = aig.graph().input_names().len();
             let lit = aig.input(format!("__q_{}", inst.name()));
             lit_of[inst.out().index()] = Some(lit);
             seq_insts.push((id, q_input, inst.function() == CellFunction::Latch));
@@ -84,71 +84,6 @@ pub fn netlist_to_aig(netlist: &Netlist, lib: &Library) -> (Aig, Vec<SeqBinding>
     (aig, seq)
 }
 
-/// Expands one combinational cell function over AIG literals — the
-/// public form of `build_function`. The frontend uses it to lower
-/// bound library cells into the same AIG as Yosys generic gates before
-/// technology mapping.
-///
-/// # Panics
-///
-/// Panics on arity mismatch or a sequential function (flip-flops are
-/// register boundaries, not gates).
-pub fn expand_cell(aig: &mut Aig, f: CellFunction, ins: &[Lit]) -> Lit {
-    build_function(aig, f, ins)
-}
-
-/// Expands one cell function over AIG literals.
-///
-/// # Panics
-///
-/// Panics on arity mismatch (cannot happen for a valid netlist).
-pub(crate) fn build_function(aig: &mut Aig, f: CellFunction, ins: &[Lit]) -> Lit {
-    assert_eq!(ins.len(), f.num_inputs(), "{f} arity mismatch in re-entry");
-    match f {
-        CellFunction::Inv => ins[0].not(),
-        CellFunction::Buf => ins[0],
-        CellFunction::And(_) => aig.and_all(ins),
-        CellFunction::Nand(_) => aig.and_all(ins).not(),
-        CellFunction::Or(_) => {
-            let nots: Vec<Lit> = ins.iter().map(|l| l.not()).collect();
-            aig.and_all(&nots).not()
-        }
-        CellFunction::Nor(_) => {
-            let nots: Vec<Lit> = ins.iter().map(|l| l.not()).collect();
-            aig.and_all(&nots)
-        }
-        CellFunction::Xor2 => aig.xor(ins[0], ins[1]),
-        CellFunction::Xnor2 => aig.xor(ins[0], ins[1]).not(),
-        CellFunction::Xor3 => {
-            let t = aig.xor(ins[0], ins[1]);
-            aig.xor(t, ins[2])
-        }
-        CellFunction::Maj3 => aig.maj(ins[0], ins[1], ins[2]),
-        CellFunction::Aoi21 => {
-            let t = aig.and(ins[0], ins[1]);
-            aig.or(t, ins[2]).not()
-        }
-        CellFunction::Aoi22 => {
-            let t0 = aig.and(ins[0], ins[1]);
-            let t1 = aig.and(ins[2], ins[3]);
-            aig.or(t0, t1).not()
-        }
-        CellFunction::Oai21 => {
-            let t = aig.or(ins[0], ins[1]);
-            aig.and(t, ins[2]).not()
-        }
-        CellFunction::Oai22 => {
-            let t0 = aig.or(ins[0], ins[1]);
-            let t1 = aig.or(ins[2], ins[3]);
-            aig.and(t0, t1).not()
-        }
-        CellFunction::Mux2 => aig.mux(ins[0], ins[1], ins[2]),
-        CellFunction::Dff | CellFunction::Latch => {
-            unreachable!("sequential cells are handled as boundaries")
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,7 +98,7 @@ mod tests {
         let n = generators::alu(&lib, 4).expect("alu4");
         let (aig, seq) = netlist_to_aig(&n, &lib);
         assert!(seq.is_empty());
-        assert_eq!(aig.input_count(), n.inputs().len());
+        assert_eq!(aig.graph().input_names().len(), n.inputs().len());
         let mut sim = Simulator::new(&n, &lib);
         // Compare on a sweep of input patterns.
         for seed in 0..64u64 {
@@ -189,7 +124,7 @@ mod tests {
         let n = b.finish().expect("valid");
         let (aig, seq) = netlist_to_aig(&n, &lib);
         assert_eq!(seq.len(), 1);
-        assert_eq!(aig.input_count(), 2); // a + pseudo q
+        assert_eq!(aig.graph().input_names().len(), 2); // a + pseudo q
         assert_eq!(aig.outputs().len(), 2); // y + pseudo d
     }
 }

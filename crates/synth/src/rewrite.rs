@@ -29,7 +29,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 
 use asicgap_cells::{CellFunction, Library, LogicFamily};
-use asicgap_equiv::Lit;
+use asicgap_equiv::{AigOps, Lit};
 use asicgap_netlist::cuts::{enumerate_cuts, npn_canon, tt_support, CUT_INPUTS, VAR_TT};
 use asicgap_netlist::{
     net_levels, sweep_dead_logic, InstId, NetDriver, NetId, Netlist, INLINE_FANIN,

@@ -10,7 +10,7 @@ use asicgap::cells::{CellFunction, LibrarySpec, LogicFamily};
 use asicgap::netlist::{from_bits, generators, to_bits, Simulator};
 use asicgap::pipeline::{borrowed_cycle, PipelineModel};
 use asicgap::process::{ChipPopulation, VariationComponents};
-use asicgap::synth::{Aig, Lit};
+use asicgap::synth::{Aig, AigOps, Lit};
 use asicgap::tech::{Ff, Fo4, Mhz, Ps, Rng64, Technology};
 use std::sync::OnceLock;
 
