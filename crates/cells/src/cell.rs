@@ -144,8 +144,8 @@ impl LibCell {
     }
 
     /// First-order switching energy proxy: total input capacitance times
-    /// the family power factor (relative units; sufficient for the §6
-    /// power-aware sizing experiment).
+    /// the family power factor (relative units; summed into
+    /// `ScenarioOutcome::power_proxy` for the §9 power caveat).
     pub fn power_proxy(&self) -> f64 {
         self.input_cap.value() * self.function.num_inputs() as f64 * self.family.power_factor()
     }

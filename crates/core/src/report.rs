@@ -10,8 +10,8 @@ use std::fmt;
 /// use asicgap::report::Table;
 ///
 /// let mut t = Table::new(&["design", "MHz"]);
-/// t.row(&["Alpha 21264A", "750"]);
-/// t.row(&["typical ASIC", "135"]);
+/// t.row_owned(vec!["Alpha 21264A".into(), "750".into()]);
+/// t.row_owned(vec!["typical ASIC".into(), "135".into()]);
 /// let s = t.to_string();
 /// assert!(s.contains("Alpha 21264A"));
 /// ```
@@ -28,23 +28,6 @@ impl Table {
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
         }
-    }
-
-    /// Appends a row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row width differs from the header width.
-    pub fn row(&mut self, cells: &[&str]) {
-        assert_eq!(
-            cells.len(),
-            self.headers.len(),
-            "row width {} != header width {}",
-            cells.len(),
-            self.headers.len()
-        );
-        self.rows
-            .push(cells.iter().map(|s| s.to_string()).collect());
     }
 
     /// Appends a row of already-owned strings.
@@ -113,7 +96,7 @@ mod tests {
     #[test]
     fn renders_aligned_columns() {
         let mut t = Table::new(&["a", "long header"]);
-        t.row(&["wide cell content", "x"]);
+        t.row_owned(vec!["wide cell content".into(), "x".into()]);
         let s = t.to_string();
         assert!(s.contains("| wide cell content | x           |"));
         assert_eq!(t.len(), 1);
@@ -124,6 +107,6 @@ mod tests {
     #[should_panic(expected = "row width")]
     fn mismatched_row_panics() {
         let mut t = Table::new(&["a", "b"]);
-        t.row(&["only one"]);
+        t.row_owned(vec!["only one".into()]);
     }
 }

@@ -83,7 +83,7 @@ use asicgap_process::{BinningPolicy, ChipPopulation, VariationComponents};
 use asicgap_route::{annotate_routed, route, RouteSummary, RouterOptions, RoutingResult};
 use asicgap_sizing::{snap_to_library, tilos_size, TilosOptions};
 use asicgap_sta::{ClockSpec, IncrementalStats, TimingGraph};
-use asicgap_synth::{select_drives_on, DriveOptions, PassPipeline, SynthError};
+use asicgap_synth::{select_drives_on, PassPipeline, SynthError};
 use asicgap_tech::text::Lines;
 use asicgap_tech::{Mhz, Ps};
 
@@ -735,7 +735,7 @@ impl<'a> Flow<'a> {
         let clock = Instant::now();
         match scenario.sizing {
             SizingQuality::AsMapped => {}
-            SizingQuality::DriveSelected => select_drives_on(&mut graph, &DriveOptions::default()),
+            SizingQuality::DriveSelected => select_drives_on(&mut graph, 3),
             SizingQuality::Continuous => {
                 let sized = tilos_size(graph.netlist(), lib, &TilosOptions::default());
                 let snap = snap_to_library(graph.netlist(), lib, &sized.sizes);
@@ -807,14 +807,7 @@ impl<'a> Flow<'a> {
 
         let clock = Instant::now();
         if scenario.sizing != SizingQuality::AsMapped {
-            select_drives_on(
-                graph,
-                &DriveOptions {
-                    parasitics: None,
-                    target_gain: 4.0,
-                    passes: 2,
-                },
-            );
+            select_drives_on(graph, 2);
         }
         let par = extract(graph);
         graph.set_parasitics(par);

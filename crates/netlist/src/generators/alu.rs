@@ -10,30 +10,20 @@ use crate::ids::NetId;
 use crate::netlist::Netlist;
 
 /// Operations of the generated ALU, selected by two opcode bits
-/// (`op0` = LSB, `op1` = MSB).
+/// (`op0` = LSB, `op1` = MSB); the discriminant is the opcode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AluOp {
     /// `a + b + cin` (opcode 00).
-    Add,
+    Add = 0b00,
     /// `a & b` (opcode 01).
-    And,
+    And = 0b01,
     /// `a | b` (opcode 10).
-    Or,
+    Or = 0b10,
     /// `a ^ b` (opcode 11).
-    Xor,
+    Xor = 0b11,
 }
 
 impl AluOp {
-    /// The (op0, op1) encoding of this operation.
-    pub fn encoding(self) -> (bool, bool) {
-        match self {
-            AluOp::Add => (false, false),
-            AluOp::And => (true, false),
-            AluOp::Or => (false, true),
-            AluOp::Xor => (true, true),
-        }
-    }
-
     /// Reference semantics over `width`-bit words.
     pub fn apply(self, a: u64, b: u64, cin: bool, width: usize) -> u64 {
         let mask = if width == 64 {
@@ -123,10 +113,9 @@ mod tests {
     ) -> (u64, bool) {
         let mut inputs = to_bits(a, width);
         inputs.extend(to_bits(b, width));
-        let (op0, op1) = op.encoding();
         inputs.push(cin);
-        inputs.push(op0);
-        inputs.push(op1);
+        inputs.push(op as u8 & 1 != 0);
+        inputs.push(op as u8 & 2 != 0);
         let out = sim.run_comb(&inputs);
         (from_bits(&out[..width]), out[width])
     }

@@ -158,12 +158,11 @@ mod tests {
             let mut inputs = to_bits(a, width);
             inputs.extend(to_bits(b, width));
             inputs.extend(to_bits(f, width));
-            let (op0, op1) = op.encoding();
             inputs.push(bypa);
             inputs.push(bypb);
             inputs.push(cin);
-            inputs.push(op0);
-            inputs.push(op1);
+            inputs.push(op as u8 & 1 != 0);
+            inputs.push(op as u8 & 2 != 0);
             inputs.extend(to_bits(shift, 3));
             inputs.push(wsel);
             let out = sim.run_comb(&inputs);

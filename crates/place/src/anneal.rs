@@ -50,18 +50,11 @@ use asicgap_tech::Rng64;
 
 use crate::placement::Placement;
 
-/// Annealing schedule parameters.
+/// Seed and chain count of an anneal. Every chain runs one schedule:
+/// 25 temperature steps of 400 moves, cooling by 0.88 per step from
+/// twice the mean random-swap |ΔHPWL|.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnnealOptions {
-    /// Moves attempted per temperature step.
-    pub moves_per_temp: usize,
-    /// Number of temperature steps.
-    pub temp_steps: usize,
-    /// Initial temperature as a fraction of the mean |ΔHPWL| of random
-    /// swaps.
-    pub initial_temp_factor: f64,
-    /// Geometric cooling rate per step.
-    pub cooling: f64,
     /// RNG seed.
     pub seed: u64,
     /// Independent chains run by [`anneal_placement_multi`]; chain `c`
@@ -71,27 +64,38 @@ pub struct AnnealOptions {
 }
 
 impl AnnealOptions {
-    /// A fast single-chain schedule: 25 temperature steps of 400 moves,
-    /// cooling by 0.88 per step from twice the mean random-swap |ΔHPWL|.
+    /// A single-chain anneal.
     pub fn quick(seed: u64) -> AnnealOptions {
-        AnnealOptions {
-            moves_per_temp: 400,
-            temp_steps: 25,
-            initial_temp_factor: 2.0,
-            cooling: 0.88,
-            seed,
-            chains: 1,
-        }
+        AnnealOptions { seed, chains: 1 }
     }
 
-    /// A multi-restart schedule: `chains` independent quick chains.
+    /// A multi-restart anneal: `chains` independent chains.
     pub fn multi(seed: u64, chains: usize) -> AnnealOptions {
-        AnnealOptions {
-            chains,
-            ..AnnealOptions::quick(seed)
-        }
+        AnnealOptions { seed, chains }
     }
 }
+
+/// A cooling schedule: [`SCHEDULE`], or the oracle's short one.
+#[derive(Debug, Clone, Copy)]
+struct Schedule {
+    /// Moves attempted per temperature step.
+    moves_per_temp: usize,
+    /// Number of temperature steps.
+    temp_steps: usize,
+    /// Initial temperature as a fraction of the mean |ΔHPWL| of random
+    /// swaps.
+    initial_temp_factor: f64,
+    /// Geometric cooling rate per step.
+    cooling: f64,
+}
+
+/// The schedule of every anneal (see [`AnnealOptions`]).
+const SCHEDULE: Schedule = Schedule {
+    moves_per_temp: 400,
+    temp_steps: 25,
+    initial_temp_factor: 2.0,
+    cooling: 0.88,
+};
 
 /// Tag on the first pin entry of a net that has fixed pins: the low bits
 /// index [`PinViews::boxes`] instead of a cell. The arena guards instance
@@ -307,14 +311,15 @@ impl Chain<'_> {
     }
 }
 
-/// Anneals one chain over `views`, starting from `placement` and its
-/// per-net HPWL `cur`, and returns that cache coherent with the final
-/// `placement`.
+/// Anneals one chain seeded by `seed` over `views`, starting from
+/// `placement` and its per-net HPWL `cur`, and returns that cache
+/// coherent with the final `placement`.
 fn anneal_chain(
     views: &PinViews,
     cur: Vec<f64>,
     placement: &mut Placement,
-    options: &AnnealOptions,
+    seed: u64,
+    schedule: &Schedule,
 ) -> Vec<f64> {
     let cells = &mut placement.cells[..];
     let movable = &views.movable[..];
@@ -324,7 +329,7 @@ fn anneal_chain(
         touched: Vec::new(),
         fresh: Vec::new(),
     };
-    let mut rng = Rng64::new(options.seed);
+    let mut rng = Rng64::new(seed);
 
     // Calibrate the initial temperature from random swap deltas.
     let mut deltas = 0.0;
@@ -338,10 +343,10 @@ fn anneal_chain(
         cells.swap(a, b);
         deltas += delta.abs();
     }
-    let mut temp = (deltas / 50.0).max(1.0) * options.initial_temp_factor;
+    let mut temp = (deltas / 50.0).max(1.0) * schedule.initial_temp_factor;
 
-    for _ in 0..options.temp_steps {
-        for _ in 0..options.moves_per_temp {
+    for _ in 0..schedule.temp_steps {
+        for _ in 0..schedule.moves_per_temp {
             let a = movable[rng.index(movable.len())];
             let b = movable[rng.index(movable.len())];
             if a == b {
@@ -354,7 +359,7 @@ fn anneal_chain(
                 cells.swap(a, b);
             }
         }
-        temp *= options.cooling;
+        temp *= schedule.cooling;
     }
     chain.cur
 }
@@ -365,14 +370,15 @@ fn anneal_chain(
 /// move (used by region-constrained floorplans to pin cells).
 ///
 /// Deterministic for a given seed.
-pub(crate) fn anneal_placement(
+fn anneal_placement(
     netlist: &Netlist,
     placement: &mut Placement,
-    options: &AnnealOptions,
+    seed: u64,
+    schedule: &Schedule,
     frozen: &[bool],
 ) -> f64 {
     match PinViews::build(netlist, placement, frozen) {
-        Some((views, cur)) => anneal_chain(&views, cur, placement, options)
+        Some((views, cur)) => anneal_chain(&views, cur, placement, seed, schedule)
             .iter()
             .copied()
             .sum(),
@@ -399,7 +405,7 @@ pub fn anneal_placement_multi(
 ) -> f64 {
     let chains = options.chains.max(1);
     if chains == 1 {
-        return anneal_placement(netlist, placement, options, frozen);
+        return anneal_placement(netlist, placement, options.seed, &SCHEDULE, frozen);
     }
     let Some((views, cur)) = PinViews::build(netlist, placement, frozen) else {
         return placement.total_hpwl(netlist).value();
@@ -407,12 +413,8 @@ pub fn anneal_placement_multi(
     let start = placement.clone();
     let results: Vec<(f64, Placement)> = Pool::from_env().run(chains, |c| {
         let mut chain_placement = start.clone();
-        let chain_options = AnnealOptions {
-            seed: split_seed(options.seed, c as u64),
-            chains: 1,
-            ..options.clone()
-        };
-        let cur = anneal_chain(&views, cur.clone(), &mut chain_placement, &chain_options);
+        let seed = split_seed(options.seed, c as u64);
+        let cur = anneal_chain(&views, cur.clone(), &mut chain_placement, seed, &SCHEDULE);
         (cur.iter().copied().sum(), chain_placement)
     });
     // Ordered best-of reduction (strict `<`: first minimum wins).
@@ -450,7 +452,7 @@ mod tests {
             p.cells.swap(i, j);
         }
         let before = p.total_hpwl(&n).value();
-        let after = anneal_placement(&n, &mut p, &AnnealOptions::quick(3), &[]);
+        let after = anneal_placement(&n, &mut p, 3, &SCHEDULE, &[]);
         assert!(
             after < before * 0.8,
             "annealing should cut HPWL: {before:.0} -> {after:.0}"
@@ -464,8 +466,8 @@ mod tests {
         let n = generators::parity_tree(&lib, 32).expect("parity");
         let mut p1 = Placement::initial(&n, &lib, 0.7);
         let mut p2 = Placement::initial(&n, &lib, 0.7);
-        let h1 = anneal_placement(&n, &mut p1, &AnnealOptions::quick(7), &[]);
-        let h2 = anneal_placement(&n, &mut p2, &AnnealOptions::quick(7), &[]);
+        let h1 = anneal_placement(&n, &mut p1, 7, &SCHEDULE, &[]);
+        let h2 = anneal_placement(&n, &mut p2, 7, &SCHEDULE, &[]);
         assert_eq!(h1, h2);
         assert_eq!(p1.cells, p2.cells);
     }
@@ -480,15 +482,7 @@ mod tests {
         // Chain 0 of the multi run uses split_seed(seed, 0), so compare
         // against that exact single-chain run.
         let mut single = start.clone();
-        let single_hpwl = anneal_placement(
-            &n,
-            &mut single,
-            &AnnealOptions {
-                seed: asicgap_exec::split_seed(13, 0),
-                ..AnnealOptions::quick(13)
-            },
-            &[],
-        );
+        let single_hpwl = anneal_placement(&n, &mut single, split_seed(13, 0), &SCHEDULE, &[]);
         let mut multi = start.clone();
         let multi_hpwl = anneal_placement_multi(&n, &mut multi, &AnnealOptions::multi(13, 4), &[]);
         assert!(multi_hpwl <= single_hpwl, "{multi_hpwl} vs {single_hpwl}");
@@ -501,9 +495,8 @@ mod tests {
         let n = generators::parity_tree(&lib, 16).expect("parity");
         let mut a = Placement::initial(&n, &lib, 0.7);
         let mut b = Placement::initial(&n, &lib, 0.7);
-        let opts = AnnealOptions::quick(5);
-        let ha = anneal_placement(&n, &mut a, &opts, &[]);
-        let hb = anneal_placement_multi(&n, &mut b, &opts, &[]);
+        let ha = anneal_placement(&n, &mut a, 5, &SCHEDULE, &[]);
+        let hb = anneal_placement_multi(&n, &mut b, &AnnealOptions::quick(5), &[]);
         assert_eq!(ha, hb);
         assert_eq!(a.cells, b.cells);
     }
@@ -517,7 +510,7 @@ mod tests {
         let mut frozen = vec![false; n.instance_count()];
         frozen[0] = true;
         let pinned = p.cells[0];
-        anneal_placement(&n, &mut p, &AnnealOptions::quick(11), &frozen);
+        anneal_placement(&n, &mut p, 11, &SCHEDULE, &frozen);
         assert_eq!(p.cells[0], pinned);
     }
 }

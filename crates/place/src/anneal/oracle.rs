@@ -20,7 +20,8 @@ use super::*;
 fn anneal_reference(
     netlist: &Netlist,
     placement: &mut Placement,
-    options: &AnnealOptions,
+    seed: u64,
+    schedule: &Schedule,
     frozen: &[bool],
 ) -> f64 {
     let n = netlist.instance_count();
@@ -33,7 +34,7 @@ fn anneal_reference(
     if movable.len() < 2 {
         return placement.total_hpwl(netlist).value();
     }
-    let mut rng = Rng64::new(options.seed);
+    let mut rng = Rng64::new(seed);
     let nets_of = |i: usize| -> Vec<NetId> {
         let inst = netlist.instance(InstId::from_index(i));
         let mut v: Vec<_> = inst.fanin().to_vec();
@@ -67,10 +68,10 @@ fn anneal_reference(
         placement.cells.swap(a, b);
         deltas += (after - before).abs();
     }
-    let mut temp = (deltas / 50.0).max(1.0) * options.initial_temp_factor;
+    let mut temp = (deltas / 50.0).max(1.0) * schedule.initial_temp_factor;
 
-    for _ in 0..options.temp_steps {
-        for _ in 0..options.moves_per_temp {
+    for _ in 0..schedule.temp_steps {
+        for _ in 0..schedule.moves_per_temp {
             let a = movable[rng.index(movable.len())];
             let b = movable[rng.index(movable.len())];
             if a == b {
@@ -86,7 +87,7 @@ fn anneal_reference(
                 placement.cells.swap(a, b);
             }
         }
-        temp *= options.cooling;
+        temp *= schedule.cooling;
     }
     placement.total_hpwl(netlist).value()
 }
@@ -108,15 +109,16 @@ fn bits(cells: &[(f64, f64)]) -> Vec<(u64, u64)> {
 fn assert_kernel_matches(
     netlist: &Netlist,
     start: &Placement,
-    options: &AnnealOptions,
+    seed: u64,
+    schedule: &Schedule,
     frozen: &[bool],
     what: &str,
 ) {
     let mut expected = start.clone();
-    let expected_hpwl = anneal_reference(netlist, &mut expected, options, frozen);
+    let expected_hpwl = anneal_reference(netlist, &mut expected, seed, schedule, frozen);
 
     let mut got = start.clone();
-    let got_hpwl = anneal_placement(netlist, &mut got, options, frozen);
+    let got_hpwl = anneal_placement(netlist, &mut got, seed, schedule, frozen);
     assert_eq!(bits(&got.cells), bits(&expected.cells), "{what}: cells");
     assert_eq!(got_hpwl.to_bits(), expected_hpwl.to_bits(), "{what}: hpwl");
     assert_eq!((&got.inputs, &got.outputs), (&start.inputs, &start.outputs));
@@ -127,7 +129,7 @@ fn assert_kernel_matches(
         return;
     };
     let mut chained = start.clone();
-    let cur = anneal_chain(&views, cur, &mut chained, options);
+    let cur = anneal_chain(&views, cur, &mut chained, seed, schedule);
     assert_eq!(bits(&chained.cells), bits(&expected.cells), "{what}: chain");
     assert_eq!(cur.len(), netlist.net_count());
     for (net, _) in netlist.iter_nets() {
@@ -141,16 +143,12 @@ fn assert_kernel_matches(
 
 /// A short hot schedule that cools fast: many uphill accepts early, then
 /// pure descent — the accept rule seen from both sides in 420 moves.
-fn short_schedule(seed: u64) -> AnnealOptions {
-    AnnealOptions {
-        moves_per_temp: 60,
-        temp_steps: 7,
-        initial_temp_factor: 3.5,
-        cooling: 0.45,
-        seed,
-        chains: 1,
-    }
-}
+const SHORT: Schedule = Schedule {
+    moves_per_temp: 60,
+    temp_steps: 7,
+    initial_temp_factor: 3.5,
+    cooling: 0.45,
+};
 
 /// No mask, a random mask, and all but two cells frozen.
 fn masks(n: usize, seed: u64) -> [Vec<bool>; 3] {
@@ -177,12 +175,12 @@ fn check_family(netlist: &Netlist, lib: &Library) {
             }
         }
         for (m, frozen) in masks(n, seed).iter().enumerate() {
-            for options in [AnnealOptions::quick(seed), short_schedule(seed)] {
+            for schedule in [SCHEDULE, SHORT] {
                 let what = format!(
                     "{} seed {seed} mask {m} moves {}",
-                    netlist.name, options.moves_per_temp
+                    netlist.name, schedule.moves_per_temp
                 );
-                assert_kernel_matches(netlist, &start, &options, frozen, &what);
+                assert_kernel_matches(netlist, &start, seed, &schedule, frozen, &what);
             }
         }
     }
@@ -220,13 +218,9 @@ fn multi_chain_matches_reference_at_every_thread_count() {
     // Best-of over reference chains: strict `<`, lowest index wins ties.
     let mut expected: Option<(f64, Placement)> = None;
     for c in 0..options.chains {
-        let chain_options = AnnealOptions {
-            seed: split_seed(options.seed, c as u64),
-            chains: 1,
-            ..options.clone()
-        };
+        let seed = split_seed(options.seed, c as u64);
         let mut p = start.clone();
-        let hpwl = anneal_reference(&netlist, &mut p, &chain_options, frozen);
+        let hpwl = anneal_reference(&netlist, &mut p, seed, &SCHEDULE, frozen);
         if expected.as_ref().is_none_or(|best| hpwl < best.0) {
             expected = Some((hpwl, p));
         }
@@ -316,9 +310,9 @@ fn awkward_nets_match_reference() {
 
     for seed in 0..8u64 {
         for (m, frozen) in masks(n, seed).iter().enumerate() {
-            for options in [AnnealOptions::quick(seed), short_schedule(seed)] {
+            for schedule in [SCHEDULE, SHORT] {
                 let what = format!("awkward seed {seed} mask {m}");
-                assert_kernel_matches(&netlist, &start, &options, frozen, &what);
+                assert_kernel_matches(&netlist, &start, seed, &schedule, frozen, &what);
             }
         }
     }
@@ -338,12 +332,12 @@ fn nothing_to_anneal_is_a_no_op() {
     one.add_output("y", y);
     let start = Placement::initial(&one, &lib, 0.7);
     assert!(PinViews::build(&one, &start, &[]).is_none());
-    assert_kernel_matches(&one, &start, &AnnealOptions::quick(1), &[], "n = 1");
+    assert_kernel_matches(&one, &start, 1, &SCHEDULE, &[], "n = 1");
 
     // No instances at all.
     let empty = Netlist::new("empty");
     let start = Placement::initial(&empty, &lib, 0.7);
-    assert_kernel_matches(&empty, &start, &AnnealOptions::quick(1), &[], "n = 0");
+    assert_kernel_matches(&empty, &start, 1, &SCHEDULE, &[], "n = 0");
 
     // Fewer than two movable cells, single- and multi-chain.
     let netlist = awkward_netlist(&lib);
@@ -354,7 +348,7 @@ fn nothing_to_anneal_is_a_no_op() {
     one_movable[5] = false;
     for frozen in [none_movable, one_movable] {
         assert!(PinViews::build(&netlist, &start, &frozen).is_none());
-        assert_kernel_matches(&netlist, &start, &short_schedule(2), &frozen, "frozen");
+        assert_kernel_matches(&netlist, &start, 2, &SHORT, &frozen, "frozen");
         let mut multi = start.clone();
         let hpwl =
             anneal_placement_multi(&netlist, &mut multi, &AnnealOptions::multi(2, 3), &frozen);
@@ -369,5 +363,5 @@ fn short_frozen_mask_is_rejected() {
     let lib = lib();
     let netlist = awkward_netlist(&lib);
     let mut p = Placement::initial(&netlist, &lib, 0.7);
-    anneal_placement(&netlist, &mut p, &AnnealOptions::quick(1), &[false; 3]);
+    anneal_placement(&netlist, &mut p, 1, &SCHEDULE, &[false; 3]);
 }

@@ -10,7 +10,7 @@
 use asicgap_cells::Library;
 use asicgap_netlist::Netlist;
 use asicgap_sta::{ClockSpec, NetParasitics, TimingGraph};
-use asicgap_synth::{select_drives_on, DriveOptions};
+use asicgap_synth::select_drives_on;
 
 use crate::annotate::annotate;
 use crate::placement::Placement;
@@ -24,15 +24,10 @@ use crate::placement::Placement;
 /// dirtied. The graph leaves with fresh parasitics for the final netlist.
 fn post_layout_resize_on(graph: &mut TimingGraph, placement: &Placement) {
     let lib = graph.library();
-    let once = DriveOptions {
-        parasitics: None,
-        target_gain: 4.0,
-        passes: 1,
-    };
     for _round in 0..2 {
         let par = annotate(graph.netlist(), lib, placement, true);
         graph.set_parasitics(par);
-        select_drives_on(graph, &once);
+        select_drives_on(graph, 1);
     }
     let par = annotate(graph.netlist(), lib, placement, true);
     graph.set_parasitics(par);

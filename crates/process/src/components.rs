@@ -31,16 +31,6 @@ impl VariationComponents {
         }
     }
 
-    /// A mature process: variation "decreases as the process matures".
-    pub fn mature_process() -> VariationComponents {
-        VariationComponents {
-            lot_sigma: 0.03,
-            wafer_sigma: 0.025,
-            die_sigma: 0.035,
-            within_die_sigma: 0.02,
-        }
-    }
-
     /// Root-sum-square of the die-level (two-sided) components.
     pub fn total_sigma(&self) -> f64 {
         (self.lot_sigma.powi(2) + self.wafer_sigma.powi(2) + self.die_sigma.powi(2)).sqrt()
@@ -60,13 +50,14 @@ impl VariationComponents {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maturity::MaturityModel;
 
     #[test]
     fn new_process_has_more_variation() {
-        assert!(
-            VariationComponents::new_process().total_sigma()
-                > 1.5 * VariationComponents::mature_process().total_sigma()
-        );
+        // Variation "decreases as the process matures".
+        let new = VariationComponents::new_process();
+        let mature = MaturityModel::default().components_at(&new, f64::INFINITY);
+        assert!(new.total_sigma() > 1.5 * mature.total_sigma());
     }
 
     #[test]

@@ -178,6 +178,12 @@ fn quantile_index(len: usize, q: f64) -> usize {
 mod tests {
     use super::*;
 
+    /// The new process fully matured.
+    fn mature() -> VariationComponents {
+        let new = VariationComponents::new_process();
+        crate::MaturityModel::default().components_at(&new, f64::INFINITY)
+    }
+
     fn pop() -> ChipPopulation {
         ChipPopulation::sample(&VariationComponents::new_process(), 20_000, 6)
     }
@@ -194,10 +200,7 @@ mod tests {
         // A multiple of the 5000-die lot, not a multiple, and under one lot.
         for n in [10_000, 20_000, 12_345, 777, 1] {
             for seed in [0, 6, 42, 0xdead_beef] {
-                for components in [
-                    VariationComponents::new_process(),
-                    VariationComponents::mature_process(),
-                ] {
+                for components in [VariationComponents::new_process(), mature()] {
                     let population = ChipPopulation::sample(&components, n, seed);
                     for q in [0.0, 0.25, 0.5, 0.75, 1.0] {
                         let sampled = ChipPopulation::sampled_quantile(&components, n, seed, q);
@@ -270,7 +273,7 @@ mod tests {
     #[test]
     fn mature_population_is_tighter() {
         let new = pop();
-        let mature = ChipPopulation::sample(&VariationComponents::mature_process(), 20_000, 7);
+        let mature = ChipPopulation::sample(&mature(), 20_000, 7);
         let spread = |p: &ChipPopulation| p.quantile(0.95) / p.quantile(0.05);
         assert!(spread(&mature) < spread(&new));
     }

@@ -133,47 +133,11 @@ impl RoutingGrid {
             self.v_capacity
         }
     }
-
-    /// Calls `f(neighbor_cell, edge)` for each grid neighbour of `cell`,
-    /// in the fixed order west, east, south, north (part of the
-    /// determinism contract).
-    pub fn for_each_neighbor(&self, cell: usize, mut f: impl FnMut(usize, usize)) {
-        let (x, y) = self.cell_xy(cell);
-        let h0 = self.h_edge_count();
-        if x > 0 {
-            f(cell - 1, y * (self.nx - 1) + (x - 1));
-        }
-        if x + 1 < self.nx {
-            f(cell + 1, y * (self.nx - 1) + x);
-        }
-        if y > 0 {
-            f(cell - self.nx, h0 + (y - 1) * self.nx + x);
-        }
-        if y + 1 < self.ny {
-            f(cell + self.nx, h0 + y * self.nx + x);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn edge_indexing_is_a_bijection() {
-        let g = RoutingGrid::uniform(5, 4, 10.0, 8);
-        assert_eq!(g.edge_count(), 4 * 4 + 5 * 3);
-        // Every edge index produced by neighbour enumeration is in range,
-        // and each undirected edge is reported from both endpoints.
-        let mut seen = vec![0u32; g.edge_count()];
-        for c in 0..g.cell_count() {
-            g.for_each_neighbor(c, |nc, e| {
-                assert!(nc < g.cell_count());
-                seen[e] += 1;
-            });
-        }
-        assert!(seen.iter().all(|&s| s == 2), "{seen:?}");
-    }
 
     #[test]
     fn cell_lookup_round_trips_and_clamps() {

@@ -206,8 +206,8 @@ impl Search {
                     heap.push(key(g + (hx(nx_) + hy(ny_)), g, nc as u32));
                 }
             };
-            // West, east, south, north: `RoutingGrid::for_each_neighbor`'s
-            // order and edge numbering.
+            // West, east, south, north: the order and edge numbering of
+            // the reference search in `oracle.rs`.
             if x > 0 {
                 relax(c - 1, y * (nx - 1) + (x - 1), (x - 1, y));
             }

@@ -28,6 +28,26 @@ use crate::negotiate::{
 
 // ---- The reference, as the kernel stood before generation stamps. ----
 
+/// Calls `f(neighbor_cell, edge)` for each grid neighbour of `cell`, in
+/// the fixed order west, east, south, north (part of the determinism
+/// contract; the kernel unrolls the same order and edge numbering).
+fn for_each_neighbor(grid: &RoutingGrid, cell: usize, mut f: impl FnMut(usize, usize)) {
+    let (x, y) = grid.cell_xy(cell);
+    let h0 = grid.h_edge_count();
+    if x > 0 {
+        f(cell - 1, y * (grid.nx - 1) + (x - 1));
+    }
+    if x + 1 < grid.nx {
+        f(cell + 1, y * (grid.nx - 1) + x);
+    }
+    if y > 0 {
+        f(cell - grid.nx, h0 + (y - 1) * grid.nx + x);
+    }
+    if y + 1 < grid.ny {
+        f(cell + grid.nx, h0 + y * grid.nx + x);
+    }
+}
+
 struct Entry {
     f: f64,
     g: f64,
@@ -92,7 +112,7 @@ fn shortest_path_reference<C: Fn(usize) -> f64>(
             break;
         }
         let base = dist[e.cell];
-        grid.for_each_neighbor(e.cell, |nc, edge| {
+        for_each_neighbor(grid, e.cell, |nc, edge| {
             if done[nc] {
                 return;
             }
@@ -393,16 +413,28 @@ fn families() -> Vec<(&'static str, Generator)> {
 fn placed(netlist: &Netlist, lib: &asicgap_cells::Library, seed: u64) -> Placement {
     let mut p = Placement::initial(netlist, lib, 0.7);
     if seed % 2 == 1 {
-        let options = AnnealOptions {
-            temp_steps: 8,
-            ..AnnealOptions::quick(seed)
-        };
-        anneal_placement_multi(netlist, &mut p, &options, &[]);
+        anneal_placement_multi(netlist, &mut p, &AnnealOptions::quick(seed), &[]);
     }
     p
 }
 
 // ---- The checks. ----
+
+#[test]
+fn edge_indexing_is_a_bijection() {
+    let g = RoutingGrid::uniform(5, 4, 10.0, 8);
+    assert_eq!(g.edge_count(), 4 * 4 + 5 * 3);
+    // Every edge index produced by neighbour enumeration is in range,
+    // and each undirected edge is reported from both endpoints.
+    let mut seen = vec![0u32; g.edge_count()];
+    for c in 0..g.cell_count() {
+        for_each_neighbor(&g, c, |nc, e| {
+            assert!(nc < g.cell_count());
+            seen[e] += 1;
+        });
+    }
+    assert!(seen.iter().all(|&s| s == 2), "{seen:?}");
+}
 
 #[test]
 fn search_matches_reference_on_random_grids() {

@@ -227,11 +227,6 @@ impl Scheduler {
             .snapshot(self.cache.len(), self.cache.used_bytes())
     }
 
-    /// Jobs currently queued (excludes jobs being executed).
-    pub fn queue_depth(&self) -> usize {
-        self.state.lock().expect("sched lock").queue.len()
-    }
-
     /// Admits one `RUN` request; see the module docs for the four
     /// outcomes.
     pub fn submit(&self, req: RunRequest) -> Admission {
@@ -342,10 +337,12 @@ impl Scheduler {
         state.queue.push_back(Arc::clone(&job));
         state.inflight.insert(hash, Arc::clone(&job));
         let depth = state.queue.len();
-        drop(state);
+        // Stored under the lock, like the worker's store on pop, so the
+        // last store is always the current depth.
         self.metrics
             .queue_depth
             .store(depth as u64, Ordering::Relaxed);
+        drop(state);
         self.metrics.queue_depth_hist.record(depth as u64);
         self.work_cv.notify_one();
         Admission::Submitted(job)
@@ -573,7 +570,7 @@ mod tests {
         for j in &submitted {
             j.wait().expect("admitted jobs complete");
         }
-        assert_eq!(sched.queue_depth(), 0, "queue drains after burst");
+        assert_eq!(sched.stats().queue_depth, 0, "queue drains after burst");
         assert_eq!(sched.state.lock().expect("sched lock").inflight.len(), 0);
         assert_eq!(sched.stats().busy_rejections, busy);
         sched.shutdown();
@@ -615,7 +612,7 @@ mod tests {
         assert!(matches!(sched.submit(small(6)), Admission::Busy));
         job.wait().expect("queued job still completes");
         sched.join();
-        assert_eq!(sched.queue_depth(), 0);
+        assert_eq!(sched.stats().queue_depth, 0);
     }
 
     #[test]

@@ -45,6 +45,9 @@ const MAX_WRITE_BUF: usize = 4 << 20;
 /// How long the loop parks when a full sweep made no progress.
 const IDLE_PARK: Duration = Duration::from_millis(1);
 
+/// Back-off hint sent with `BUSY` responses.
+const RETRY_AFTER_MS: u32 = 50;
+
 /// Server construction knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -56,8 +59,6 @@ pub struct ServerConfig {
     pub queue_cap: usize,
     /// Result cache byte budget.
     pub cache_budget: usize,
-    /// Back-off hint sent with `BUSY` responses.
-    pub retry_after_ms: u32,
 }
 
 impl Default for ServerConfig {
@@ -67,7 +68,6 @@ impl Default for ServerConfig {
             workers: asicgap_exec::thread_count(),
             queue_cap: 64,
             cache_budget: 16 << 20,
-            retry_after_ms: 50,
         }
     }
 }
@@ -77,7 +77,6 @@ pub struct Server {
     listener: TcpListener,
     local_addr: SocketAddr,
     sched: Arc<Scheduler>,
-    retry_after_ms: u32,
 }
 
 impl Server {
@@ -119,7 +118,6 @@ impl Server {
             listener,
             local_addr,
             sched,
-            retry_after_ms: config.retry_after_ms,
         })
     }
 
@@ -153,7 +151,7 @@ impl Server {
                 }
             }
             for conn in &mut conns {
-                progressed |= conn.pump(&self.sched, &mut stopping, self.retry_after_ms);
+                progressed |= conn.pump(&self.sched, &mut stopping);
                 if stopping {
                     // No new requests anywhere once a SHUTDOWN landed;
                     // already-admitted replies still flush in order.
@@ -237,11 +235,11 @@ impl Conn {
 
     /// One full sweep: flush writes, resolve finished jobs, read and
     /// dispatch new frames. Returns whether anything moved.
-    fn pump(&mut self, sched: &Scheduler, stopping: &mut bool, retry_after_ms: u32) -> bool {
+    fn pump(&mut self, sched: &Scheduler, stopping: &mut bool) -> bool {
         let mut progressed = self.flush();
         progressed |= self.settle();
         progressed |= self.fill();
-        progressed |= self.dispatch_frames(sched, stopping, retry_after_ms);
+        progressed |= self.dispatch_frames(sched, stopping);
         // Anything the sweep produced goes out as eagerly as possible.
         progressed |= self.settle();
         progressed | self.flush()
@@ -352,12 +350,7 @@ impl Conn {
     }
 
     /// Parses and dispatches every complete frame buffered so far.
-    fn dispatch_frames(
-        &mut self,
-        sched: &Scheduler,
-        stopping: &mut bool,
-        retry_after_ms: u32,
-    ) -> bool {
+    fn dispatch_frames(&mut self, sched: &Scheduler, stopping: &mut bool) -> bool {
         let mut progressed = false;
         while !self.closing && self.reading && !self.throttled() {
             let body = match parse_frame(&self.read_buf) {
@@ -387,13 +380,13 @@ impl Conn {
                 }
             };
             progressed = true;
-            self.dispatch(&body, sched, stopping, retry_after_ms);
+            self.dispatch(&body, sched, stopping);
         }
         progressed
     }
 
     /// Turns one decoded frame into a reply (or an admitted job).
-    fn dispatch(&mut self, body: &str, sched: &Scheduler, stopping: &mut bool, retry: u32) {
+    fn dispatch(&mut self, body: &str, sched: &Scheduler, stopping: &mut bool) {
         match Request::decode(body) {
             Err(e) => self.push_ready(&Response::Error {
                 message: e.to_string(),
@@ -407,8 +400,8 @@ impl Conn {
                 self.stop_reading();
                 *stopping = true;
             }
-            Ok(Request::Run(req)) => self.admit(sched.submit(req), retry),
-            Ok(Request::Close(req)) => self.admit(sched.submit_close(req), retry),
+            Ok(Request::Run(req)) => self.admit(sched.submit(req)),
+            Ok(Request::Close(req)) => self.admit(sched.submit_close(req)),
             Ok(Request::Load { format, payload }) => match sched.load_design(format, payload) {
                 Ok(spec) => self.push_ready(&Response::Loaded { spec }),
                 Err(message) => self.push_ready(&Response::Error { message }),
@@ -418,13 +411,15 @@ impl Conn {
 
     /// Queues an admission outcome without blocking: cache hits and
     /// rejections answer immediately, queued/joined jobs are polled.
-    fn admit(&mut self, admission: Admission, retry_after_ms: u32) {
+    fn admit(&mut self, admission: Admission) {
         match admission {
             Admission::Cached(text) => self.push_ready(&Response::Outcome {
                 source: Source::Cache,
                 text,
             }),
-            Admission::Busy => self.push_ready(&Response::Busy { retry_after_ms }),
+            Admission::Busy => self.push_ready(&Response::Busy {
+                retry_after_ms: RETRY_AFTER_MS,
+            }),
             Admission::Submitted(job) => self.pending.push_back(Reply::Job {
                 source: Source::Computed,
                 job,

@@ -1,9 +1,9 @@
 //! The continuous-size load model.
 //!
-//! The sizer cannot use `asicgap-sta` directly because sizes live between
-//! library drive points; this model reads the same logical-effort
-//! parameters from each instance's *function* and applies an arbitrary
-//! size vector. With sizes equal to the mapped cells' drives it agrees
+//! The sizer cannot time with `asicgap-sta` directly because sizes live
+//! between library drive points; this model reads the same logical-effort
+//! parameters from each instance's *function* (and the STA's primary-output
+//! load) and applies an arbitrary size vector. With sizes equal to the mapped cells' drives it agrees
 //! with the STA's combinational arrival model by construction.
 //!
 //! `continuous/full.rs` (test-only) evaluates a whole size vector in one
@@ -11,10 +11,7 @@
 
 use asicgap_cells::Library;
 use asicgap_netlist::{NetId, Netlist};
-
-/// External load assumed on primary outputs, in unit inverter caps
-/// (matches the STA).
-const OUTPUT_LOAD_UNITS: f64 = 4.0;
+use asicgap_sta::OUTPUT_LOAD_UNITS;
 
 /// Load on `net` in unit-inverter input-cap units: Σ g·s over sinks
 /// (sequential D pins present one unit of load at their drive), plus the

@@ -1,7 +1,8 @@
 //! Differential oracle for the stale-set drive sweep: the loop it
-//! replaced survives here, test-only and verbatim — a fresh topological
-//! order per pass, and every instance evaluated on every pass — and
-//! both entry points must commit the same swaps in the same order. Equal
+//! replaced survives here, test-only — a fresh topological order per
+//! pass, every instance evaluated on every pass, and a bare netlist's
+//! wire loads read from an all-zero `NetParasitics` — and both entry
+//! points must commit the same swaps in the same order. Equal
 //! cells per instance, equal `TimingGraph::stats()` and an equal
 //! `min_period()` mean the stale set skipped only evaluations that would
 //! have kept the drive they found.
@@ -15,7 +16,7 @@
 use asicgap_cells::{CellFunction, LibrarySpec};
 use asicgap_netlist::generators::{self, RandomLogicSpec, XlargeSpec};
 use asicgap_netlist::NetlistError;
-use asicgap_sta::{ClockSpec, IncrementalStats};
+use asicgap_sta::{ClockSpec, IncrementalStats, NetParasitics};
 use asicgap_tech::{Ps, Rng64, Technology};
 
 use super::*;
@@ -35,39 +36,33 @@ fn every_pass_order(netlist: &Netlist) -> Vec<InstId> {
     order
 }
 
-/// The pre-refactor `select_drives_with`.
-fn select_drives_with_every_instance(netlist: &mut Netlist, lib: &Library, options: &DriveOptions) {
-    assert!(options.target_gain > 0.0, "target gain must be positive");
-    let ideal;
-    let par = match options.parasitics {
-        Some(p) => p,
-        None => {
-            ideal = NetParasitics::ideal(netlist);
-            &ideal
-        }
-    };
-    for _ in 0..options.passes {
-        for id in every_pass_order(netlist) {
-            if let Some(best) = best_drive(netlist, lib, par, id, options.target_gain) {
-                netlist.set_instance_cell(lib, id, best);
-            }
-        }
+/// The pre-refactor bare netlist: loads read from an allocated all-zero
+/// `NetParasitics`, where [`Bare`] reads a zero wire cap.
+struct Ideal<'n> {
+    netlist: &'n mut Netlist,
+    lib: &'n Library,
+    par: NetParasitics,
+}
+
+impl Target for Ideal<'_> {
+    fn parts(&self) -> (&Netlist, &Library) {
+        (self.netlist, self.lib)
+    }
+    fn wire_cap(&self, net: NetId) -> Ff {
+        self.par.cap(net)
+    }
+    fn resize(&mut self, id: InstId, cell: CellId) {
+        self.netlist.set_instance_cell(self.lib, id, cell);
     }
 }
 
-/// The pre-refactor `select_drives_on`.
-fn select_drives_on_every_instance(graph: &mut TimingGraph, options: &DriveOptions) {
-    assert!(options.target_gain > 0.0, "target gain must be positive");
-    for _ in 0..options.passes {
-        for id in every_pass_order(graph.netlist()) {
-            if let Some(best) = best_drive(
-                graph.netlist(),
-                graph.library(),
-                graph.parasitics(),
-                id,
-                options.target_gain,
-            ) {
-                graph.resize_cell(id, best);
+/// The pre-refactor sweep of both entry points: every instance, every
+/// pass, in a visit order recomputed per pass.
+fn select_drives_every_instance(target: &mut impl Target, target_gain: f64, passes: usize) {
+    for _ in 0..passes {
+        for id in every_pass_order(target.parts().0) {
+            if let Some(best) = best_drive(target, id, target_gain) {
+                target.resize(id, best);
             }
         }
     }
@@ -198,35 +193,36 @@ fn stale_set_sweep_matches_the_every_instance_loop() {
                 let mut one_pass = Vec::new();
                 for passes in [1, 2, 3, 5] {
                     let case = format!("{} {name} gain {target_gain} passes {passes}", lib.name);
-                    for (k, parasitics) in [None, Some(&par)].into_iter().enumerate() {
-                        let options = DriveOptions {
-                            parasitics,
-                            target_gain,
-                            passes,
-                        };
-                        // The netlist entry point, timed afterwards
-                        // under the parasitics it selected against.
-                        let timed = |n: Netlist| {
-                            settle(TimingGraph::new(
-                                n,
-                                &lib,
-                                ClockSpec::unconstrained(),
-                                parasitics.cloned(),
-                            ))
-                        };
-                        let (mut fast, mut slow) = (golden.clone(), golden.clone());
-                        select_drives_with(&mut fast, &lib, &options);
-                        select_drives_with_every_instance(&mut slow, &lib, &options);
-                        let (fast, slow) = (timed(fast), timed(slow));
-                        assert_eq!(fast, slow, "{case}: select_drives_with");
-                        if passes == 1 {
-                            one_pass.push(fast.cells);
-                        } else if fast.cells != one_pass[k] {
-                            later_pass_swaps += 1;
-                        }
 
-                        // The graph entry point, swaps committed through
-                        // the incremental timer.
+                    // The netlist entry point on ideal wires, timed
+                    // afterwards.
+                    let (mut fast, mut slow) = (golden.clone(), golden.clone());
+                    sweep(
+                        &mut Bare {
+                            netlist: &mut fast,
+                            lib: &lib,
+                        },
+                        target_gain,
+                        passes,
+                    );
+                    let ideal = NetParasitics::ideal(&slow);
+                    select_drives_every_instance(
+                        &mut Ideal {
+                            netlist: &mut slow,
+                            lib: &lib,
+                            par: ideal,
+                        },
+                        target_gain,
+                        passes,
+                    );
+                    let timed =
+                        |n| settle(TimingGraph::new(n, &lib, ClockSpec::unconstrained(), None));
+                    assert_eq!(timed(fast), timed(slow), "{case}: select_drives_with");
+                    runs += 1;
+
+                    // The graph entry point under ideal and seeded wires,
+                    // swaps committed through the incremental timer.
+                    for (k, parasitics) in [None, Some(&par)].into_iter().enumerate() {
                         let graph = || {
                             TimingGraph::new(
                                 golden.clone(),
@@ -236,16 +232,22 @@ fn stale_set_sweep_matches_the_every_instance_loop() {
                             )
                         };
                         let (mut fast, mut slow) = (graph(), graph());
-                        select_drives_on(&mut fast, &options);
-                        select_drives_on_every_instance(&mut slow, &options);
-                        assert_eq!(settle(fast), settle(slow), "{case}: select_drives_on");
-                        runs += 2;
+                        sweep(&mut fast, target_gain, passes);
+                        select_drives_every_instance(&mut slow, target_gain, passes);
+                        let (fast, slow) = (settle(fast), settle(slow));
+                        assert_eq!(fast, slow, "{case} wires {k}: select_drives_on");
+                        if passes == 1 {
+                            one_pass.push(fast.cells);
+                        } else if fast.cells != one_pass[k] {
+                            later_pass_swaps += 1;
+                        }
+                        runs += 1;
                     }
                 }
             }
         }
     }
-    assert_eq!(runs, 2 * 17 * 3 * 4 * 2 * 2);
+    assert_eq!(runs, 2 * 17 * 3 * 4 * 3);
     assert!(
         later_pass_swaps >= 40,
         "only {later_pass_swaps} cases swapped after pass 1"

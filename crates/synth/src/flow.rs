@@ -5,13 +5,10 @@ use asicgap_equiv::{check_equiv, random_sim_equiv, EquivEffort, EquivResult, Ver
 use asicgap_netlist::Netlist;
 
 use crate::buffer::buffer_high_fanout;
-use crate::drive::{select_drives_with, DriveOptions};
+use crate::drive::select_drives_with;
 use crate::error::SynthError;
 use crate::map::{map_with_seq, MapOptions};
 use crate::reentry::netlist_to_aig;
-
-/// Logical-effort stage gain targeted by drive selection.
-const TARGET_GAIN: f64 = 4.0;
 
 /// One verified transform boundary: which stage, and what the proof
 /// cost. Returned by [`SynthFlow::remap_verified`] when
@@ -162,15 +159,7 @@ impl SynthFlow {
         }
         if self.drive_passes > 0 {
             let before = keep_golden.then(|| out.clone());
-            select_drives_with(
-                &mut out,
-                lib,
-                &DriveOptions {
-                    parasitics: None,
-                    target_gain: TARGET_GAIN,
-                    passes: self.drive_passes,
-                },
-            );
+            select_drives_with(&mut out, lib, self.drive_passes);
             if let Some(before) = before {
                 verify_stage(self.verify, "drive", &before, lib, &out, lib, &mut proofs)?;
             }

@@ -16,9 +16,10 @@
 //!   expanding each cell through the checker's [`build_function`];
 //! - [`map_aig`] — dynamic-programming technology mapping with phase
 //!   assignment and pattern matching (NAND/NOR/AND/OR/AOI/OAI/XOR/MUX);
-//! - [`select_drives_with`] — load-driven drive-strength selection at a
-//!   target logical-effort gain (and [`select_drives_on`], the same pass
-//!   over a live incremental [`TimingGraph`](asicgap_sta::TimingGraph));
+//! - [`select_drives_with`] — load-driven drive-strength selection at
+//!   the logical-effort stage gain of 4 (and [`select_drives_on`], the
+//!   same pass over a live incremental
+//!   [`TimingGraph`](asicgap_sta::TimingGraph));
 //! - [`buffer_high_fanout`] — buffer-tree insertion on heavily loaded
 //!   nets;
 //! - [`rewrite_pass`] — cut-based rewriting against an NPN-canonical
@@ -66,7 +67,7 @@ pub use aig::Aig;
 pub use asicgap_equiv::{build_function, AigOps, Lit};
 pub use buffer::buffer_high_fanout;
 pub use domino_map::map_dual_rail_domino;
-pub use drive::{select_drives_on, select_drives_with, DriveOptions};
+pub use drive::{select_drives_on, select_drives_with};
 pub use error::SynthError;
 pub use flow::{StageProof, SynthFlow};
 pub use map::{map_aig, map_aig_seq, MapOptions};

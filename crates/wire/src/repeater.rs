@@ -77,12 +77,6 @@ impl RepeaterPlan {
         }
         total
     }
-
-    /// Delay of the unrepeatered wire at the same driver size (for
-    /// comparison/ablation).
-    pub fn unrepeatered(tech: &Technology, wire: &Wire, size: f64) -> Ps {
-        elmore_delay(tech, wire, size, tech.unit_inverter_cin * size)
-    }
 }
 
 #[cfg(test)]
@@ -95,7 +89,8 @@ mod tests {
         let tech = Technology::cmos025_asic();
         let wire = Wire::new(Um::from_mm(10.0), WireLayer::Global);
         let plan = RepeaterPlan::optimal(&tech, &wire);
-        let bare = RepeaterPlan::unrepeatered(&tech, &wire, plan.size);
+        // One stage: the driver alone, no intermediate repeater.
+        let bare = RepeaterPlan::evaluate(&tech, &wire, 1, plan.size);
         assert!(
             plan.total_delay < bare * 0.7,
             "repeatered {} vs bare {}",

@@ -16,7 +16,7 @@ use asicgap::equiv::{check_equiv, random_sim_equiv, EquivResult};
 use asicgap::netlist::{generators, to_bits, Netlist, Simulator};
 use asicgap::pipeline::{pipeline_netlist, verify_pipeline};
 use asicgap::sizing::{snap_to_library, tilos_size, TilosOptions};
-use asicgap::synth::{buffer_high_fanout, select_drives_with, DriveOptions, SynthFlow};
+use asicgap::synth::{buffer_high_fanout, select_drives_with, SynthFlow};
 use asicgap::tech::Technology;
 
 fn libs() -> (Library, Library) {
@@ -96,7 +96,7 @@ fn drive_selection_and_buffering_preserve_function() {
     let (rich, _) = libs();
     let golden = generators::alu(&rich, 8).expect("alu");
     let mut work = golden.clone();
-    select_drives_with(&mut work, &rich, &DriveOptions::default());
+    select_drives_with(&mut work, &rich, 3);
     buffer_high_fanout(&mut work, &rich, 6).expect("buffering");
     // Drive swaps and buffer trees import as identities: this is a
     // formal proof and it never touches the SAT solver.

@@ -26,7 +26,6 @@ fn start_server(workers: usize, queue_cap: usize) -> (SocketAddr, thread::JoinHa
         workers,
         queue_cap,
         cache_budget: 16 << 20,
-        retry_after_ms: 5,
     };
     let server = Server::bind(&config).expect("bind loopback");
     let addr = server.local_addr();
