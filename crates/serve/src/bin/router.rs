@@ -5,8 +5,8 @@
 //! router [--addr HOST:PORT] --shard NAME=ADDR [--shard NAME=ADDR ...]
 //! ```
 //!
-//! Speaks the same frame protocol as `served` and forwards each verb
-//! to the right place:
+//! Speaks the same frame protocol as `served`, on the same event loop
+//! ([`Server::run`]), and forwards each verb to the right place:
 //!
 //! - `RUN` / `CLOSE` — placed on a [`asicgap_cluster::Ring`] by the
 //!   request's canonical key and forwarded to the owning shard; the
@@ -17,274 +17,134 @@
 //!   wherever a later `RUN` for it may land).
 //! - `STATS` — fetched from every shard and merged into one snapshot.
 //! - `PING` — answered locally.
-//! - `SHUTDOWN` — broadcast to every shard, then the router itself
-//!   exits after replying `BYE`.
+//! - `SHUTDOWN` — broadcast to every shard; once they confirm, the
+//!   router replies `BYE` and drains like `served`.
 //!
 //! Prints one `router listening on <addr>` line to stdout so scripts
-//! can scrape the address. The router is deliberately thread-per-
-//! connection and blocking: all heavy lifting happens on the shards,
-//! and each client connection holds its own lazily-opened connections
-//! to them, so requests from different clients never serialize on a
-//! shared socket.
+//! can scrape the address. Each client connection gets its own
+//! pipelined links to the shards (see [`asicgap_serve::server`]).
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::process::ExitCode;
-use std::sync::Arc;
-use std::thread;
 
 use asicgap_cluster::Ring;
 use asicgap_serve::metrics::MetricsSnapshot;
-use asicgap_serve::proto::{read_frame, write_frame, ProtoError, Request, Response};
+use asicgap_serve::proto::{Request, Response};
+use asicgap_serve::server::{Merge, Server, Upstream};
 
-fn usage() -> ! {
-    eprintln!("usage: router [--addr HOST:PORT] --shard NAME=ADDR [--shard NAME=ADDR ...]");
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: router [--addr HOST:PORT] --shard NAME=ADDR [--shard NAME=ADDR ...]";
 
-/// The ring plus shard addresses, aligned with `ring.members()` order.
+/// The ring plus `(name, address)` per shard, in `ring.members()` order.
 struct Cluster {
     ring: Ring,
-    addrs: Vec<String>,
+    shards: Vec<(String, String)>,
 }
 
-impl Cluster {
-    /// Member index owning a canonical request key.
-    fn place(&self, key: &str) -> usize {
-        self.ring.place_index(key)
+impl Upstream for Cluster {
+    fn shards(&self) -> &[(String, String)] {
+        &self.shards
+    }
+
+    fn route(&self, request: &Request) -> (Vec<usize>, Merge) {
+        let all = (0..self.shards.len()).collect();
+        // A flow reply is the owning shard's, byte-for-byte.
+        let relay: Merge = |mut replies| replies.pop().expect("one shard");
+        match request {
+            Request::Ping => (Vec::new(), |_| Response::Pong.encode()),
+            Request::Run(req) => (vec![self.ring.place_index(&req.canonical_key())], relay),
+            Request::Close(req) => (vec![self.ring.place_index(&req.canonical_key())], relay),
+            Request::Load { .. } => (all, merge_load),
+            Request::Stats => (all, merge_stats),
+            Request::Shutdown => (all, |_| Response::Bye.encode()),
+        }
     }
 }
 
-fn parse_args() -> (SocketAddr, Cluster) {
+/// The address and the cluster; `Err(None)` asks for the usage line
+/// alone.
+fn parse_args() -> Result<(SocketAddr, Cluster), Option<String>> {
     let mut addr: SocketAddr = "127.0.0.1:7170".parse().expect("literal addr");
     let mut shards: Vec<(String, String)> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
-        let mut value = |what: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("router: {what} needs a value");
-                usage();
-            })
-        };
+        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
             "--addr" => {
-                let v = value("--addr");
-                addr = v.parse().unwrap_or_else(|_| {
-                    eprintln!("router: bad address {v:?}");
-                    usage();
-                });
+                let v = value()?;
+                addr = v.parse().map_err(|_| format!("bad address {v:?}"))?;
             }
             "--shard" => {
-                let v = value("--shard");
-                let Some((name, shard_addr)) = v.split_once('=') else {
-                    eprintln!("router: --shard wants NAME=ADDR, got {v:?}");
-                    usage();
-                };
+                let v = value()?;
+                let wants = || format!("--shard wants NAME=ADDR, got {v:?}");
+                let (name, shard_addr) = v.split_once('=').ok_or_else(wants)?;
                 shards.push((name.to_string(), shard_addr.to_string()));
             }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("router: unknown flag {other:?}");
-                usage();
-            }
+            "--help" | "-h" => return Err(None),
+            other => return Err(Some(format!("unknown flag {other:?}"))),
         }
     }
-    let Some(ring) = Ring::new(shards.iter().map(|(name, _)| name.clone())) else {
-        eprintln!("router: need at least one --shard with unique names");
-        usage();
+    let names = shards.iter().map(|(name, _)| name.clone());
+    let unique = "need at least one --shard with unique names";
+    let ring = Ring::new(names).ok_or(unique.to_string())?;
+    // Ring members are sorted by name; align the shard table with it.
+    let shard = |m: &String| shards.iter().find(|(name, _)| name == m).cloned();
+    let shards = ring.members().iter().map(shard).collect::<Option<_>>();
+    let shards = shards.expect("members came from this list");
+    Ok((addr, Cluster { ring, shards }))
+}
+
+/// Merges per-shard `STATS` replies into one cluster-wide snapshot; the
+/// first shard, in member order, that sent no snapshot makes it `ERROR`.
+fn merge_stats(replies: Vec<String>) -> String {
+    let snapshot = |reply: &String| match Response::decode(reply) {
+        Ok(Response::Stats { text }) => {
+            MetricsSnapshot::parse(&text).map_err(|e| format!("shard stats unparseable: {e}"))
+        }
+        Ok(Response::Error { message }) => Err(message),
+        _ => Err("shard returned a non-STATS reply".to_string()),
     };
-    // Ring members are sorted by name; align the address table with it.
-    let addrs = ring
-        .members()
-        .iter()
-        .map(|m| {
-            shards
-                .iter()
-                .find(|(name, _)| name == m)
-                .expect("member came from this list")
-                .1
-                .clone()
-        })
-        .collect();
-    (addr, Cluster { ring, addrs })
-}
-
-/// Lazily-opened, per-client-connection links to the shards.
-struct ShardLinks {
-    conns: Vec<Option<TcpStream>>,
-}
-
-impl ShardLinks {
-    fn new(n: usize) -> ShardLinks {
-        ShardLinks {
-            conns: (0..n).map(|_| None).collect(),
+    let response = match replies.iter().map(snapshot).collect::<Result<Vec<_>, _>>() {
+        Ok(snaps) => {
+            let merged = snaps.into_iter().reduce(|m, snap| m.merge(&snap));
+            let text = merged.expect("ring is non-empty").to_string();
+            Response::Stats { text }
         }
-    }
-
-    /// Sends `body` to shard `idx` and returns the reply body verbatim.
-    /// A dead cached connection gets one reconnect-and-retry; after
-    /// that the failure surfaces to the client as an `ERROR` frame.
-    fn forward(&mut self, cluster: &Cluster, idx: usize, body: &str) -> String {
-        let addr = &cluster.addrs[idx];
-        for _attempt in 0..2 {
-            if self.conns[idx].is_none() {
-                self.conns[idx] = TcpStream::connect(addr).ok();
-            }
-            let Some(stream) = self.conns[idx].as_mut() else {
-                break;
-            };
-            if write_frame(stream, body).is_ok() {
-                if let Ok(Some(reply)) = read_frame(stream) {
-                    return reply;
-                }
-            }
-            self.conns[idx] = None;
-        }
-        Response::Error {
-            message: format!("shard {} ({addr}) unreachable", cluster.ring.members()[idx]),
-        }
-        .encode()
-    }
-
-    /// Sends `body` to every shard; returns all reply bodies in member
-    /// order.
-    fn broadcast(&mut self, cluster: &Cluster, body: &str) -> Vec<String> {
-        (0..cluster.addrs.len())
-            .map(|idx| self.forward(cluster, idx, body))
-            .collect()
-    }
-}
-
-/// Merges per-shard `STATS` replies into one cluster-wide snapshot.
-fn merge_stats(replies: &[String]) -> String {
-    let mut merged: Option<MetricsSnapshot> = None;
-    for reply in replies {
-        let text = match Response::decode(reply) {
-            Ok(Response::Stats { text }) => text,
-            Ok(Response::Error { message }) => return Response::Error { message }.encode(),
-            _ => {
-                return Response::Error {
-                    message: "shard returned a non-STATS reply".to_string(),
-                }
-                .encode()
-            }
-        };
-        let snap = match MetricsSnapshot::parse(&text) {
-            Ok(s) => s,
-            Err(e) => {
-                return Response::Error {
-                    message: format!("shard stats unparseable: {e}"),
-                }
-                .encode()
-            }
-        };
-        merged = Some(match merged {
-            None => snap,
-            Some(m) => m.merge(&snap),
-        });
-    }
-    match merged {
-        Some(m) => Response::Stats {
-            text: m.to_string(),
-        }
-        .encode(),
-        None => Response::Error {
-            message: "no shards".to_string(),
-        }
-        .encode(),
-    }
+        Err(message) => Response::Error { message },
+    };
+    response.encode()
 }
 
 /// Picks the reply for a broadcast `LOAD`: the first error if any shard
 /// rejected it, else the (identical) `LOADED` spec.
 fn merge_load(replies: Vec<String>) -> String {
-    for reply in &replies {
-        if !matches!(Response::decode(reply), Ok(Response::Loaded { .. })) {
-            return reply.clone();
-        }
-    }
-    replies.into_iter().next_back().expect("ring is non-empty")
-}
-
-fn handle_connection(mut client: TcpStream, cluster: &Cluster) {
-    let mut links = ShardLinks::new(cluster.addrs.len());
-    loop {
-        let body = match read_frame(&mut client) {
-            Ok(Some(body)) => body,
-            Ok(None) => return,
-            Err(ProtoError::Malformed { what }) => {
-                let resp = Response::Error {
-                    message: format!("malformed frame: {what}"),
-                };
-                if write_frame(&mut client, &resp.encode()).is_err() {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
-        };
-        let reply = match Request::decode(&body) {
-            Err(e) => Response::Error {
-                message: e.to_string(),
-            }
-            .encode(),
-            Ok(Request::Ping) => Response::Pong.encode(),
-            Ok(Request::Stats) => {
-                let replies = links.broadcast(cluster, &body);
-                merge_stats(&replies)
-            }
-            Ok(Request::Shutdown) => {
-                // Drain the whole cluster, confirm to the client, then
-                // take the router down with it.
-                let _ = links.broadcast(cluster, &body);
-                let _ = write_frame(&mut client, &Response::Bye.encode());
-                std::process::exit(0);
-            }
-            Ok(Request::Run(req)) => {
-                let idx = cluster.place(&req.canonical_key());
-                links.forward(cluster, idx, &body)
-            }
-            Ok(Request::Close(req)) => {
-                let idx = cluster.place(&req.canonical_key());
-                links.forward(cluster, idx, &body)
-            }
-            Ok(Request::Load { .. }) => merge_load(links.broadcast(cluster, &body)),
-        };
-        if write_frame(&mut client, &reply).is_err() {
-            return;
-        }
-    }
+    let refused = |reply: &&String| !matches!(Response::decode(reply), Ok(Response::Loaded { .. }));
+    let reply = replies.iter().find(refused).or(replies.last());
+    reply.expect("ring is non-empty").clone()
 }
 
 fn main() -> ExitCode {
-    let (addr, cluster) = parse_args();
-    let cluster = Arc::new(cluster);
-    let listener = match TcpListener::bind(addr) {
-        Ok(l) => l,
+    let (addr, cluster) = match parse_args() {
+        Ok(parsed) => parsed,
+        Err(mistake) => {
+            mistake.iter().for_each(|what| eprintln!("router: {what}"));
+            eprintln!("{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    let listing: Vec<String> = cluster
+        .shards
+        .iter()
+        .map(|(n, a)| format!("{n}={a}"))
+        .collect();
+    let server = match Server::bind_upstream(addr, Box::new(cluster)) {
+        Ok(server) => server,
         Err(e) => {
             eprintln!("router: cannot bind {addr}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let local = listener.local_addr().expect("bound addr");
-    println!("router listening on {local}");
-    eprintln!(
-        "router: {} shards: {}",
-        cluster.ring.members().len(),
-        cluster
-            .ring
-            .members()
-            .iter()
-            .zip(&cluster.addrs)
-            .map(|(n, a)| format!("{n}={a}"))
-            .collect::<Vec<_>>()
-            .join(" ")
-    );
-    for conn in listener.incoming() {
-        let Ok(stream) = conn else { continue };
-        let cluster = Arc::clone(&cluster);
-        let _ = thread::Builder::new()
-            .name("router-conn".to_string())
-            .spawn(move || handle_connection(stream, &cluster));
-    }
+    println!("router listening on {}", server.local_addr());
+    eprintln!("router: {} shards: {}", listing.len(), listing.join(" "));
+    server.run();
     ExitCode::SUCCESS
 }

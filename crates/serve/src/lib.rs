@@ -27,14 +27,17 @@
 //! through the `STATS` verb as a canonical, parseable text block.
 //!
 //! [`proto`] defines the length-prefixed wire protocol (per-verb frame
-//! caps: `LOAD` rides a 16 MiB ceiling, everything else 1 MiB),
-//! [`server`] a std-only non-blocking event loop — one thread sweeps
-//! every connection, pipelined requests are answered strictly in
-//! order, and flow execution stays on the scheduler's worker pool —
-//! and [`client`] the blocking client used by the benchmark harness
-//! and the integration tests. The daemon binary is `served`; `router`
+//! caps: `LOAD` rides a 16 MiB ceiling, everything else 1 MiB); the
+//! crate-private `conn` module is the sans-IO connection core (bytes
+//! in, frames out, replies settled strictly in request order, both
+//! backpressure caps); [`server`] runs it in one std-only
+//! non-blocking event loop — one thread sweeps every connection, and
+//! flow execution stays on the scheduler's worker pool — and
+//! [`client`] the blocking client used by the benchmark harness and
+//! the integration tests. The daemon binary is `served`; `router`
 //! fronts several daemons with a consistent-hash ring
-//! ([`asicgap_cluster::Ring`]).
+//! ([`asicgap_cluster::Ring`]) and runs on the same loop, with
+//! [`server::Upstream`] in the scheduler's place.
 //!
 //! The scheduler's in-memory cache is L1 of a two-level hierarchy: an
 //! [`asicgap::ArtifactStore`] L2 (persistent
@@ -68,6 +71,7 @@
 
 pub mod cache;
 pub mod client;
+mod conn;
 pub mod metrics;
 pub mod proto;
 pub mod sched;

@@ -1,46 +1,27 @@
-//! The TCP server: a single-threaded, non-blocking event loop over all
-//! connections, with flow execution on the scheduler's worker pool.
-//!
-//! The accept/frame layer never blocks and never spawns per-connection
-//! threads: the listener and every stream run in non-blocking mode, and
-//! one loop sweeps them — accepting, reading bytes into per-connection
-//! buffers, parsing frames incrementally ([`crate::proto::parse_frame`]),
-//! dispatching verbs, and flushing writes. Quick verbs (`PING`, `STATS`,
-//! `LOAD`, admission decisions) are answered inline; `RUN`/`CLOSE` jobs
-//! execute on the [`Scheduler`]'s workers while the loop keeps serving
-//! everyone else, polling each job's completion slot without blocking.
-//!
-//! Connections may pipeline: many requests can be in flight on one
-//! socket, and replies are delivered strictly in request order through
-//! a per-connection pending queue. Backpressure is bounded on both
-//! sides — a connection with too many unanswered requests or too many
-//! unflushed reply bytes simply stops being read until it drains, so a
-//! slow or hostile peer cannot grow server memory without limit.
-//!
-//! `SHUTDOWN` stops accepting and reading, lets every already-admitted
-//! reply (including queued jobs) flush in order, then drains the
-//! scheduler — no loopback self-connect tricks are needed because the
-//! accept path is non-blocking.
+//! The TCP server: one single-threaded, non-blocking event loop, the
+//! crate's only socket loop. Each sweep accepts, moves bytes between
+//! every socket and its sans-IO `conn` core, and hands each request to
+//! what answers the verbs: `served`'s [`Scheduler`] (quick verbs inline,
+//! `RUN`/`CLOSE` jobs on its workers, polled through [`Job::try_result`])
+//! or `router`'s shards ([`Upstream`]), reached over per-client links
+//! that run through the same core in the same sweep. `SHUTDOWN` stops
+//! accepting and reading, lets every admitted reply flush in order,
+//! then drains the scheduler.
 
 use std::collections::VecDeque;
+use std::io::ErrorKind::{Interrupted, WouldBlock};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::rc::Rc;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
 use asicgap::ArtifactStore;
 
-use crate::proto::{frame_cap, parse_frame, ProtoError, Request, Response, Source};
+use crate::conn::{Conn, Owed, MAX_WRITE_BUF};
+use crate::proto::{Request, Response, Source};
 use crate::sched::{Admission, Job, Scheduler};
-
-/// Per-connection cap on replies admitted but not yet written. A
-/// pipelining client beyond this stops being read until replies drain.
-const MAX_PENDING: usize = 128;
-
-/// Per-connection cap on buffered unflushed reply bytes; reading stops
-/// while a peer lets this much output sit in our buffer.
-const MAX_WRITE_BUF: usize = 4 << 20;
 
 /// How long the loop parks when a full sweep made no progress.
 const IDLE_PARK: Duration = Duration::from_millis(1);
@@ -72,11 +53,28 @@ impl Default for ServerConfig {
     }
 }
 
-/// A bound, not-yet-serving daemon.
+/// Folds the shards' replies to one request, in [`Upstream::route`]'s
+/// order, into the client's reply.
+pub type Merge = fn(Vec<String>) -> String;
+
+/// What answers the verbs for a router: a ring of `served` shards.
+pub trait Upstream: Send {
+    /// `(name, address)` of each shard, by index.
+    fn shards(&self) -> &[(String, String)];
+    /// The shards `request` goes to (none: the merge alone answers it)
+    /// and how their replies become one.
+    fn route(&self, request: &Request) -> (Vec<usize>, Merge);
+}
+
+enum Verbs {
+    Local(Arc<Scheduler>),
+    Upstream(Box<dyn Upstream>),
+}
+
+/// A bound, not-yet-serving daemon or router.
 pub struct Server {
     listener: TcpListener,
-    local_addr: SocketAddr,
-    sched: Arc<Scheduler>,
+    verbs: Verbs,
 }
 
 impl Server {
@@ -88,7 +86,7 @@ impl Server {
     /// [`io::Error`] if the address cannot be bound.
     pub fn bind(config: &ServerConfig) -> io::Result<Server> {
         let sched = Scheduler::start(config.workers, config.queue_cap, config.cache_budget);
-        Server::bind_with_scheduler(config, sched)
+        Server::listen(config.addr, Verbs::Local(sched))
     }
 
     /// [`Server::bind`] with an explicit L2 artifact store (the daemon
@@ -108,22 +106,26 @@ impl Server {
             config.cache_budget,
             store,
         );
-        Server::bind_with_scheduler(config, sched)
+        Server::listen(config.addr, Verbs::Local(sched))
     }
 
-    fn bind_with_scheduler(config: &ServerConfig, sched: Arc<Scheduler>) -> io::Result<Server> {
-        let listener = TcpListener::bind(config.addr)?;
-        let local_addr = listener.local_addr()?;
-        Ok(Server {
-            listener,
-            local_addr,
-            sched,
-        })
+    /// Binds a router: `upstream`'s shards answer the verbs.
+    ///
+    /// # Errors
+    ///
+    /// [`io::Error`] if the address cannot be bound.
+    pub fn bind_upstream(addr: SocketAddr, upstream: Box<dyn Upstream>) -> io::Result<Server> {
+        Server::listen(addr, Verbs::Upstream(upstream))
+    }
+
+    fn listen(addr: SocketAddr, verbs: Verbs) -> io::Result<Server> {
+        let listener = TcpListener::bind(addr)?;
+        Ok(Server { listener, verbs })
     }
 
     /// The bound address (resolves port 0 to the real ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr().expect("bound listener")
     }
 
     /// Serves until a `SHUTDOWN` verb arrives, then flushes every
@@ -132,302 +134,267 @@ impl Server {
         self.listener
             .set_nonblocking(true)
             .expect("nonblocking listener");
-        let mut conns: Vec<Conn> = Vec::new();
-        let mut stopping = false;
+        let shards = match &self.verbs {
+            Verbs::Local(_) => &[],
+            Verbs::Upstream(upstream) => upstream.shards(),
+        };
+        let (mut clients, mut stopping) = (Vec::<Client>::new(), false);
         loop {
             let mut progressed = false;
-            if !stopping {
-                loop {
-                    match self.listener.accept() {
-                        Ok((stream, _)) => {
-                            if stream.set_nonblocking(true).is_ok() {
-                                conns.push(Conn::new(stream));
-                                progressed = true;
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(_) => break,
-                    }
+            while let Some(Ok((stream, _))) = (!stopping).then(|| self.listener.accept()) {
+                if stream.set_nonblocking(true).is_ok() {
+                    let core = Conn::new();
+                    let links = shards.iter().map(Link::new).collect();
+                    clients.push(Client {
+                        stream,
+                        core,
+                        links,
+                    });
+                    progressed = true;
                 }
             }
-            for conn in &mut conns {
-                progressed |= conn.pump(&self.sched, &mut stopping);
+            for client in &mut clients {
                 if stopping {
                     // No new requests anywhere once a SHUTDOWN landed;
                     // already-admitted replies still flush in order.
-                    conn.stop_reading();
+                    client.core.stop_reading();
                 }
+                progressed |= client.pump(&self.verbs, &mut stopping);
             }
-            conns.retain(|c| !c.is_done());
-            if stopping && conns.iter().all(Conn::is_drained) {
+            clients.retain(|c| !c.core.is_done());
+            if stopping && clients.is_empty() {
                 break;
             }
             if !progressed {
                 thread::park_timeout(IDLE_PARK);
             }
         }
-        self.sched.shutdown();
-        self.sched.join();
-    }
-}
-
-/// One reply owed to a connection, in request order.
-enum Reply {
-    /// Already-encoded response body, ready to frame and send.
-    Ready(String),
-    /// A queued or joined flow job; resolved by polling, never by
-    /// blocking the loop.
-    Job { source: Source, job: Arc<Job> },
-}
-
-/// Per-connection state: buffered input, owed replies, buffered output.
-struct Conn {
-    stream: TcpStream,
-    read_buf: Vec<u8>,
-    pending: VecDeque<Reply>,
-    write_buf: Vec<u8>,
-    /// Prefix of `write_buf` already handed to the socket.
-    written: usize,
-    /// Cleared on EOF, read error, or `SHUTDOWN`.
-    reading: bool,
-    /// Set on protocol violations that forfeit the connection
-    /// (oversized frames, socket errors): close as soon as possible.
-    closing: bool,
-}
-
-impl Conn {
-    fn new(stream: TcpStream) -> Conn {
-        Conn {
-            stream,
-            read_buf: Vec::new(),
-            pending: VecDeque::new(),
-            write_buf: Vec::new(),
-            written: 0,
-            reading: true,
-            closing: false,
+        if let Verbs::Local(sched) = &self.verbs {
+            sched.shutdown();
+            sched.join();
         }
     }
+}
 
-    /// The connection has nothing left to do and can be dropped. A
-    /// `closing` connection is forfeit immediately — its socket may be
-    /// unwritable, so waiting to flush could wedge the drain.
-    fn is_done(&self) -> bool {
-        self.closing
-            || (!self.reading && self.pending.is_empty() && self.written == self.write_buf.len())
-    }
-
-    /// Everything admitted has been answered and flushed (used for the
-    /// shutdown drain; an idle connection is trivially drained).
-    fn is_drained(&self) -> bool {
-        self.closing || (self.pending.is_empty() && self.written == self.write_buf.len())
-    }
-
-    fn stop_reading(&mut self) {
-        self.reading = false;
-        self.read_buf.clear();
-    }
-
-    /// Input is throttled while the peer owes us drain: too many
-    /// unanswered requests or too much unflushed output.
-    fn throttled(&self) -> bool {
-        self.pending.len() >= MAX_PENDING || self.write_buf.len() - self.written >= MAX_WRITE_BUF
-    }
-
-    /// One full sweep: flush writes, resolve finished jobs, read and
-    /// dispatch new frames. Returns whether anything moved.
-    fn pump(&mut self, sched: &Scheduler, stopping: &mut bool) -> bool {
-        let mut progressed = self.flush();
-        progressed |= self.settle();
-        progressed |= self.fill();
-        progressed |= self.dispatch_frames(sched, stopping);
-        // Anything the sweep produced goes out as eagerly as possible.
-        progressed |= self.settle();
-        progressed | self.flush()
-    }
-
-    /// Moves bytes from `write_buf` to the socket until it would block.
-    fn flush(&mut self) -> bool {
-        let mut progressed = false;
-        while self.written < self.write_buf.len() {
-            match self.stream.write(&self.write_buf[self.written..]) {
-                Ok(0) => {
-                    self.closing = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.written += n;
-                    progressed = true;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.closing = true;
-                    break;
-                }
+impl Verbs {
+    fn answer(&self, request: Request, body: &str, links: &mut [Link]) -> Owed<Later> {
+        let sched = match self {
+            Verbs::Local(sched) => sched,
+            Verbs::Upstream(upstream) => {
+                let (shards, merge) = upstream.route(&request);
+                let body: Rc<str> = body.into();
+                shards.iter().for_each(|&shard| links[shard].send(&body));
+                return Owed::Later(Later::Fan(shards, merge));
             }
-        }
-        if self.written == self.write_buf.len() && self.written > 0 {
-            self.write_buf.clear();
-            self.written = 0;
-        }
-        progressed
-    }
-
-    /// Drains the pending queue head-first into `write_buf`, stopping
-    /// at the first job that has not finished — replies always leave in
-    /// request order, which is what makes pipelining safe.
-    fn settle(&mut self) -> bool {
-        let mut progressed = false;
-        loop {
-            let resolved = match self.pending.front() {
-                None => break,
-                Some(Reply::Ready(_)) => None,
-                Some(Reply::Job { source, job }) => match job.try_result() {
-                    None => break,
-                    Some(result) => Some((*source, result)),
-                },
-            };
-            let body = match (resolved, self.pending.pop_front()) {
-                (None, Some(Reply::Ready(body))) => body,
-                (Some((source, Ok(text))), Some(_)) => Response::Outcome { source, text }.encode(),
-                (Some((_, Err(message))), Some(_)) => Response::Error { message }.encode(),
-                _ => unreachable!("pending front vanished mid-settle"),
-            };
-            self.enqueue_frame(&body);
-            progressed = true;
-        }
-        progressed
-    }
-
-    /// Frames `body` into the write buffer, mirroring
-    /// [`crate::proto::write_frame`]'s cap: a response the protocol
-    /// cannot carry forfeits the connection rather than corrupting it.
-    fn enqueue_frame(&mut self, body: &str) {
-        if body.len() > frame_cap(body) {
-            self.closing = true;
-            return;
-        }
-        self.write_buf
-            .extend_from_slice(&(body.len() as u32).to_be_bytes());
-        self.write_buf.extend_from_slice(body.as_bytes());
-    }
-
-    fn push_ready(&mut self, response: &Response) {
-        self.pending.push_back(Reply::Ready(response.encode()));
-    }
-
-    /// Reads available bytes into `read_buf` until the socket would
-    /// block, EOF, or backpressure says stop.
-    fn fill(&mut self) -> bool {
-        if !self.reading || self.closing || self.throttled() {
-            return false;
-        }
-        let mut progressed = false;
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.reading = false;
-                    break;
-                }
-                Ok(n) => {
-                    self.read_buf.extend_from_slice(&chunk[..n]);
-                    progressed = true;
-                    if self.throttled() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.reading = false;
-                    self.closing = true;
-                    break;
-                }
-            }
-        }
-        progressed
-    }
-
-    /// Parses and dispatches every complete frame buffered so far.
-    fn dispatch_frames(&mut self, sched: &Scheduler, stopping: &mut bool) -> bool {
-        let mut progressed = false;
-        while !self.closing && self.reading && !self.throttled() {
-            let body = match parse_frame(&self.read_buf) {
-                Ok(None) => break,
-                Ok(Some((body, consumed))) => {
-                    self.read_buf.drain(..consumed);
-                    body
-                }
-                Err(ProtoError::Malformed { what }) => {
-                    // Framing survived (the length header was honest);
-                    // consume the frame, report, keep the connection.
-                    let len =
-                        u32::from_be_bytes(self.read_buf[..4].try_into().expect("header")) as usize;
-                    self.read_buf.drain(..4 + len);
-                    self.push_ready(&Response::Error {
-                        message: format!("malformed frame: {what}"),
-                    });
-                    progressed = true;
-                    continue;
-                }
-                Err(_) => {
-                    // Oversized header: the stream is unframeable from
-                    // here on; forfeit the connection.
-                    self.stop_reading();
-                    self.closing = true;
-                    break;
-                }
-            };
-            progressed = true;
-            self.dispatch(&body, sched, stopping);
-        }
-        progressed
-    }
-
-    /// Turns one decoded frame into a reply (or an admitted job).
-    fn dispatch(&mut self, body: &str, sched: &Scheduler, stopping: &mut bool) {
-        match Request::decode(body) {
-            Err(e) => self.push_ready(&Response::Error {
-                message: e.to_string(),
-            }),
-            Ok(Request::Ping) => self.push_ready(&Response::Pong),
-            Ok(Request::Stats) => self.push_ready(&Response::Stats {
+        };
+        let response = match request {
+            Request::Ping => Response::Pong,
+            Request::Stats => Response::Stats {
                 text: sched.stats().to_string(),
-            }),
-            Ok(Request::Shutdown) => {
-                self.push_ready(&Response::Bye);
-                self.stop_reading();
+            },
+            Request::Shutdown => Response::Bye,
+            Request::Load { format, payload } => match sched.load_design(format, payload) {
+                Ok(spec) => Response::Loaded { spec },
+                Err(message) => Response::Error { message },
+            },
+            Request::Run(req) => return admit(sched.submit(req)),
+            Request::Close(req) => return admit(sched.submit_close(req)),
+        };
+        Owed::Ready(response.encode())
+    }
+}
+
+/// Cache hits and rejections answer at once; jobs are polled.
+fn admit(admission: Admission) -> Owed<Later> {
+    match admission {
+        Admission::Cached(text) => Owed::Ready(outcome(Source::Cache, Ok(text))),
+        Admission::Busy => {
+            let retry_after_ms = RETRY_AFTER_MS;
+            Owed::Ready(Response::Busy { retry_after_ms }.encode())
+        }
+        Admission::Submitted(job) => Owed::Later(Later::Job(Source::Computed, job)),
+        Admission::Joined(job) => Owed::Later(Later::Job(Source::Deduped, job)),
+    }
+}
+
+fn outcome(source: Source, result: Result<String, String>) -> String {
+    match result {
+        Ok(text) => Response::Outcome { source, text },
+        Err(message) => Response::Error { message },
+    }
+    .encode()
+}
+
+/// A reply still being worked out: a flow job, or one reply from each
+/// listed shard's link, merged once all are in.
+enum Later {
+    Job(Source, Arc<Job>),
+    Fan(Vec<usize>, Merge),
+}
+
+/// One client connection; a router's has one link per shard.
+struct Client {
+    stream: TcpStream,
+    core: Conn<Later>,
+    links: Vec<Link>,
+}
+
+impl Client {
+    /// One sweep: read and answer requests, move the links' bytes,
+    /// frame what has settled and flush it. Whether anything moved.
+    fn pump(&mut self, verbs: &Verbs, stopping: &mut bool) -> bool {
+        // A client whose requests fill a link's write budget is not
+        // read again until that shard answers some of them.
+        let backlog = |link: &Link| link.sent.iter().map(|(body, _)| body.len()).sum::<usize>();
+        let mut progressed = self.links.iter().all(|link| backlog(link) < MAX_WRITE_BUF)
+            && fill(&mut self.stream, &mut self.core, Conn::wants_input);
+        while let Some(body) = self.core.next_request() {
+            progressed = true;
+            let request = Request::decode(&body);
+            if matches!(request, Ok(Request::Shutdown)) {
+                self.core.stop_reading();
                 *stopping = true;
             }
-            Ok(Request::Run(req)) => self.admit(sched.submit(req)),
-            Ok(Request::Close(req)) => self.admit(sched.submit_close(req)),
-            Ok(Request::Load { format, payload }) => match sched.load_design(format, payload) {
-                Ok(spec) => self.push_ready(&Response::Loaded { spec }),
-                Err(message) => self.push_ready(&Response::Error { message }),
-            },
+            self.core.owe(match request {
+                Ok(request) => verbs.answer(request, &body, &mut self.links),
+                Err(e) => {
+                    let message = e.to_string();
+                    Owed::Ready(Response::Error { message }.encode())
+                }
+            });
+        }
+        for link in &mut self.links {
+            progressed |= link.pump();
+        }
+        let links = &mut self.links;
+        progressed |= self.core.settle(|later| match later {
+            Later::Job(source, job) => Some(outcome(*source, job.try_result()?)),
+            // Fans settle in request order and each link answers in
+            // request order: a link's oldest reply is the head fan's.
+            Later::Fan(shards, merge) => {
+                if shards.iter().any(|&shard| links[shard].replies.is_empty()) {
+                    return None;
+                }
+                let replies = shards.iter().map(|&shard| links[shard].replies.pop_front());
+                Some(merge(replies.collect::<Option<_>>()?))
+            }
+        });
+        progressed | flush(&mut self.stream, &mut self.core)
+    }
+}
+
+/// A client's pipelined link to one shard, opened when a request needs it.
+struct Link {
+    addr: String,
+    /// The reply a request gets when the shard cannot be reached.
+    unreachable: String,
+    socket: Option<(TcpStream, Conn<()>)>,
+    /// Requests awaiting a reply, oldest first, each with the number of
+    /// connections it has gone out on (never rising front to back).
+    sent: VecDeque<(Rc<str>, u8)>,
+    /// Replies not yet taken by their fan, oldest first.
+    replies: VecDeque<String>,
+}
+
+impl Link {
+    fn new((name, addr): &(String, String)) -> Link {
+        let message = format!("shard {name} ({addr}) unreachable");
+        Link {
+            addr: addr.clone(),
+            unreachable: Response::Error { message }.encode(),
+            socket: None,
+            sent: VecDeque::new(),
+            replies: VecDeque::new(),
         }
     }
 
-    /// Queues an admission outcome without blocking: cache hits and
-    /// rejections answer immediately, queued/joined jobs are polled.
-    fn admit(&mut self, admission: Admission) {
-        match admission {
-            Admission::Cached(text) => self.push_ready(&Response::Outcome {
-                source: Source::Cache,
-                text,
-            }),
-            Admission::Busy => self.push_ready(&Response::Busy {
-                retry_after_ms: RETRY_AFTER_MS,
-            }),
-            Admission::Submitted(job) => self.pending.push_back(Reply::Job {
-                source: Source::Computed,
-                job,
-            }),
-            Admission::Joined(job) => self.pending.push_back(Reply::Job {
-                source: Source::Deduped,
-                job,
-            }),
+    fn send(&mut self, body: &Rc<str>) {
+        let sent = self.socket.as_mut().map(|(_, core)| core.send(body));
+        self.sent
+            .push_back((Rc::clone(body), u8::from(sent.is_some())));
+    }
+
+    /// Opens a connection carrying every request awaiting a reply; if
+    /// the shard cannot be reached, they are all answered unreachable.
+    fn connect(&mut self) {
+        let stream = TcpStream::connect(&self.addr);
+        match stream.and_then(|s| s.set_nonblocking(true).map(|()| s)) {
+            Ok(stream) => {
+                let mut core = Conn::new();
+                for (body, tries) in &mut self.sent {
+                    core.send(body);
+                    *tries += 1;
+                }
+                self.socket = Some((stream, core));
+            }
+            Err(_) => self.give_up(|_| true),
         }
     }
+
+    /// Answers unreachable the oldest requests `spent` says are done.
+    fn give_up(&mut self, spent: fn(u8) -> bool) {
+        while self.sent.front().is_some_and(|&(_, tries)| spent(tries)) {
+            self.sent.pop_front();
+            self.replies.push_back(self.unreachable.clone());
+        }
+    }
+
+    /// Moves this link's bytes and files the replies that arrived. A
+    /// dead connection's requests go out once more on a fresh one, then
+    /// are answered unreachable.
+    fn pump(&mut self) -> bool {
+        if self.socket.is_none() && !self.sent.is_empty() {
+            self.connect();
+        }
+        let Some((stream, core)) = &mut self.socket else {
+            return false;
+        };
+        let mut progressed = flush(stream, core) | fill(stream, core, Conn::open);
+        loop {
+            match core.take_frame() {
+                Ok(None) => break,
+                Ok(Some(reply)) if !self.sent.is_empty() => {
+                    self.sent.pop_front();
+                    self.replies.push_back(reply);
+                }
+                _ => core.fail(), // a broken or unasked-for frame
+            }
+            progressed = true;
+        }
+        if !core.open() {
+            self.socket = None;
+            self.give_up(|tries| tries >= 2);
+        }
+        progressed
+    }
+}
+
+/// Moves `core`'s unwritten bytes to the socket until it would block or
+/// is interrupted (the next sweep retries); a failed socket forfeits it.
+fn flush<P>(stream: &mut TcpStream, core: &mut Conn<P>) -> bool {
+    let mut progressed = false;
+    while !core.unwritten().is_empty() {
+        match stream.write(core.unwritten()) {
+            Ok(n) if n > 0 => core.wrote(n),
+            Err(e) if matches!(e.kind(), WouldBlock | Interrupted) => break,
+            _ => core.fail(),
+        }
+        progressed = true;
+    }
+    progressed
+}
+
+/// Reads into `core`, as [`flush`] writes, while `more` says so.
+fn fill<P>(stream: &mut TcpStream, core: &mut Conn<P>, more: fn(&Conn<P>) -> bool) -> bool {
+    let mut progressed = false;
+    let mut chunk = [0u8; 16 * 1024];
+    while more(core) {
+        match stream.read(&mut chunk) {
+            Ok(n) => core.received(&chunk[..n]),
+            Err(e) if matches!(e.kind(), WouldBlock | Interrupted) => break,
+            Err(_) => core.fail(),
+        }
+        progressed = true;
+    }
+    progressed
 }

@@ -66,14 +66,14 @@ impl RepeaterPlan {
             length: wire.length / count as f64,
             ..*wire
         };
-        let rep_cin = tech.unit_inverter_cin * size;
+        // Each stage drives its segment plus the next repeater's input
+        // (the last stage drives a same-size receiver), so every stage
+        // has the same delay. It is added `count` times, not multiplied,
+        // so the sum keeps its bits.
+        let stage = elmore_delay(tech, &seg, size, tech.unit_inverter_cin * size);
         let mut total = Ps::ZERO;
-        for stage in 0..count {
-            // Each stage drives its segment plus the next repeater's input
-            // (the last stage drives a same-size receiver).
-            let load = rep_cin;
-            let _ = stage;
-            total += elmore_delay(tech, &seg, size, load);
+        for _ in 0..count {
+            total += stage;
         }
         total
     }

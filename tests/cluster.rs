@@ -16,15 +16,27 @@
 //!   survive a graceful restart (served from L2) and a `kill -9`
 //!   mid-work (recovery truncates at most a torn tail; every committed
 //!   artifact is served byte-identically afterwards).
+//! - **The router's connection rules.** Pipelined requests on one
+//!   socket are answered in request order; a malformed frame is
+//!   answered with `ERROR` on a connection that stays usable; an
+//!   oversized header costs only its own connection; a shard killed
+//!   with `kill -9` is answered `ERROR … unreachable` within a bounded
+//!   wait while the survivor keeps serving; a request whose shard
+//!   connection dies is resent once on a fresh one, then answered
+//!   unreachable; concurrent clients get identical bytes.
 
-use std::io::{BufRead, BufReader};
-use std::net::SocketAddr;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
 use asicgap::{VerifyLevel, WireModel, WorkloadSpec};
-use asicgap_serve::client::Client;
-use asicgap_serve::proto::{RunRequest, ScenarioPreset, Source};
+use asicgap_cluster::Ring;
+use asicgap_serve::client::{Client, ClientError};
+use asicgap_serve::proto::{
+    read_frame, write_frame, Request, Response, RunRequest, ScenarioPreset, Source, MAX_FRAME,
+};
 
 /// A spawned daemon/router child; killed on drop so a failing test
 /// doesn't leak processes.
@@ -276,4 +288,244 @@ fn kill_nine_mid_work_loses_no_committed_artifact() {
     let mut revived = revived;
     assert!(revived.child.wait().expect("exit").success());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two shards named `a` and `b` behind one router.
+fn cluster_of_two() -> (Daemon, Daemon, Daemon) {
+    let a = spawn_served(&[]);
+    let b = spawn_served(&[]);
+    let router = spawn_router(&[("a", a.addr), ("b", b.addr)]);
+    (a, b, router)
+}
+
+/// A raw socket to `daemon` whose reads give up after a minute, so a
+/// hung reply fails the test instead of wedging it.
+fn raw(daemon: &Daemon) -> TcpStream {
+    let stream = TcpStream::connect(daemon.addr).expect("raw connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    stream
+}
+
+/// One frame: 4-byte big-endian length, then `body`.
+fn frame(body: &[u8]) -> Vec<u8> {
+    let mut bytes = u32::try_from(body.len())
+        .expect("small body")
+        .to_be_bytes()
+        .to_vec();
+    bytes.extend_from_slice(body);
+    bytes
+}
+
+fn read_reply(stream: &mut TcpStream) -> Response {
+    let body = read_frame(stream).expect("read").expect("a reply frame");
+    Response::decode(&body).expect("reply decodes")
+}
+
+/// The first seed from 100 on whose request the ring places on `shard`.
+fn seed_on(shard: usize) -> u64 {
+    let ring = Ring::new(["a", "b"]).expect("two members");
+    (100..)
+        .find(|&seed| ring.place_index(&small(seed).canonical_key()) == shard)
+        .expect("both shards own some key")
+}
+
+#[test]
+fn the_router_answers_pipelined_requests_in_order() {
+    let (_a, _b, router) = cluster_of_two();
+    let seeds: Vec<u64> = (51..59).collect();
+    let mut bodies: Vec<String> = seeds
+        .iter()
+        .map(|&seed| Request::Run(small(seed)).encode())
+        .collect();
+    bodies.insert(4, Request::Ping.encode());
+    // Every request leaves in one write, before any reply is read.
+    let mut stream = raw(&router);
+    let burst: Vec<u8> = bodies.iter().flat_map(|b| frame(b.as_bytes())).collect();
+    stream.write_all(&burst).expect("write burst");
+    let mut replies = (0..bodies.len()).map(|_| read_reply(&mut stream));
+    for (i, &seed) in seeds.iter().enumerate() {
+        if i == 4 {
+            assert_eq!(replies.next(), Some(Response::Pong), "PING keeps its place");
+        }
+        match replies.next().expect("one reply per request") {
+            Response::Outcome { text, .. } => {
+                assert_eq!(text, local_text(&small(seed)), "reply {i} out of order")
+            }
+            other => panic!("seed {seed}: expected OUTCOME, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn the_router_answers_a_malformed_frame_and_keeps_the_connection() {
+    let (_a, _b, router) = cluster_of_two();
+    let mut stream = raw(&router);
+    // PING, a non-UTF-8 frame, an unknown verb, PING: pipelined.
+    let burst = [
+        frame(b"PING"),
+        frame(&[0xff, 0xfe, 0x00]),
+        frame(b"BOGUS VERB"),
+        frame(b"PING"),
+    ]
+    .concat();
+    stream.write_all(&burst).expect("write burst");
+    assert_eq!(read_reply(&mut stream), Response::Pong);
+    assert_eq!(
+        read_reply(&mut stream),
+        Response::Error {
+            message: "malformed frame: non-UTF-8 payload".to_string()
+        }
+    );
+    match read_reply(&mut stream) {
+        Response::Error { message } => assert!(message.contains("unknown verb"), "{message}"),
+        other => panic!("expected ERROR, got {other:?}"),
+    }
+    assert_eq!(read_reply(&mut stream), Response::Pong);
+    // Still usable for real work afterwards.
+    stream
+        .write_all(&frame(Request::Run(small(61)).encode().as_bytes()))
+        .expect("write RUN");
+    match read_reply(&mut stream) {
+        Response::Outcome { text, .. } => assert_eq!(text, local_text(&small(61))),
+        other => panic!("expected OUTCOME, got {other:?}"),
+    }
+}
+
+#[test]
+fn an_oversized_header_costs_the_router_only_that_connection() {
+    let (_a, _b, router) = cluster_of_two();
+    let mut bystander = connect(&router);
+    bystander.ping().expect("ping");
+
+    // Over the default cap with a non-LOAD head, and over every cap.
+    let over_default = u32::try_from(MAX_FRAME + 1).expect("fits");
+    for header in [over_default, u32::MAX] {
+        let mut stream = raw(&router);
+        stream.write_all(&header.to_be_bytes()).expect("header");
+        stream.write_all(&[0u8; 64]).expect("some body bytes");
+        let eof = read_frame(&mut stream);
+        assert!(
+            matches!(eof, Ok(None) | Err(_)),
+            "router must hang up, got a frame: {eof:?}"
+        );
+    }
+
+    bystander.ping().expect("ping after the violations");
+    let (_, text) = bystander.run_retry(small(71), 1000).expect("run");
+    assert_eq!(text, local_text(&small(71)));
+}
+
+#[test]
+fn a_killed_shard_is_unreachable_and_the_survivor_still_serves() {
+    let (mut a, _b, router) = cluster_of_two();
+    let (on_a, on_b) = (small(seed_on(0)), small(seed_on(1)));
+    let mut client = connect(&router);
+    // Warm both links first, so the kill hits an open one.
+    for req in [&on_a, &on_b] {
+        let (_, text) = client.run_retry(req.clone(), 1000).expect("warm-up run");
+        assert_eq!(text, local_text(req));
+    }
+    a.child.kill().expect("SIGKILL");
+    let _ = a.child.wait();
+
+    // Each call runs on its own thread under a bounded wait: a hang
+    // fails the test instead of wedging it.
+    let bounded = |mut client: Client, req: &RunRequest| {
+        let (tx, rx) = mpsc::channel();
+        let req = req.clone();
+        std::thread::spawn(move || {
+            let reply = client.run_retry(req, 1000);
+            let _ = tx.send((client, reply));
+        });
+        rx.recv_timeout(Duration::from_secs(30))
+            .expect("answered within 30 s")
+    };
+    let unreachable = format!("shard a ({}) unreachable", a.addr);
+    let is_unreachable = |r: &Result<(Source, String), ClientError>| matches!(r, Err(ClientError::Server(m)) if *m == unreachable);
+    let (client, dead) = bounded(client, &on_a);
+    assert!(is_unreachable(&dead), "{dead:?}");
+    let (_client, alive) = bounded(client, &on_b);
+    assert_eq!(alive.expect("survivor serves").1, local_text(&on_b));
+    // A fresh connection opens fresh links and sees the same.
+    let (fresh, dead) = bounded(connect(&router), &on_a);
+    assert!(is_unreachable(&dead), "{dead:?}");
+    let (_, alive) = bounded(fresh, &on_b);
+    assert_eq!(alive.expect("survivor serves").1, local_text(&on_b));
+}
+
+#[test]
+fn sixteen_concurrent_router_clients_get_identical_bytes() {
+    let (_a, _b, router) = cluster_of_two();
+    let reqs = [small(81), small(82)];
+    let expected: Vec<String> = reqs.iter().map(local_text).collect();
+    let barrier = Arc::new(Barrier::new(16));
+    let clients: Vec<_> = (0..16)
+        .map(|_| {
+            let mut client = connect(&router);
+            let (barrier, reqs) = (Arc::clone(&barrier), reqs.clone());
+            std::thread::spawn(move || {
+                barrier.wait();
+                reqs.map(|req| client.run_retry(req, 1000).expect("run").1)
+            })
+        })
+        .collect();
+    for client in clients {
+        assert_eq!(client.join().expect("client thread").to_vec(), expected);
+    }
+}
+
+/// A stand-in shard: each connection it accepts reads one request,
+/// then is dropped unanswered while `drops` lasts, answered `reply`
+/// after. Returns its address and how many connections it accepted.
+fn flaky_shard(drops: usize, reply: &'static str) -> (SocketAddr, std::thread::JoinHandle<usize>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let shard = std::thread::spawn(move || {
+        let mut accepted = 0;
+        loop {
+            let (mut conn, _) = listener.accept().expect("accept");
+            accepted += 1;
+            let Ok(Some(_)) = read_frame(&mut conn) else {
+                return accepted; // the router hung up: the test is over
+            };
+            if accepted > drops {
+                write_frame(&mut conn, reply).expect("reply");
+                // Hold the connection until the router drops it.
+                let _ = read_frame(&mut conn);
+                return accepted;
+            }
+        }
+    });
+    (addr, shard)
+}
+
+#[test]
+fn a_request_on_a_dying_link_is_resent_once_then_unreachable() {
+    // The first connection dies mid-request; the resend is answered.
+    let (addr, shard) = flaky_shard(1, "OUTCOME computed\nresent");
+    let router = spawn_router(&[("f", addr)]);
+    let mut client = connect(&router);
+    let reply = client.run(small(91)).expect("run");
+    assert_eq!(reply.ok(), Some((Source::Computed, "resent".to_string())));
+    drop((client, router));
+    assert_eq!(shard.join().expect("shard"), 2, "one resend, no more");
+
+    // Both connections die: the request is answered unreachable, and
+    // no third connection is tried.
+    let (addr, shard) = flaky_shard(2, "OUTCOME computed\nunused");
+    let router = spawn_router(&[("f", addr)]);
+    let mut client = connect(&router);
+    let reply = client.run(small(92));
+    let unreachable = format!("shard f ({addr}) unreachable");
+    assert!(
+        matches!(&reply, Err(ClientError::Server(m)) if *m == unreachable),
+        "{reply:?}"
+    );
+    // A PING does not touch the shard; then a third connection ends
+    // the stand-in.
+    client.ping().expect("ping");
+    drop(TcpStream::connect(addr).expect("wake the stand-in"));
+    assert_eq!(shard.join().expect("shard"), 3, "two router connections");
 }
