@@ -34,11 +34,11 @@ fn mix(mut h: u64) -> u64 {
 /// use asicgap_cluster::Ring;
 ///
 /// let ring = Ring::new(["alpha", "beta"]).unwrap();
-/// let shard = ring.place("some canonical key text");
+/// let shard = &ring.members()[ring.place_index("some canonical key text")];
 /// assert!(shard == "alpha" || shard == "beta");
 /// // Same members, different construction order: same placement.
 /// let again = Ring::new(["beta", "alpha"]).unwrap();
-/// assert_eq!(again.place("some canonical key text"), shard);
+/// assert_eq!(&again.members()[again.place_index("some canonical key text")], shard);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Ring {
@@ -76,21 +76,9 @@ impl Ring {
         &self.members
     }
 
-    /// The member that owns `key`.
-    pub fn place(&self, key: &str) -> &str {
-        &self.members[self.place_index(key)]
-    }
-
     /// The index (into [`Ring::members`]) of the member that owns `key`.
     pub fn place_index(&self, key: &str) -> usize {
-        self.place_hash(content_hash(key))
-    }
-
-    /// The member index owning an already-computed
-    /// [`content_hash`](asicgap::content_hash) of a key. Routers that
-    /// hash once and both place and log reuse this.
-    pub fn place_hash(&self, hash: u64) -> usize {
-        let hash = mix(hash);
+        let hash = mix(content_hash(key));
         let i = self.points.partition_point(|&(p, _)| p < hash);
         self.points[i % self.points.len()].1
     }
@@ -99,6 +87,11 @@ impl Ring {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The name of the member that owns `key`.
+    fn owner<'r>(ring: &'r Ring, key: &str) -> &'r str {
+        &ring.members()[ring.place_index(key)]
+    }
 
     #[test]
     fn rejects_empty_and_duplicate_member_lists() {
@@ -110,9 +103,10 @@ mod tests {
     fn placement_is_deterministic_and_order_independent() {
         let a = Ring::new(["shard0", "shard1", "shard2"]).unwrap();
         let b = Ring::new(["shard2", "shard0", "shard1"]).unwrap();
+        assert_eq!(a.members(), b.members());
         for i in 0..500 {
             let key = format!("key-{i}");
-            assert_eq!(a.place(&key), b.place(&key));
+            assert_eq!(a.place_index(&key), b.place_index(&key));
         }
     }
 
@@ -120,7 +114,7 @@ mod tests {
     fn two_shard_split_is_roughly_even() {
         let ring = Ring::new(["a", "b"]).unwrap();
         let hits = (0..2000)
-            .filter(|i| ring.place(&format!("key-{i}")) == "a")
+            .filter(|i| owner(&ring, &format!("key-{i}")) == "a")
             .count();
         assert!(
             (400..=1600).contains(&hits),
@@ -135,11 +129,11 @@ mod tests {
         let mut moved = 0;
         for i in 0..2000 {
             let key = format!("key-{i}");
-            let before = three.place(&key);
+            let before = owner(&three, &key);
             if before == "c" {
                 continue;
             }
-            if two.place(&key) != before {
+            if owner(&two, &key) != before {
                 moved += 1;
             }
         }

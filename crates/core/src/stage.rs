@@ -82,7 +82,7 @@ use asicgap_place::{annotate, AnnealOptions, Floorplan, FloorplanStrategy, Place
 use asicgap_process::{BinningPolicy, ChipPopulation, VariationComponents};
 use asicgap_route::{annotate_routed, route, RouteSummary, RouterOptions, RoutingResult};
 use asicgap_sizing::{snap_to_library, tilos_size, TilosOptions};
-use asicgap_sta::{ClockSpec, IncrementalStats, TimingGraph};
+use asicgap_sta::{analyze, ClockSpec, IncrementalStats, TimingGraph};
 use asicgap_synth::{select_drives_on, PassPipeline, SynthError};
 use asicgap_tech::text::Lines;
 use asicgap_tech::{Mhz, Ps};
@@ -701,8 +701,7 @@ impl<'a> Flow<'a> {
         } = synth;
         let lib = self.lib;
         let clock = Instant::now();
-        let report =
-            TimingGraph::new(netlist.clone(), lib, ClockSpec::unconstrained(), None).report();
+        let report = analyze(&netlist, lib, &ClockSpec::unconstrained(), None);
         let piped = pipeline_netlist_with(&netlist, lib, self.scenario.pipeline_stages, &report)?;
         self.obs.stage_done(FlowStage::Pipeline, clock.elapsed());
         if self.verify != VerifyLevel::Off {
@@ -828,9 +827,8 @@ impl<'a> Flow<'a> {
             .as_ref()
             .map(|r| r.summary(graph.netlist(), placement));
         let clock = Instant::now();
-        let report = graph.report();
+        let (report, netlist) = graph.finish();
         self.obs.stage_done(FlowStage::Sta, clock.elapsed());
-        let (netlist, _) = graph.into_parts();
         Ok(RouteArtifact {
             netlist,
             min_period: report.min_period,

@@ -6,7 +6,7 @@ use asicgap_tech::{Ps, Technology};
 
 use crate::clock::ClockSpec;
 use crate::graph::StaModel;
-use crate::incremental::{ArrivalEngine, IncrementalStats};
+use crate::incremental::{ArrivalEngine, ArrivalTables, IncrementalStats};
 use crate::parasitics::NetParasitics;
 use crate::report::{PathStep, TimingPath};
 
@@ -218,7 +218,7 @@ pub(crate) fn analyze_with_io(
     let mut engine = ArrivalEngine::new(netlist);
     let model = StaModel { lib, par, io: *io };
     engine.full_propagate(netlist, &model);
-    extract_report(netlist, lib, clock, io, engine)
+    extract_report(netlist, lib, clock, io, engine.into_tables())
 }
 
 /// The result of one endpoint sweep: per-group worsts plus the single
@@ -340,49 +340,47 @@ pub(crate) fn sweep_endpoints(
     }
 }
 
-/// Turns a fully-propagated engine into a [`TimingReport`]: endpoint
-/// sweep, min-period/WNS, critical-path trace. Consumes the engine's
-/// tables so a plain [`analyze`] copies nothing.
+/// Turns a fully-propagated engine's tables into a [`TimingReport`]:
+/// endpoint sweep, min-period/WNS, critical-path trace. Takes the tables
+/// by value so a plain [`analyze`] copies nothing.
 pub(crate) fn extract_report(
     netlist: &Netlist,
     lib: &Library,
     clock: &ClockSpec,
     io: &IoConstraints,
-    engine: ArrivalEngine,
+    tables: ArrivalTables,
 ) -> TimingReport {
     let sweep = sweep_endpoints(
         netlist,
         lib,
         clock,
         io,
-        engine.arrivals(),
-        engine.launch_flags(),
+        &tables.arrival,
+        &tables.from_register,
     );
     let min_period = sweep.end_arrival + sweep.extra;
     let wns = clock.period - min_period;
     let critical = trace_path(
         netlist,
         lib,
-        engine.arrivals(),
-        engine.worst_drivers(),
-        engine.worst_preds(),
+        &tables.arrival,
+        &tables.worst_driver,
+        &tables.worst_pred,
         sweep.end_net,
         sweep.end_arrival,
     );
-    let stats = engine.stats();
-    let (arrival, worst_driver, worst_pred, from_register) = engine.into_tables();
     TimingReport {
         clock: *clock,
-        arrival,
-        worst_driver,
-        worst_pred,
-        from_register,
+        arrival: tables.arrival,
+        worst_driver: tables.worst_driver,
+        worst_pred: tables.worst_pred,
+        from_register: tables.from_register,
         group_worst: sweep.group_worst,
         min_period,
         wns,
         critical,
         critical_endpoint: sweep.endpoint,
-        stats,
+        stats: tables.stats,
     }
 }
 

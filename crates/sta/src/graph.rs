@@ -394,7 +394,8 @@ impl<'a> TimingGraph<'a> {
     }
 
     /// A full [`TimingReport`] of the current state — bit-for-bit what
-    /// [`analyze`](crate::analyze) returns on the mutated netlist.
+    /// [`analyze`](crate::analyze) returns on the mutated netlist. Copies
+    /// the per-net tables; [`TimingGraph::finish`] moves them instead.
     pub fn report(&mut self) -> TimingReport {
         self.flush();
         extract_report(
@@ -402,8 +403,31 @@ impl<'a> TimingGraph<'a> {
             self.lib,
             &self.clock,
             &self.io,
-            self.engine.clone(),
+            self.engine.tables(),
         )
+    }
+
+    /// Ends the graph: the [`TimingReport`] [`TimingGraph::report`] would
+    /// return, and the netlist, with the per-net tables moved into the
+    /// report rather than copied.
+    pub fn finish(mut self) -> (TimingReport, Netlist) {
+        self.flush();
+        let report = extract_report(
+            &self.netlist,
+            self.lib,
+            &self.clock,
+            &self.io,
+            self.engine.into_tables(),
+        );
+        (report, self.netlist)
+    }
+
+    /// The combinational instances in topological order: the order the
+    /// timer keeps for its full propagations, sorted again only after a
+    /// structural edit ([`TimingGraph::insert_buffer`],
+    /// [`TimingGraph::retarget_net`]) dropped it.
+    pub fn topo_order(&mut self) -> &[InstId] {
+        self.engine.topo_order(&self.netlist)
     }
 
     fn flush(&mut self) {
@@ -654,6 +678,95 @@ mod tests {
         // Committing the same annotation reproduces the trial's answer.
         g.set_net_parasitics(net, Ff::new(250.0), Ps::new(180.0));
         assert_eq!(g.min_period().value().to_bits(), trial.value().to_bits());
+    }
+
+    #[test]
+    fn full_propagations_reuse_the_kept_order() {
+        let (_, lib) = setup();
+        let n = generators::array_multiplier(&lib, 6).expect("mult6");
+        let mut g = TimingGraph::new(n.clone(), &lib, ClockSpec::unconstrained(), None);
+        assert_eq!(g.topo_order(), n.topo_order().expect("acyclic"));
+        // The same allocation before and after: neither a back-annotation
+        // nor a burst of resizes sorts again.
+        let kept = g.topo_order().as_ptr();
+        let mut par = NetParasitics::ideal(&n);
+        for (id, _) in n.iter_nets() {
+            par.set(id, Ff::new(7.0), Ps::new(2.0));
+        }
+        g.set_parasitics(par.clone());
+        let ids: Vec<InstId> = n.iter_instances().map(|(id, _)| id).collect();
+        for id in ids.iter().step_by(3) {
+            let cell = n.instance(*id).cell();
+            g.resize_cell(*id, lib.closest_drive(cell, 8.0));
+        }
+        g.set_parasitics(par);
+        assert_eq!(g.topo_order().as_ptr(), kept);
+        assert_eq!(g.stats().full_propagations, 3);
+    }
+
+    #[test]
+    fn structural_edits_drop_the_order_and_the_next_full_propagation_resorts() {
+        let (_, lib) = setup();
+        let n = generators::parity_tree(&lib, 16).expect("parity");
+        let mut g = TimingGraph::new(n, &lib, ClockSpec::unconstrained(), None);
+        let (net, sinks) = g
+            .netlist()
+            .iter_nets()
+            .max_by_key(|(_, n)| n.sinks().len())
+            .map(|(id, n)| (id, n.sinks().to_vec()))
+            .expect("has nets");
+        let buf = lib.smallest(CellFunction::Buf).expect("buf cell");
+        let (inst, _) = g.insert_buffer(net, buf, &sinks[..1]).expect("inserts");
+        assert!(!g.engine.keeps_order(), "an edit never pays a sort");
+        // The incremental flush needs no order either.
+        let fresh = analyze(g.netlist(), &lib, &ClockSpec::unconstrained(), None);
+        assert_eq!(g.min_period(), fresh.min_period);
+        assert!(!g.engine.keeps_order());
+        let before = g.stats();
+        g.set_parasitics(NetParasitics::ideal(g.netlist()));
+        assert_eq!(
+            g.stats() - before,
+            fresh.stats,
+            "one fresh analyze's effort"
+        );
+        assert!(g.engine.keeps_order(), "resorted by the full propagation");
+        let order = g.topo_order().to_vec();
+        assert_eq!(order, g.netlist().topo_order().expect("acyclic"));
+        assert!(order.contains(&inst));
+        let (report, netlist) = g.finish();
+        for (id, _) in netlist.iter_nets() {
+            assert_eq!(
+                report.arrival(id).value().to_bits(),
+                fresh.arrival(id).value().to_bits()
+            );
+        }
+        assert_eq!(report.min_period, fresh.min_period);
+    }
+
+    #[test]
+    fn finish_reports_what_report_does() {
+        let (_, lib) = setup();
+        let n = generators::alu(&lib, 8).expect("alu8");
+        let mut g = TimingGraph::new(n, &lib, ClockSpec::unconstrained(), None);
+        let ids: Vec<InstId> = g.netlist().iter_instances().map(|(id, _)| id).collect();
+        for id in ids.iter().step_by(4) {
+            let cell = g.netlist().instance(*id).cell();
+            g.resize_cell(*id, lib.closest_drive(cell, 6.0));
+        }
+        let mut copy = g.clone();
+        let (finished, netlist) = g.finish();
+        let reported = copy.report();
+        assert_eq!(format!("{finished:?}"), format!("{reported:?}"));
+        assert_eq!(
+            netlist
+                .iter_instances()
+                .map(|(_, i)| i.cell())
+                .collect::<Vec<_>>(),
+            copy.netlist()
+                .iter_instances()
+                .map(|(_, i)| i.cell())
+                .collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -112,6 +112,16 @@ struct UndoEntry {
     arrival: Ps,
 }
 
+/// What a [`TimingReport`](crate::TimingReport) keeps of an engine: the
+/// per-net tables (indexed by [`NetId::index`]) and the effort counters.
+pub(crate) struct ArrivalTables {
+    pub(crate) arrival: Vec<Ps>,
+    pub(crate) worst_driver: Vec<Option<InstId>>,
+    pub(crate) worst_pred: Vec<Option<NetId>>,
+    pub(crate) from_register: Vec<bool>,
+    pub(crate) stats: IncrementalStats,
+}
+
 /// Cached arrival state plus the levelized dirty worklist.
 #[derive(Debug, Clone)]
 pub struct ArrivalEngine {
@@ -119,6 +129,15 @@ pub struct ArrivalEngine {
     worst_driver: Vec<Option<InstId>>,
     worst_pred: Vec<Option<NetId>>,
     from_register: Vec<bool>,
+    /// The combinational instances in topological order, the one sort
+    /// the netlist costs this engine: computed in
+    /// [`ArrivalEngine::new`], iterated by every
+    /// [`ArrivalEngine::full_propagate`], dropped by
+    /// [`ArrivalEngine::grow`] (connectivity changed) and recomputed on
+    /// the next request. Any topological order gives the same arrivals
+    /// (see the module docs), so a recomputed one is as good as a kept
+    /// one.
+    order: Option<Vec<InstId>>,
     /// Topological level per instance (sequential = 0; combinational =
     /// 1 + max over combinational fanin drivers). Orders the worklist so
     /// a cone is normally evaluated fanin-before-fanout. The ordering is
@@ -149,8 +168,9 @@ pub struct ArrivalEngine {
 }
 
 impl ArrivalEngine {
-    /// Allocates tables and computes levels for `netlist`. No arrivals are
-    /// propagated yet — call [`ArrivalEngine::full_propagate`] first.
+    /// Allocates tables and computes the topological order and levels
+    /// for `netlist`. No arrivals are propagated yet — call
+    /// [`ArrivalEngine::full_propagate`] first.
     ///
     /// # Panics
     ///
@@ -163,6 +183,7 @@ impl ArrivalEngine {
             worst_driver: vec![None; n_nets],
             worst_pred: vec![None; n_nets],
             from_register: vec![false; n_nets],
+            order: None,
             level: vec![0; n_insts],
             is_seq: Vec::new(),
             out_net: Vec::new(),
@@ -178,14 +199,23 @@ impl ArrivalEngine {
             recording: false,
             stats: IncrementalStats::default(),
         };
-        let order = netlist
-            .topo_order()
-            .expect("timing requires an acyclic netlist");
+        let order = sorted(netlist);
         for &id in &order {
             engine.level[id.index()] = engine.level_of(netlist, id);
         }
+        engine.order = Some(order);
         engine.rebuild_topology(netlist);
         engine
+    }
+
+    /// The combinational instances of `netlist` in topological order:
+    /// the kept order, or a fresh one after a structural edit dropped it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the netlist has a combinational cycle.
+    pub(crate) fn topo_order(&mut self, netlist: &Netlist) -> &[InstId] {
+        self.order.get_or_insert_with(|| sorted(netlist))
     }
 
     /// Rebuilds the flat topology mirror from `netlist`.
@@ -249,24 +279,34 @@ impl ArrivalEngine {
         &self.from_register
     }
 
-    pub(crate) fn worst_drivers(&self) -> &[Option<InstId>] {
-        &self.worst_driver
+    /// `true` while the topological order is kept (a structural edit
+    /// drops it).
+    #[cfg(test)]
+    pub(crate) fn keeps_order(&self) -> bool {
+        self.order.is_some()
     }
 
-    pub(crate) fn worst_preds(&self) -> &[Option<NetId>] {
-        &self.worst_pred
+    /// A copy of the per-net tables a report keeps; the topology mirror
+    /// and the worklist stay behind.
+    pub(crate) fn tables(&self) -> ArrivalTables {
+        ArrivalTables {
+            arrival: self.arrival.clone(),
+            worst_driver: self.worst_driver.clone(),
+            worst_pred: self.worst_pred.clone(),
+            from_register: self.from_register.clone(),
+            stats: self.stats,
+        }
     }
 
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn into_tables(
-        self,
-    ) -> (Vec<Ps>, Vec<Option<InstId>>, Vec<Option<NetId>>, Vec<bool>) {
-        (
-            self.arrival,
-            self.worst_driver,
-            self.worst_pred,
-            self.from_register,
-        )
+    /// The per-net tables a report keeps, moved out of the engine.
+    pub(crate) fn into_tables(self) -> ArrivalTables {
+        ArrivalTables {
+            arrival: self.arrival,
+            worst_driver: self.worst_driver,
+            worst_pred: self.worst_pred,
+            from_register: self.from_register,
+            stats: self.stats,
+        }
     }
 
     /// Recomputes every arrival from scratch (sources, then one
@@ -298,9 +338,7 @@ impl ArrivalEngine {
                 self.from_register[inst.out().index()] = true;
             }
         }
-        let order = netlist
-            .topo_order()
-            .expect("timing requires an acyclic netlist");
+        let order = self.order.take().unwrap_or_else(|| sorted(netlist));
         for &id in &order {
             self.eval_comb(netlist, model, id);
         }
@@ -314,6 +352,7 @@ impl ArrivalEngine {
         }
         self.stats.full_propagations += 1;
         self.stats.pins_touched += order.len();
+        self.order = Some(order);
     }
 
     /// Starts recording table overwrites so they can be undone by
@@ -375,10 +414,14 @@ impl ArrivalEngine {
 
     /// Syncs the engine with `netlist` after a structural mutation:
     /// extends the tables for appended nets/instances (new entries start
-    /// clean at zero arrival) and rebuilds the flat topology mirror, so
-    /// call it after sink lists changed too (retargeting). Seed changed
-    /// instances with [`ArrivalEngine::invalidate`] and refresh levels.
+    /// clean at zero arrival), drops the topological order and rebuilds
+    /// the flat topology mirror, so call it after sink lists changed too
+    /// (retargeting). Seed changed instances with
+    /// [`ArrivalEngine::invalidate`] and refresh levels. The incremental
+    /// path needs no order, so an edit never pays a sort; the next full
+    /// propagation sorts once.
     pub fn grow(&mut self, netlist: &Netlist) {
+        self.order = None;
         self.arrival.resize(netlist.net_count(), Ps::ZERO);
         self.worst_driver.resize(netlist.net_count(), None);
         self.worst_pred.resize(netlist.net_count(), None);
@@ -546,6 +589,13 @@ impl ArrivalEngine {
             .max()
             .unwrap_or(0)
     }
+}
+
+/// A fresh topological order of `netlist`'s combinational instances.
+fn sorted(netlist: &Netlist) -> Vec<InstId> {
+    netlist
+        .topo_order()
+        .expect("timing requires an acyclic netlist")
 }
 
 #[cfg(test)]

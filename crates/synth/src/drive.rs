@@ -6,6 +6,8 @@
 //! instance to the library drive whose stage gain is closest to the
 //! logical-effort target (≈ 4).
 
+use std::borrow::Cow;
+
 use asicgap_cells::{CellId, Library};
 use asicgap_netlist::{InstId, NetDriver, NetId, Netlist};
 use asicgap_sta::{TimingGraph, OUTPUT_LOAD_UNITS};
@@ -14,37 +16,44 @@ use asicgap_tech::Ff;
 /// Logical-effort stage gain every instance is aimed at (§6).
 const TARGET_GAIN: f64 = 4.0;
 
+/// The load an instance's drive is chosen against: its output net's sink
+/// input caps and wire cap, plus the primary-output allowance.
+fn drive_load(target: &impl Target, id: InstId) -> Ff {
+    let (netlist, lib) = target.parts();
+    let out = netlist.instance(id).out();
+    let mut load = netlist.net_load(lib, out, target.wire_cap(out));
+    if netlist.net(out).is_output() {
+        load += lib.tech.unit_inverter_cin * OUTPUT_LOAD_UNITS;
+    }
+    load
+}
+
 /// The per-instance decision both entry points share: the library drive
 /// of the same function/family closest to `target_gain` under the
 /// instance's current output load, or `None` if the instance should stay.
 fn best_drive(target: &impl Target, id: InstId, target_gain: f64) -> Option<CellId> {
-    let (netlist, lib) = target.parts();
-    let tech = &lib.tech;
-    let inst = netlist.instance(id);
-    let mut load = netlist.net_load(lib, inst.out(), target.wire_cap(inst.out()));
-    if netlist.net(inst.out()).is_output() {
-        load += tech.unit_inverter_cin * OUTPUT_LOAD_UNITS;
-    }
+    let load = drive_load(target, id);
     if load <= Ff::ZERO {
         return None;
     }
-    let cell = lib.cell(inst.cell());
-    match lib.drive_for_gain(cell.function, cell.family, load, target_gain) {
-        Ok(best) if best != inst.cell() => Some(best),
-        _ => None,
-    }
+    let (netlist, lib) = target.parts();
+    let cell = netlist.instance(id).cell();
+    let best = lib.drive_for_gain(cell, load, target_gain);
+    (best != cell).then_some(best)
 }
 
 /// Instance visit order: reverse topological (outputs first, so
 /// downstream caps settle), then the sequential cells. Resizing never
-/// changes connectivity, so one order serves every pass.
-fn sweep_order(netlist: &Netlist) -> Vec<InstId> {
-    let mut order = netlist
-        .topo_order()
-        .expect("drive selection requires an acyclic netlist");
-    order.reverse();
+/// changes connectivity, so one order serves every pass. Which
+/// topological order the target supplies does not matter: within a pass
+/// every sink of an instance is decided before it, so each pass makes
+/// the same swaps from any of them.
+fn sweep_order(target: &mut impl Target) -> Vec<InstId> {
+    let mut order: Vec<InstId> = target.topo_order().iter().rev().copied().collect();
     order.extend(
-        netlist
+        target
+            .parts()
+            .0
             .iter_instances()
             .filter(|(_, i)| i.is_sequential())
             .map(|(id, _)| id),
@@ -55,6 +64,8 @@ fn sweep_order(netlist: &Netlist) -> Vec<InstId> {
 /// What a sweep reads loads from and commits swaps to.
 trait Target {
     fn parts(&self) -> (&Netlist, &Library);
+    /// The combinational instances in a topological order.
+    fn topo_order(&mut self) -> Cow<'_, [InstId]>;
     fn wire_cap(&self, net: NetId) -> Ff;
     fn resize(&mut self, id: InstId, cell: CellId);
 }
@@ -69,6 +80,13 @@ impl Target for Bare<'_> {
     fn parts(&self) -> (&Netlist, &Library) {
         (self.netlist, self.lib)
     }
+    fn topo_order(&mut self) -> Cow<'_, [InstId]> {
+        Cow::Owned(
+            self.netlist
+                .topo_order()
+                .expect("drive selection requires an acyclic netlist"),
+        )
+    }
     fn wire_cap(&self, _net: NetId) -> Ff {
         Ff::ZERO
     }
@@ -80,6 +98,10 @@ impl Target for Bare<'_> {
 impl Target for TimingGraph<'_> {
     fn parts(&self) -> (&Netlist, &Library) {
         (self.netlist(), self.library())
+    }
+    /// The timer's own order: no sort unless a structural edit dropped it.
+    fn topo_order(&mut self) -> Cow<'_, [InstId]> {
+        Cow::Borrowed(TimingGraph::topo_order(self))
     }
     fn wire_cap(&self, net: NetId) -> Ff {
         self.parasitics().cap(net)
@@ -106,7 +128,7 @@ fn sweep(target: &mut impl Target, target_gain: f64, passes: usize) {
     if passes == 0 {
         return;
     }
-    let order = sweep_order(target.parts().0);
+    let order = sweep_order(target);
     let mut stale = vec![true; order.len()];
     for _ in 0..passes {
         let mut swapped = false;

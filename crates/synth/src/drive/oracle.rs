@@ -1,8 +1,9 @@
 //! Differential oracle for the stale-set drive sweep: the loop it
 //! replaced survives here, test-only — a fresh topological order per
-//! pass, every instance evaluated on every pass, and a bare netlist's
-//! wire loads read from an all-zero `NetParasitics` — and both entry
-//! points must commit the same swaps in the same order. Equal
+//! pass, every instance evaluated on every pass, each decision scanning
+//! the whole drive menu, and a bare netlist's wire loads read from an
+//! all-zero `NetParasitics` — and both entry points must commit the same
+//! swaps in the same order. Equal
 //! cells per instance, equal `TimingGraph::stats()` and an equal
 //! `min_period()` mean the stale set skipped only evaluations that would
 //! have kept the drive they found.
@@ -48,6 +49,13 @@ impl Target for Ideal<'_> {
     fn parts(&self) -> (&Netlist, &Library) {
         (self.netlist, self.lib)
     }
+    fn topo_order(&mut self) -> Cow<'_, [InstId]> {
+        Cow::Owned(
+            self.netlist
+                .topo_order()
+                .expect("drive selection requires an acyclic netlist"),
+        )
+    }
     fn wire_cap(&self, net: NetId) -> Ff {
         self.par.cap(net)
     }
@@ -56,12 +64,35 @@ impl Target for Ideal<'_> {
     }
 }
 
+/// The pre-bracket decision: [`best_drive`] with every drive of the menu
+/// keyed, the first least key winning.
+fn best_drive_scanned(target: &impl Target, id: InstId, target_gain: f64) -> Option<CellId> {
+    let load = drive_load(target, id);
+    if load <= Ff::ZERO {
+        return None;
+    }
+    let (netlist, lib) = target.parts();
+    let cell = netlist.instance(id).cell();
+    let gain_error = |c: CellId| (load / lib.cell(c).input_cap / target_gain).ln().abs();
+    let best = lib
+        .menu(cell)
+        .iter()
+        .copied()
+        .min_by(|&a, &b| {
+            gain_error(a)
+                .partial_cmp(&gain_error(b))
+                .expect("gains are finite")
+        })
+        .expect("a menu holds its own cell");
+    (best != cell).then_some(best)
+}
+
 /// The pre-refactor sweep of both entry points: every instance, every
 /// pass, in a visit order recomputed per pass.
 fn select_drives_every_instance(target: &mut impl Target, target_gain: f64, passes: usize) {
     for _ in 0..passes {
         for id in every_pass_order(target.parts().0) {
-            if let Some(best) = best_drive(target, id, target_gain) {
+            if let Some(best) = best_drive_scanned(target, id, target_gain) {
                 target.resize(id, best);
             }
         }

@@ -10,8 +10,8 @@
 use asicgap::cells::{CellFunction, Library, LibrarySpec};
 use asicgap::netlist::{generators, InstId, NetDriver, NetId, Netlist, Sink};
 use asicgap::place::{annotate, AnnealOptions, Floorplan, FloorplanStrategy};
-use asicgap::sta::{analyze, ClockSpec, TimingGraph};
-use asicgap::tech::Technology;
+use asicgap::sta::{analyze, ClockSpec, NetParasitics, TimingGraph, TimingReport};
+use asicgap::tech::{Ff, Ps, Technology};
 
 /// Tolerance from the issue statement. In practice the match is bitwise.
 const TOL: f64 = 1e-9;
@@ -70,8 +70,7 @@ fn mutate(graph: &mut TimingGraph, rng: &mut Rng) -> &'static str {
         // Drive swaps get double weight: they are the common ECO.
         0 | 1 => {
             let id = InstId::from_index(rng.below(graph.netlist().instance_count()));
-            let cell = lib.cell(graph.netlist().instance(id).cell());
-            let drives = lib.drives_for(cell.function, cell.family);
+            let drives = lib.menu(graph.netlist().instance(id).cell());
             let pick = drives[rng.below(drives.len())];
             graph.resize_cell(id, pick);
             "resize_cell"
@@ -244,5 +243,126 @@ fn annotated_parasitics_survive_random_eco_sequences() {
     for step in 0..30 {
         let what = mutate(&mut graph, &mut rng);
         assert_matches_fresh(&mut graph, &lib, &format!("annotated step {step} ({what})"));
+    }
+}
+
+/// Seeded wire caps and delays on every net of `netlist`, new nets
+/// included.
+fn seeded_parasitics(netlist: &Netlist, rng: &mut Rng) -> NetParasitics {
+    let mut par = NetParasitics::ideal(netlist);
+    for (id, _) in netlist.iter_nets() {
+        let cap = (rng.below(4000) as f64) / 100.0;
+        let delay = (rng.below(2000) as f64) / 100.0;
+        par.set(id, Ff::new(cap), Ps::new(delay));
+    }
+    par
+}
+
+/// Two reports bit for bit: every per-net table, the endpoint results
+/// and the traced critical path. Effort counters are compared by the
+/// caller (a graph's accumulate over its life).
+fn assert_reports_bit_equal(got: &TimingReport, want: &TimingReport, netlist: &Netlist, ctx: &str) {
+    for (id, _) in netlist.iter_nets() {
+        assert_eq!(
+            got.arrival(id).value().to_bits(),
+            want.arrival(id).value().to_bits(),
+            "{ctx}: arrival of net {}",
+            id.index()
+        );
+        assert_eq!(got.worst_driver(id), want.worst_driver(id), "{ctx}");
+        assert_eq!(got.worst_pred(id), want.worst_pred(id), "{ctx}");
+        assert_eq!(got.is_from_register(id), want.is_from_register(id), "{ctx}");
+    }
+    assert_eq!(
+        got.min_period.value().to_bits(),
+        want.min_period.value().to_bits(),
+        "{ctx}: min period"
+    );
+    assert_eq!(
+        got.wns.value().to_bits(),
+        want.wns.value().to_bits(),
+        "{ctx}"
+    );
+    assert_eq!(
+        format!("{:?}", got.group_worst),
+        format!("{:?}", want.group_worst),
+        "{ctx}"
+    );
+    assert_eq!(
+        format!("{:?}", got.critical),
+        format!("{:?}", want.critical),
+        "{ctx}"
+    );
+    assert_eq!(got.critical_endpoint, want.critical_endpoint, "{ctx}");
+}
+
+/// A structural edit (`insert_buffer`, `retarget_net`) drops the timer's
+/// topological order, and the next full propagation, a fresh
+/// back-annotation here, sorts again. That propagation must give a fresh
+/// `analyze`'s answer bit for bit and cost exactly its effort: one full
+/// propagation over every combinational instance, nothing incremental.
+/// Every other round queries between the edits and the annotation, so
+/// the order is dropped both under a flushed and a dirty engine.
+#[test]
+fn structural_edits_then_set_parasitics_match_a_fresh_analyze() {
+    let lib = rich();
+    let designs = [
+        ("alu8", generators::alu(&lib, 8).expect("alu8")),
+        (
+            "mult6",
+            generators::array_multiplier(&lib, 6).expect("mult6"),
+        ),
+        (
+            "counter12",
+            generators::counter(&lib, 12).expect("counter12"),
+        ),
+        (
+            "rand",
+            generators::random_logic(&lib, &generators::RandomLogicSpec::control_block(5))
+                .expect("random logic"),
+        ),
+    ];
+    for (k, (name, netlist)) in designs.into_iter().enumerate() {
+        let mut graph = TimingGraph::new(netlist, &lib, ClockSpec::unconstrained(), None);
+        let mut rng = Rng(0x0DE2_0000 + k as u64);
+        for round in 0..8 {
+            // ECOs until at least one structural edit landed.
+            let mut edits = Vec::new();
+            while !edits
+                .iter()
+                .any(|w| *w == "insert_buffer" || *w == "retarget_net")
+            {
+                edits.push(mutate(&mut graph, &mut rng));
+                if round % 2 == 1 {
+                    let _ = graph.min_period();
+                }
+            }
+            let ctx = format!("{name} round {round} after {edits:?}");
+            let par = seeded_parasitics(graph.netlist(), &mut rng);
+            let before = graph.stats();
+            graph.set_parasitics(par.clone());
+            let fresh = analyze(graph.netlist(), &lib, &graph.clock(), Some(&par));
+            assert_eq!(graph.stats() - before, fresh.stats, "{ctx}: effort");
+            let report = graph.report();
+            assert_reports_bit_equal(&report, &fresh, graph.netlist(), &ctx);
+            // The order the propagation kept is a topological order of
+            // the edited netlist, over every combinational instance.
+            let netlist = graph.netlist().clone();
+            let order = graph.topo_order().to_vec();
+            assert_eq!(order.len(), fresh.stats.pins_touched, "{ctx}");
+            let mut pos = vec![usize::MAX; netlist.instance_count()];
+            for (p, id) in order.iter().enumerate() {
+                pos[id.index()] = p;
+            }
+            for &id in &order {
+                for &net in netlist.instance(id).fanin() {
+                    if let Some(NetDriver::Instance(src)) = netlist.net(net).driver() {
+                        if !netlist.instance(src).is_sequential() {
+                            assert!(pos[src.index()] < pos[id.index()], "{ctx}: order");
+                        }
+                    }
+                }
+            }
+        }
     }
 }
