@@ -114,9 +114,9 @@ fn eco_run(seed: u64, ecos: usize) -> EcoFuzzOutcome {
     let mut applied = 0usize;
     for _ in 0..ecos {
         match rnd() % 3 {
-            kind @ (0 | 1) => {
-                // Resize (or ECO-style swap) a random combinational cell
-                // to the drive closest to a random target size.
+            0 | 1 => {
+                // Resize a random combinational cell to the drive closest
+                // to a random target size.
                 let idx = rnd() as usize % graph.netlist().instance_count();
                 let inst = InstId::from_index(idx);
                 if graph.netlist().instance(inst).is_sequential() {
@@ -124,11 +124,7 @@ fn eco_run(seed: u64, ecos: usize) -> EcoFuzzOutcome {
                 }
                 let size = 0.5 + (rnd() % 1000) as f64 / 1000.0 * 7.5;
                 let cell = lib.closest_drive(graph.netlist().instance(inst).cell(), size);
-                if kind == 0 {
-                    graph.resize_cell(inst, cell);
-                } else {
-                    graph.swap_cell(inst, cell);
-                }
+                graph.resize_cell(inst, cell);
                 applied += 1;
             }
             _ => {

@@ -83,7 +83,7 @@ use asicgap_process::{BinningPolicy, ChipPopulation, VariationComponents};
 use asicgap_route::{annotate_routed, route, RouteSummary, RouterOptions, RoutingResult};
 use asicgap_sizing::{snap_to_library, tilos_size, TilosOptions};
 use asicgap_sta::{analyze, ClockSpec, IncrementalStats, TimingGraph};
-use asicgap_synth::{select_drives_on, PassPipeline, SynthError};
+use asicgap_synth::{select_drives_with, PassPipeline, SynthError};
 use asicgap_tech::text::Lines;
 use asicgap_tech::{Mhz, Ps};
 
@@ -722,30 +722,35 @@ impl<'a> Flow<'a> {
         })
     }
 
-    /// §6 sizing and §5 floorplanning, on the one timer the rest of the
-    /// flow shares: every optimization from here on mutates this graph
-    /// and pays only for the cones it touches.
-    fn place(&self, netlist: Netlist, registers: usize) -> Result<Placed<'a>, GapError> {
+    /// §6 sizing and §5 floorplanning, then the one timer the rest of
+    /// the flow shares: every optimization from here on mutates that
+    /// graph and pays only for the cones it touches. Sizing reads loads
+    /// only, never arrivals, so it runs on the bare netlist and the timer
+    /// is built over the sized one.
+    fn place(&self, mut netlist: Netlist, registers: usize) -> Result<Placed<'a>, GapError> {
         let (scenario, lib) = (self.scenario, self.lib);
-        let clock = Instant::now();
-        let mut graph = TimingGraph::new(netlist, lib, ClockSpec::unconstrained(), None);
-        self.obs.stage_done(FlowStage::Sta, clock.elapsed());
-
         let clock = Instant::now();
         match scenario.sizing {
             SizingQuality::AsMapped => {}
-            SizingQuality::DriveSelected => select_drives_on(&mut graph, 3),
+            SizingQuality::DriveSelected => select_drives_with(&mut netlist, lib, None, 3),
             SizingQuality::Continuous => {
-                let sized = tilos_size(graph.netlist(), lib, &TilosOptions::default());
-                let snap = snap_to_library(graph.netlist(), lib, &sized.sizes);
-                let ids: Vec<_> = graph.netlist().iter_instances().map(|(id, _)| id).collect();
+                let sized = tilos_size(&netlist, lib, &TilosOptions::default());
+                let snap = snap_to_library(&netlist, lib, &sized.sizes);
+                let ids: Vec<_> = netlist.iter_instances().map(|(id, _)| id).collect();
                 for (id, &s) in ids.iter().zip(&snap.sizes) {
-                    let cell = lib.closest_drive(graph.netlist().instance(*id).cell(), s);
-                    graph.resize_cell(*id, cell);
+                    let cell = lib.closest_drive(netlist.instance(*id).cell(), s);
+                    netlist.set_instance_cell(lib, *id, cell);
                 }
             }
         }
-        self.obs.stage_done(FlowStage::Sizing, clock.elapsed());
+        let sizing = clock.elapsed();
+
+        let clock = Instant::now();
+        let graph = TimingGraph::new(netlist, lib, ClockSpec::unconstrained(), None);
+        // Reported in the observer's pinned order, timer first; each
+        // report carries its own stage's wall time.
+        self.obs.stage_done(FlowStage::Sta, clock.elapsed());
+        self.obs.stage_done(FlowStage::Sizing, sizing);
         abort_if_cancelled(self.obs, FlowStage::Sizing)?;
 
         let strategy = match scenario.floorplan {
@@ -806,7 +811,9 @@ impl<'a> Flow<'a> {
 
         let clock = Instant::now();
         if scenario.sizing != SizingQuality::AsMapped {
-            select_drives_on(graph, 2);
+            graph.resize_in_bulk(|netlist, lib, wires| {
+                select_drives_with(netlist, lib, Some(wires), 2);
+            });
         }
         let par = extract(graph);
         graph.set_parasitics(par);

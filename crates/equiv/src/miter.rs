@@ -95,7 +95,7 @@ pub(crate) fn import_netlist(
                 lit_of[inst.out().index()] = Some(g.input(&format!("__q_{key}")));
                 registers.push((key, id));
             }
-            for &id in &netlist.topo_order()? {
+            for &id in netlist.topo_order()? {
                 import_instance(g, netlist, lib, id, &mut lit_of);
             }
         }

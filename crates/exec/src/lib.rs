@@ -4,7 +4,7 @@
 //!
 //! The gap experiments are dominated by embarrassingly parallel work:
 //! independent [`DesignScenario`](../asicgap/flow) runs, independent
-//! annealing chains, independent Monte-Carlo lots. This crate provides
+//! Monte-Carlo lots. This crate provides
 //! the one primitive they all share — a dependency-free, work-stealing
 //! `std::thread` pool with **ordered reduction** — under a contract that
 //! every caller in the workspace relies on:

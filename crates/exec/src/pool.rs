@@ -68,7 +68,7 @@ impl Pool {
 
     /// Index-space variant of [`Pool::map`]: runs `f(0..n)` and returns
     /// the `n` results in index order. Useful when tasks are generated
-    /// (annealing chains, Monte-Carlo lots) rather than stored.
+    /// (Monte-Carlo lots) rather than stored.
     ///
     /// # Panics
     ///

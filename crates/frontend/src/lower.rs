@@ -916,6 +916,9 @@ pub fn lower(
         lower_direct(flat, &bindings, lib)?
     };
     netlist.pack();
+    // The cycle check runs after the pack, which drops a kept order: the
+    // order it keeps is the one the drive sweep and the timer read.
+    netlist.topo_order().map_err(FrontendError::Netlist)?;
     Ok(netlist)
 }
 
@@ -974,7 +977,6 @@ fn lower_direct(
         }
         netlist.add_output(name, nets[n as usize]);
     }
-    netlist.topo_order().map_err(FrontendError::Netlist)?;
     Ok(netlist)
 }
 

@@ -321,6 +321,7 @@ pub fn decode(text: &str, lib: &Library) -> Result<Netlist, NetlistError> {
         fanin_overflow,
         inputs,
         outputs,
+        order: Default::default(),
     };
 
     // Structural cross-check: every serialized sink must name a real

@@ -276,7 +276,7 @@ pub fn enumerate_cuts(netlist: &Netlist, max_cuts: usize) -> Vec<Vec<Cut>> {
         .collect();
     let max_merged = max_cuts.saturating_sub(1).max(1);
     let mut ins = [false; CUT_INPUTS];
-    for &inst_id in &order {
+    for &inst_id in order {
         let inst = netlist.instance(inst_id);
         // Boundaries: sequential outputs restart cones; wide cells live
         // in the fan-in overflow arena and are never interior to a

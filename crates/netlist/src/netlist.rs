@@ -20,8 +20,17 @@
 //! unchanged from the pointer-heavy IR, which is what keeps the
 //! bitwise-determinism goldens and the miter proofs pinned across the
 //! migration.
+//!
+//! The netlist is also the one owner of its topological order: the
+//! first [`Netlist::topo_order`] keeps what it sorts, every later call
+//! (the timer's full propagations, the drive sweep, simulation) borrows
+//! it, and every mutator that changes fan-in or sinks drops it.
+//! [`Netlist::set_instance_cell`] keeps it: a drive swap leaves
+//! connectivity alone.
 
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::OnceLock;
 
 use asicgap_cells::{CellFunction, CellId, Library};
 use asicgap_tech::Ff;
@@ -142,6 +151,20 @@ pub struct Netlist {
     pub(crate) fanin_overflow: Vec<NetId>,
     pub(crate) inputs: Vec<(String, NetId)>,
     pub(crate) outputs: Vec<(String, NetId)>,
+    /// Filled by [`Netlist::topo_order`], taken by every structural
+    /// mutator.
+    pub(crate) order: KeptOrder,
+}
+
+/// [`Netlist::topo_order`]'s kept result. Derived state: it prints the
+/// same filled or not, and no encoding or digest reads it.
+#[derive(Clone, Default)]
+pub(crate) struct KeptOrder(OnceLock<Vec<InstId>>);
+
+impl fmt::Debug for KeptOrder {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("KeptOrder")
+    }
 }
 
 /// Read-only view of one net: a copyable `(netlist, id)` handle whose
@@ -244,6 +267,7 @@ impl Netlist {
             fanin_overflow: Vec::new(),
             inputs: Vec::new(),
             outputs: Vec::new(),
+            order: KeptOrder::default(),
         }
     }
 
@@ -440,6 +464,7 @@ impl Netlist {
                 net: self.net_name_string(out),
             });
         }
+        self.order.0.take();
         let raw = u32::try_from(self.insts.len()).expect("instance count fits in u32");
         assert!(
             raw < DRIVER_PI_BIT,
@@ -481,7 +506,8 @@ impl Netlist {
 
     /// Re-implements `inst` with a different library cell of the **same
     /// function** (drive-strength change). Used by sizing and drive
-    /// selection.
+    /// selection. Connectivity is untouched, so the kept topological
+    /// order stays.
     ///
     /// # Panics
     ///
@@ -505,6 +531,7 @@ impl Netlist {
     /// Panics if (`inst`, `pin`) is not currently a sink of the net it
     /// claims to be on (internal inconsistency).
     pub fn redirect_sink(&mut self, inst: InstId, pin: usize, new_net: NetId) {
+        self.order.0.take();
         let old_net = self.fanin(inst)[pin];
         self.remove_sink(old_net, inst, pin as u32);
         self.set_fanin_pin(inst, pin, new_net);
@@ -587,6 +614,7 @@ impl Netlist {
     /// preserved. Called automatically when the pool is mostly dead, and
     /// by [`crate::NetlistBuilder::finish`] for a tight final layout.
     pub fn compact_sinks(&mut self) {
+        self.order.0.take();
         let live: usize = self.slots.iter().map(|s| s.len as usize).sum();
         let mut new_pool = Vec::with_capacity(live);
         for slot in &mut self.slots {
@@ -640,11 +668,24 @@ impl Netlist {
     /// elements are cut: their outputs are treated as sources and their D
     /// pins as endpoints). Sequential instances are not included.
     ///
+    /// The first call sorts and keeps the result; later calls borrow it
+    /// until a structural mutator drops it (see the module docs).
+    ///
     /// # Errors
     ///
     /// Returns [`NetlistError::CombinationalCycle`] if combinational logic
-    /// forms a cycle.
-    pub fn topo_order(&self) -> Result<Vec<InstId>, NetlistError> {
+    /// forms a cycle (nothing is kept then).
+    pub fn topo_order(&self) -> Result<&[InstId], NetlistError> {
+        if let Some(order) = self.order.0.get() {
+            return Ok(order);
+        }
+        let order = self.sort()?;
+        Ok(self.order.0.get_or_init(|| order))
+    }
+
+    /// A fresh topological sort: Kahn's algorithm, popping the ready
+    /// stack from its end.
+    fn sort(&self) -> Result<Vec<InstId>, NetlistError> {
         // In-degree counts only combinational predecessors.
         let mut indeg = vec![0usize; self.insts.len()];
         for (i, rec) in self.insts.iter().enumerate() {
@@ -716,8 +757,9 @@ impl Netlist {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators;
     use asicgap_cells::{CellFunction, LibrarySpec};
-    use asicgap_tech::Technology;
+    use asicgap_tech::{Rng64, Technology};
 
     fn lib() -> Library {
         LibrarySpec::rich().build(&Technology::cmos025_asic())
@@ -939,5 +981,199 @@ mod tests {
         n.redirect_sink(gs[0], 0, alt);
         let left: Vec<InstId> = n.net(src).sinks().iter().map(|s| s.inst).collect();
         assert_eq!(left, vec![gs[2], gs[1]]);
+    }
+
+    fn order_is_kept(n: &Netlist) -> bool {
+        n.order.0.get().is_some()
+    }
+
+    /// Asserts `order` lists every combinational instance of `n` once,
+    /// each after the combinational drivers of its fan-in.
+    fn assert_topological(n: &Netlist, order: &[InstId]) {
+        let mut pos = vec![usize::MAX; n.instance_count()];
+        for (p, id) in order.iter().enumerate() {
+            assert_eq!(pos[id.index()], usize::MAX, "{id} listed twice");
+            pos[id.index()] = p;
+        }
+        for (id, inst) in n.iter_instances() {
+            assert_eq!(inst.is_sequential(), pos[id.index()] == usize::MAX);
+            if inst.is_sequential() {
+                continue;
+            }
+            for &net in inst.fanin() {
+                if let Some(NetDriver::Instance(src)) = n.driver(net) {
+                    if !n.is_sequential(src) {
+                        assert!(pos[src.index()] < pos[id.index()], "{src} after {id}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cell_swaps_keep_the_order() {
+        let lib = lib();
+        let mut n = generators::array_multiplier(&lib, 6).expect("mult6");
+        let fresh = n.sort().expect("acyclic");
+        let kept = n.topo_order().expect("acyclic").as_ptr();
+        // A burst of drive swaps sorts nothing again: the timer's full
+        // propagations and the drive sweep read this same allocation.
+        let ids: Vec<InstId> = n.iter_instances().map(|(id, _)| id).collect();
+        for id in ids.iter().step_by(3) {
+            let cell = n.instance(*id).cell();
+            n.set_instance_cell(&lib, *id, lib.closest_drive(cell, 8.0));
+        }
+        assert_eq!(n.topo_order().expect("acyclic").as_ptr(), kept);
+        assert_eq!(n.topo_order().expect("acyclic"), fresh);
+        // A copy carries the order with it.
+        assert_eq!(n.clone().topo_order().expect("acyclic"), fresh);
+    }
+
+    #[test]
+    fn structural_edits_drop_the_order_and_the_next_call_resorts() {
+        let lib = lib();
+        let mut n = generators::parity_tree(&lib, 16).expect("parity");
+        n.topo_order().expect("acyclic");
+        // Split the heaviest net: one sink moves behind a new buffer.
+        let (net, sink) = n
+            .iter_nets()
+            .max_by_key(|(_, net)| net.sinks().len())
+            .map(|(id, net)| (id, net.sinks()[0]))
+            .expect("has nets");
+        let buffered = n.add_net("buffered");
+        let buf = lib.smallest(CellFunction::Buf).expect("buf cell");
+        let inst = n
+            .add_instance("buf", &lib, buf, &[net], buffered)
+            .expect("buffer fits");
+        assert!(!order_is_kept(&n), "adding an instance drops the order");
+        n.topo_order().expect("acyclic");
+        n.redirect_sink(sink.inst, sink.pin as usize, buffered);
+        assert!(!order_is_kept(&n), "moving a sink drops the order");
+        let order = n.topo_order().expect("acyclic").to_vec();
+        assert_eq!(order, n.sort().expect("acyclic"));
+        assert!(order.contains(&inst));
+        assert_topological(&n, &order);
+    }
+
+    /// Random sequences of every mutator, the order queried after each
+    /// step: it is always a fresh sort's and topological, a drive swap
+    /// keeps the very allocation, a structural edit drops it, and `Debug`
+    /// never shows it. Instances read only nets driven by lower ids
+    /// (or by registers and inputs), so the netlist stays acyclic.
+    #[test]
+    fn kept_order_follows_random_mutator_sequences() {
+        let lib = lib();
+        let cell = |f| lib.smallest(f).expect("rich library cell");
+        let comb = [
+            cell(CellFunction::Inv),
+            cell(CellFunction::Nand(2)),
+            cell(CellFunction::Nor(2)),
+            cell(CellFunction::Buf),
+        ];
+        let dff = cell(CellFunction::Dff);
+        let mut steps = [0usize; 9];
+        for seed in 0..40u64 {
+            let mut rng = Rng64::new(seed);
+            let mut n = Netlist::new("random");
+            let a = n.add_net("a");
+            n.add_input("a", a).expect("fresh net");
+            for step in 0..120 {
+                let debug = format!("{n:?}");
+                let kept = n.topo_order().expect("acyclic").as_ptr();
+                assert_eq!(format!("{n:?}"), debug, "Debug shows the kept order");
+                let nets = n.net_count() as u64;
+                // A net an instance with id `limit` may read: undriven, an
+                // input, a register's, or driven below `limit`.
+                let readable = |n: &Netlist, rng: &mut Rng64, limit: usize| loop {
+                    let net = NetId(rng.below(nets) as u32);
+                    match n.driver(net) {
+                        Some(NetDriver::Instance(src))
+                            if src.index() >= limit && !n.is_sequential(src) => {}
+                        _ => break net,
+                    }
+                };
+                let insts = n.instance_count();
+                let kind = rng.index(9);
+                let structural = match kind {
+                    0 => {
+                        n.add_net(format!("n{step}"));
+                        false
+                    }
+                    1 => {
+                        let net = n.add_net(format!("i{step}"));
+                        n.add_input(format!("i{step}"), net).expect("fresh net");
+                        false
+                    }
+                    2 => {
+                        let net = readable(&n, &mut rng, insts);
+                        n.add_output(format!("o{step}"), net);
+                        false
+                    }
+                    3 | 4 => {
+                        let (c, is_reg) = if rng.index(5) == 0 {
+                            (dff, true)
+                        } else {
+                            (comb[rng.index(comb.len())], false)
+                        };
+                        let fanin: Vec<NetId> = (0..lib.cell(c).function.num_inputs())
+                            .map(|_| {
+                                if is_reg {
+                                    NetId(rng.below(nets) as u32)
+                                } else {
+                                    readable(&n, &mut rng, insts)
+                                }
+                            })
+                            .collect();
+                        let out = n.add_net(format!("y{step}"));
+                        n.add_instance(format!("g{step}"), &lib, c, &fanin, out)
+                            .expect("fresh output net");
+                        true
+                    }
+                    5 if insts > 0 => {
+                        let id = InstId(rng.index(insts) as u32);
+                        let menu = lib.menu(n.instance(id).cell());
+                        n.set_instance_cell(&lib, id, menu[rng.index(menu.len())]);
+                        assert_eq!(n.order.0.get().map(|o| o.as_ptr()), Some(kept));
+                        false
+                    }
+                    6 if insts > 0 => {
+                        let id = InstId(rng.index(insts) as u32);
+                        let pin = rng.index(n.fanin(id).len());
+                        let net = if n.is_sequential(id) {
+                            NetId(rng.below(nets) as u32)
+                        } else {
+                            readable(&n, &mut rng, id.index())
+                        };
+                        n.redirect_sink(id, pin, net);
+                        true
+                    }
+                    7 => {
+                        n.compact_sinks();
+                        true
+                    }
+                    8 => {
+                        n.pack();
+                        true
+                    }
+                    _ => false,
+                };
+                steps[kind] += 1;
+                if structural {
+                    assert!(
+                        !order_is_kept(&n),
+                        "seed {seed} step {step}: kind {kind} kept it"
+                    );
+                } else if kind != 5 {
+                    assert_eq!(n.order.0.get().map(|o| o.as_ptr()), Some(kept));
+                }
+                let order = n.topo_order().expect("acyclic").to_vec();
+                assert_eq!(order, n.sort().expect("acyclic"), "seed {seed} step {step}");
+                assert_topological(&n, &order);
+            }
+        }
+        assert!(
+            steps.iter().all(|&k| k > 100),
+            "every mutator ran: {steps:?}"
+        );
     }
 }

@@ -43,7 +43,7 @@ pub struct Simulator<'a> {
     /// entries for combinational cells).
     state: Vec<bool>,
     /// Cached combinational evaluation order.
-    order: Vec<InstId>,
+    order: &'a [InstId],
     /// Reusable fan-in value buffer — `eval_comb` allocates nothing per
     /// gate.
     scratch: Vec<bool>,
@@ -113,7 +113,7 @@ impl<'a> Simulator<'a> {
                 self.values[inst.out().index()] = self.state[id.index()];
             }
         }
-        for &id in &self.order {
+        for &id in self.order {
             self.scratch.clear();
             for n in self.netlist.fanin(id) {
                 self.scratch.push(self.values[n.index()]);

@@ -40,7 +40,7 @@ impl NetlistStats {
             .expect("statistics require an acyclic netlist");
         // Unit-delay level per net.
         let mut level = vec![0usize; netlist.net_count()];
-        for &id in &order {
+        for &id in order {
             let inst = netlist.instance(id);
             let in_level = inst
                 .fanin()
@@ -186,7 +186,7 @@ pub fn net_levels(netlist: &Netlist) -> Vec<usize> {
         .topo_order()
         .expect("levels require an acyclic netlist");
     let mut level = vec![0usize; netlist.net_count()];
-    for &id in &order {
+    for &id in order {
         let inst = netlist.instance(id);
         let in_level = inst
             .fanin()

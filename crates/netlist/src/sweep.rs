@@ -75,7 +75,7 @@ pub fn sweep_dead_logic(
         out.add_input(name.clone(), new)?;
     }
     let mut kept = 0usize;
-    for id in netlist.topo_order()?.into_iter().chain(
+    for id in netlist.topo_order()?.iter().copied().chain(
         netlist
             .iter_instances()
             .filter(|(_, i)| i.is_sequential())

@@ -39,7 +39,7 @@ pub(crate) fn stage_profile(netlist: &Netlist, lib: &Library) -> Vec<Ps> {
                 net_stage[inst.out().index()] = reg_stage[id.index()];
             }
         }
-        for &id in &order {
+        for &id in order {
             let inst = netlist.instance(id);
             let s = inst
                 .fanin()

@@ -2,9 +2,7 @@
 //!
 //! §5.2: "Custom ICs are typically manually floorplanned. A number of tools
 //! are now reaching the ASIC market to facilitate chip-level floorplanning."
-//! This is that tool: a classic swap-based annealer minimising total HPWL,
-//! with an optional multi-chain mode — independent restarts annealed
-//! concurrently on the workspace pool, reduced to a deterministic best.
+//! This is that tool: a classic swap-based annealer minimising total HPWL.
 //!
 //! # The kernel, and why it is exact
 //!
@@ -13,9 +11,8 @@
 //! built in one pass per call so that a move allocates nothing: each
 //! instance's touched nets (ascending, deduplicated) and each net's pins as
 //! flat cell indices, with the bounding box of its fixed pins (ports, the
-//! undriven origin) folded in ahead of time — the `PinViews`, shared by
-//! all chains — and `cur`, the current HPWL of every net, which each chain
-//! owns a copy of. `before` is read from `cur`; `after` is evaluated once
+//! undriven origin) folded in ahead of time — the `PinViews` — and `cur`,
+//! the current HPWL of every net. `before` is read from `cur`; `after` is evaluated once
 //! into a scratch buffer and written back to `cur` only when the move is
 //! accepted.
 //!
@@ -44,34 +41,24 @@
 //! holds the recompute-from-scratch loop and checks all of this
 //! differentially.
 
-use asicgap_exec::{split_seed, Pool};
 use asicgap_netlist::{InstId, NetDriver, NetId, Netlist};
 use asicgap_tech::Rng64;
 
 use crate::placement::Placement;
 
-/// Seed and chain count of an anneal. Every chain runs one schedule:
-/// 25 temperature steps of 400 moves, cooling by 0.88 per step from
-/// twice the mean random-swap |ΔHPWL|.
+/// Seed of an anneal. Every anneal runs one schedule: 25 temperature
+/// steps of 400 moves, cooling by 0.88 per step from twice the mean
+/// random-swap |ΔHPWL|.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnnealOptions {
     /// RNG seed.
     pub seed: u64,
-    /// Independent chains run by [`anneal_placement_multi`]; chain `c`
-    /// anneals with seed `split_seed(seed, c)` and the best final HPWL
-    /// wins (ties: lowest chain index). `1` = classic single-chain.
-    pub chains: usize,
 }
 
 impl AnnealOptions {
-    /// A single-chain anneal.
+    /// An anneal seeded by `seed`.
     pub fn quick(seed: u64) -> AnnealOptions {
-        AnnealOptions { seed, chains: 1 }
-    }
-
-    /// A multi-restart anneal: `chains` independent chains.
-    pub fn multi(seed: u64, chains: usize) -> AnnealOptions {
-        AnnealOptions { seed, chains }
+        AnnealOptions { seed }
     }
 }
 
@@ -109,7 +96,7 @@ fn ix(i: usize) -> u32 {
 }
 
 /// The netlist as the move loop reads it: flat, immutable, built once per
-/// call and shared by every chain.
+/// call.
 struct PinViews {
     /// Instances allowed to move.
     movable: Vec<usize>,
@@ -370,7 +357,17 @@ fn anneal_chain(
 /// move (used by region-constrained floorplans to pin cells).
 ///
 /// Deterministic for a given seed.
-fn anneal_placement(
+pub fn anneal_placement(
+    netlist: &Netlist,
+    placement: &mut Placement,
+    options: &AnnealOptions,
+    frozen: &[bool],
+) -> f64 {
+    anneal_with(netlist, placement, options.seed, &SCHEDULE, frozen)
+}
+
+/// [`anneal_placement`] under any schedule (the oracle's short one too).
+fn anneal_with(
     netlist: &Netlist,
     placement: &mut Placement,
     seed: u64,
@@ -384,49 +381,6 @@ fn anneal_placement(
             .sum(),
         None => placement.total_hpwl(netlist).value(),
     }
-}
-
-/// Multi-chain annealing: runs `options.chains` independent chains from
-/// the same starting placement, concurrently on the workspace pool, and
-/// commits the chain with the lowest final HPWL into `placement`. The
-/// pin views are built once and read by every chain.
-///
-/// Deterministic at any `ASICGAP_THREADS`: chain `c` anneals with seed
-/// `split_seed(options.seed, c)` (a function of the chain index only),
-/// and the reduction scans chains in index order, keeping a strictly
-/// better HPWL — so ties resolve to the lowest index no matter which
-/// worker finished first. With `chains == 1` this *is* the
-/// single-chain anneal, on the exact same code path and seed.
-pub fn anneal_placement_multi(
-    netlist: &Netlist,
-    placement: &mut Placement,
-    options: &AnnealOptions,
-    frozen: &[bool],
-) -> f64 {
-    let chains = options.chains.max(1);
-    if chains == 1 {
-        return anneal_placement(netlist, placement, options.seed, &SCHEDULE, frozen);
-    }
-    let Some((views, cur)) = PinViews::build(netlist, placement, frozen) else {
-        return placement.total_hpwl(netlist).value();
-    };
-    let start = placement.clone();
-    let results: Vec<(f64, Placement)> = Pool::from_env().run(chains, |c| {
-        let mut chain_placement = start.clone();
-        let seed = split_seed(options.seed, c as u64);
-        let cur = anneal_chain(&views, cur.clone(), &mut chain_placement, seed, &SCHEDULE);
-        (cur.iter().copied().sum(), chain_placement)
-    });
-    // Ordered best-of reduction (strict `<`: first minimum wins).
-    let mut best = 0;
-    for (c, r) in results.iter().enumerate().skip(1) {
-        if r.0 < results[best].0 {
-            best = c;
-        }
-    }
-    let (hpwl, winner) = results.into_iter().nth(best).expect("chains >= 1");
-    *placement = winner;
-    hpwl
 }
 
 #[cfg(test)]
@@ -452,7 +406,7 @@ mod tests {
             p.cells.swap(i, j);
         }
         let before = p.total_hpwl(&n).value();
-        let after = anneal_placement(&n, &mut p, 3, &SCHEDULE, &[]);
+        let after = anneal_with(&n, &mut p, 3, &SCHEDULE, &[]);
         assert!(
             after < before * 0.8,
             "annealing should cut HPWL: {before:.0} -> {after:.0}"
@@ -466,37 +420,21 @@ mod tests {
         let n = generators::parity_tree(&lib, 32).expect("parity");
         let mut p1 = Placement::initial(&n, &lib, 0.7);
         let mut p2 = Placement::initial(&n, &lib, 0.7);
-        let h1 = anneal_placement(&n, &mut p1, 7, &SCHEDULE, &[]);
-        let h2 = anneal_placement(&n, &mut p2, 7, &SCHEDULE, &[]);
+        let h1 = anneal_with(&n, &mut p1, 7, &SCHEDULE, &[]);
+        let h2 = anneal_with(&n, &mut p2, 7, &SCHEDULE, &[]);
         assert_eq!(h1, h2);
         assert_eq!(p1.cells, p2.cells);
     }
 
     #[test]
-    fn multi_chain_never_loses_to_its_own_first_chain() {
-        let tech = Technology::cmos025_asic();
-        let lib = LibrarySpec::rich().build(&tech);
-        let n = generators::parity_tree(&lib, 32).expect("parity");
-        let start = Placement::initial(&n, &lib, 0.7);
-
-        // Chain 0 of the multi run uses split_seed(seed, 0), so compare
-        // against that exact single-chain run.
-        let mut single = start.clone();
-        let single_hpwl = anneal_placement(&n, &mut single, split_seed(13, 0), &SCHEDULE, &[]);
-        let mut multi = start.clone();
-        let multi_hpwl = anneal_placement_multi(&n, &mut multi, &AnnealOptions::multi(13, 4), &[]);
-        assert!(multi_hpwl <= single_hpwl, "{multi_hpwl} vs {single_hpwl}");
-    }
-
-    #[test]
-    fn one_chain_multi_is_the_single_chain_path() {
+    fn public_entry_is_the_scheduled_anneal() {
         let tech = Technology::cmos025_asic();
         let lib = LibrarySpec::rich().build(&tech);
         let n = generators::parity_tree(&lib, 16).expect("parity");
         let mut a = Placement::initial(&n, &lib, 0.7);
         let mut b = Placement::initial(&n, &lib, 0.7);
-        let ha = anneal_placement(&n, &mut a, 5, &SCHEDULE, &[]);
-        let hb = anneal_placement_multi(&n, &mut b, &AnnealOptions::quick(5), &[]);
+        let ha = anneal_with(&n, &mut a, 5, &SCHEDULE, &[]);
+        let hb = anneal_placement(&n, &mut b, &AnnealOptions::quick(5), &[]);
         assert_eq!(ha, hb);
         assert_eq!(a.cells, b.cells);
     }
@@ -510,7 +448,7 @@ mod tests {
         let mut frozen = vec![false; n.instance_count()];
         frozen[0] = true;
         let pinned = p.cells[0];
-        anneal_placement(&n, &mut p, 11, &SCHEDULE, &frozen);
+        anneal_with(&n, &mut p, 11, &SCHEDULE, &frozen);
         assert_eq!(p.cells[0], pinned);
     }
 }

@@ -118,7 +118,7 @@ fn assert_kernel_matches(
     let expected_hpwl = anneal_reference(netlist, &mut expected, seed, schedule, frozen);
 
     let mut got = start.clone();
-    let got_hpwl = anneal_placement(netlist, &mut got, seed, schedule, frozen);
+    let got_hpwl = anneal_with(netlist, &mut got, seed, schedule, frozen);
     assert_eq!(bits(&got.cells), bits(&expected.cells), "{what}: cells");
     assert_eq!(got_hpwl.to_bits(), expected_hpwl.to_bits(), "{what}: hpwl");
     assert_eq!((&got.inputs, &got.outputs), (&start.inputs, &start.outputs));
@@ -206,43 +206,6 @@ family!(rca_matches_reference, ripple_carry_adder, 24);
 family!(barrel_matches_reference, barrel_shifter, 16);
 family!(mux_matches_reference, mux_tree, 32);
 family!(parity_matches_reference, parity_tree, 48);
-
-#[test]
-fn multi_chain_matches_reference_at_every_thread_count() {
-    let lib = lib();
-    let netlist = generators::alu(&lib, 8).expect("alu8");
-    let start = Placement::initial(&netlist, &lib, 0.7);
-    let frozen = &masks(netlist.instance_count(), 3)[1];
-    let options = AnnealOptions::multi(13, 5);
-
-    // Best-of over reference chains: strict `<`, lowest index wins ties.
-    let mut expected: Option<(f64, Placement)> = None;
-    for c in 0..options.chains {
-        let seed = split_seed(options.seed, c as u64);
-        let mut p = start.clone();
-        let hpwl = anneal_reference(&netlist, &mut p, seed, &SCHEDULE, frozen);
-        if expected.as_ref().is_none_or(|best| hpwl < best.0) {
-            expected = Some((hpwl, p));
-        }
-    }
-    let (expected_hpwl, expected) = expected.expect("chains >= 1");
-
-    // `ASICGAP_THREADS` is process-global. This is the only test of the
-    // crate that sets it; the rest only read it, and no result depends on
-    // it — which is the point.
-    let outer = std::env::var_os("ASICGAP_THREADS");
-    for threads in [1usize, 2, 8] {
-        std::env::set_var("ASICGAP_THREADS", threads.to_string());
-        let mut got = start.clone();
-        let hpwl = anneal_placement_multi(&netlist, &mut got, &options, frozen);
-        assert_eq!(hpwl.to_bits(), expected_hpwl.to_bits(), "{threads} threads");
-        assert_eq!(bits(&got.cells), bits(&expected.cells), "{threads} threads");
-    }
-    match outer {
-        Some(value) => std::env::set_var("ASICGAP_THREADS", value),
-        None => std::env::remove_var("ASICGAP_THREADS"),
-    }
-}
 
 /// A hand-wired netlist holding every shape the flat views special-case:
 /// an undriven net (with and without sinks), an output driven straight by
@@ -339,7 +302,8 @@ fn nothing_to_anneal_is_a_no_op() {
     let start = Placement::initial(&empty, &lib, 0.7);
     assert_kernel_matches(&empty, &start, 1, &SCHEDULE, &[], "n = 0");
 
-    // Fewer than two movable cells, single- and multi-chain.
+    // Fewer than two movable cells, through the kernel and the public
+    // entry.
     let netlist = awkward_netlist(&lib);
     let n = netlist.instance_count();
     let start = Placement::initial(&netlist, &lib, 0.7);
@@ -349,10 +313,9 @@ fn nothing_to_anneal_is_a_no_op() {
     for frozen in [none_movable, one_movable] {
         assert!(PinViews::build(&netlist, &start, &frozen).is_none());
         assert_kernel_matches(&netlist, &start, 2, &SHORT, &frozen, "frozen");
-        let mut multi = start.clone();
-        let hpwl =
-            anneal_placement_multi(&netlist, &mut multi, &AnnealOptions::multi(2, 3), &frozen);
-        assert_eq!(multi, start);
+        let mut public = start.clone();
+        let hpwl = anneal_placement(&netlist, &mut public, &AnnealOptions::quick(2), &frozen);
+        assert_eq!(public, start);
         assert_eq!(hpwl.to_bits(), start.total_hpwl(&netlist).value().to_bits());
     }
 }
@@ -363,5 +326,5 @@ fn short_frozen_mask_is_rejected() {
     let lib = lib();
     let netlist = awkward_netlist(&lib);
     let mut p = Placement::initial(&netlist, &lib, 0.7);
-    anneal_placement(&netlist, &mut p, 1, &SCHEDULE, &[false; 3]);
+    anneal_with(&netlist, &mut p, 1, &SCHEDULE, &[false; 3]);
 }

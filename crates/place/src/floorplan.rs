@@ -1,6 +1,6 @@
 //! Floorplans: rectangular regions and placement strategies.
 
-use crate::anneal::{anneal_placement_multi, AnnealOptions};
+use crate::anneal::{anneal_placement, AnnealOptions};
 use crate::placement::Placement;
 use asicgap_cells::Library;
 use asicgap_netlist::Netlist;
@@ -76,7 +76,7 @@ impl Floorplan {
                 // instances in near-topological order, a strong seed
                 // placement) and anneal from there.
                 let mut placement = Placement::initial(netlist, lib, 0.7);
-                anneal_placement_multi(netlist, &mut placement, options, &[]);
+                anneal_placement(netlist, &mut placement, options, &[]);
                 let region = Region {
                     x: 0.0,
                     y: 0.0,

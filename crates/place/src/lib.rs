@@ -11,7 +11,7 @@
 //! netlists:
 //!
 //! - [`Placement`] — cell coordinates on a die, with ports on the boundary;
-//! - [`anneal_placement_multi`] — simulated-annealing HPWL minimisation;
+//! - [`anneal_placement`] — simulated-annealing HPWL minimisation;
 //! - [`Floorplan`] — rectangular regions, with a
 //!   [`FloorplanStrategy::Localized`] layout (all logic in one compact
 //!   module) and a [`FloorplanStrategy::Spread`] layout (the design
@@ -47,7 +47,7 @@ mod floorplan;
 mod placement;
 mod resize;
 
-pub use anneal::{anneal_placement_multi, AnnealOptions};
+pub use anneal::{anneal_placement, AnnealOptions};
 pub use annotate::{annotate, wire_parasitics};
 pub use experiment::FloorplanStudy;
 pub use floorplan::{Floorplan, FloorplanStrategy, Region};

@@ -3,14 +3,14 @@
 //! §6.2: "After layout, transistors can be resized accounting for the
 //! drive strengths required to send signals across the circuit." This is
 //! placement's half of that loop: annotate → resize → re-annotate, where
-//! each resize is one pass of `asicgap_synth::select_drives_on` against
+//! each resize is one pass of `asicgap_synth::select_drives_with` against
 //! the annotated loads — the same drive selection synthesis runs against
 //! estimated ones.
 
 use asicgap_cells::Library;
 use asicgap_netlist::Netlist;
 use asicgap_sta::{ClockSpec, NetParasitics, TimingGraph};
-use asicgap_synth::select_drives_on;
+use asicgap_synth::select_drives_with;
 
 use crate::annotate::annotate;
 use crate::placement::Placement;
@@ -18,16 +18,18 @@ use crate::placement::Placement;
 /// The annotate → resize loop against a live [`TimingGraph`]: each round
 /// back-annotates the current placement-derived parasitics into the graph
 /// (a full repropagation — every wire delay changed), then re-selects
-/// every drive once through [`select_drives_on`], which commits swaps one
-/// at a time via [`TimingGraph::resize_cell`]: later (upstream) decisions
-/// see earlier swaps' input-cap changes, and only each swap's cone is
-/// dirtied. The graph leaves with fresh parasitics for the final netlist.
+/// every drive once with [`select_drives_with`] on the graph's netlist
+/// and wire caps ([`TimingGraph::resize_in_bulk`]): later (upstream)
+/// decisions see earlier swaps' input-cap changes, and the next
+/// back-annotation's full propagation times them. The graph leaves with
+/// fresh parasitics for the final netlist.
 fn post_layout_resize_on(graph: &mut TimingGraph, placement: &Placement) {
     let lib = graph.library();
     for _round in 0..2 {
         let par = annotate(graph.netlist(), lib, placement, true);
         graph.set_parasitics(par);
-        select_drives_on(graph, 1);
+        graph
+            .resize_in_bulk(|netlist, lib, wires| select_drives_with(netlist, lib, Some(wires), 1));
     }
     let par = annotate(graph.netlist(), lib, placement, true);
     graph.set_parasitics(par);

@@ -16,7 +16,7 @@ use asicgap_cells::LibrarySpec;
 use asicgap_exec::{split_seed, Pool};
 use asicgap_netlist::generators::{self, RandomLogicSpec};
 use asicgap_netlist::{NetId, Netlist, NetlistError};
-use asicgap_place::{anneal_placement_multi, AnnealOptions, Placement};
+use asicgap_place::{anneal_placement, AnnealOptions, Placement};
 use asicgap_tech::{Rng64, Technology};
 
 use super::*;
@@ -413,7 +413,7 @@ fn families() -> Vec<(&'static str, Generator)> {
 fn placed(netlist: &Netlist, lib: &asicgap_cells::Library, seed: u64) -> Placement {
     let mut p = Placement::initial(netlist, lib, 0.7);
     if seed % 2 == 1 {
-        anneal_placement_multi(netlist, &mut p, &AnnealOptions::quick(seed), &[]);
+        anneal_placement(netlist, &mut p, &AnnealOptions::quick(seed), &[]);
     }
     p
 }

@@ -59,8 +59,7 @@ impl SizedTiming {
             }
         }
 
-        let order = netlist.topo_order().expect("acyclic netlist");
-        for &id in &order {
+        for &id in netlist.topo_order().expect("acyclic netlist") {
             let inst = netlist.instance(id);
             let load = net_load_units(netlist, inst.out(), sizes);
             let s = sizes[id.index()];

@@ -8,7 +8,10 @@
 //! [`retarget_net`](TimingGraph::retarget_net) — each of which marks only
 //! the affected cone dirty. Queries ([`min_period`](TimingGraph::min_period),
 //! [`wns`](TimingGraph::wns), [`report`](TimingGraph::report)) flush the
-//! cone lazily, so a burst of mutations costs one repropagation.
+//! cone lazily, so a burst of mutations costs one repropagation. A sweep
+//! that swaps cells all over the design and then re-annotates wires
+//! marks nothing: [`resize_in_bulk`](TimingGraph::resize_in_bulk) hands
+//! it the netlist, and the next full propagation times the lot.
 //!
 //! [`analyze`](crate::analyze) is a thin wrapper over the same engine
 //! (build, full-propagate once, extract the report), so a `TimingGraph`
@@ -93,6 +96,9 @@ pub struct TimingGraph<'a> {
     io: IoConstraints,
     engine: ArrivalEngine,
     buffers: usize,
+    /// Set by [`TimingGraph::resize_in_bulk`]: the arrivals predate its
+    /// swaps, so the next query propagates in full.
+    stale: bool,
 }
 
 impl<'a> TimingGraph<'a> {
@@ -121,6 +127,7 @@ impl<'a> TimingGraph<'a> {
             io: IoConstraints::default(),
             engine,
             buffers: 0,
+            stale: false,
         };
         graph.full_propagate();
         graph
@@ -177,13 +184,27 @@ impl<'a> TimingGraph<'a> {
         self.engine.invalidate(inst);
     }
 
-    /// Alias of [`TimingGraph::resize_cell`] under the classic ECO name.
+    /// Hands the netlist, the library and the current parasitics to `f`,
+    /// which may only swap cells ([`Netlist::set_instance_cell`]): no
+    /// instance, net or sink may be added or moved. No cone is marked
+    /// dirty; the next query propagates in full instead, unless a
+    /// [`TimingGraph::set_parasitics`] comes first, whose full
+    /// propagation times the swaps too. This is the hand-off for a sweep
+    /// that resizes much of the design and re-annotates wires before
+    /// anything is queried.
     ///
     /// # Panics
     ///
-    /// As for [`TimingGraph::resize_cell`].
-    pub fn swap_cell(&mut self, inst: InstId, cell: CellId) {
-        self.resize_cell(inst, cell);
+    /// Panics if `f` added an instance or a net.
+    pub fn resize_in_bulk(&mut self, f: impl FnOnce(&mut Netlist, &Library, &NetParasitics)) {
+        let shape = (self.netlist.instance_count(), self.netlist.net_count());
+        f(&mut self.netlist, self.lib, &self.par);
+        assert_eq!(
+            shape,
+            (self.netlist.instance_count(), self.netlist.net_count()),
+            "resize_in_bulk may only swap cells"
+        );
+        self.stale = true;
     }
 
     /// Inserts a single-input `cell` (buffer or inverter) driven by `net`
@@ -422,15 +443,11 @@ impl<'a> TimingGraph<'a> {
         (report, self.netlist)
     }
 
-    /// The combinational instances in topological order: the order the
-    /// timer keeps for its full propagations, sorted again only after a
-    /// structural edit ([`TimingGraph::insert_buffer`],
-    /// [`TimingGraph::retarget_net`]) dropped it.
-    pub fn topo_order(&mut self) -> &[InstId] {
-        self.engine.topo_order(&self.netlist)
-    }
-
     fn flush(&mut self) {
+        if self.stale {
+            self.full_propagate();
+            return;
+        }
         if self.engine.is_clean() {
             return;
         }
@@ -449,6 +466,7 @@ impl<'a> TimingGraph<'a> {
             io: self.io,
         };
         self.engine.full_propagate(&self.netlist, &model);
+        self.stale = false;
     }
 }
 
@@ -678,69 +696,6 @@ mod tests {
         // Committing the same annotation reproduces the trial's answer.
         g.set_net_parasitics(net, Ff::new(250.0), Ps::new(180.0));
         assert_eq!(g.min_period().value().to_bits(), trial.value().to_bits());
-    }
-
-    #[test]
-    fn full_propagations_reuse_the_kept_order() {
-        let (_, lib) = setup();
-        let n = generators::array_multiplier(&lib, 6).expect("mult6");
-        let mut g = TimingGraph::new(n.clone(), &lib, ClockSpec::unconstrained(), None);
-        assert_eq!(g.topo_order(), n.topo_order().expect("acyclic"));
-        // The same allocation before and after: neither a back-annotation
-        // nor a burst of resizes sorts again.
-        let kept = g.topo_order().as_ptr();
-        let mut par = NetParasitics::ideal(&n);
-        for (id, _) in n.iter_nets() {
-            par.set(id, Ff::new(7.0), Ps::new(2.0));
-        }
-        g.set_parasitics(par.clone());
-        let ids: Vec<InstId> = n.iter_instances().map(|(id, _)| id).collect();
-        for id in ids.iter().step_by(3) {
-            let cell = n.instance(*id).cell();
-            g.resize_cell(*id, lib.closest_drive(cell, 8.0));
-        }
-        g.set_parasitics(par);
-        assert_eq!(g.topo_order().as_ptr(), kept);
-        assert_eq!(g.stats().full_propagations, 3);
-    }
-
-    #[test]
-    fn structural_edits_drop_the_order_and_the_next_full_propagation_resorts() {
-        let (_, lib) = setup();
-        let n = generators::parity_tree(&lib, 16).expect("parity");
-        let mut g = TimingGraph::new(n, &lib, ClockSpec::unconstrained(), None);
-        let (net, sinks) = g
-            .netlist()
-            .iter_nets()
-            .max_by_key(|(_, n)| n.sinks().len())
-            .map(|(id, n)| (id, n.sinks().to_vec()))
-            .expect("has nets");
-        let buf = lib.smallest(CellFunction::Buf).expect("buf cell");
-        let (inst, _) = g.insert_buffer(net, buf, &sinks[..1]).expect("inserts");
-        assert!(!g.engine.keeps_order(), "an edit never pays a sort");
-        // The incremental flush needs no order either.
-        let fresh = analyze(g.netlist(), &lib, &ClockSpec::unconstrained(), None);
-        assert_eq!(g.min_period(), fresh.min_period);
-        assert!(!g.engine.keeps_order());
-        let before = g.stats();
-        g.set_parasitics(NetParasitics::ideal(g.netlist()));
-        assert_eq!(
-            g.stats() - before,
-            fresh.stats,
-            "one fresh analyze's effort"
-        );
-        assert!(g.engine.keeps_order(), "resorted by the full propagation");
-        let order = g.topo_order().to_vec();
-        assert_eq!(order, g.netlist().topo_order().expect("acyclic"));
-        assert!(order.contains(&inst));
-        let (report, netlist) = g.finish();
-        for (id, _) in netlist.iter_nets() {
-            assert_eq!(
-                report.arrival(id).value().to_bits(),
-                fresh.arrival(id).value().to_bits()
-            );
-        }
-        assert_eq!(report.min_period, fresh.min_period);
     }
 
     #[test]

@@ -49,8 +49,7 @@ fn min_arrivals(netlist: &Netlist, lib: &Library, par: &NetParasitics) -> Vec<Ps
             arrival[inst.out().index()] = t.clk_to_q * MIN_DELAY_DERATE;
         }
     }
-    let order = netlist.topo_order().expect("acyclic netlist");
-    for &id in &order {
+    for &id in netlist.topo_order().expect("acyclic netlist") {
         let inst = netlist.instance(id);
         let cell = lib.cell(inst.cell());
         let load = netlist.net_load(lib, inst.out(), par.cap(inst.out()));
@@ -94,7 +93,7 @@ pub fn check_hold(
             reg_reachable[inst.out().index()] = true;
         }
     }
-    for &id in &netlist.topo_order().expect("acyclic netlist") {
+    for &id in netlist.topo_order().expect("acyclic netlist") {
         let inst = netlist.instance(id);
         let any = inst.fanin().iter().any(|&n| reg_reachable[n.index()]);
         if any {

@@ -129,15 +129,6 @@ pub struct ArrivalEngine {
     worst_driver: Vec<Option<InstId>>,
     worst_pred: Vec<Option<NetId>>,
     from_register: Vec<bool>,
-    /// The combinational instances in topological order, the one sort
-    /// the netlist costs this engine: computed in
-    /// [`ArrivalEngine::new`], iterated by every
-    /// [`ArrivalEngine::full_propagate`], dropped by
-    /// [`ArrivalEngine::grow`] (connectivity changed) and recomputed on
-    /// the next request. Any topological order gives the same arrivals
-    /// (see the module docs), so a recomputed one is as good as a kept
-    /// one.
-    order: Option<Vec<InstId>>,
     /// Topological level per instance (sequential = 0; combinational =
     /// 1 + max over combinational fanin drivers). Orders the worklist so
     /// a cone is normally evaluated fanin-before-fanout. The ordering is
@@ -168,8 +159,9 @@ pub struct ArrivalEngine {
 }
 
 impl ArrivalEngine {
-    /// Allocates tables and computes the topological order and levels
-    /// for `netlist`. No arrivals are propagated yet — call
+    /// Allocates tables and computes the topological levels for
+    /// `netlist`, from the order the netlist keeps
+    /// ([`Netlist::topo_order`]). No arrivals are propagated yet — call
     /// [`ArrivalEngine::full_propagate`] first.
     ///
     /// # Panics
@@ -183,7 +175,6 @@ impl ArrivalEngine {
             worst_driver: vec![None; n_nets],
             worst_pred: vec![None; n_nets],
             from_register: vec![false; n_nets],
-            order: None,
             level: vec![0; n_insts],
             is_seq: Vec::new(),
             out_net: Vec::new(),
@@ -199,23 +190,11 @@ impl ArrivalEngine {
             recording: false,
             stats: IncrementalStats::default(),
         };
-        let order = sorted(netlist);
-        for &id in &order {
+        for &id in ordered(netlist) {
             engine.level[id.index()] = engine.level_of(netlist, id);
         }
-        engine.order = Some(order);
         engine.rebuild_topology(netlist);
         engine
-    }
-
-    /// The combinational instances of `netlist` in topological order:
-    /// the kept order, or a fresh one after a structural edit dropped it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the netlist has a combinational cycle.
-    pub(crate) fn topo_order(&mut self, netlist: &Netlist) -> &[InstId] {
-        self.order.get_or_insert_with(|| sorted(netlist))
     }
 
     /// Rebuilds the flat topology mirror from `netlist`.
@@ -279,13 +258,6 @@ impl ArrivalEngine {
         &self.from_register
     }
 
-    /// `true` while the topological order is kept (a structural edit
-    /// drops it).
-    #[cfg(test)]
-    pub(crate) fn keeps_order(&self) -> bool {
-        self.order.is_some()
-    }
-
     /// A copy of the per-net tables a report keeps; the topology mirror
     /// and the worklist stay behind.
     pub(crate) fn tables(&self) -> ArrivalTables {
@@ -309,9 +281,11 @@ impl ArrivalEngine {
         }
     }
 
-    /// Recomputes every arrival from scratch (sources, then one
-    /// topological pass) and clears the dirty set. This is exactly the
-    /// propagation `analyze` has always run.
+    /// Recomputes every arrival from scratch (sources, then one pass in
+    /// the netlist's kept topological order) and clears the dirty set.
+    /// This is exactly the propagation `analyze` has always run. Any
+    /// topological order gives the same arrivals (see the module docs),
+    /// so one the netlist re-sorted after an edit is as good as the first.
     pub fn full_propagate(&mut self, netlist: &Netlist, model: &impl DelayModel) {
         assert!(!self.recording, "cannot full-propagate during a trial");
         for a in &mut self.arrival {
@@ -338,8 +312,8 @@ impl ArrivalEngine {
                 self.from_register[inst.out().index()] = true;
             }
         }
-        let order = self.order.take().unwrap_or_else(|| sorted(netlist));
-        for &id in &order {
+        let order = ordered(netlist);
+        for &id in order {
             self.eval_comb(netlist, model, id);
         }
         for bucket in &mut self.dirty {
@@ -352,7 +326,6 @@ impl ArrivalEngine {
         }
         self.stats.full_propagations += 1;
         self.stats.pins_touched += order.len();
-        self.order = Some(order);
     }
 
     /// Starts recording table overwrites so they can be undone by
@@ -414,14 +387,13 @@ impl ArrivalEngine {
 
     /// Syncs the engine with `netlist` after a structural mutation:
     /// extends the tables for appended nets/instances (new entries start
-    /// clean at zero arrival), drops the topological order and rebuilds
-    /// the flat topology mirror, so call it after sink lists changed too
-    /// (retargeting). Seed changed instances with
-    /// [`ArrivalEngine::invalidate`] and refresh levels. The incremental
-    /// path needs no order, so an edit never pays a sort; the next full
-    /// propagation sorts once.
+    /// clean at zero arrival) and rebuilds the flat topology mirror, so
+    /// call it after sink lists changed too (retargeting). Seed changed
+    /// instances with [`ArrivalEngine::invalidate`] and refresh levels.
+    /// The incremental path needs no order, so an edit never pays a sort
+    /// (the netlist dropped its order itself); the next full propagation
+    /// sorts once.
     pub fn grow(&mut self, netlist: &Netlist) {
-        self.order = None;
         self.arrival.resize(netlist.net_count(), Ps::ZERO);
         self.worst_driver.resize(netlist.net_count(), None);
         self.worst_pred.resize(netlist.net_count(), None);
@@ -591,8 +563,8 @@ impl ArrivalEngine {
     }
 }
 
-/// A fresh topological order of `netlist`'s combinational instances.
-fn sorted(netlist: &Netlist) -> Vec<InstId> {
+/// `netlist`'s combinational instances in its kept topological order.
+fn ordered(netlist: &Netlist) -> &[InstId] {
     netlist
         .topo_order()
         .expect("timing requires an acyclic netlist")
@@ -684,8 +656,7 @@ mod tests {
     fn levels_increase_along_a_chain() {
         let n = chain(4);
         let e = ArrivalEngine::new(&n);
-        let order = n.topo_order().expect("acyclic");
-        let mut sorted = order.clone();
+        let mut sorted = n.topo_order().expect("acyclic").to_vec();
         sorted.sort_by_key(|id| e.level[id.index()]);
         // In a pure chain topological position and level agree.
         let levels: Vec<u32> = sorted.iter().map(|id| e.level[id.index()]).collect();

@@ -6,37 +6,41 @@
 //! instance to the library drive whose stage gain is closest to the
 //! logical-effort target (≈ 4).
 
-use std::borrow::Cow;
-
 use asicgap_cells::{CellId, Library};
-use asicgap_netlist::{InstId, NetDriver, NetId, Netlist};
-use asicgap_sta::{TimingGraph, OUTPUT_LOAD_UNITS};
+use asicgap_netlist::{InstId, NetDriver, Netlist};
+use asicgap_sta::{NetParasitics, OUTPUT_LOAD_UNITS};
 use asicgap_tech::Ff;
 
 /// Logical-effort stage gain every instance is aimed at (§6).
 const TARGET_GAIN: f64 = 4.0;
 
 /// The load an instance's drive is chosen against: its output net's sink
-/// input caps and wire cap, plus the primary-output allowance.
-fn drive_load(target: &impl Target, id: InstId) -> Ff {
-    let (netlist, lib) = target.parts();
+/// input caps and wire cap (zero on ideal wires), plus the primary-output
+/// allowance.
+fn drive_load(netlist: &Netlist, lib: &Library, wires: Option<&NetParasitics>, id: InstId) -> Ff {
     let out = netlist.instance(id).out();
-    let mut load = netlist.net_load(lib, out, target.wire_cap(out));
+    let wire_cap = wires.map_or(Ff::ZERO, |w| w.cap(out));
+    let mut load = netlist.net_load(lib, out, wire_cap);
     if netlist.net(out).is_output() {
         load += lib.tech.unit_inverter_cin * OUTPUT_LOAD_UNITS;
     }
     load
 }
 
-/// The per-instance decision both entry points share: the library drive
-/// of the same function/family closest to `target_gain` under the
-/// instance's current output load, or `None` if the instance should stay.
-fn best_drive(target: &impl Target, id: InstId, target_gain: f64) -> Option<CellId> {
-    let load = drive_load(target, id);
+/// The per-instance decision: the library drive of the same
+/// function/family closest to `target_gain` under the instance's current
+/// output load, or `None` if the instance should stay.
+fn best_drive(
+    netlist: &Netlist,
+    lib: &Library,
+    wires: Option<&NetParasitics>,
+    id: InstId,
+    target_gain: f64,
+) -> Option<CellId> {
+    let load = drive_load(netlist, lib, wires, id);
     if load <= Ff::ZERO {
         return None;
     }
-    let (netlist, lib) = target.parts();
     let cell = netlist.instance(id).cell();
     let best = lib.drive_for_gain(cell, load, target_gain);
     (best != cell).then_some(best)
@@ -44,16 +48,20 @@ fn best_drive(target: &impl Target, id: InstId, target_gain: f64) -> Option<Cell
 
 /// Instance visit order: reverse topological (outputs first, so
 /// downstream caps settle), then the sequential cells. Resizing never
-/// changes connectivity, so one order serves every pass. Which
-/// topological order the target supplies does not matter: within a pass
-/// every sink of an instance is decided before it, so each pass makes
-/// the same swaps from any of them.
-fn sweep_order(target: &mut impl Target) -> Vec<InstId> {
-    let mut order: Vec<InstId> = target.topo_order().iter().rev().copied().collect();
+/// changes connectivity, so one order serves every pass, and the netlist
+/// keeps it across the swaps. Which topological order the netlist holds
+/// does not matter: within a pass every sink of an instance is decided
+/// before it, so each pass makes the same swaps from any of them.
+fn sweep_order(netlist: &Netlist) -> Vec<InstId> {
+    let mut order: Vec<InstId> = netlist
+        .topo_order()
+        .expect("drive selection requires an acyclic netlist")
+        .iter()
+        .rev()
+        .copied()
+        .collect();
     order.extend(
-        target
-            .parts()
-            .0
+        netlist
             .iter_instances()
             .filter(|(_, i)| i.is_sequential())
             .map(|(id, _)| id),
@@ -61,61 +69,10 @@ fn sweep_order(target: &mut impl Target) -> Vec<InstId> {
     order
 }
 
-/// What a sweep reads loads from and commits swaps to.
-trait Target {
-    fn parts(&self) -> (&Netlist, &Library);
-    /// The combinational instances in a topological order.
-    fn topo_order(&mut self) -> Cow<'_, [InstId]>;
-    fn wire_cap(&self, net: NetId) -> Ff;
-    fn resize(&mut self, id: InstId, cell: CellId);
-}
-
-/// A bare netlist: ideal (zero-cap) wires, the pre-layout estimate.
-struct Bare<'n> {
-    netlist: &'n mut Netlist,
-    lib: &'n Library,
-}
-
-impl Target for Bare<'_> {
-    fn parts(&self) -> (&Netlist, &Library) {
-        (self.netlist, self.lib)
-    }
-    fn topo_order(&mut self) -> Cow<'_, [InstId]> {
-        Cow::Owned(
-            self.netlist
-                .topo_order()
-                .expect("drive selection requires an acyclic netlist"),
-        )
-    }
-    fn wire_cap(&self, _net: NetId) -> Ff {
-        Ff::ZERO
-    }
-    fn resize(&mut self, id: InstId, cell: CellId) {
-        self.netlist.set_instance_cell(self.lib, id, cell);
-    }
-}
-
-impl Target for TimingGraph<'_> {
-    fn parts(&self) -> (&Netlist, &Library) {
-        (self.netlist(), self.library())
-    }
-    /// The timer's own order: no sort unless a structural edit dropped it.
-    fn topo_order(&mut self) -> Cow<'_, [InstId]> {
-        Cow::Borrowed(TimingGraph::topo_order(self))
-    }
-    fn wire_cap(&self, net: NetId) -> Ff {
-        self.parasitics().cap(net)
-    }
-    fn resize(&mut self, id: InstId, cell: CellId) {
-        self.resize_cell(id, cell);
-    }
-}
-
-/// The sweep both entry points share: up to `passes` passes in
-/// [`sweep_order`], each evaluating only the instances whose load may
-/// have changed since they were last evaluated, ending early at the
-/// first pass that swaps nothing. `target_gain` is [`TARGET_GAIN`] except
-/// in the oracle's gain sweep.
+/// The sweep: up to `passes` passes in [`sweep_order`], each evaluating
+/// only the instances whose load may have changed since they were last
+/// evaluated, ending early at the first pass that swaps nothing.
+/// `target_gain` is [`TARGET_GAIN`] except in the oracle's gain sweep.
 ///
 /// This is exact against visiting every instance every pass. A decision
 /// reads only the instance's output load, and that load changes only
@@ -124,11 +81,17 @@ impl Target for TimingGraph<'_> {
 /// swapped cell's fan-in nets. Re-evaluating a clean instance would
 /// find the drive it already has. The same swaps therefore happen in
 /// the same order (`oracle.rs` holds the every-instance loop to this).
-fn sweep(target: &mut impl Target, target_gain: f64, passes: usize) {
+fn sweep(
+    netlist: &mut Netlist,
+    lib: &Library,
+    wires: Option<&NetParasitics>,
+    target_gain: f64,
+    passes: usize,
+) {
     if passes == 0 {
         return;
     }
-    let order = sweep_order(target);
+    let order = sweep_order(netlist);
     let mut stale = vec![true; order.len()];
     for _ in 0..passes {
         let mut swapped = false;
@@ -136,12 +99,11 @@ fn sweep(target: &mut impl Target, target_gain: f64, passes: usize) {
             if !std::mem::replace(&mut stale[id.index()], false) {
                 continue;
             }
-            let Some(best) = best_drive(target, id, target_gain) else {
+            let Some(best) = best_drive(netlist, lib, wires, id, target_gain) else {
                 continue;
             };
-            target.resize(id, best);
+            netlist.set_instance_cell(lib, id, best);
             swapped = true;
-            let netlist = target.parts().0;
             for &net in netlist.fanin(id) {
                 if let Some(NetDriver::Instance(driver)) = netlist.driver(net) {
                     stale[driver.index()] = true;
@@ -154,22 +116,22 @@ fn sweep(target: &mut impl Target, target_gain: f64, passes: usize) {
     }
 }
 
-/// Re-selects every instance's drive strength against sink loads on
-/// ideal (zero-cap) wires, for up to `passes` sweeps (loads depend on
-/// sink input caps, which change as sinks are resized). Selection stops
-/// earlier, after the first sweep that swaps nothing: it has reached a
-/// fixed point. 2–3 converge in practice. Functions with a single drive
-/// in the library are left untouched.
-pub fn select_drives_with(netlist: &mut Netlist, lib: &Library, passes: usize) {
-    sweep(&mut Bare { netlist, lib }, TARGET_GAIN, passes);
-}
-
-/// [`select_drives_with`] against a live [`TimingGraph`]: the same
-/// decisions, committed through [`TimingGraph::resize_cell`] so only each
-/// swap's fanout cone is marked dirty and one flush at the next query
-/// re-times the lot. Wire loads come from the graph's own parasitics.
-pub fn select_drives_on(graph: &mut TimingGraph, passes: usize) {
-    sweep(graph, TARGET_GAIN, passes);
+/// Re-selects every instance's drive strength against sink loads plus
+/// `wires`' caps (ideal, zero-cap wires when `None`: the pre-layout
+/// estimate), for up to `passes` sweeps (loads depend on sink input
+/// caps, which change as sinks are resized). Selection stops earlier,
+/// after the first sweep that swaps nothing: it has reached a fixed
+/// point. 2–3 converge in practice. Functions with a single drive in the
+/// library are left untouched. Decisions read loads only, never
+/// arrivals, so a timer over the netlist is told once, afterwards
+/// (`TimingGraph::resize_in_bulk`).
+pub fn select_drives_with(
+    netlist: &mut Netlist,
+    lib: &Library,
+    wires: Option<&NetParasitics>,
+    passes: usize,
+) {
+    sweep(netlist, lib, wires, TARGET_GAIN, passes);
 }
 
 #[cfg(test)]
@@ -180,7 +142,7 @@ mod tests {
     use super::*;
     use asicgap_cells::LibrarySpec;
     use asicgap_netlist::generators;
-    use asicgap_sta::{analyze, ClockSpec};
+    use asicgap_sta::{analyze, ClockSpec, TimingGraph};
     use asicgap_tech::Technology;
 
     #[test]
@@ -193,7 +155,7 @@ mod tests {
         let mut n = generators::array_multiplier(&lib, 8).expect("mult8");
         let clock = ClockSpec::unconstrained();
         let before = analyze(&n, &lib, &clock, None).min_period;
-        select_drives_with(&mut n, &lib, 3);
+        select_drives_with(&mut n, &lib, None, 3);
         let after = analyze(&n, &lib, &clock, None).min_period;
         assert!(
             after < before * 0.99,
@@ -210,8 +172,10 @@ mod tests {
             let mut n = golden.clone();
             let mut graph =
                 TimingGraph::new(golden.clone(), &lib, ClockSpec::unconstrained(), None);
-            select_drives_with(&mut n, &lib, passes);
-            select_drives_on(&mut graph, passes);
+            select_drives_with(&mut n, &lib, None, passes);
+            graph.resize_in_bulk(|netlist, lib, wires| {
+                select_drives_with(netlist, lib, Some(wires), passes);
+            });
             let cells: Vec<_> = graph
                 .netlist()
                 .iter_instances()
@@ -221,7 +185,12 @@ mod tests {
             assert_eq!(cells, expect, "passes {passes}: same swaps, cell for cell");
             let fresh = analyze(&n, &lib, &ClockSpec::unconstrained(), None);
             assert_eq!(graph.min_period(), fresh.min_period, "passes {passes}");
-            assert_eq!(graph.stats().full_propagations, 1, "no re-analysis");
+            let stats = graph.stats();
+            assert_eq!(
+                stats.full_propagations, 2,
+                "the query re-times the swaps once"
+            );
+            assert_eq!(stats.incremental_updates, 0, "no swap pushed a cone");
         }
     }
 
@@ -233,9 +202,9 @@ mod tests {
         let tech = Technology::cmos025_asic();
         let lib = LibrarySpec::rich().build(&tech);
         let mut a = generators::parity_tree(&lib, 16).expect("parity");
-        select_drives_with(&mut a, &lib, 2);
+        select_drives_with(&mut a, &lib, None, 2);
         let settled: Vec<_> = a.iter_instances().map(|(_, i)| i.cell()).collect();
-        select_drives_with(&mut a, &lib, 2);
+        select_drives_with(&mut a, &lib, None, 2);
         let again: Vec<_> = a.iter_instances().map(|(_, i)| i.cell()).collect();
         assert_eq!(settled, again);
     }
@@ -250,12 +219,12 @@ mod tests {
         let clock = ClockSpec::unconstrained();
 
         let mut on_rich = generators::array_multiplier(&rich, 8).expect("rich mult");
-        select_drives_with(&mut on_rich, &rich, 3);
+        select_drives_with(&mut on_rich, &rich, None, 3);
         let t_rich = analyze(&on_rich, &rich, &clock, None).min_period;
         let a_rich = on_rich.total_area_um2(&rich);
 
         let mut on_two = generators::array_multiplier(&two, 8).expect("two-drive mult");
-        select_drives_with(&mut on_two, &two, 3);
+        select_drives_with(&mut on_two, &two, None, 3);
         let t_two = analyze(&on_two, &two, &clock, None).min_period;
         let a_two = on_two.total_area_um2(&two);
 
@@ -272,9 +241,9 @@ mod tests {
         let tech = Technology::cmos025_asic();
         let lib = LibrarySpec::rich().build(&tech);
         let mut n = generators::parity_tree(&lib, 32).expect("parity");
-        select_drives_with(&mut n, &lib, 4);
+        select_drives_with(&mut n, &lib, None, 4);
         let snapshot: Vec<_> = n.iter_instances().map(|(_, i)| i.cell()).collect();
-        select_drives_with(&mut n, &lib, 1);
+        select_drives_with(&mut n, &lib, None, 1);
         let again: Vec<_> = n.iter_instances().map(|(_, i)| i.cell()).collect();
         assert_eq!(snapshot, again);
     }

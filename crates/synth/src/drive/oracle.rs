@@ -1,12 +1,12 @@
 //! Differential oracle for the stale-set drive sweep: the loop it
-//! replaced survives here, test-only — a fresh topological order per
-//! pass, every instance evaluated on every pass, each decision scanning
-//! the whole drive menu, and a bare netlist's wire loads read from an
-//! all-zero `NetParasitics` — and both entry points must commit the same
-//! swaps in the same order. Equal
-//! cells per instance, equal `TimingGraph::stats()` and an equal
-//! `min_period()` mean the stale set skipped only evaluations that would
-//! have kept the drive they found.
+//! replaced survives here, test-only — every instance evaluated on every
+//! pass in a visit order rebuilt per pass, each decision scanning the
+//! whole drive menu, and wire loads always read from an allocated
+//! `NetParasitics` (all zero for ideal wires) — and the sweep must commit
+//! the same swaps in the same order. Equal cells per instance and an
+//! equal `min_period()` (plus equal `TimingGraph::stats()` where both
+//! sides are timed the same way) mean the stale set skipped only
+//! evaluations that would have kept the drive they found.
 //!
 //! Expiry: delete this module when the drive decision rule changes in a
 //! way that re-pins an E-table (a new gain rule, a load model other than
@@ -17,16 +17,17 @@
 use asicgap_cells::{CellFunction, LibrarySpec};
 use asicgap_netlist::generators::{self, RandomLogicSpec, XlargeSpec};
 use asicgap_netlist::NetlistError;
-use asicgap_sta::{ClockSpec, IncrementalStats, NetParasitics};
+use asicgap_sta::{ClockSpec, IncrementalStats, TimingGraph};
 use asicgap_tech::{Ps, Rng64, Technology};
 
 use super::*;
 
-/// The pre-refactor visit order, recomputed every pass.
+/// The pre-refactor visit order, rebuilt every pass.
 fn every_pass_order(netlist: &Netlist) -> Vec<InstId> {
     let mut order = netlist
         .topo_order()
-        .expect("drive selection requires an acyclic netlist");
+        .expect("drive selection requires an acyclic netlist")
+        .to_vec();
     order.reverse();
     order.extend(
         netlist
@@ -37,41 +38,20 @@ fn every_pass_order(netlist: &Netlist) -> Vec<InstId> {
     order
 }
 
-/// The pre-refactor bare netlist: loads read from an allocated all-zero
-/// `NetParasitics`, where [`Bare`] reads a zero wire cap.
-struct Ideal<'n> {
-    netlist: &'n mut Netlist,
-    lib: &'n Library,
-    par: NetParasitics,
-}
-
-impl Target for Ideal<'_> {
-    fn parts(&self) -> (&Netlist, &Library) {
-        (self.netlist, self.lib)
-    }
-    fn topo_order(&mut self) -> Cow<'_, [InstId]> {
-        Cow::Owned(
-            self.netlist
-                .topo_order()
-                .expect("drive selection requires an acyclic netlist"),
-        )
-    }
-    fn wire_cap(&self, net: NetId) -> Ff {
-        self.par.cap(net)
-    }
-    fn resize(&mut self, id: InstId, cell: CellId) {
-        self.netlist.set_instance_cell(self.lib, id, cell);
-    }
-}
-
 /// The pre-bracket decision: [`best_drive`] with every drive of the menu
-/// keyed, the first least key winning.
-fn best_drive_scanned(target: &impl Target, id: InstId, target_gain: f64) -> Option<CellId> {
-    let load = drive_load(target, id);
+/// keyed, the first least key winning, and the wire cap read from an
+/// allocated `NetParasitics` where the sweep reads none on ideal wires.
+fn best_drive_scanned(
+    netlist: &Netlist,
+    lib: &Library,
+    wires: &NetParasitics,
+    id: InstId,
+    target_gain: f64,
+) -> Option<CellId> {
+    let load = drive_load(netlist, lib, Some(wires), id);
     if load <= Ff::ZERO {
         return None;
     }
-    let (netlist, lib) = target.parts();
     let cell = netlist.instance(id).cell();
     let gain_error = |c: CellId| (load / lib.cell(c).input_cap / target_gain).ln().abs();
     let best = lib
@@ -87,13 +67,19 @@ fn best_drive_scanned(target: &impl Target, id: InstId, target_gain: f64) -> Opt
     (best != cell).then_some(best)
 }
 
-/// The pre-refactor sweep of both entry points: every instance, every
-/// pass, in a visit order recomputed per pass.
-fn select_drives_every_instance(target: &mut impl Target, target_gain: f64, passes: usize) {
+/// The pre-refactor sweep: every instance, every pass, in a visit order
+/// rebuilt per pass.
+fn select_drives_every_instance(
+    netlist: &mut Netlist,
+    lib: &Library,
+    wires: &NetParasitics,
+    target_gain: f64,
+    passes: usize,
+) {
     for _ in 0..passes {
-        for id in every_pass_order(target.parts().0) {
-            if let Some(best) = best_drive_scanned(target, id, target_gain) {
-                target.resize(id, best);
+        for id in every_pass_order(netlist) {
+            if let Some(best) = best_drive_scanned(netlist, lib, wires, id, target_gain) {
+                netlist.set_instance_cell(lib, id, best);
             }
         }
     }
@@ -206,6 +192,16 @@ fn settle(mut graph: TimingGraph) -> Settled {
     }
 }
 
+/// What a fresh timer over `netlist` settles to.
+fn timed(netlist: Netlist, lib: &Library, parasitics: Option<NetParasitics>) -> Settled {
+    settle(TimingGraph::new(
+        netlist,
+        lib,
+        ClockSpec::unconstrained(),
+        parasitics,
+    ))
+}
+
 #[test]
 fn stale_set_sweep_matches_the_every_instance_loop() {
     let tech = Technology::cmos025_asic();
@@ -225,48 +221,49 @@ fn stale_set_sweep_matches_the_every_instance_loop() {
                 for passes in [1, 2, 3, 5] {
                     let case = format!("{} {name} gain {target_gain} passes {passes}", lib.name);
 
-                    // The netlist entry point on ideal wires, timed
-                    // afterwards.
+                    // The bare netlist on ideal wires, timed afterwards.
                     let (mut fast, mut slow) = (golden.clone(), golden.clone());
-                    sweep(
-                        &mut Bare {
-                            netlist: &mut fast,
-                            lib: &lib,
-                        },
-                        target_gain,
-                        passes,
-                    );
+                    sweep(&mut fast, &lib, None, target_gain, passes);
                     let ideal = NetParasitics::ideal(&slow);
-                    select_drives_every_instance(
-                        &mut Ideal {
-                            netlist: &mut slow,
-                            lib: &lib,
-                            par: ideal,
-                        },
-                        target_gain,
-                        passes,
+                    select_drives_every_instance(&mut slow, &lib, &ideal, target_gain, passes);
+                    assert_eq!(
+                        timed(fast, &lib, None),
+                        timed(slow, &lib, None),
+                        "{case}: bare"
                     );
-                    let timed =
-                        |n| settle(TimingGraph::new(n, &lib, ClockSpec::unconstrained(), None));
-                    assert_eq!(timed(fast), timed(slow), "{case}: select_drives_with");
                     runs += 1;
 
-                    // The graph entry point under ideal and seeded wires,
-                    // swaps committed through the incremental timer.
+                    // Handed a live graph's netlist and wires, ideal and
+                    // seeded, and timed by the graph's next query; the
+                    // reference sizes a bare copy and times it fresh.
                     for (k, parasitics) in [None, Some(&par)].into_iter().enumerate() {
-                        let graph = || {
-                            TimingGraph::new(
-                                golden.clone(),
-                                &lib,
-                                ClockSpec::unconstrained(),
-                                parasitics.cloned(),
-                            )
-                        };
-                        let (mut fast, mut slow) = (graph(), graph());
-                        sweep(&mut fast, target_gain, passes);
-                        select_drives_every_instance(&mut slow, target_gain, passes);
-                        let (fast, slow) = (settle(fast), settle(slow));
-                        assert_eq!(fast, slow, "{case} wires {k}: select_drives_on");
+                        let mut graph = TimingGraph::new(
+                            golden.clone(),
+                            &lib,
+                            ClockSpec::unconstrained(),
+                            parasitics.cloned(),
+                        );
+                        graph.resize_in_bulk(|netlist, lib, wires| {
+                            sweep(netlist, lib, Some(wires), target_gain, passes);
+                        });
+                        let fast = settle(graph);
+                        let mut slow = golden.clone();
+                        let wires = parasitics
+                            .cloned()
+                            .unwrap_or_else(|| NetParasitics::ideal(&slow));
+                        select_drives_every_instance(&mut slow, &lib, &wires, target_gain, passes);
+                        let slow = timed(slow, &lib, parasitics.cloned());
+                        assert_eq!(fast.cells, slow.cells, "{case} wires {k}: cells");
+                        assert_eq!(
+                            fast.min_period.value().to_bits(),
+                            slow.min_period.value().to_bits(),
+                            "{case} wires {k}: min_period"
+                        );
+                        assert_eq!(
+                            fast.stats_after_query - fast.stats_before_query,
+                            slow.stats_after_query,
+                            "{case} wires {k}: the query re-times the swaps as one fresh analyze"
+                        );
                         if passes == 1 {
                             one_pass.push(fast.cells);
                         } else if fast.cells != one_pass[k] {

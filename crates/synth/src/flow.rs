@@ -159,7 +159,7 @@ impl SynthFlow {
         }
         if self.drive_passes > 0 {
             let before = keep_golden.then(|| out.clone());
-            select_drives_with(&mut out, lib, self.drive_passes);
+            select_drives_with(&mut out, lib, None, self.drive_passes);
             if let Some(before) = before {
                 verify_stage(self.verify, "drive", &before, lib, &out, lib, &mut proofs)?;
             }

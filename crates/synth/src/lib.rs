@@ -17,9 +17,9 @@
 //! - [`map_aig`] — dynamic-programming technology mapping with phase
 //!   assignment and pattern matching (NAND/NOR/AND/OR/AOI/OAI/XOR/MUX);
 //! - [`select_drives_with`] — load-driven drive-strength selection at
-//!   the logical-effort stage gain of 4 (and [`select_drives_on`], the
-//!   same pass over a live incremental
-//!   [`TimingGraph`](asicgap_sta::TimingGraph));
+//!   the logical-effort stage gain of 4, on ideal wires or against
+//!   annotated wire caps (a live timer hands its netlist over through
+//!   `TimingGraph::resize_in_bulk`);
 //! - [`buffer_high_fanout`] — buffer-tree insertion on heavily loaded
 //!   nets;
 //! - [`rewrite_pass`] — cut-based rewriting against an NPN-canonical
@@ -67,7 +67,7 @@ pub use aig::Aig;
 pub use asicgap_equiv::{build_function, AigOps, Lit};
 pub use buffer::buffer_high_fanout;
 pub use domino_map::map_dual_rail_domino;
-pub use drive::{select_drives_on, select_drives_with};
+pub use drive::select_drives_with;
 pub use error::SynthError;
 pub use flow::{StageProof, SynthFlow};
 pub use map::{map_aig, map_aig_seq, MapOptions};

@@ -54,7 +54,7 @@ pub fn netlist_to_aig(netlist: &Netlist, lib: &Library) -> (Aig, Vec<SeqBinding>
     let order = netlist
         .topo_order()
         .expect("re-entry requires an acyclic netlist");
-    for &id in &order {
+    for &id in order {
         let inst = netlist.instance(id);
         let ins: Vec<Lit> = inst
             .fanin()

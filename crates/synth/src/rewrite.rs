@@ -229,7 +229,7 @@ fn build_template(tt: u16, lib: &Library) -> Option<Template> {
         net_ref.insert(*net, TRef::Leaf(pos));
     }
     let mut gates = Vec::with_capacity(order.len());
-    for inst_id in &order {
+    for inst_id in order {
         let inst = mini.instance(*inst_id);
         let ins = inst
             .fanin()
@@ -282,7 +282,8 @@ pub fn rewrite_pass(
     replib: &mut ReplacementLibrary,
     opts: &RewriteOptions,
 ) -> Result<RewriteStats, SynthError> {
-    let order = netlist.topo_order()?;
+    // The loop adds instances, which drops the netlist's kept order.
+    let order = netlist.topo_order()?.to_vec();
     let cuts = enumerate_cuts(netlist, MAX_CUTS);
     let mut level = net_levels(netlist);
     let mut repl: HashMap<NetId, NetId> = HashMap::new();
@@ -562,7 +563,8 @@ pub(crate) fn rebalance_pass(
     let Some(cell2) = lib.smallest(family.cell2()) else {
         return Ok(stats);
     };
-    let order = netlist.topo_order()?;
+    // The loop adds instances, which drops the netlist's kept order.
+    let order = netlist.topo_order()?.to_vec();
     let mut level = net_levels(netlist);
     let mut fresh = 0usize;
     for inst_id in order {

@@ -96,7 +96,7 @@ fn drive_selection_and_buffering_preserve_function() {
     let (rich, _) = libs();
     let golden = generators::alu(&rich, 8).expect("alu");
     let mut work = golden.clone();
-    select_drives_with(&mut work, &rich, 3);
+    select_drives_with(&mut work, &rich, None, 3);
     buffer_high_fanout(&mut work, &rich, 6).expect("buffering");
     // Drive swaps and buffer trees import as identities: this is a
     // formal proof and it never touches the SAT solver.

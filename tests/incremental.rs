@@ -11,6 +11,7 @@ use asicgap::cells::{CellFunction, Library, LibrarySpec};
 use asicgap::netlist::{generators, InstId, NetDriver, NetId, Netlist, Sink};
 use asicgap::place::{annotate, AnnealOptions, Floorplan, FloorplanStrategy};
 use asicgap::sta::{analyze, ClockSpec, NetParasitics, TimingGraph, TimingReport};
+use asicgap::synth::select_drives_with;
 use asicgap::tech::{Ff, Ps, Technology};
 
 /// Tolerance from the issue statement. In practice the match is bitwise.
@@ -296,13 +297,17 @@ fn assert_reports_bit_equal(got: &TimingReport, want: &TimingReport, netlist: &N
     assert_eq!(got.critical_endpoint, want.critical_endpoint, "{ctx}");
 }
 
-/// A structural edit (`insert_buffer`, `retarget_net`) drops the timer's
-/// topological order, and the next full propagation, a fresh
-/// back-annotation here, sorts again. That propagation must give a fresh
-/// `analyze`'s answer bit for bit and cost exactly its effort: one full
-/// propagation over every combinational instance, nothing incremental.
-/// Every other round queries between the edits and the annotation, so
-/// the order is dropped both under a flushed and a dirty engine.
+/// A structural edit (`insert_buffer`, `retarget_net`) drops the
+/// netlist's kept topological order, and the next full propagation, a
+/// fresh back-annotation here, sorts again. That propagation must give a
+/// fresh `analyze`'s answer bit for bit and cost exactly its effort: one
+/// full propagation over every combinational instance, nothing
+/// incremental. Every other round queries between the edits and the
+/// annotation, so the order is dropped both under a flushed and a dirty
+/// engine. Each round then hands the graph's netlist to a drive sweep
+/// (`resize_in_bulk`) and queries with no `set_parasitics` in between:
+/// that query must time the swaps as a fresh `analyze` does, again for
+/// exactly one full propagation's effort.
 #[test]
 fn structural_edits_then_set_parasitics_match_a_fresh_analyze() {
     let lib = rich();
@@ -348,7 +353,7 @@ fn structural_edits_then_set_parasitics_match_a_fresh_analyze() {
             // The order the propagation kept is a topological order of
             // the edited netlist, over every combinational instance.
             let netlist = graph.netlist().clone();
-            let order = graph.topo_order().to_vec();
+            let order = graph.netlist().topo_order().expect("acyclic").to_vec();
             assert_eq!(order.len(), fresh.stats.pins_touched, "{ctx}");
             let mut pos = vec![usize::MAX; netlist.instance_count()];
             for (p, id) in order.iter().enumerate() {
@@ -363,6 +368,16 @@ fn structural_edits_then_set_parasitics_match_a_fresh_analyze() {
                     }
                 }
             }
+
+            let before = graph.stats();
+            graph.resize_in_bulk(|netlist, lib, wires| {
+                select_drives_with(netlist, lib, Some(wires), 2);
+            });
+            let report = graph.report();
+            let fresh = analyze(graph.netlist(), &lib, &graph.clock(), Some(&par));
+            let ctx = format!("{ctx}, then a bulk drive sweep");
+            assert_eq!(graph.stats() - before, fresh.stats, "{ctx}: effort");
+            assert_reports_bit_equal(&report, &fresh, graph.netlist(), &ctx);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The reproducibility contract of the parallel execution engine.
 //!
 //! Every parallel entry point in the workspace — the scenario grid,
-//! multi-chain annealing, Monte-Carlo population sampling — must return
+//! Monte-Carlo population sampling — must return
 //! results **bit-for-bit identical** at any `ASICGAP_THREADS` setting,
 //! including effort counters that would expose a different work
 //! schedule. These tests run each workload at 1, 2 and 8 threads and
@@ -16,9 +16,7 @@ use std::sync::Mutex;
 use asicgap::cells::LibrarySpec;
 use asicgap::exec::{split_seed, Pool};
 use asicgap::netlist::generators;
-use asicgap::place::{
-    anneal_placement_multi, AnnealOptions, Floorplan, FloorplanStrategy, Placement,
-};
+use asicgap::place::{AnnealOptions, Floorplan, FloorplanStrategy, Placement};
 use asicgap::process::{ChipPopulation, VariationComponents, VariationStudy, WithinDieModel};
 use asicgap::tech::Technology;
 use asicgap::{run_scenarios, DesignScenario};
@@ -78,19 +76,6 @@ fn rewrite_pipeline_is_bitwise_identical_across_thread_counts() {
         run_scenarios(&grid, |lib| generators::equality_comparator(lib, 32)).expect("grid runs")
     });
     assert_eq!(outcomes.len(), grid.len());
-}
-
-#[test]
-fn multi_chain_annealing_is_bitwise_identical_across_thread_counts() {
-    let tech = Technology::cmos025_asic();
-    let lib = LibrarySpec::rich().build(&tech);
-    let netlist = generators::alu(&lib, 8).expect("alu8");
-    let start = Placement::initial(&netlist, &lib, 0.7);
-    identical_across_threads(|| {
-        let mut p = start.clone();
-        let hpwl = anneal_placement_multi(&netlist, &mut p, &AnnealOptions::multi(11, 5), &[]);
-        (hpwl.to_bits(), p)
-    });
 }
 
 #[test]
